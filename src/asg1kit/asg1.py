@@ -40,6 +40,7 @@ from .geometry import (
     edge_parameter_map,
 )
 from .gluing import EdgeGluing, GluingData, crossing_direction
+from .norms import _inverse_chain_rule
 from .ritz1d import (
     bubble,
     pi_cross_functionals,
@@ -324,39 +325,20 @@ def _d_derivative_on_edge(proj: TensorSpline, glue: EdgeGluing, j: int, t):
     return d[..., 0] * proj(x1, x2, 1, 0) + d[..., 1] * proj(x1, x2, 0, 1)
 
 
-def _physical_c2_data(patch: Patch, spline: TensorSpline, corner):
+def _physical_c2_data(patch: Patch, spline: TensorSpline, corner) -> np.ndarray:
+    """Value, physical gradient and physical Hessian (hxx, hxy, hyy) of
+    ``spline`` o G^{-1} at a parametric corner."""
     x1 = np.asarray(corner[0])
     x2 = np.asarray(corner[1])
-    J = np.stack(
-        [patch.gmap.derivative(x1, x2, 1, 0), patch.gmap.derivative(x1, x2, 0, 1)],
-        axis=-1,
+    dG = patch.gmap.derivative
+    orders = ((2, 0), (1, 1), (0, 2))
+    grad, hess = _inverse_chain_rule(
+        (dG(x1, x2, 1, 0), dG(x1, x2, 0, 1)),
+        (spline(x1, x2, 1, 0), spline(x1, x2, 0, 1)),
+        [spline(x1, x2, *ab) for ab in orders],
+        [dG(x1, x2, *ab) for ab in orders],
     )
-    Jinv = np.linalg.inv(J)
-    ghat = np.array([spline(x1, x2, 1, 0), spline(x1, x2, 0, 1)])
-    grad = Jinv.T @ ghat
-    Hhat = np.array(
-        [
-            [spline(x1, x2, 2, 0), spline(x1, x2, 1, 1)],
-            [spline(x1, x2, 1, 1), spline(x1, x2, 0, 2)],
-        ]
-    )
-    G2 = {
-        (a, b): patch.gmap.derivative(x1, x2, a, b)
-        for a, b in ((2, 0), (1, 1), (0, 2))
-    }
-    corr = np.zeros((2, 2))
-    for (a, b), vec in G2.items():
-        contrib = grad[0] * vec[0] + grad[1] * vec[1]
-        if (a, b) == (2, 0):
-            corr[0, 0] += contrib
-        elif (a, b) == (0, 2):
-            corr[1, 1] += contrib
-        else:
-            corr[0, 1] += contrib
-            corr[1, 0] += contrib
-    H = Jinv.T @ (Hhat - corr) @ Jinv
-    value = float(spline(x1, x2))
-    return value, grad, H
+    return np.array([spline(x1, x2), *grad, *hess], dtype=float)
 
 
 def check_conformity(gp: GlobalProjection, samples: int = 50) -> ConformityReport:
@@ -413,13 +395,10 @@ def check_conformity(gp: GlobalProjection, samples: int = 50) -> ConformityRepor
     for members in clusters:
         if len(members) < 2:
             continue
-        datas = []
-        for i, ell, loc in members:
-            value, grad, H = _physical_c2_data(
-                mp.patches[i], gp.patches[i].spline, CORNERS[ell]
-            )
-            datas.append(np.concatenate([[value], grad, H.ravel()]))
-        datas = np.array(datas)
+        datas = np.array([
+            _physical_c2_data(mp.patches[i], gp.patches[i].spline, CORNERS[ell])
+            for i, ell, _ in members
+        ])
         defect = float(np.max(np.abs(datas - datas[0])))
         scale = max(1.0, float(np.max(np.abs(datas))))
         report.vertices.append(

@@ -328,16 +328,6 @@ class MultiPatch:
             if (i, j) not in used
         ]
 
-    def neighbor(self, i: int, j: int):
-        """The (patch, side) glued to edge (i, j), or None for boundary edges."""
-        for iface in self.interfaces:
-            if iface.left == (i, j):
-                return iface.right, iface
-            if iface.right == (i, j):
-                return iface.left, Interface(iface.right, iface.left,
-                                             iface.reversed)
-        return None
-
     # -- geometric conformity ---------------------------------------------------
 
     def domain_diameter(self) -> float:

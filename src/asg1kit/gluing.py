@@ -305,15 +305,6 @@ def recover_all(mp: MultiPatch, tol: float = 1e-10) -> GluingData:
     return data
 
 
-def boundary_gluing(mp: MultiPatch) -> GluingData:
-    """Trivial gluing alpha=1, beta=0 on every edge (single-patch use)."""
-    data = GluingData()
-    for i in range(len(mp.patches)):
-        for j in (1, 2, 3, 4):
-            data.edges[i, j] = EdgeGluing(boundary=True)
-    return data
-
-
 def crossing_direction(gluing: EdgeGluing, j: int):
     """The parameter-domain direction d_j(xi) = (n_j + beta t_j) / alpha."""
     n = np.array(NORMALS[j])

@@ -208,6 +208,7 @@ def _write_output(text: str, out: str | None):
 def _gluing_json(mp: MultiPatch, tol: float, fit: bool, lam_beta: float) -> dict:
     entries = []
     certified = True
+    glue = None if fit else recover_all(mp, tol)
     for iface in mp.interfaces:
         if fit:
             left, right, diag = fit_linear_gluing(mp, iface, lam_beta)
@@ -219,7 +220,6 @@ def _gluing_json(mp: MultiPatch, tol: float, fit: bool, lam_beta: float) -> dict
                 "data_misfit": diag["data_misfit"],
             }
         else:
-            glue = recover_all(mp, tol)
             left = glue[iface.left]
             right = glue[iface.right]
             report = next(r for r in glue.reports if r.interface == iface)

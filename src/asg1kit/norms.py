@@ -22,6 +22,36 @@ from .tensor import TensorSpline, eval_tensor_grid
 __all__ = ["ErrorTable", "physical_error_norms", "combine_tables", "observed_order"]
 
 
+def _inverse_chain_rule(jac, grad, hess=None, geo_hess=None):
+    """Physical gradient and Hessian of f o G^{-1} from parametric derivatives.
+
+    ``jac`` holds d1 G and d2 G and ``geo_hess`` holds d11 G, d12 G and d22 G
+    (last axis the physical component); ``grad`` holds d1 f and d2 f and
+    ``hess`` holds d11 f, d12 f and d22 f.
+    Returns ``(gx, gy)`` and ``(hxx, hxy, hyy)``, the latter None when no
+    ``hess`` is given.
+    """
+    d1, d2 = jac
+    inv_det = 1.0 / (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    g1, g2 = grad
+    # J^{-T} rows from the adjugate: J = [d1 | d2] columns
+    gx = inv_det * (d2[..., 1] * g1 - d1[..., 1] * g2)
+    gy = inv_det * (-d2[..., 0] * g1 + d1[..., 0] * g2)
+    if hess is None:
+        return (gx, gy), None
+    a11, a12, a22 = (h - (gx * G[..., 0] + gy * G[..., 1])
+                     for h, G in zip(hess, geo_hess))
+    # H_phys = B^T A B with B = J^{-1} = adj(J) / det
+    b11 = inv_det * d2[..., 1]
+    b12 = inv_det * (-d2[..., 0])
+    b21 = inv_det * (-d1[..., 1])
+    b22 = inv_det * d1[..., 0]
+    hxx = b11 * (a11 * b11 + a12 * b21) + b21 * (a12 * b11 + a22 * b21)
+    hxy = b11 * (a11 * b12 + a12 * b22) + b21 * (a12 * b12 + a22 * b22)
+    hyy = b12 * (a11 * b12 + a12 * b22) + b22 * (a12 * b12 + a22 * b22)
+    return (gx, gy), (hxx, hxy, hyy)
+
+
 @dataclass
 class ErrorTable:
     """Seminorms and cumulative norms of an error, orders 0..2."""
@@ -79,43 +109,27 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
         diff = u(PX, PY) - eval_tensor_grid(f_h, x1, x2)
         semi[0] = np.sqrt(np.sum(W * det * diff ** 2))
 
-    need_grad = 1 in t_orders or 2 in t_orders
-    if need_grad:
-        # inverse Jacobian transpose applied to the parametric gradient
-        inv_det = 1.0 / det
-        g1 = eval_tensor_grid(f_h, x1, x2, 1, 0)
-        g2 = eval_tensor_grid(f_h, x1, x2, 0, 1)
-        # J^{-T} rows from the adjugate: J = [d1 | d2] columns
-        gx = inv_det * (d2[..., 1] * g1 - d1[..., 1] * g2)
-        gy = inv_det * (-d2[..., 0] * g1 + d1[..., 0] * g2)
+    if 1 in t_orders or 2 in t_orders:
+        grad = (eval_tensor_grid(f_h, x1, x2, 1, 0),
+                eval_tensor_grid(f_h, x1, x2, 0, 1))
+        hess = geo_hess = None
+        if 2 in t_orders:
+            orders = ((2, 0), (1, 1), (0, 2))
+            hess = [eval_tensor_grid(f_h, x1, x2, *ab) for ab in orders]
+            geo_hess = [gmap.derivative(X1, X2, *ab) for ab in orders]
+        (gx, gy), phys_hess = _inverse_chain_rule((d1, d2), grad, hess, geo_hess)
         if 1 in t_orders:
             ex = u(PX, PY, 1, 0) - gx
             ey = u(PX, PY, 0, 1) - gy
             semi[1] = np.sqrt(np.sum(W * det * (ex ** 2 + ey ** 2)))
-
-    if 2 in t_orders:
-        h11 = eval_tensor_grid(f_h, x1, x2, 2, 0)
-        h12 = eval_tensor_grid(f_h, x1, x2, 1, 1)
-        h22 = eval_tensor_grid(f_h, x1, x2, 0, 2)
-        G2 = {ab: gmap.derivative(X1, X2, *ab) for ab in ((2, 0), (1, 1), (0, 2))}
-        c11 = gx * G2[2, 0][..., 0] + gy * G2[2, 0][..., 1]
-        c12 = gx * G2[1, 1][..., 0] + gy * G2[1, 1][..., 1]
-        c22 = gx * G2[0, 2][..., 0] + gy * G2[0, 2][..., 1]
-        a11, a12, a22 = h11 - c11, h12 - c12, h22 - c22
-        # H_phys = B^T A B with B = J^{-1} = adj(J) / det
-        b11 = inv_det * d2[..., 1]
-        b12 = inv_det * (-d2[..., 0])
-        b21 = inv_det * (-d1[..., 1])
-        b22 = inv_det * d1[..., 0]
-        hxx = b11 * (a11 * b11 + a12 * b21) + b21 * (a12 * b11 + a22 * b21)
-        hxy = b11 * (a11 * b12 + a12 * b22) + b21 * (a12 * b12 + a22 * b22)
-        hyy = b12 * (a11 * b12 + a12 * b22) + b22 * (a12 * b12 + a22 * b22)
-        exx = u(PX, PY, 2, 0) - hxx
-        exy = u(PX, PY, 1, 1) - hxy
-        eyy = u(PX, PY, 0, 2) - hyy
-        semi[2] = np.sqrt(
-            np.sum(W * det * (exx ** 2 + 2.0 * exy ** 2 + eyy ** 2))
-        )
+        if 2 in t_orders:
+            hxx, hxy, hyy = phys_hess
+            exx = u(PX, PY, 2, 0) - hxx
+            exy = u(PX, PY, 1, 1) - hxy
+            eyy = u(PX, PY, 0, 2) - hyy
+            semi[2] = np.sqrt(
+                np.sum(W * det * (exx ** 2 + 2.0 * exy ** 2 + eyy ** 2))
+            )
     return ErrorTable.from_seminorms(semi)
 
 

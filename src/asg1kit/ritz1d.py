@@ -26,16 +26,17 @@ from .splines import (
     Partition,
     UniSpline,
     UniSplineSpace,
+    _antiderivative_matrix,
     embed,
     eval_operator,
     gauss_rule,
+    knot_vector,
     l2_projection_matrix,
     reverse,
 )
 
 __all__ = [
     "PointFunctionals",
-    "RitzProjector",
     "ritz_functionals",
     "l2_project",
     "ritz_project",
@@ -86,21 +87,6 @@ class PointFunctionals:
 
 
 @functools.lru_cache(maxsize=None)
-def _antiderivative_matrix(space: UniSplineSpace) -> np.ndarray:
-    """Coefficient map of integration from 0 into the antiderivative space."""
-    from .splines import knot_vector
-
-    q = space.degree
-    target = space.antiderivative_space()
-    T = knot_vector(target)
-    m = space.dim
-    steps = (T[q + 2:q + 2 + m] - T[1:1 + m]) / (q + 1)
-    A = np.zeros((m + 1, m))
-    A[1:] = np.cumsum(np.diag(steps), axis=0)
-    return A
-
-
-@functools.lru_cache(maxsize=None)
 def ritz_functionals(space: UniSplineSpace, r: int, nq: int | None = None
                      ) -> PointFunctionals:
     """The order-r Ritz projector onto ``space`` in functional-matrix form."""
@@ -123,22 +109,6 @@ def ritz_functionals(space: UniSplineSpace, r: int, nq: int | None = None
     orders = tuple(range(r)) + (r,) * x.size
     points = (0.0,) * r + tuple(x)
     return PointFunctionals(space, orders, points, matrix)
-
-
-class RitzProjector:
-    """Order-r Ritz projector onto a univariate spline space."""
-
-    def __init__(self, space: UniSplineSpace, r: int, nq: int | None = None):
-        self.space = space
-        self.r = r
-        self.functionals = ritz_functionals(space, r, nq)
-
-    @property
-    def interpolates_right(self) -> bool:
-        return self.space.degree >= 2 * self.r - 1
-
-    def project(self, field) -> UniSpline:
-        return self.functionals.apply(field)
 
 
 def l2_project(space: UniSplineSpace, field, nq: int | None = None) -> UniSpline:
@@ -179,12 +149,11 @@ def constrained_l2_functionals(space: UniSplineSpace, nq: int | None = None
     K[:m, :m] = 2.0 * G
     K[:m, m:] = E.T
     K[m:, :m] = E
-    Kinv = np.linalg.inv(K)
     # right-hand side: 2 B^T diag(w) for the samples, identity for the data
     R = np.zeros((m + 4, x.size + 4))
     R[:m, :x.size] = 2.0 * B.T * w[None, :]
     R[m:, x.size:] = np.eye(4)
-    matrix = (Kinv @ R)[:m]
+    matrix = np.linalg.solve(K, R)[:m]
     orders = (0,) * x.size + (0, 0, 1, 1)
     points = tuple(x) + (0.0, 1.0, 0.0, 1.0)
     return PointFunctionals(space, orders, points, matrix)
@@ -236,8 +205,6 @@ def _truncated_power_coefficients(space: UniSplineSpace, eta) -> np.ndarray:
     extended precision so the huge endpoint-derivative cancellations survive
     the final rounding.
     """
-    from .splines import knot_vector
-
     p = space.degree
     t = np.asarray(knot_vector(space), dtype=np.longdouble)
     eta = np.longdouble(eta)

@@ -4,10 +4,13 @@ A space is described by a degree ``p``, an interior smoothness ``k`` with
 ``-1 <= k < p`` and a strictly increasing breakpoint partition
 ``Z = (0 = z_0 < ... < z_n = 1)``.  Internally every space is realized by the
 open knot vector with boundary multiplicity ``p+1`` and interior multiplicity
-``p-k``.  Evaluation is delegated to :class:`scipy.interpolate.BSpline`; the
-coefficient algebra (differentiation, antidifferentiation, multiplication by
-linear polynomials, embedding into superspaces) is implemented here because
-the later projector constructions rely on it being exact.
+``p-k``.  Evaluation is delegated to :class:`scipy.interpolate.BSpline`, and
+basis derivatives of every order come from one evaluator, `eval_operator`.
+Differentiation and antidifferentiation are exact coefficient maps.  Every
+other map between spline spaces (multiplication by a linear polynomial,
+embedding into a superspace) is one collocation at the Greville abscissae of
+the target space: the image lies in the target, where Greville collocation is
+unisolvent, so the collocated coefficients are exact up to round-off.
 
 Conventions: evaluation at an interior breakpoint returns the limit from the
 right whenever the requested derivative order exceeds the smoothness; at
@@ -158,10 +161,6 @@ class UniSpline:
     __rmul__ = __mul__
 
 
-def zero_spline(space: UniSplineSpace) -> UniSpline:
-    return UniSpline(space, np.zeros(space.dim))
-
-
 # -- knot vectors and dimensions ---------------------------------------------
 
 
@@ -205,13 +204,9 @@ def eval_spline(f: UniSpline, x, d: int = 0):
     """Value of the d-th derivative of ``f``; right limits at breakpoints."""
     if d < 0:
         raise ValueError("derivative order must be >= 0")
-    arr = _clip_domain(x)
-    if d > f.space.degree:
-        out = np.zeros_like(arr)
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
     bs = BSpline(knot_vector(f.space), f.coefficients, f.space.degree,
                  extrapolate=False)
-    out = bs(arr, nu=d)
+    out = bs(_clip_domain(x), nu=d)
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
@@ -237,51 +232,30 @@ def derivative(f: UniSpline) -> UniSpline:
     return UniSpline(target, _derivative_matrix(f.space) @ f.coefficients)
 
 
+@functools.lru_cache(maxsize=None)
+def _antiderivative_matrix(space: UniSplineSpace) -> np.ndarray:
+    """Coefficient map of integration from 0 into the antiderivative space."""
+    q = space.degree
+    T = knot_vector(space.antiderivative_space())
+    m = space.dim
+    steps = (T[q + 2:q + 2 + m] - T[1:1 + m]) / (q + 1)
+    A = np.zeros((m + 1, m))
+    A[1:] = np.cumsum(np.diag(steps), axis=0)
+    return A
+
+
 def antiderivative(g: UniSpline, c0: float = 0.0) -> UniSpline:
     """Antiderivative in S_{p+1,k+1,Z} with value ``c0`` at 0."""
-    q = g.space.degree
     target = g.space.antiderivative_space()
-    T = knot_vector(target)
-    m = g.space.dim
-    steps = (T[q + 2:q + 2 + m] - T[1:1 + m]) / (q + 1)
-    coeffs = c0 + np.concatenate(([0.0], np.cumsum(g.coefficients * steps)))
-    return UniSpline(target, coeffs)
-
-
-@functools.lru_cache(maxsize=None)
-def _chained_derivative_matrix(space: UniSplineSpace, d: int) -> np.ndarray:
-    if d == 0:
-        return np.eye(space.dim)
-    inner = _chained_derivative_matrix(space, d - 1)
-    sp = space
-    for _ in range(d - 1):
-        sp = sp.derivative_space()
-    return _derivative_matrix(sp) @ inner
+    return UniSpline(target, c0 + _antiderivative_matrix(g.space) @ g.coefficients)
 
 
 def eval_operator(space: UniSplineSpace, x: np.ndarray, d: int = 0) -> np.ndarray:
     """Dense matrix E with (E c)_i = (d-th derivative of the spline)(x_i)."""
     x = _clip_domain(np.atleast_1d(x))
-    if d > space.degree:
-        return np.zeros((x.size, space.dim))
-    if d > space.smoothness + 1:
-        # beyond the smoothness the derivative is only element-wise; evaluate
-        # the basis derivatives directly instead of via coefficient algebra
-        t = knot_vector(space)
-        cols = np.empty((x.size, space.dim))
-        unit = np.zeros(space.dim)
-        for i in range(space.dim):
-            unit[i] = 1.0
-            cols[:, i] = BSpline(t, unit, space.degree, extrapolate=False)(x, nu=d)
-            unit[i] = 0.0
-        return cols
-    sp = space
-    for _ in range(d):
-        sp = sp.derivative_space()
-    design = BSpline.design_matrix(x, knot_vector(sp), sp.degree).toarray()
-    if d == 0:
-        return design
-    return design @ _chained_derivative_matrix(space, d)
+    basis = BSpline(knot_vector(space), np.eye(space.dim), space.degree,
+                    extrapolate=False)
+    return basis(x, nu=d)
 
 
 # -- quadrature and L2 machinery ----------------------------------------------
@@ -336,75 +310,18 @@ def interpolate_at_greville(space: UniSplineSpace, values: np.ndarray) -> UniSpl
     return UniSpline(space, lu_solve(_collocation_lu(space), np.asarray(values, float)))
 
 
-def interpolate_function(space: UniSplineSpace, fn) -> UniSpline:
-    return interpolate_at_greville(space, fn(greville_points(space)))
-
-
-# -- Bezier extraction and exact products --------------------------------------
-
-
-def _insert_knot(t: np.ndarray, c: np.ndarray, p: int, x: float):
-    """Boehm knot insertion; returns the new knot vector and coefficients."""
-    span = int(np.searchsorted(t, x, side="right") - 1)
-    new_c = np.empty(c.size + 1)
-    new_c[:span - p + 1] = c[:span - p + 1]
-    for i in range(span - p + 1, span + 1):
-        a = (x - t[i]) / (t[i + p] - t[i])
-        new_c[i] = (1.0 - a) * c[i - 1] + a * c[i]
-    new_c[span + 1:] = c[span:]
-    return np.insert(t, span + 1, x), new_c
-
-
-def bezier_segments(f: UniSpline) -> np.ndarray:
-    """Per-element Bernstein coefficients, shape (n_elements, p+1)."""
-    p = f.space.degree
-    t = knot_vector(f.space)
-    c = f.coefficients.copy()
-    for z in f.space.partition.breakpoints[1:-1]:
-        mult = int(np.count_nonzero(np.isclose(t, z, atol=_BREAKPOINT_TOL)))
-        for _ in range(p - mult):
-            t, c = _insert_knot(t, c, p, z)
-    n = f.space.partition.n_elements
-    if p == 0:
-        return c.reshape(n, 1)
-    idx = np.arange(n)[:, None] * p + np.arange(p + 1)[None, :]
-    return c[idx]
-
-
-def _de_casteljau(b: np.ndarray, s: float) -> float:
-    work = b.astype(float).copy()
-    for r in range(1, work.size):
-        work[:-r] = (1.0 - s) * work[:-r] + s * work[1:work.size - r + 1]
-    return work[0]
-
-
-def _eval_bezier(partition: Partition, segments: np.ndarray, x: np.ndarray) -> np.ndarray:
-    z = partition.as_array()
-    idx = np.clip(np.searchsorted(z, x, side="right") - 1, 0, len(z) - 2)
-    s = (x - z[idx]) / (z[idx + 1] - z[idx])
-    return np.array([_de_casteljau(segments[e], si) for e, si in zip(idx, s)])
+@functools.lru_cache(maxsize=None)
+def _greville_operator(source: UniSplineSpace, target: UniSplineSpace) -> np.ndarray:
+    """Values of the ``source`` basis at the Greville abscissae of ``target``."""
+    return eval_operator(source, greville_points(target))
 
 
 def multiply_by_linear(f: UniSpline, a: float, b: float) -> UniSpline:
-    """Exact product (a + b*xi) * f(xi) as an element of S_{p+1,k,Z}.
-
-    The product is formed segment-wise in Bernstein form (exact coefficient
-    arithmetic), then re-expressed in the B-spline basis of the target space
-    by Greville collocation, which is unisolvent there.
-    """
-    p = f.space.degree
-    z = f.space.partition.as_array()
-    seg = bezier_segments(f)
-    prod = np.zeros((seg.shape[0], p + 2))
-    j = np.arange(p + 2)
-    for e in range(seg.shape[0]):
-        l0 = a + b * z[e]
-        l1 = a + b * z[e + 1]
-        lo = np.concatenate((seg[e], [0.0]))
-        hi = np.concatenate(([0.0], seg[e]))
-        prod[e] = (j / (p + 1)) * l1 * hi + ((p + 1 - j) / (p + 1)) * l0 * lo
-    target = UniSplineSpace(p + 1, f.space.smoothness, f.space.partition)
-    vals = _eval_bezier(f.space.partition, prod, greville_points(target))
+    """Exact product (a + b*xi) * f(xi) as an element of S_{p+1,k,Z}."""
+    target = UniSplineSpace(f.space.degree + 1, f.space.smoothness,
+                            f.space.partition)
+    g = greville_points(target)
+    vals = (a + b * g) * (_greville_operator(f.space, target) @ f.coefficients)
     return interpolate_at_greville(target, vals)
 
 
@@ -430,5 +347,5 @@ def embed(f: UniSpline, target: UniSplineSpace) -> UniSpline:
             f"S_({f.space.degree},{f.space.smoothness}) does not embed into "
             f"S_({target.degree},{target.smoothness}) on the given partitions"
         )
-    vals = eval_spline(f, greville_points(target))
+    vals = _greville_operator(f.space, target) @ f.coefficients
     return interpolate_at_greville(target, vals)

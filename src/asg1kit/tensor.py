@@ -78,10 +78,6 @@ class TensorSpline:
         return TensorSpline(self.space, self.coefficients - other.coefficients)
 
 
-def zero_tensor_spline(space: TensorSplineSpace) -> TensorSpline:
-    return TensorSpline(space, np.zeros(space.shape))
-
-
 def eval_tensor(f: TensorSpline, x1, x2, a: int = 0, b: int = 0):
     """d1^a d2^b f at broadcastable point arrays."""
     x1 = np.asarray(x1, dtype=float)

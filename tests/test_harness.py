@@ -193,3 +193,19 @@ def test_geometry_file_path_accepted(tmp_path, capsys):
     save_geometry(builtin_geometry("two_patch_square"), path)
     assert main(["gluing", "--geometry", str(path)]) == 0
     capsys.readouterr()
+
+
+def test_gluing_recovers_once(monkeypatch, capsys):
+    import asg1kit.harness as harness
+
+    calls = []
+    original = harness.recover_all
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "recover_all", counting)
+    assert main(["gluing", "--geometry", "three_patch_L"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["interfaces"]) == 2
+    assert len(calls) == 1

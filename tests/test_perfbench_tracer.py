@@ -1,0 +1,38 @@
+"""The benchmark's outside-in tracer still finds what it wraps.
+
+`perfbench/tracing.py` replaces package functions by name: deleting one
+breaks `install`, and a code path that stops calling one leaves its
+per-layer metric at zero.
+"""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+
+import tracing  # noqa: E402
+
+from asg1kit import asg1, splines  # noqa: E402
+from asg1kit.fields import manufactured  # noqa: E402
+from asg1kit.geometry import builtin_geometry  # noqa: E402
+from asg1kit.gluing import recover_all  # noqa: E402
+
+
+def test_tracer_records_projection_spans_and_restores():
+    originals = (asg1.global_project, asg1.multiply_by_linear,
+                 splines.multiply_by_linear)
+    mp = builtin_geometry("unit_square", 4)
+    glue = recover_all(mp)
+    u = manufactured("sinsin")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        asg1.global_project(mp, glue, u, 3, 1)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert "asg1.global_project" in names
+    assert "splines.multiply_by_linear" in names
+    assert (asg1.global_project, asg1.multiply_by_linear,
+            splines.multiply_by_linear) == originals

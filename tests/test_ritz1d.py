@@ -3,7 +3,6 @@ import pytest
 
 from asg1kit.fields import ScalarField1D
 from asg1kit.ritz1d import (
-    RitzProjector,
     bubble,
     l2_project,
     pi_star,
@@ -108,8 +107,8 @@ def test_ritz_left_only_interpolation_when_p_small():
     g = ritz_project(S, 2, sin_field())
     assert abs(g(0.0) - 0.0) <= 1e-12
     assert abs(g(0.0, 1) - 1.0) <= 1e-12
-    proj = RitzProjector(S, 2)
-    assert not proj.interpolates_right
+    # the right endpoint is not interpolated
+    assert abs(g(1.0) - np.sin(1.0)) > 1e-6
 
 
 def test_ritz_h2_orthogonality():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,13 @@ from asg1kit.splines import (
     UniSpline,
     UniSplineSpace,
     antiderivative,
-    bezier_segments,
     derivative,
     dimension,
     embed,
+    eval_operator,
     eval_spline,
     greville_points,
-    interpolate_function,
+    interpolate_at_greville,
     multiply_by_linear,
     refine,
     reverse,
@@ -25,6 +27,10 @@ import oracles
 def random_spline(space, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return UniSpline(space, scale * rng.standard_normal(space.dim))
+
+
+def interpolate(space, fn):
+    return interpolate_at_greville(space, fn(greville_points(space)))
 
 
 # -- partitions ----------------------------------------------------------------
@@ -92,7 +98,7 @@ def test_partition_of_unity():
 
 def test_linear_reproduction_derivative():
     S = UniSplineSpace(3, 1, uniform_partition(4))
-    f = interpolate_function(S, lambda x: x)
+    f = interpolate(S, lambda x: x)
     assert abs(eval_spline(f, 0.37, 1) - 1.0) <= 1e-12
 
 
@@ -118,7 +124,7 @@ def test_eval_outside_domain_rejected():
 def test_polynomial_reproduction():
     for p in (2, 3, 5):
         S = UniSplineSpace(p, p - 2, uniform_partition(3))
-        f = interpolate_function(S, lambda x: (1 + x) ** p / 2 ** p)
+        f = interpolate(S, lambda x: (1 + x) ** p / 2 ** p)
         x = np.linspace(0, 1, 101)
         assert np.max(np.abs(f(x) - (1 + x) ** p / 2 ** p)) <= 1e-12
 
@@ -129,7 +135,7 @@ def test_eval_one_sided_limits():
     # and at x=1 the limit from the left.
     Z = Partition((0.0, 0.5, 1.0))
     S = UniSplineSpace(2, 0, Z)
-    f = interpolate_function(S, lambda x: np.minimum(x, 1.0 - x) ** 2)
+    f = interpolate(S, lambda x: np.minimum(x, 1.0 - x) ** 2)
     assert f(0.5, 1) == pytest.approx(-1.0, abs=1e-12)
     assert f(1.0, 1) == pytest.approx(0.0, abs=1e-12)
     assert f(0.5) == pytest.approx(0.25, abs=1e-13)
@@ -146,7 +152,7 @@ def test_derivative_of_constant_is_zero():
 
 def test_derivative_of_x_squared():
     S = UniSplineSpace(3, 1, uniform_partition(4))
-    f = interpolate_function(S, lambda x: x * x)
+    f = interpolate(S, lambda x: x * x)
     d = derivative(f)
     x = np.linspace(0, 1, 51)
     assert np.max(np.abs(d(x) - 2 * x)) <= 1e-12
@@ -198,29 +204,60 @@ def test_multiply_constant():
 
 def test_multiply_x_by_x():
     S = UniSplineSpace(3, 1, uniform_partition(4))
-    f = interpolate_function(S, lambda x: x)
+    f = interpolate(S, lambda x: x)
     g = multiply_by_linear(f, 0.0, 1.0)
     x = np.linspace(0, 1, 40)
     assert np.max(np.abs(g(x) - x * x)) <= 1e-13
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (4, 2)])
-def test_multiply_random_pointwise(p, k):
-    S = UniSplineSpace(p, k, uniform_partition(5))
+# non-uniform, grid size 0.11 <= 1/(p+1) for every p <= 8
+NONUNIFORM = Partition((0.0, 0.05, 0.12, 0.2, 0.31, 0.4, 0.47, 0.55, 0.66,
+                        0.74, 0.83, 0.9, 1.0))
+
+
+@pytest.mark.parametrize("p,k,Z", [
+    pytest.param(p, k, Z, id=f"{p}-{k}{label}")
+    for p, k in [(2, 1), (3, 1), (4, 2), (5, 3), (7, 5)]
+    for label, Z in [("", uniform_partition(5)),
+                     ("-nonuniform", NONUNIFORM),
+                     ("-reversed", reverse(NONUNIFORM))]
+])
+def test_multiply_random_pointwise(p, k, Z):
+    S = UniSplineSpace(p, k, Z)
     f = random_spline(S, seed=11)
     g = multiply_by_linear(f, -0.7, 1.9)
-    x = np.linspace(0, 1, 100)
+    assert g.space == UniSplineSpace(p + 1, k, Z)
+    x = np.concatenate((np.linspace(0, 1, 100), Z.as_array()))
     assert np.max(np.abs(g(x) - (-0.7 + 1.9 * x) * f(x))) <= 1e-12
 
 
-# -- bezier extraction consistency ------------------------------------------------
-
-def test_bezier_segments_against_oracle():
-    S = UniSplineSpace(3, 1, uniform_partition(4))
-    f = random_spline(S, seed=21)
-    ours = bezier_segments(f)
-    ref = oracles.bezier_extract(3, 1, S.partition.breakpoints, f.coefficients)
-    assert np.max(np.abs(ours - ref)) <= 1e-13
+@pytest.mark.parametrize("p,k", [(3, 1), (4, 2), (6, 4)])
+def test_eval_operator_matches_eval_spline(p, k):
+    # every derivative order up to p+1, including the orders beyond k+1 whose
+    # values at interior breakpoints are right limits
+    Z = Partition((0.0, 0.1, 0.25, 0.4, 0.6, 0.7, 0.85, 1.0))
+    S = UniSplineSpace(p, k, Z)
+    f = random_spline(S, seed=p)
+    rng = np.random.default_rng(p + k)
+    x = np.concatenate((Z.as_array(), [0.0, 1.0], rng.uniform(0, 1, 40)))
+    for d in range(p + 2):
+        ref = eval_spline(f, x, d)
+        ours = eval_operator(S, x, d) @ f.coefficients
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * scale, d
+    assert np.all(eval_operator(S, x, p + 1) == 0.0)
+    # independent oracle at the breakpoints: the d-th derivative of the
+    # Bernstein form of the element to the right (to the left at x = 1)
+    seg = oracles.bezier_extract(p, k, Z.breakpoints, f.coefficients)
+    h = np.diff(Z.as_array())
+    for d in range(p + 1):
+        factor = math.factorial(p) / math.factorial(p - d)
+        right = factor * np.diff(seg, d, axis=1)[:, 0] / h ** d
+        at_one = factor * np.diff(seg[-1], d)[-1] / h[-1] ** d
+        expected = np.append(right, at_one)
+        ours = eval_operator(S, Z.as_array(), d) @ f.coefficients
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(ours - expected)) <= 1e-10 * scale, d
 
 
 # -- embedding ---------------------------------------------------------------------
