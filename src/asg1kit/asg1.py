@@ -330,13 +330,13 @@ def _physical_c2_data(patch: Patch, spline: TensorSpline, corner) -> np.ndarray:
     ``spline`` o G^{-1} at a parametric corner."""
     x1 = np.asarray(corner[0])
     x2 = np.asarray(corner[1])
-    dG = patch.gmap.derivative
+    jet = patch.gmap.jet(x1, x2, 2, 2)
     orders = ((2, 0), (1, 1), (0, 2))
     grad, hess = _inverse_chain_rule(
-        (dG(x1, x2, 1, 0), dG(x1, x2, 0, 1)),
+        (jet[1, 0], jet[0, 1]),
         (spline(x1, x2, 1, 0), spline(x1, x2, 0, 1)),
         [spline(x1, x2, *ab) for ab in orders],
-        [dG(x1, x2, *ab) for ab in orders],
+        [jet.get(ab) for ab in orders],
     )
     return np.array([spline(x1, x2), *grad, *hess], dtype=float)
 

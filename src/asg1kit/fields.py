@@ -5,7 +5,10 @@ the partial derivative d1^dx d2^dy u.  The registry of manufactured functions
 provides closed-form fields for convergence studies; ``pullback`` composes a
 physical field with a geometry map, producing exact parametric derivatives by
 a term-wise chain rule (the term lists are generated once per derivative
-order and cached).
+order and cached).  Each evaluation of a pullback takes one derivative jet of
+the geometry map (see `geometry`), which supplies the mapped points, the
+Jacobian determinant and every chain-rule factor; terms with a factor that
+is identically zero for the map (absent from its jet) are skipped.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EDGE_AXIS, NORMALS, TANGENTS, edge_coords
+from .geometry import EDGE_AXIS, NORMALS, TANGENTS, GeometryError, edge_coords
 
 __all__ = [
     "ScalarField1D",
@@ -86,7 +89,7 @@ def _poly2d(coeffs):
             c = P.polyder(c, axis=0)
         for _ in range(dy):
             c = P.polyder(c, axis=1)
-        return P.polyval2d(x, y, c) * np.ones(np.broadcast_shapes(x.shape, y.shape))
+        return P.polyval2d(*np.broadcast_arrays(x, y), c)
 
     return ScalarField2D(ev, max_order=8)
 
@@ -181,7 +184,11 @@ def directional_edge_field(u: ScalarField2D, j: int, alpha, beta) -> ScalarField
 # A parametric derivative of u o G is a sum of terms
 #     coef * (d^(m,n) u)(G) * prod_f (d^(c_f,d_f) G_{comp_f})
 # generated by repeatedly applying the chain and product rules.  The term
-# list depends only on the requested order (a, b) and is cached.
+# list depends only on the requested order (a, b) and is cached.  Every
+# factor order of the list for (a, b) is at most (a, b) componentwise, so one
+# geometry jet up to (a, b) holds all of them; a term whose factor order is
+# absent from the jet (identically zero for the map, e.g. any order above 1
+# of a bilinear map) is skipped.
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,33 +220,30 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
 
     ``u`` is given in physical coordinates; the result is defined on the
     parameter square.  Requires the Jacobian determinant of ``G`` to be
-    positive wherever evaluated (2-regularity).
+    positive wherever evaluated (2-regularity); a `GeometryError` is raised
+    otherwise.
     """
 
     def ev(x1, x2, a, b):
-        terms = _composition_terms(a, b)
-        orders = {fd[1] for (_, factors) in terms for fd in factors}
-        orders |= {(1, 0), (0, 1)}
-        gders = {od: gmap.derivative(x1, x2, *od) for od in orders}
-        gvals = {(comp, od): gders[od][..., comp]
-                 for od in orders for comp in (0, 1)}
-        det = (gvals[0, (1, 0)] * gvals[1, (0, 1)]
-               - gvals[1, (1, 0)] * gvals[0, (0, 1)])
+        jet = gmap.jet(x1, x2, max(a, 1), max(b, 1))
+        d1, d2 = jet[1, 0], jet[0, 1]
+        det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
         if np.any(det <= 0.0):
-            raise ValueError(
+            raise GeometryError(
                 "geometry map has non-positive Jacobian determinant "
                 f"(min {np.min(det):.3e}) at an evaluation point"
             )
-        pts = gmap.point(x1, x2)
-        X, Y = pts[..., 0], pts[..., 1]
+        X, Y = jet[0, 0][..., 0], jet[0, 0][..., 1]
         uvals = {}
         out = 0.0
-        for ((m, n), factors), coef in terms.items():
+        for ((m, n), factors), coef in _composition_terms(a, b).items():
+            if any(od not in jet for _, od in factors):
+                continue
             if (m, n) not in uvals:
                 uvals[m, n] = u(X, Y, m, n)
             acc = coef * uvals[m, n]
-            for fd in factors:
-                acc = acc * gvals[fd]
+            for comp, od in factors:
+                acc = acc * jet[od][..., comp]
             out = out + acc
         return out
 

@@ -4,12 +4,25 @@ Each patch is parameterized over the unit square.  Sides are numbered 1..4
 counter-clockwise starting at the bottom: side 1 is xi2=0, side 2 is xi1=1,
 side 3 is xi2=1, side 4 is xi1=0.  Side j carries the intrinsic parameter
 xi1 (sides 1, 3) or xi2 (sides 2, 4).
+
+Every map G (bilinear, spline, NURBS) evaluates its derivatives through
+``jet(x1, x2, c, d)``: one pass that returns ``{(a, b): d1^a d2^b G}`` for all
+a <= c, b <= d, with the basis rows of each order and axis evaluated once.
+Orders that are identically zero are absent (above 1 for bilinear maps, above
+the degree for spline maps); an absent key means zero.  NURBS maps contract
+the homogeneous coefficients (w P, w) and apply the quotient rule once.  When
+``x1`` is a column (N1, 1) and ``x2`` a row (1, N2), the jet evaluates basis
+rows on N1 + N2 points and contracts them as an (N1, N2) grid; any other
+broadcast pair is evaluated point by point.  ``derivative`` and ``point``
+give single orders.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from math import comb
 
 import numpy as np
 
@@ -86,7 +99,65 @@ def edge_coords(j: int, t):
 # -- geometry maps ---------------------------------------------------------------
 
 
-class BilinearMap:
+def _linear_basis(x, a):
+    """Rows of the a-th derivatives (a <= 1) of the linear basis (1 - x, x)."""
+    if a == 0:
+        return np.stack([1.0 - x, x], axis=-1)
+    return np.broadcast_to(np.array([-1.0, 1.0]), x.shape + (2,))
+
+
+class _TensorProductMap:
+    """G(x1, x2) = sum_ij N_i(x1) M_j(x2) coef_ij over two univariate bases.
+
+    Subclasses set ``_coef`` (dim1, dim2, components), the basis evaluators
+    ``_basis1(x, a)`` and ``_basis2(x, a)``, which return the rows of the
+    a-th basis derivatives at 1D points ``x``, and ``_top``, the highest
+    derivative order of each basis that is not identically zero.
+    """
+
+    def _contract(self, x1, x2, orders1, orders2) -> dict:
+        """{(a, b): sum_ij B1^(a)[., i] coef[i, j] B2^(b)[., j]} for every
+        ``a`` in ``orders1`` and ``b`` in ``orders2``, with the basis rows of
+        each order and axis evaluated once.  A column ``x1`` (N1, 1) with a
+        row ``x2`` (1, N2) is contracted as a grid from rows on N1 + N2
+        points; any other broadcast pair is evaluated point by point."""
+        x1 = np.asarray(x1, dtype=float)
+        x2 = np.asarray(x2, dtype=float)
+        shape = np.broadcast_shapes(x1.shape, x2.shape)
+        grid = x1.ndim == x2.ndim == 2 and x1.shape[1] == 1 and x2.shape[0] == 1
+        if not grid:
+            x1 = np.broadcast_to(x1, shape)
+            x2 = np.broadcast_to(x2, shape)
+        dim1, dim2, k = self._coef.shape
+        flat = self._coef.reshape(dim1, dim2 * k)
+        rows2 = {b: self._basis2(x2.ravel(), b) for b in orders2}
+        out = {}
+        for a in orders1:
+            T = (self._basis1(x1.ravel(), a) @ flat).reshape(-1, dim2, k)
+            for b, B2 in rows2.items():
+                if grid:
+                    out[a, b] = B2 @ T
+                else:
+                    out[a, b] = np.einsum("njk,nj->nk", T, B2).reshape(shape + (k,))
+        return out
+
+    def jet(self, x1, x2, c: int = 0, d: int = 0) -> dict:
+        """{(a, b): d1^a d2^b G} for all a <= c, b <= d in one pass; orders
+        that are identically zero are absent."""
+        return self._contract(x1, x2, range(min(c, self._top[0]) + 1),
+                              range(min(d, self._top[1]) + 1))
+
+    def _one_order(self, x1, x2, c: int, d: int) -> np.ndarray:
+        if c > self._top[0] or d > self._top[1]:
+            shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+            return np.zeros(shape + (self._coef.shape[2],))
+        return self._contract(x1, x2, (c,), (d,))[c, d]
+
+    def point(self, x1, x2) -> np.ndarray:
+        return self._one_order(x1, x2, 0, 0)
+
+
+class BilinearMap(_TensorProductMap):
     """Bilinear patch from its four corner points.
 
     ``corners[i][j]`` is the image of the parameter corner (i, j), i.e. the
@@ -99,24 +170,15 @@ class BilinearMap:
         self.corners = np.asarray(corners, dtype=float)
         if self.corners.shape != (2, 2, 2):
             raise GeometryError("bilinear map needs a 2x2 grid of 2D corners")
+        self._coef = self.corners
+        self._basis1 = self._basis2 = _linear_basis
+        self._top = (1, 1)
 
     def derivative(self, x1, x2, c: int = 0, d: int = 0) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        P = self.corners
-        if c > 1 or d > 1:
-            return np.zeros(np.broadcast_shapes(x1.shape, x2.shape) + (2,))
-        a0 = np.stack([1.0 - x1, x1] if c == 0 else
-                      [-np.ones_like(x1), np.ones_like(x1)])
-        a1 = np.stack([1.0 - x2, x2] if d == 0 else
-                      [-np.ones_like(x2), np.ones_like(x2)])
-        return np.einsum("i...,j...,ijc->...c", a0, a1, P)
-
-    def point(self, x1, x2) -> np.ndarray:
-        return self.derivative(x1, x2, 0, 0)
+        return self._one_order(x1, x2, c, d)
 
 
-class SplineMap:
+class SplineMap(_TensorProductMap):
     """Tensor-product spline patch with a control-point grid."""
 
     kind = "spline"
@@ -130,28 +192,22 @@ class SplineMap:
                 f"control grid shape {self.control.shape} does not match "
                 f"space dimensions ({space1.dim}, {space2.dim}, 2)"
             )
+        self._coef = self.control
+        self._basis1 = partial(eval_operator, space1)
+        self._basis2 = partial(eval_operator, space2)
+        self._top = (space1.degree, space2.degree)
 
     def derivative(self, x1, x2, c: int = 0, d: int = 0) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        if c > self.space1.degree or d > self.space2.degree:
-            return np.zeros(shape + (2,))
-        B1 = eval_operator(self.space1, np.broadcast_to(x1, shape).ravel(), c)
-        B2 = eval_operator(self.space2, np.broadcast_to(x2, shape).ravel(), d)
-        out = np.einsum("ni,ijc,nj->nc", B1, self.control, B2)
-        return out.reshape(shape + (2,))
-
-    def point(self, x1, x2) -> np.ndarray:
-        return self.derivative(x1, x2, 0, 0)
+        return self._one_order(x1, x2, c, d)
 
 
-class NurbsMap:
+class NurbsMap(_TensorProductMap):
     """Rational tensor-product spline patch G = F / w.
 
-    Derivatives of any order follow from the recursive quotient rule applied
-    to ``F = G * w``, which keeps the discrete function space polynomial on
-    the parameter domain.
+    The jet contracts the homogeneous coefficients (w P, w) once, then one
+    in-place pass of the quotient rule applied to ``F = G * w`` turns it into
+    every rational order, which keeps the discrete function space polynomial
+    on the parameter domain.  No order of a rational map is dropped.
     """
 
     kind = "nurbs"
@@ -167,48 +223,41 @@ class NurbsMap:
             raise GeometryError("weight grid shape mismatch")
         if np.any(self.weights <= 0):
             raise GeometryError("weights must be positive")
+        w = self.weights[:, :, None]
+        self._coef = np.concatenate([self.control * w, w], axis=2)
+        self._basis1 = partial(eval_operator, space1)
+        self._basis2 = partial(eval_operator, space2)
+        self._top = (space1.degree, space2.degree)
 
-    def _homogeneous(self, x1, x2, c, d, shape):
-        B1 = eval_operator(self.space1, np.broadcast_to(x1, shape).ravel(), c)
-        B2 = eval_operator(self.space2, np.broadcast_to(x2, shape).ravel(), d)
-        wc = self.control * self.weights[:, :, None]
-        F = np.einsum("ni,ijc,nj->nc", B1, wc, B2).reshape(shape + (2,))
-        w = np.einsum("ni,ij,nj->n", B1, self.weights, B2).reshape(shape)
-        return F, w
-
-    def derivative(self, x1, x2, c: int = 0, d: int = 0) -> np.ndarray:
-        from math import comb
-
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        F = {}
-        w = {}
-        for a in range(c + 1):
-            for b in range(d + 1):
-                F[a, b], w[a, b] = self._homogeneous(x1, x2, a, b, shape)
+    def jet(self, x1, x2, c: int = 0, d: int = 0) -> dict:
+        H = super().jet(x1, x2, c, d)
+        w0 = H[0, 0][..., 2:]
         G: dict[tuple[int, int], np.ndarray] = {}
         for a in range(c + 1):
             for b in range(d + 1):
-                acc = F[a, b].copy()
+                # F^(a,b) = sum_{e<=a, f<=b} C(a,e) C(b,f) G^(e,f) w^(a-e,b-f)
+                g = (H[a, b][..., :2] if (a, b) in H
+                     else np.zeros(w0.shape[:-1] + (2,)))
                 for e in range(a + 1):
-                    for f_ in range(b + 1):
-                        if (e, f_) == (a, b):
-                            continue
-                        acc -= (comb(a, e) * comb(b, f_)
-                                * G[e, f_] * w[a - e, b - f_][..., None])
-                G[a, b] = acc / w[0, 0][..., None]
-        return G[c, d]
+                    for f in range(b + 1):
+                        if (e, f) != (a, b) and (a - e, b - f) in H:
+                            g -= (comb(a, e) * comb(b, f)
+                                  * G[e, f] * H[a - e, b - f][..., 2:])
+                g /= w0
+                G[a, b] = g
+        return G
+
+    def derivative(self, x1, x2, c: int = 0, d: int = 0) -> np.ndarray:
+        return self.jet(x1, x2, c, d)[c, d]
 
     def point(self, x1, x2) -> np.ndarray:
-        return self.derivative(x1, x2, 0, 0)
+        return self.jet(x1, x2, 0, 0)[0, 0]
 
 
 def jacobian(gmap, x1, x2) -> np.ndarray:
     """Jacobian with columns d1 G, d2 G; shape (..., 2, 2)."""
-    return np.stack(
-        [gmap.derivative(x1, x2, 1, 0), gmap.derivative(x1, x2, 0, 1)], axis=-1
-    )
+    jet = gmap.jet(x1, x2, 1, 1)
+    return np.stack([jet[1, 0], jet[0, 1]], axis=-1)
 
 
 def jacobian_determinant(gmap, x1, x2) -> np.ndarray:
@@ -223,10 +272,16 @@ def check_2regular(gmap, samples: int = 33):
     means the map folds and is not 2-regular.
     """
     s = np.linspace(0.0, 1.0, samples)
-    X1, X2 = np.meshgrid(s, s, indexing="ij")
-    det = jacobian_determinant(gmap, X1, X2)
-    idx = np.unravel_index(np.argmin(det), det.shape)
-    return float(det[idx]), (float(X1[idx]), float(X2[idx]))
+    det = jacobian_determinant(gmap, s[:, None], s[None, :])
+    i, j = np.unravel_index(np.argmin(det), det.shape)
+    return float(det[i, j]), (float(s[i]), float(s[j]))
+
+
+def _second_derivatives(gmap, x1, x2) -> np.ndarray:
+    """d11 G, d12 G and d22 G stacked on a leading axis, from one jet."""
+    jet = gmap.jet(x1, x2, 2, 2)
+    zero = np.zeros_like(jet[0, 0])
+    return np.stack([jet.get(ab, zero) for ab in ((2, 0), (1, 1), (0, 2))])
 
 
 def w2_boundedness_check(gmap, partitions, samples: int = 9, eps: float = 1e-7):
@@ -238,22 +293,16 @@ def w2_boundedness_check(gmap, partitions, samples: int = 9, eps: float = 1e-7):
     vanishes up to round-off.
     """
     s = np.linspace(eps, 1.0 - eps, samples)
-    worst = 0.0
-    for a, b in ((2, 0), (1, 1), (0, 2)):
-        X1, X2 = np.meshgrid(s, s, indexing="ij")
-        worst = max(worst, float(np.max(np.abs(gmap.derivative(X1, X2, a, b)))))
+    worst = float(np.max(np.abs(_second_derivatives(gmap, s[:, None], s[None, :]))))
     jump = 0.0
     for axis, Z in enumerate(partitions):
         for z in Z.as_array()[1:-1]:
-            lo, hi = z - eps, z + eps
-            for a, b in ((2, 0), (1, 1), (0, 2)):
-                if axis == 0:
-                    d = gmap.derivative(np.full_like(s, hi), s, a, b) \
-                        - gmap.derivative(np.full_like(s, lo), s, a, b)
-                else:
-                    d = gmap.derivative(s, np.full_like(s, hi), a, b) \
-                        - gmap.derivative(s, np.full_like(s, lo), a, b)
-                jump = max(jump, float(np.max(np.abs(d))))
+            lo, hi = np.full_like(s, z - eps), np.full_like(s, z + eps)
+            if axis == 0:
+                d = _second_derivatives(gmap, hi, s) - _second_derivatives(gmap, lo, s)
+            else:
+                d = _second_derivatives(gmap, s, hi) - _second_derivatives(gmap, s, lo)
+            jump = max(jump, float(np.max(np.abs(d))))
     return worst, jump
 
 
@@ -382,19 +431,20 @@ class MultiPatch:
 
 
 def physical_mesh_size(mp: MultiPatch) -> float:
-    """Max diameter of mapped elements, from 8 boundary samples per element."""
+    """Max diameter of mapped elements, from 8 boundary samples per element
+    (corners and edge midpoints), all evaluated at once per patch."""
     worst = 0.0
     for patch in mp.patches:
         z1 = patch.partitions[0].as_array()
         z2 = patch.partitions[1].as_array()
-        for a, b in zip(z1[:-1], z1[1:]):
-            for c, d in zip(z2[:-1], z2[1:]):
-                xm, ym = 0.5 * (a + b), 0.5 * (c + d)
-                x1 = np.array([a, b, b, a, xm, b, xm, a])
-                x2 = np.array([c, c, d, d, c, ym, d, ym])
-                pts = patch.gmap.point(x1, x2)
-                diff = pts[:, None, :] - pts[None, :, :]
-                worst = max(worst, float(np.max(np.linalg.norm(diff, axis=-1))))
+        a, c = np.meshgrid(z1[:-1], z2[:-1], indexing="ij")
+        b, d = np.meshgrid(z1[1:], z2[1:], indexing="ij")
+        xm, ym = 0.5 * (a + b), 0.5 * (c + d)
+        x1 = np.stack([a, b, b, a, xm, b, xm, a], axis=-1)
+        x2 = np.stack([c, c, d, d, c, ym, d, ym], axis=-1)
+        pts = patch.gmap.point(x1, x2)
+        diff = pts[..., :, None, :] - pts[..., None, :, :]
+        worst = max(worst, float(np.max(np.linalg.norm(diff, axis=-1))))
     return worst
 
 

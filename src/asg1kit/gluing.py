@@ -32,6 +32,7 @@ from .geometry import (
     TANGENTS,
     edge_coords,
     edge_parameter_map,
+    jacobian,
 )
 
 __all__ = [
@@ -128,9 +129,8 @@ class GluingData:
 
 def _edge_cross_and_det(patch, j, t):
     """Outward cross-derivative N_j and Jacobian determinant on side j."""
-    x1, x2 = edge_coords(j, t)
-    d1 = patch.gmap.derivative(x1, x2, 1, 0)
-    d2 = patch.gmap.derivative(x1, x2, 0, 1)
+    J = jacobian(patch.gmap, *edge_coords(j, t))
+    d1, d2 = J[..., 0], J[..., 1]
     n = NORMALS[j]
     N = n[0] * d1 + n[1] * d2
     det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
@@ -330,9 +330,8 @@ def g1_compatibility_residual(mp: MultiPatch, iface: Interface,
     (i, j), (ii, jj) = iface.left, iface.right
 
     def pushforward(patch, side, glue, t):
-        x1, x2 = edge_coords(side, t)
-        d1 = patch.gmap.derivative(x1, x2, 1, 0)
-        d2 = patch.gmap.derivative(x1, x2, 0, 1)
+        J = jacobian(patch.gmap, *edge_coords(side, t))
+        d1, d2 = J[..., 0], J[..., 1]
         dvec = crossing_direction(glue, side)(t)
         return dvec[..., :1] * d1 + dvec[..., 1:] * d2, max(
             float(np.max(np.abs(d1))), float(np.max(np.abs(d2)))

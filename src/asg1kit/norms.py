@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField2D
-from .geometry import Patch
+from .geometry import GeometryError, Patch
 from .ritz1d import default_quadrature_nodes
 from .splines import gauss_rule
 from .tensor import TensorSpline, eval_tensor_grid
@@ -27,7 +27,8 @@ def _inverse_chain_rule(jac, grad, hess=None, geo_hess=None):
 
     ``jac`` holds d1 G and d2 G and ``geo_hess`` holds d11 G, d12 G and d22 G
     (last axis the physical component); ``grad`` holds d1 f and d2 f and
-    ``hess`` holds d11 f, d12 f and d22 f.
+    ``hess`` holds d11 f, d12 f and d22 f; a ``geo_hess`` entry of None is
+    an identically zero second derivative of G.
     Returns ``(gx, gy)`` and ``(hxx, hxy, hyy)``, the latter None when no
     ``hess`` is given.
     """
@@ -39,7 +40,7 @@ def _inverse_chain_rule(jac, grad, hess=None, geo_hess=None):
     gy = inv_det * (-d2[..., 0] * g1 + d1[..., 0] * g2)
     if hess is None:
         return (gx, gy), None
-    a11, a12, a22 = (h - (gx * G[..., 0] + gy * G[..., 1])
+    a11, a12, a22 = (h if G is None else h - (gx * G[..., 0] + gy * G[..., 1])
                      for h, G in zip(hess, geo_hess))
     # H_phys = B^T A B with B = J^{-1} = adj(J) / det
     b11 = inv_det * d2[..., 1]
@@ -88,20 +89,19 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
         ) + 2
     x1, w1 = gauss_rule(patch.partitions[0], nq)
     x2, w2 = gauss_rule(patch.partitions[1], nq)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
     W = np.outer(w1, w2)
 
-    gmap = patch.gmap
-    pts = gmap.point(X1, X2)
-    PX, PY = pts[..., 0], pts[..., 1]
-    d1 = gmap.derivative(X1, X2, 1, 0)
-    d2 = gmap.derivative(X1, X2, 0, 1)
+    # one geometry jet on the quadrature grid; absent orders are zero
+    top = 2 if 2 in t_orders else 1
+    jet = patch.gmap.jet(x1[:, None], x2[None, :], top, top)
+    PX, PY = jet[0, 0][..., 0], jet[0, 0][..., 1]
+    d1, d2 = jet[1, 0], jet[0, 1]
     det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
     if np.any(det <= 0.0):
-        idx = np.unravel_index(np.argmin(det), det.shape)
-        raise ValueError(
-            f"non-positive Jacobian determinant {det[idx]:.3e} at quadrature "
-            f"point ({X1[idx]:.6f}, {X2[idx]:.6f})"
+        i, j = np.unravel_index(np.argmin(det), det.shape)
+        raise GeometryError(
+            f"non-positive Jacobian determinant {det[i, j]:.3e} at quadrature "
+            f"point ({x1[i]:.6f}, {x2[j]:.6f})"
         )
 
     semi = {}
@@ -116,7 +116,7 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
         if 2 in t_orders:
             orders = ((2, 0), (1, 1), (0, 2))
             hess = [eval_tensor_grid(f_h, x1, x2, *ab) for ab in orders]
-            geo_hess = [gmap.derivative(X1, X2, *ab) for ab in orders]
+            geo_hess = [jet.get(ab) for ab in orders]
         (gx, gy), phys_hess = _inverse_chain_rule((d1, d2), grad, hess, geo_hess)
         if 1 in t_orders:
             ex = u(PX, PY, 1, 0) - gx

@@ -198,8 +198,7 @@ def data_matrix(u: ScalarField2D, f1: PointFunctionals, f2: PointFunctionals
         ia = np.where(o1 == da)[0]
         for db in sorted(set(f2.orders)):
             ib = np.where(o2 == db)[0]
-            X, Y = np.meshgrid(x[ia], y[ib], indexing="ij")
-            D[np.ix_(ia, ib)] = u(X, Y, da, db)
+            D[np.ix_(ia, ib)] = u(x[ia][:, None], y[ib][None, :], da, db)
     return D
 
 

@@ -50,6 +50,8 @@ def test_manufactured_against_sympy(name):
             want = ref(X, Y, a, b)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) <= 1e-11 * scale, (name, a, b)
+            # a row x and a column y broadcast to the same grid
+            assert np.array_equal(u(pts[None, :], pts[:, None], a, b), got)
 
 
 def test_unknown_manufactured_name():
@@ -264,6 +266,23 @@ def test_pullback_detects_folded_map():
     X, Y = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
     with pytest.raises(ValueError):
         v(X, Y)
+
+
+def test_pullback_takes_one_jet_per_evaluation(monkeypatch):
+    S = UniSplineSpace(3, 2, uniform_partition(2))
+    g = np.linspace(0.0, 1.0, S.dim)
+    ctrl = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
+    ctrl[2, 2] += (0.03, -0.02)
+    calls = {"jet": 0, "derivative": 0, "point": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _fn=getattr(SplineMap, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(SplineMap, name, counted)
+    v = pullback(manufactured("expxy"), SplineMap(S, S, ctrl))
+    x = np.linspace(0.1, 0.9, 4)
+    v(x[:, None], x[None, :], 2, 2)
+    assert calls == {"jet": 1, "derivative": 0, "point": 0}
 
 
 def test_nurbs_pullback_consistency():

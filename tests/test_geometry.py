@@ -84,6 +84,50 @@ def test_spline_map_derivatives():
     assert np.max(np.abs(g.derivative(x, y, 1, 0) - fd)) <= 1e-6
 
 
+def _jet_maps():
+    from test_integration import (curved_interior_two_patch,
+                                  reversed_skew_two_patch, single_patch_nurbs)
+
+    return {
+        "bilinear": reversed_skew_two_patch().patches[1].gmap,
+        "spline": curved_interior_two_patch().patches[0].gmap,
+        "nurbs": single_patch_nurbs().patches[0].gmap,
+    }
+
+
+@pytest.mark.parametrize("kind", ["bilinear", "spline", "nurbs"])
+def test_jet_matches_derivative(kind):
+    gmap = _jet_maps()[kind]
+    assert gmap.kind == kind
+    rng = np.random.default_rng(5)
+    scattered = (rng.random(40), rng.random(40))
+    # the grid includes the ends and the geometry breakpoint 0.5
+    s1 = np.linspace(0.0, 1.0, 7)
+    s2 = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
+    grid = (s1[:, None], s2[None, :])
+    pointwise = np.meshgrid(s1, s2, indexing="ij")
+    top = 4  # above the degree of the spline map, so some orders vanish
+    jets = [gmap.jet(*xy, top, top) for xy in (scattered, grid, pointwise)]
+    assert set(jets[0]) == set(jets[1]) == set(jets[2])
+    for a in range(top + 1):
+        for b in range(top + 1):
+            for jet, xy in zip(jets, (scattered, grid, pointwise)):
+                want = gmap.derivative(*xy, a, b)
+                if (a, b) not in jet:
+                    assert np.all(want == 0.0), (a, b)
+                    continue
+                assert np.any(want != 0.0), (a, b)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert jet[a, b].shape == want.shape
+                assert np.max(np.abs(jet[a, b] - want)) <= 1e-13 * scale, (a, b)
+            if (a, b) in jets[1]:
+                scale = max(1.0, float(np.max(np.abs(jets[2][a, b]))))
+                assert np.max(np.abs(jets[1][a, b] - jets[2][a, b])) <= 1e-13 * scale
+    absent = {"bilinear": 1, "spline": 3, "nurbs": top}[kind]
+    assert set(jets[0]) == {(a, b) for a in range(absent + 1)
+                            for b in range(absent + 1)}
+
+
 def test_nurbs_weights_validated():
     Z = uniform_partition(1)
     S = UniSplineSpace(2, 1, Z)
@@ -187,6 +231,25 @@ def test_mesh_size_against_dense_sampling():
             worst = max(worst, float(np.max(np.linalg.norm(diff, axis=-1))))
     assert got >= worst * 0.98
     assert got <= worst * 1.02 + 1e-12
+
+
+def test_mesh_size_matches_per_element_formula():
+    from test_integration import curved_interior_two_patch
+
+    mp = curved_interior_two_patch(n=5)
+    worst = 0.0
+    for patch in mp.patches:
+        z1 = patch.partitions[0].as_array()
+        z2 = patch.partitions[1].as_array()
+        for a, b in zip(z1[:-1], z1[1:]):
+            for c, d in zip(z2[:-1], z2[1:]):
+                xm, ym = 0.5 * (a + b), 0.5 * (c + d)
+                x1 = np.array([a, b, b, a, xm, b, xm, a])
+                x2 = np.array([c, c, d, d, c, ym, d, ym])
+                pts = patch.gmap.point(x1, x2)
+                diff = pts[:, None, :] - pts[None, :, :]
+                worst = max(worst, float(np.max(np.linalg.norm(diff, axis=-1))))
+    assert physical_mesh_size(mp) == worst
 
 
 # -- JSON I/O ------------------------------------------------------------------------

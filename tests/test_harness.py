@@ -145,6 +145,19 @@ def test_check_c1_flags_non_asg1_geometry(tmp_path, capsys):
     assert out["max_d_derivative_jump_relative"] > 1e-9
 
 
+@pytest.mark.parametrize("command", ["project", "check-c1"])
+def test_folded_geometry_is_configuration_error(tmp_path, capsys, command):
+    # check_2regular gives -1.4: the Jacobian determinant changes sign
+    path = tmp_path / "folded.json"
+    path.write_text(json.dumps({"patches": [{
+        "kind": "bilinear",
+        "control_points": [[0, 0], [0, 1], [1, 1.2], [1, -0.2]],
+        "partitions": [[0, 0.5, 1], [0, 0.5, 1]],
+    }]}))
+    assert main([command, "--geometry", str(path), "--n", "8"]) == 2
+    assert "non-positive Jacobian determinant" in capsys.readouterr().err
+
+
 def test_check_c1_passes_at_p4(capsys):
     code = main([
         "check-c1", "--geometry", "two_patch_skew", "--function", "sinsin",
