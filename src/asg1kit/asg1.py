@@ -51,6 +51,7 @@ from .splines import UniSpline, UniSplineSpace, derivative, embed, multiply_by_l
 from .tensor import (
     TensorSpline,
     TensorSplineSpace,
+    eval_tensor_grid,
     normal_derivative_trace,
     tensor_project_Q,
     trace,
@@ -348,14 +349,15 @@ def check_conformity(gp: GlobalProjection, samples: int = 50) -> ConformityRepor
     t = np.linspace(0.0, 1.0, samples)
 
     grid = np.linspace(0.0, 1.0, 9)
-    GX, GY = np.meshgrid(grid, grid, indexing="ij")
 
-    def patch_scales(idx):
-        f = gp.patches[idx].spline
-        vs = float(np.max(np.abs(f(GX, GY))))
-        gs = max(float(np.max(np.abs(f(GX, GY, 1, 0)))),
-                 float(np.max(np.abs(f(GX, GY, 0, 1)))))
-        return vs, gs
+    def patch_scales(f):
+        value, d1, d2 = (np.max(np.abs(eval_tensor_grid(f, grid, grid, *ab)))
+                         for ab in ((0, 0), (1, 0), (0, 1)))
+        return float(value), float(max(d1, d2))
+
+    involved = {side[0] for iface in mp.interfaces
+                for side in (iface.left, iface.right)}
+    scales = {i: patch_scales(gp.patches[i].spline) for i in involved}
 
     for iface in mp.interfaces:
         (i, j), (ii, jj) = iface.left, iface.right
@@ -368,8 +370,8 @@ def check_conformity(gp: GlobalProjection, samples: int = 50) -> ConformityRepor
         dl = _d_derivative_on_edge(fl, gp.gluing[i, j], j, t)
         dr = _d_derivative_on_edge(fr, gp.gluing[ii, jj], jj, s)
         d_jump = float(np.max(np.abs(dl + dr)))
-        vsl, gsl = patch_scales(i)
-        vsr, gsr = patch_scales(ii)
+        vsl, gsl = scales[i]
+        vsr, gsr = scales[ii]
         report.interfaces.append(
             InterfaceConformity((i, j), (ii, jj), value_jump, max(vsl, vsr),
                                 d_jump, max(gsl, gsr))

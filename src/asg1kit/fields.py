@@ -1,14 +1,21 @@
 """Evaluable scalar fields with mixed partial derivatives.
 
-``ScalarField2D`` wraps a vectorized evaluator ``(x, y, dx, dy) -> value`` of
-the partial derivative d1^dx d2^dy u.  The registry of manufactured functions
-provides closed-form fields for convergence studies; ``pullback`` composes a
-physical field with a geometry map, producing exact parametric derivatives by
-a term-wise chain rule (the term lists are generated once per derivative
-order and cached).  Each evaluation of a pullback takes one derivative jet of
-the geometry map (see `geometry`), which supplies the mapped points, the
-Jacobian determinant and every chain-rule factor; terms with a factor that
-is identically zero for the map (absent from its jet) are skipped.
+``ScalarField2D.jet(x, y, c, d)`` binds a field to a point set and returns
+``(m, n) -> d1^m d2^n u`` at those points for m <= c, n <= d.  Work that the
+orders share (the sines and cosines of ``sinsin``, the powers of ``poly4``,
+the exponential of ``expxy``) is done once per jet; each order is built only
+when asked for and is not kept.  Calling a field is a one-order jet, and a
+field given by an evaluator ``(x, y, dx, dy) -> value`` alone falls back to
+one evaluator call per order.
+
+The registry of manufactured functions provides closed-form fields for
+convergence studies.  ``pullback`` composes a physical field with a geometry
+map by a term-wise chain rule (term lists cached per derivative order).  A
+pullback jet takes one geometry jet (see `geometry`), which supplies the
+mapped points, the Jacobian determinant and every chain-rule factor, and one
+jet of the physical field at the mapped points.  Terms with a factor that is
+identically zero for the map (absent from its jet) are skipped, and terms
+are summed by their order of u, so one order array of u is alive at a time.
 """
 
 from __future__ import annotations
@@ -47,20 +54,45 @@ class ScalarField1D:
 
 
 class ScalarField2D:
-    """Scalar function of two variables with mixed partials up to (3, 3)."""
+    """Scalar function of two variables with mixed partials up to
+    ``max_order`` in each variable."""
 
     def __init__(self, evaluator, max_order: int = 3):
         self._eval = evaluator
         self.max_order = max_order
 
-    def __call__(self, x, y, dx: int = 0, dy: int = 0):
-        if min(dx, dy) < 0 or max(dx, dy) > self.max_order:
+    def _bind(self, x, y, c: int, d: int):
+        """The order function (m, n) -> d1^m d2^n u at the points (x, y);
+        a field given by its evaluator alone evaluates each order on its own."""
+        return functools.partial(self._eval, x, y)
+
+    def jet(self, x, y, c: int = 0, d: int = 0):
+        """``(m, n) -> d1^m d2^n u`` at the points (x, y) for m <= c, n <= d;
+        work shared by the orders is done once, each order on request."""
+        if min(c, d) < 0 or max(c, d) > self.max_order:
             raise ValueError(
-                f"derivative orders ({dx},{dy}) outside 0..{self.max_order}"
+                f"derivative orders ({c},{d}) outside 0..{self.max_order}"
             )
-        return self._eval(
-            np.asarray(x, dtype=float), np.asarray(y, dtype=float), dx, dy
-        )
+        order = self._bind(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                           c, d)
+
+        def partial(m: int, n: int):
+            if not (0 <= m <= c and 0 <= n <= d):
+                raise ValueError(f"order ({m},{n}) outside the jet up to ({c},{d})")
+            return order(m, n)
+
+        return partial
+
+    def __call__(self, x, y, dx: int = 0, dy: int = 0):
+        return self.jet(x, y, dx, dy)(dx, dy)
+
+
+def _jet_field(bind, max_order: int) -> ScalarField2D:
+    """The field whose jets come from ``bind(x, y, c, d)``, which returns the
+    order function of the points (x, y) for orders up to (c, d)."""
+    field = ScalarField2D(None, max_order)
+    field._bind = bind
+    return field
 
 
 @dataclass(frozen=True)
@@ -70,35 +102,54 @@ class ManufacturedFunction:
 
 
 def _sin_product():
-    def ev(x, y, dx, dy):
-        return (
-            np.pi ** (dx + dy)
-            * np.sin(np.pi * x + dx * np.pi / 2)
-            * np.sin(np.pi * y + dy * np.pi / 2)
-        )
+    # d^m sin(pi z) = pi^m (-1)^(m // 2) (sin, cos)[m % 2](pi z)
+    def bind(x, y, c, d):
+        @functools.cache
+        def trig(axis, odd):
+            z = np.pi * (x, y)[axis]
+            return np.cos(z) if odd else np.sin(z)
 
-    return ScalarField2D(ev, max_order=8)
+        def order(m, n):
+            scale = (-1.0) ** (m // 2 + n // 2) * np.pi ** (m + n)
+            return scale * trig(0, m % 2) * trig(1, n % 2)
+
+        return order
+
+    return _jet_field(bind, max_order=8)
 
 
 def _poly2d(coeffs):
     from numpy.polynomial import polynomial as P
 
-    def ev(x, y, dx, dy):
-        c = coeffs
-        for _ in range(dx):
-            c = P.polyder(c, axis=0)
-        for _ in range(dy):
-            c = P.polyder(c, axis=1)
-        return P.polyval2d(*np.broadcast_arrays(x, y), c)
+    @functools.cache
+    def derivative(dx, dy):
+        return P.polyder(P.polyder(coeffs, dx, axis=0), dy, axis=1)
 
-    return ScalarField2D(ev, max_order=8)
+    def bind(x, y, c, d):
+        shape = np.broadcast_shapes(x.shape, y.shape)
+
+        @functools.cache
+        def power(axis, k):
+            return (x, y)[axis] ** k
+
+        def order(m, n):
+            D = derivative(m, n)
+            out = np.zeros(shape)
+            for i, j in zip(*np.nonzero(D)):
+                out += D[i, j] * power(0, i) * power(1, j)
+            return out
+
+        return order
+
+    return _jet_field(bind, max_order=8)
 
 
 def _exp_xy():
-    def ev(x, y, dx, dy):
-        return 2.0 ** dy * np.exp(x + 2.0 * y)
+    def bind(x, y, c, d):
+        value = np.exp(x + 2.0 * y)
+        return lambda m, n: 2.0 ** n * value
 
-    return ScalarField2D(ev, max_order=8)
+    return _jet_field(bind, max_order=8)
 
 
 # (x^2 + y^2)^2 = x^4 + 2 x^2 y^2 + y^4
@@ -153,28 +204,32 @@ def directional_edge_field(u: ScalarField2D, j: int, alpha, beta) -> ScalarField
     n = NORMALS[j]
     tj = TANGENTS[j]
 
-    def partial(t, m, direction):
-        """m-th tangential derivative of direction . grad(u) on the edge."""
-        x, y = edge_coords(j, t)
-        if axis == 0:
-            return direction[0] * u(x, y, m + 1, 0) + direction[1] * u(x, y, m, 1)
-        return direction[0] * u(x, y, 1, m) + direction[1] * u(x, y, 0, m + 1)
-
     def ev(t, d):
+        x, y = edge_coords(j, t)
+        # grad[m] = m-th tangential derivative of (d1 u, d2 u) on the edge,
+        # all read from one jet up to (d+1, 1) or (1, d+1)
+        if axis == 0:
+            jet = u.jet(x, y, d + 1, 1)
+            grad = [(jet(m + 1, 0), jet(m, 1)) for m in range(d + 1)]
+        else:
+            jet = u.jet(x, y, 1, d + 1)
+            grad = [(jet(1, m), jet(0, m + 1)) for m in range(d + 1)]
+
+        def partial(m, direction):
+            """m-th tangential derivative of direction . grad(u) on the edge."""
+            return direction[0] * grad[m][0] + direction[1] * grad[m][1]
+
         a = alpha(t)
         da = alpha.slope
-        N0 = partial(t, 0, n) + beta(t) * partial(t, 0, tj)
+        N0 = partial(0, n) + beta(t) * partial(0, tj)
         if d == 0:
             return N0 / a
-        N1 = partial(t, 1, n) + beta.slope * partial(t, 0, tj) \
-            + beta(t) * partial(t, 1, tj)
+        N1 = partial(1, n) + beta.slope * partial(0, tj) + beta(t) * partial(1, tj)
         if d == 1:
             return N1 / a - N0 * da / a ** 2
-        N2 = partial(t, 2, n) + 2.0 * beta.slope * partial(t, 1, tj) \
-            + beta(t) * partial(t, 2, tj)
-        if d == 2:
-            return N2 / a - 2.0 * N1 * da / a ** 2 + 2.0 * N0 * da ** 2 / a ** 3
-        raise ValueError("directional edge fields support orders 0..2")
+        N2 = partial(2, n) + 2.0 * beta.slope * partial(1, tj) \
+            + beta(t) * partial(2, tj)
+        return N2 / a - 2.0 * N1 * da / a ** 2 + 2.0 * N0 * da ** 2 / a ** 3
 
     return ScalarField1D(ev, max_order=2)
 
@@ -184,11 +239,11 @@ def directional_edge_field(u: ScalarField2D, j: int, alpha, beta) -> ScalarField
 # A parametric derivative of u o G is a sum of terms
 #     coef * (d^(m,n) u)(G) * prod_f (d^(c_f,d_f) G_{comp_f})
 # generated by repeatedly applying the chain and product rules.  The term
-# list depends only on the requested order (a, b) and is cached.  Every
-# factor order of the list for (a, b) is at most (a, b) componentwise, so one
-# geometry jet up to (a, b) holds all of them; a term whose factor order is
-# absent from the jet (identically zero for the map, e.g. any order above 1
-# of a bilinear map) is skipped.
+# list depends only on the requested order (a, b) and is cached, grouped by
+# the order (m, n) of u.  Every factor order of the list for (a, b) is at
+# most (a, b) componentwise, so one geometry jet up to (a, b) holds all of
+# them; a term whose factor order is absent from the jet (identically zero
+# for the map, e.g. any order above 1 of a bilinear map) is skipped.
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,6 +270,15 @@ def _composition_terms(a: int, b: int):
     return dict(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _terms_by_u_order(a: int, b: int):
+    """The terms of order (a, b) as ((m, n), ((coef, factors), ...)) pairs."""
+    groups = defaultdict(list)
+    for (uo, factors), coef in _composition_terms(a, b).items():
+        groups[uo].append((coef, factors))
+    return tuple((uo, tuple(terms)) for uo, terms in groups.items())
+
+
 def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
     """The parametric field u o G with exact mixed partials.
 
@@ -224,8 +288,8 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
     otherwise.
     """
 
-    def ev(x1, x2, a, b):
-        jet = gmap.jet(x1, x2, max(a, 1), max(b, 1))
+    def bind(x1, x2, c, d):
+        jet = gmap.jet(x1, x2, max(c, 1), max(d, 1))
         d1, d2 = jet[1, 0], jet[0, 1]
         det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
         if np.any(det <= 0.0):
@@ -233,18 +297,25 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
                 "geometry map has non-positive Jacobian determinant "
                 f"(min {np.min(det):.3e}) at an evaluation point"
             )
-        X, Y = jet[0, 0][..., 0], jet[0, 0][..., 1]
-        uvals = {}
-        out = 0.0
-        for ((m, n), factors), coef in _composition_terms(a, b).items():
-            if any(od not in jet for _, od in factors):
-                continue
-            if (m, n) not in uvals:
-                uvals[m, n] = u(X, Y, m, n)
-            acc = coef * uvals[m, n]
-            for comp, od in factors:
-                acc = acc * jet[od][..., comp]
-            out = out + acc
-        return out
+        # an order (a, b) <= (c, d) reads orders m + n <= c + d of u
+        top = min(c + d, u.max_order)
+        ujet = u.jet(jet[0, 0][..., 0], jet[0, 0][..., 1], top, top)
 
-    return ScalarField2D(ev, max_order=3)
+        def order(a, b):
+            out = 0.0
+            for uo, terms in _terms_by_u_order(a, b):
+                factor = None
+                for coef, factors in terms:
+                    if any(od not in jet for _, od in factors):
+                        continue
+                    acc = coef
+                    for comp, od in factors:
+                        acc = acc * jet[od][..., comp]
+                    factor = acc if factor is None else factor + acc
+                if factor is not None:
+                    out = out + ujet(*uo) * factor
+            return out
+
+        return order
+
+    return _jet_field(bind, max_order=3)

@@ -303,3 +303,103 @@ def test_nurbs_pullback_consistency():
     fd = (v(X + h, Y) - v(X - h, Y)) / (2 * h)
     got = v(X, Y, 1, 0)
     assert np.max(np.abs(got - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(fd))))
+
+
+# -- bound jets --------------------------------------------------------------------
+
+def _jet_points():
+    rng = np.random.default_rng(3)
+    scattered = (rng.random(30), rng.random(30))
+    grid = (np.linspace(0.0, 1.0, 7)[:, None], np.array([[0.0, 0.13, 0.5, 1.0]]))
+    return scattered, grid
+
+
+@pytest.mark.parametrize("name", sorted(MANUFACTURED))
+def test_manufactured_jet_matches_one_order(name):
+    u = manufactured(name)
+    for x, y in _jet_points():
+        jet = u.jet(x, y, 8, 8)
+        for m in range(9):
+            for n in range(9):
+                got, want = jet(m, n), u(x, y, m, n)
+                assert got.shape == want.shape == np.broadcast_shapes(x.shape, y.shape)
+                scale = float(np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale, (m, n)
+                if name == "sinsin":
+                    # the closed form with the phase m pi / 2 in the argument
+                    phased = (np.pi ** (m + n) * np.sin(np.pi * x + m * np.pi / 2)
+                              * np.sin(np.pi * y + n * np.pi / 2))
+                    assert np.max(np.abs(got - phased)) <= 1e-14 * np.pi ** (m + n)
+
+
+def test_sinsin_jet_takes_one_sine_and_cosine_per_axis(monkeypatch):
+    calls = {"sin": 0, "cos": 0}
+    for name in calls:
+        def counted(z, _name=name, _fn=getattr(np, name)):
+            calls[_name] += 1
+            return _fn(z)
+        monkeypatch.setattr(np, name, counted)
+    x, y = _jet_points()[1]
+    jet = manufactured("sinsin").jet(x, y, 2, 2)
+    for m in range(3):
+        for n in range(3):
+            jet(m, n)
+    assert calls == {"sin": 2, "cos": 2}
+
+
+def test_jet_rejects_orders_outside_its_bounds():
+    u = manufactured("expxy")
+    jet = u.jet(np.zeros(3), np.zeros(3), 2, 1)
+    with pytest.raises(ValueError):
+        jet(0, 2)
+    with pytest.raises(ValueError):
+        u.jet(np.zeros(3), np.zeros(3), 9, 0)
+
+
+def _geometry_maps():
+    from test_geometry import _jet_maps
+
+    return _jet_maps()
+
+
+@pytest.mark.parametrize("kind", ["bilinear", "spline", "nurbs"])
+def test_pullback_jet_matches_one_order(kind):
+    v = pullback(manufactured("sinsin"), _geometry_maps()[kind])
+    for x, y in _jet_points():
+        x = 0.05 + 0.9 * x  # strictly inside, where every map is regular
+        jet = v.jet(x, y, 3, 3)
+        for a in range(4):
+            for b in range(4):
+                got, want = jet(a, b), v(x, y, a, b)
+                assert got.shape == want.shape
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale, (a, b)
+
+
+@pytest.mark.parametrize("name", sorted(MANUFACTURED))
+def test_evaluator_only_field_gives_the_same_jet(name):
+    # the form in which an outside wrapper rebuilds a field
+    u = manufactured(name)
+    w = ScalarField2D(lambda x, y, a, b: u(x, y, a, b), max_order=u.max_order)
+    gmap = _geometry_maps()["spline"]
+    x, y = _jet_points()[1]
+    for f, g in ((u, w), (pullback(u, gmap), pullback(w, gmap))):
+        jf, jg = f.jet(x, y, 3, 3), g.jet(x, y, 3, 3)
+        for m in range(4):
+            for n in range(4):
+                assert np.array_equal(jf(m, n), jg(m, n)), (m, n)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_directional_edge_field_takes_one_jet(monkeypatch, j):
+    gmap = _geometry_maps()["spline"]
+    calls = {"jet": 0, "derivative": 0, "point": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _fn=getattr(SplineMap, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(SplineMap, name, counted)
+    g = directional_edge_field(pullback(manufactured("expxy"), gmap), j,
+                               LinearFunction(1.0, 0.5), LinearFunction(0.2, -0.3))
+    g(np.linspace(0.0, 1.0, 9), 2)
+    assert calls == {"jet": 1, "derivative": 0, "point": 0}

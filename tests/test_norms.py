@@ -10,8 +10,14 @@ from asg1kit.norms import (
     observed_order,
     physical_error_norms,
 )
-from asg1kit.splines import UniSplineSpace, uniform_partition
-from asg1kit.tensor import TensorSpline, TensorSplineSpace, tensor_project_Q
+from asg1kit import norms
+from asg1kit.splines import UniSplineSpace, gauss_rule, uniform_partition
+from asg1kit.tensor import (
+    TensorSpline,
+    TensorSplineSpace,
+    eval_tensor_grid,
+    tensor_project_Q,
+)
 
 import oracles
 
@@ -140,6 +146,60 @@ def test_norms_reject_folded_geometry():
     zero = TensorSpline(TensorSplineSpace(S, S), np.zeros((S.dim, S.dim)))
     with pytest.raises(ValueError):
         physical_error_norms(patch, u, zero)
+
+
+def _full_grid_norms(patch, u, f, nq):
+    """The H^0..H^2 error seminorms from integrands on the whole quadrature
+    grid, with the inverse chain rule through explicit 2 x 2 inverses."""
+    x1, w1 = gauss_rule(patch.partitions[0], nq)
+    x2, w2 = gauss_rule(patch.partitions[1], nq)
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+
+    def fh(a=0, b=0):
+        return eval_tensor_grid(f, x1, x2, a, b)
+
+    g = patch.gmap
+    P = g.derivative(X1, X2)
+    J = np.stack([g.derivative(X1, X2, 1, 0), g.derivative(X1, X2, 0, 1)], axis=-1)
+    Jinv = np.linalg.inv(J)
+    W = np.outer(w1, w2) * np.linalg.det(J)
+    # physical gradient J^{-T} grad_param
+    grad = np.einsum("...ji,...j->...i", Jinv,
+                     np.stack([fh(1, 0), fh(0, 1)], axis=-1))
+    # physical Hessian J^{-T} (H_param - sum_c grad_c hess(G_c)) J^{-1}
+    G = {ab: g.derivative(X1, X2, *ab) for ab in ((2, 0), (1, 1), (0, 2))}
+    A = np.empty(X1.shape + (2, 2))
+    for (i, j), ab in (((0, 0), (2, 0)), ((0, 1), (1, 1)), ((1, 1), (0, 2))):
+        A[..., i, j] = fh(*ab) - np.einsum("...c,...c->...", grad, G[ab])
+    A[..., 1, 0] = A[..., 0, 1]
+    hess = np.einsum("...ki,...kl,...lj->...ij", Jinv, A, Jinv)
+    X, Y = P[..., 0], P[..., 1]
+    e0 = u(X, Y) - fh()
+    e1 = np.stack([u(X, Y, 1, 0), u(X, Y, 0, 1)], axis=-1) - grad
+    H = np.stack([u(X, Y, 2, 0), u(X, Y, 1, 1), u(X, Y, 1, 1), u(X, Y, 0, 2)],
+                 axis=-1).reshape(X.shape + (2, 2))
+    e2 = H - hess
+    return [float(np.sqrt(np.sum(W * np.sum(e.reshape(X.shape + (-1,)) ** 2, axis=-1))))
+            for e in (e0[..., None], e1, e2)]
+
+
+def test_row_blocks_match_full_grid_quadrature():
+    from test_integration import curved_interior_two_patch
+
+    # nq = 9 puts 576 x 576 points on each patch, more than one block
+    p, k, nq = 4, 2, 9
+    rng = np.random.default_rng(2)
+    for patch in curved_interior_two_patch(64).patches:
+        x1, _ = gauss_rule(patch.partitions[0], nq)
+        x2, _ = gauss_rule(patch.partitions[1], nq)
+        assert len(x1) * len(x2) > norms._BLOCK_POINTS
+        S = UniSplineSpace(p, k, patch.partitions[0])
+        f = TensorSpline(TensorSplineSpace(S, S), rng.standard_normal((S.dim, S.dim)))
+        u = manufactured("sinsin")
+        table = physical_error_norms(patch, u, f, nq=nq)
+        want = _full_grid_norms(patch, u, f, nq)
+        for t in (0, 1, 2):
+            assert table.seminorms[t] == pytest.approx(want[t], rel=1e-12), t
 
 
 def test_observed_order():
