@@ -43,15 +43,22 @@ from .gluing import EdgeGluing, GluingData, crossing_direction
 from .norms import _inverse_chain_rule
 from .ritz1d import (
     bubble,
+    bubble_breakpoints,
     pi_cross_functionals,
     pi_star_functionals,
     reflected_bubble_spline,
 )
-from .splines import UniSpline, UniSplineSpace, derivative, embed, multiply_by_linear
+from .splines import (
+    UniSpline,
+    UniSplineSpace,
+    derivative,
+    embed,
+    multiply_by_linear,
+    reverse,
+)
 from .tensor import (
     TensorSpline,
     TensorSplineSpace,
-    eval_tensor_grid,
     normal_derivative_trace,
     tensor_project_Q,
     trace,
@@ -178,16 +185,15 @@ def patch_project(patch: Patch, u: ScalarField2D, gluing: dict, p: int, k: int,
     """The patch-local C1 quasi-interpolant of a parametric field.
 
     ``gluing`` maps each side 1..4 to its :class:`EdgeGluing`.  Requires
-    3 <= k+2 <= p and grid sizes at most 1/(p+1) in both directions.
+    3 <= k+2 <= p and partitions with room for the boundary bubbles at both
+    ends (`bubble_breakpoints`).
     """
     if not 3 <= k + 2 <= p:
         raise ValueError(f"need 3 <= k+2 <= p, got k={k}, p={p}")
     Z1, Z2 = patch.partitions
     for Z in (Z1, Z2):
-        if Z.grid_size > 1.0 / (p + 1) + 1e-14:
-            raise ValueError(
-                f"grid size {Z.grid_size:.6g} exceeds 1/(p+1) = {1 / (p + 1):.6g}"
-            )
+        bubble_breakpoints(p, Z)
+        bubble_breakpoints(p, reverse(Z))
     V = TensorSplineSpace(UniSplineSpace(p, k, Z1), UniSplineSpace(p, k, Z2))
     Q = tensor_project_Q(V, u, nq)
 
@@ -323,7 +329,11 @@ class ConformityReport:
 def _d_derivative_on_edge(proj: TensorSpline, glue: EdgeGluing, j: int, t):
     x1, x2 = edge_coords(j, t)
     d = crossing_direction(glue, j)(t)
-    return d[..., 0] * proj(x1, x2, 1, 0) + d[..., 1] * proj(x1, x2, 0, 1)
+    grad = proj.jet(x1, x2, [(1, 0), (0, 1)])
+    return d[..., 0] * grad[1, 0] + d[..., 1] * grad[0, 1]
+
+
+_C2_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def _physical_c2_data(patch: Patch, spline: TensorSpline, corner) -> np.ndarray:
@@ -332,14 +342,14 @@ def _physical_c2_data(patch: Patch, spline: TensorSpline, corner) -> np.ndarray:
     x1 = np.asarray(corner[0])
     x2 = np.asarray(corner[1])
     jet = patch.gmap.jet(x1, x2, 2, 2)
-    orders = ((2, 0), (1, 1), (0, 2))
+    f = spline.jet(x1, x2, _C2_ORDERS)
     grad, hess = _inverse_chain_rule(
         (jet[1, 0], jet[0, 1]),
-        (spline(x1, x2, 1, 0), spline(x1, x2, 0, 1)),
-        [spline(x1, x2, *ab) for ab in orders],
-        [jet.get(ab) for ab in orders],
+        (f[1, 0], f[0, 1]),
+        [f[ab] for ab in _C2_ORDERS[3:]],
+        [jet.get(ab) for ab in _C2_ORDERS[3:]],
     )
-    return np.array([spline(x1, x2), *grad, *hess], dtype=float)
+    return np.array([f[0, 0], *grad, *hess], dtype=float)
 
 
 def check_conformity(gp: GlobalProjection, samples: int = 50) -> ConformityReport:
@@ -351,8 +361,8 @@ def check_conformity(gp: GlobalProjection, samples: int = 50) -> ConformityRepor
     grid = np.linspace(0.0, 1.0, 9)
 
     def patch_scales(f):
-        value, d1, d2 = (np.max(np.abs(eval_tensor_grid(f, grid, grid, *ab)))
-                         for ab in ((0, 0), (1, 0), (0, 1)))
+        jet = f.jet(grid[:, None], grid[None, :], _C2_ORDERS[:3])
+        value, d1, d2 = (np.max(np.abs(v)) for v in jet.values())
         return float(value), float(max(d1, d2))
 
     involved = {side[0] for iface in mp.interfaces

@@ -5,34 +5,34 @@ counter-clockwise starting at the bottom: side 1 is xi2=0, side 2 is xi1=1,
 side 3 is xi2=1, side 4 is xi1=0.  Side j carries the intrinsic parameter
 xi1 (sides 1, 3) or xi2 (sides 2, 4).
 
-Every map G (bilinear, spline, NURBS) evaluates its derivatives through
-``jet(x1, x2, c, d)``: one pass that returns ``{(a, b): d1^a d2^b G}`` for all
-a <= c, b <= d, with the basis rows of each order and axis evaluated once.
-Orders that are identically zero are absent (above 1 for bilinear maps, above
-the degree for spline maps); an absent key means zero.  NURBS maps contract
-the homogeneous coefficients (w P, w) and apply the quotient rule once.  When
-``x1`` is a column (N1, 1) and ``x2`` a row (1, N2), the jet evaluates basis
-rows on N1 + N2 points and contracts them as an (N1, N2) grid; any other
-broadcast pair is evaluated point by point.  ``derivative`` and ``point``
-give single orders.
+Every map G is a set of coefficients over two univariate B-spline bases: a
+bilinear map is the degree-1 case (S_{1,0} on (0, 1), its corners the control
+grid), a NURBS map contracts its homogeneous coefficients (w P, w) and applies
+the quotient rule once.  All of them evaluate derivatives through
+``jet(x1, x2, c, d)``, one `tensor_jet` contraction that returns
+``{(a, b): d1^a d2^b G}`` for all a <= c, b <= d.  Orders that are
+identically zero are absent (above the degree of polynomial maps); an absent
+key means zero.  When ``x1`` is a column (N1, 1) and ``x2`` a row (1, N2), the
+jet is an (N1, N2) grid from basis rows on N1 + N2 points; any other broadcast
+pair is evaluated point by point.  ``derivative`` and ``point`` give single
+orders.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import product
 from math import comb
 
 import numpy as np
 
 from .splines import (
     Partition,
-    UniSpline,
     UniSplineSpace,
-    eval_operator,
+    knot_vector,
     refine,
-    reverse,
+    tensor_jet,
     uniform_partition,
 )
 
@@ -51,7 +51,6 @@ __all__ = [
     "edge_coords",
     "edge_parameter_map",
     "check_2regular",
-    "w2_boundedness_check",
     "physical_mesh_size",
     "load_geometry",
     "save_geometry",
@@ -98,60 +97,27 @@ def edge_coords(j: int, t):
 
 # -- geometry maps ---------------------------------------------------------------
 
-
-def _linear_basis(x, a):
-    """Rows of the a-th derivatives (a <= 1) of the linear basis (1 - x, x)."""
-    if a == 0:
-        return np.stack([1.0 - x, x], axis=-1)
-    return np.broadcast_to(np.array([-1.0, 1.0]), x.shape + (2,))
+# S_{1,0} on the partition (0, 1): the basis (1 - x, x) of bilinear maps
+_LINEAR = UniSplineSpace(1, 0, Partition((0.0, 1.0)))
 
 
 class _TensorProductMap:
-    """G(x1, x2) = sum_ij N_i(x1) M_j(x2) coef_ij over two univariate bases.
-
-    Subclasses set ``_coef`` (dim1, dim2, components), the basis evaluators
-    ``_basis1(x, a)`` and ``_basis2(x, a)``, which return the rows of the
-    a-th basis derivatives at 1D points ``x``, and ``_top``, the highest
-    derivative order of each basis that is not identically zero.
-    """
-
-    def _contract(self, x1, x2, orders1, orders2) -> dict:
-        """{(a, b): sum_ij B1^(a)[., i] coef[i, j] B2^(b)[., j]} for every
-        ``a`` in ``orders1`` and ``b`` in ``orders2``, with the basis rows of
-        each order and axis evaluated once.  A column ``x1`` (N1, 1) with a
-        row ``x2`` (1, N2) is contracted as a grid from rows on N1 + N2
-        points; any other broadcast pair is evaluated point by point."""
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        grid = x1.ndim == x2.ndim == 2 and x1.shape[1] == 1 and x2.shape[0] == 1
-        if not grid:
-            x1 = np.broadcast_to(x1, shape)
-            x2 = np.broadcast_to(x2, shape)
-        dim1, dim2, k = self._coef.shape
-        flat = self._coef.reshape(dim1, dim2 * k)
-        rows2 = {b: self._basis2(x2.ravel(), b) for b in orders2}
-        out = {}
-        for a in orders1:
-            T = (self._basis1(x1.ravel(), a) @ flat).reshape(-1, dim2, k)
-            for b, B2 in rows2.items():
-                if grid:
-                    out[a, b] = B2 @ T
-                else:
-                    out[a, b] = np.einsum("njk,nj->nk", T, B2).reshape(shape + (k,))
-        return out
+    """G(x1, x2) = sum_ij N_i(x1) M_j(x2) coef_ij over the bases of
+    ``space1`` and ``space2``; subclasses set these and ``_coef`` (dim1,
+    dim2, components), which `tensor_jet` contracts."""
 
     def jet(self, x1, x2, c: int = 0, d: int = 0) -> dict:
         """{(a, b): d1^a d2^b G} for all a <= c, b <= d in one pass; orders
         that are identically zero are absent."""
-        return self._contract(x1, x2, range(min(c, self._top[0]) + 1),
-                              range(min(d, self._top[1]) + 1))
+        return tensor_jet((self.space1, self.space2), self._coef, x1, x2,
+                          product(range(c + 1), range(d + 1)))
 
     def _one_order(self, x1, x2, c: int, d: int) -> np.ndarray:
-        if c > self._top[0] or d > self._top[1]:
-            shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-            return np.zeros(shape + (self._coef.shape[2],))
-        return self._contract(x1, x2, (c,), (d,))[c, d]
+        out = tensor_jet((self.space1, self.space2), self._coef, x1, x2, [(c, d)])
+        if (c, d) in out:
+            return out[c, d]
+        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+        return np.zeros(shape + (self._coef.shape[2],))
 
     def point(self, x1, x2) -> np.ndarray:
         return self._one_order(x1, x2, 0, 0)
@@ -161,7 +127,7 @@ class BilinearMap(_TensorProductMap):
     """Bilinear patch from its four corner points.
 
     ``corners[i][j]`` is the image of the parameter corner (i, j), i.e. the
-    control grid of the bilinear tensor interpolant.
+    control grid of the degree-1 tensor spline over S_{1,0} on (0, 1).
     """
 
     kind = "bilinear"
@@ -170,9 +136,8 @@ class BilinearMap(_TensorProductMap):
         self.corners = np.asarray(corners, dtype=float)
         if self.corners.shape != (2, 2, 2):
             raise GeometryError("bilinear map needs a 2x2 grid of 2D corners")
+        self.space1 = self.space2 = _LINEAR
         self._coef = self.corners
-        self._basis1 = self._basis2 = _linear_basis
-        self._top = (1, 1)
 
     def derivative(self, x1, x2, c: int = 0, d: int = 0) -> np.ndarray:
         return self._one_order(x1, x2, c, d)
@@ -193,9 +158,6 @@ class SplineMap(_TensorProductMap):
                 f"space dimensions ({space1.dim}, {space2.dim}, 2)"
             )
         self._coef = self.control
-        self._basis1 = partial(eval_operator, space1)
-        self._basis2 = partial(eval_operator, space2)
-        self._top = (space1.degree, space2.degree)
 
     def derivative(self, x1, x2, c: int = 0, d: int = 0) -> np.ndarray:
         return self._one_order(x1, x2, c, d)
@@ -225,9 +187,6 @@ class NurbsMap(_TensorProductMap):
             raise GeometryError("weights must be positive")
         w = self.weights[:, :, None]
         self._coef = np.concatenate([self.control * w, w], axis=2)
-        self._basis1 = partial(eval_operator, space1)
-        self._basis2 = partial(eval_operator, space2)
-        self._top = (space1.degree, space2.degree)
 
     def jet(self, x1, x2, c: int = 0, d: int = 0) -> dict:
         H = super().jet(x1, x2, c, d)
@@ -275,35 +234,6 @@ def check_2regular(gmap, samples: int = 33):
     det = jacobian_determinant(gmap, s[:, None], s[None, :])
     i, j = np.unravel_index(np.argmin(det), det.shape)
     return float(det[i, j]), (float(s[i]), float(s[j]))
-
-
-def _second_derivatives(gmap, x1, x2) -> np.ndarray:
-    """d11 G, d12 G and d22 G stacked on a leading axis, from one jet."""
-    jet = gmap.jet(x1, x2, 2, 2)
-    zero = np.zeros_like(jet[0, 0])
-    return np.stack([jet.get(ab, zero) for ab in ((2, 0), (1, 1), (0, 2))])
-
-
-def w2_boundedness_check(gmap, partitions, samples: int = 9, eps: float = 1e-7):
-    """Sampled surrogate for W^{2,inf} regularity of a patch map.
-
-    Returns (max |second derivative| over interior samples, max jump of the
-    second derivatives across interior element lines).  Spline maps with
-    smoothness k >= 1 have bounded second derivatives; for k >= 2 the jump
-    vanishes up to round-off.
-    """
-    s = np.linspace(eps, 1.0 - eps, samples)
-    worst = float(np.max(np.abs(_second_derivatives(gmap, s[:, None], s[None, :]))))
-    jump = 0.0
-    for axis, Z in enumerate(partitions):
-        for z in Z.as_array()[1:-1]:
-            lo, hi = np.full_like(s, z - eps), np.full_like(s, z + eps)
-            if axis == 0:
-                d = _second_derivatives(gmap, hi, s) - _second_derivatives(gmap, lo, s)
-            else:
-                d = _second_derivatives(gmap, s, hi) - _second_derivatives(gmap, s, lo)
-            jump = max(jump, float(np.max(np.abs(d))))
-    return worst, jump
 
 
 # -- patches and topology ----------------------------------------------------------
@@ -524,8 +454,6 @@ def _patch_to_json(patch: Patch) -> dict:
     if isinstance(gmap, BilinearMap):
         entry["control_points"] = gmap.corners.reshape(4, 2).tolist()
     else:
-        from .splines import knot_vector
-
         entry["degree"] = [gmap.space1.degree, gmap.space2.degree]
         entry["knots"] = [
             knot_vector(gmap.space1).tolist(),

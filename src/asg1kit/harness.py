@@ -30,6 +30,8 @@ from .geometry import (
 )
 from .gluing import fit_linear_gluing, g1_compatibility_residual, recover_all
 from .norms import combine_tables, observed_order, physical_error_norms
+from .ritz1d import bubble_breakpoints
+from .splines import uniform_partition
 
 __all__ = [
     "StudyConfig",
@@ -75,11 +77,10 @@ class StudyConfig:
                 raise ConfigError(
                     f"need 3 <= k+2 <= p, got p={p}, k={k}"
                 )
-            if 1.0 / self.base_n > 1.0 / (p + 1) + 1e-14:
-                raise ConfigError(
-                    f"coarsest grid 1/{self.base_n} exceeds 1/(p+1) for p={p}; "
-                    f"use base_n >= {p + 1}"
-                )
+            try:
+                bubble_breakpoints(p, uniform_partition(self.base_n))
+            except ValueError as exc:
+                raise ConfigError(f"coarsest grid 1/{self.base_n}: {exc}") from None
 
 
 @dataclass
@@ -90,23 +91,11 @@ class StudyResult:
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for row in self.rows:
-            rates = [
-                "" if r is None else f"{r:.5e}" for r in row["rates"]
-            ]
-            lines.append(
-                ",".join(
-                    [
-                        str(row["level"]),
-                        f"{row['h']:.5e}",
-                        str(row["p"]),
-                        str(row["k"]),
-                        f"{row['errors'][0]:.5e}",
-                        f"{row['errors'][1]:.5e}",
-                        f"{row['errors'][2]:.5e}",
-                    ]
-                    + rates
-                )
-            )
+            cells = [str(row["level"]), f"{row['h']:.5e}", str(row["p"]),
+                     str(row["k"])]
+            cells += [f"{e:.5e}" for e in row["errors"]]
+            cells += ["" if r is None else f"{r:.5e}" for r in row["rates"]]
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
 
@@ -128,15 +117,22 @@ def resolve_geometry(name: str, n: int) -> MultiPatch:
     )
 
 
-def _study_errors(mp, u, p, k, tol, nq, force):
-    glue = recover_all(mp, tol)
-    gp = global_project(mp, glue, u, p, k, nq=nq, force=force)
-    tables = [
-        physical_error_norms(mp.patches[i], u, gp.patches[i].spline, nq=nq)
-        for i in range(len(mp.patches))
+def _study_row(level: int, mp: MultiPatch, u, p: int, k: int, cfg: StudyConfig,
+               nq, prev=None) -> dict:
+    """One CSV row: the errors of projecting ``u`` on ``mp`` and their
+    observed orders against the errors ``prev`` of the previous row."""
+    glue = recover_all(mp, cfg.tol)
+    gp = global_project(mp, glue, u, p, k, nq=nq, force=cfg.force)
+    total = combine_tables([
+        physical_error_norms(patch, u, proj.spline, nq=nq)
+        for patch, proj in zip(mp.patches, gp.patches)
+    ])
+    errors = [total.norms[t] for t in (0, 1, 2)]
+    rates = [None] * 3 if prev is None else [
+        observed_order(prev[t], errors[t]) for t in range(3)
     ]
-    total = combine_tables(tables)
-    return [total.norms[t] for t in (0, 1, 2)]
+    return {"level": level, "h": physical_mesh_size(mp), "p": p, "k": k,
+            "errors": errors, "rates": rates}
 
 
 def run_convergence(cfg: StudyConfig) -> StudyResult:
@@ -149,23 +145,9 @@ def run_convergence(cfg: StudyConfig) -> StudyResult:
     result = StudyResult(cfg)
     prev = None
     for level in range(cfg.levels):
-        n = cfg.base_n * 2 ** level
-        mp = resolve_geometry(cfg.geometry, n)
-        errors = _study_errors(mp, u, p, k, cfg.tol, nq, cfg.force)
-        rates = [None] * 3 if prev is None else [
-            observed_order(prev[t], errors[t]) for t in range(3)
-        ]
-        result.rows.append(
-            {
-                "level": level,
-                "h": physical_mesh_size(mp),
-                "p": p,
-                "k": k,
-                "errors": errors,
-                "rates": rates,
-            }
-        )
-        prev = errors
+        mp = resolve_geometry(cfg.geometry, cfg.base_n * 2 ** level)
+        result.rows.append(_study_row(level, mp, u, p, k, cfg, nq, prev))
+        prev = result.rows[-1]["errors"]
     return result
 
 
@@ -178,19 +160,9 @@ def run_p_sweep(cfg: StudyConfig) -> StudyResult:
     nq = _quadrature_override(cfg.nq)
     result = StudyResult(cfg)
     for idx, p in enumerate(cfg.degrees):
-        k = cfg.resolved_smoothness(p)
         mp = resolve_geometry(cfg.geometry, cfg.base_n)
-        errors = _study_errors(mp, u, p, k, cfg.tol, nq, cfg.force)
-        result.rows.append(
-            {
-                "level": idx,
-                "h": physical_mesh_size(mp),
-                "p": p,
-                "k": k,
-                "errors": errors,
-                "rates": [None] * 3,
-            }
-        )
+        result.rows.append(_study_row(idx, mp, u, p, cfg.resolved_smoothness(p),
+                                      cfg, nq))
     return result
 
 

@@ -7,8 +7,9 @@ Jacobian transpose, the Hessian with the second-order geometry correction
     H_phys = J^{-T} (H_param - sum_c grad_phys[c] * hess(G_c)) J^{-1}.
 
 The quadrature sums run over blocks of rows of the x1 nodes, each block at
-most ``_BLOCK_POINTS`` points of the tensor grid, with one geometry jet and one
-bound jet of the target per block; no integrand is formed on the full grid.
+most ``_BLOCK_POINTS`` points of the tensor grid, with one geometry jet, one
+bound jet of the target and one jet of the approximation (the six orders the
+norms read) per block; no integrand is formed on the full grid.
 """
 
 from __future__ import annotations
@@ -21,16 +22,17 @@ from .fields import ScalarField2D
 from .geometry import GeometryError, Patch
 from .ritz1d import default_quadrature_nodes
 from .splines import gauss_rule
-from .tensor import TensorSpline, eval_tensor_grid
+from .tensor import TensorSpline
 
 __all__ = ["ErrorTable", "physical_error_norms", "combine_tables", "observed_order"]
 
-# The largest number of quadrature points whose integrands are alive at once.
-# Every block evaluates the x2 basis rows again, so smaller blocks cost time:
-# for three_patch_L, n=128, p=6 (1280 x 1280 points per patch, 2-core host)
-# the basis evaluations took 0.61 s of 2.68 s at 2^17 and 0.34 of 2.39 s at
-# 2^18, which adds about 70 MB to the memory of the norms.
+# The largest number of quadrature points whose integrands are alive at once;
+# 2^18 points add about 70 MB to the memory of the norms.  Every block
+# evaluates the x2 basis rows of f_h and of the map again, so smaller blocks
+# cost time.
 _BLOCK_POINTS = 262144
+
+_ORDERS = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((2, 0), (1, 1), (0, 2))}
 
 
 def _inverse_chain_rule(jac, grad, hess=None, geo_hess=None):
@@ -126,20 +128,22 @@ def _squared_errors(patch: Patch, u: ScalarField2D, f_h: TensorSpline, x1, x2,
         )
     W = W * det
     ujet = u.jet(jet[0, 0][..., 0], jet[0, 0][..., 1], max(t_orders), max(t_orders))
+    # one contraction for the orders of f_h the norms read (H2 needs H1's)
+    reads = set(t_orders) | ({1} if 2 in t_orders else set())
+    fjet = f_h.jet(x1[:, None], x2[None, :],
+                   [ab for t in sorted(reads) for ab in _ORDERS[t]])
 
     out = {}
     if 0 in t_orders:
-        diff = ujet(0, 0) - eval_tensor_grid(f_h, x1, x2)
+        diff = ujet(0, 0) - fjet.pop((0, 0))
         out[0] = np.sum(W * diff ** 2)
 
     if 1 in t_orders or 2 in t_orders:
-        grad = (eval_tensor_grid(f_h, x1, x2, 1, 0),
-                eval_tensor_grid(f_h, x1, x2, 0, 1))
+        grad = (fjet[1, 0], fjet[0, 1])
         hess = geo_hess = None
         if 2 in t_orders:
-            orders = ((2, 0), (1, 1), (0, 2))
-            hess = [eval_tensor_grid(f_h, x1, x2, *ab) for ab in orders]
-            geo_hess = [jet.get(ab) for ab in orders]
+            hess = [fjet[ab] for ab in _ORDERS[2]]
+            geo_hess = [jet.get(ab) for ab in _ORDERS[2]]
         (gx, gy), phys_hess = _inverse_chain_rule((d1, d2), grad, hess, geo_hess)
         if 1 in t_orders:
             ex = ujet(1, 0) - gx

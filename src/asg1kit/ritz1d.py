@@ -38,14 +38,12 @@ from .splines import (
 __all__ = [
     "PointFunctionals",
     "ritz_functionals",
-    "l2_project",
-    "ritz_project",
     "constrained_l2_functionals",
     "pi_cross_functionals",
     "BoundaryBubble",
+    "bubble_breakpoints",
     "bubble",
     "pi_star_functionals",
-    "pi_star",
 ]
 
 DEFAULT_EXTRA_NODES = 2
@@ -109,15 +107,6 @@ def ritz_functionals(space: UniSplineSpace, r: int, nq: int | None = None
     orders = tuple(range(r)) + (r,) * x.size
     points = (0.0,) * r + tuple(x)
     return PointFunctionals(space, orders, points, matrix)
-
-
-def l2_project(space: UniSplineSpace, field, nq: int | None = None) -> UniSpline:
-    return ritz_functionals(space, 0, nq).apply(field)
-
-
-def ritz_project(space: UniSplineSpace, r: int, field,
-                 nq: int | None = None) -> UniSpline:
-    return ritz_functionals(space, r, nq).apply(field)
 
 
 # -- endpoint-constrained L2 projector -----------------------------------------
@@ -186,14 +175,25 @@ class BoundaryBubble:
     eta: tuple[float, float, float]
 
 
-def _snap_eta(partition: Partition, threshold: float) -> float:
-    for z in partition.breakpoints:
-        if z >= threshold - 1e-14:
-            return z
-    raise ValueError(
-        f"no breakpoint >= {threshold:.6g}; the partition is too coarse for "
-        "the boundary bubble construction"
-    )
+def bubble_breakpoints(p: int, partition: Partition) -> tuple[float, float, float]:
+    """The breakpoints eta_1 < eta_2 < eta_3 of the degree-p bubbles at 0:
+    eta_l is the first breakpoint >= 4*l*p*h/9, so eta_3 needs a breakpoint
+    >= 4*p*h/3 (h <= 3/(4p) on uniform partitions).  Raises ValueError when
+    the partition is too coarse or two of them coincide."""
+    h = partition.grid_size
+    eta = []
+    for ell in (1, 2, 3):
+        threshold = 4.0 * ell * p * h / 9.0
+        z = next((z for z in partition.breakpoints if z >= threshold - 1e-14), None)
+        if z is None:
+            raise ValueError(
+                f"no breakpoint >= {threshold:.6g}; the partition is too coarse "
+                f"for the degree-{p} boundary bubble construction"
+            )
+        eta.append(z)
+    if len(set(eta)) != 3:
+        raise ValueError(f"bubble breakpoints coincide: {tuple(eta)}")
+    return tuple(eta)
 
 
 def _truncated_power_coefficients(space: UniSplineSpace, eta) -> np.ndarray:
@@ -221,21 +221,13 @@ def bubble(p: int, partition: Partition, s: int) -> BoundaryBubble:
     """The localized boundary spline interpolating the s-th derivative at 0.
 
     Built as an explicit combination of the truncated powers
-    psi_eta(x) = max(0, 1 - x/eta)^p at three breakpoints eta_1 < eta_2 <
-    eta_3 snapped to the grid near multiples of 4*p*h/9.
+    psi_eta(x) = max(0, 1 - x/eta)^p at the three `bubble_breakpoints`.
     """
     if p < 3:
         raise ValueError("bubbles need degree p >= 3")
     if s not in (0, 1, 2):
         raise ValueError("bubble order s must be 0, 1, or 2")
-    h = partition.grid_size
-    if h > 1.0 / (p + 1) + 1e-14:
-        raise ValueError(
-            f"grid size {h:.6g} exceeds 1/(p+1) = {1.0 / (p + 1):.6g}"
-        )
-    eta = tuple(_snap_eta(partition, 4.0 * ell * p * h / 9.0) for ell in (1, 2, 3))
-    if len(set(eta)) != 3:
-        raise ValueError(f"bubble breakpoints coincide: {eta}")
+    eta = bubble_breakpoints(p, partition)
     e1, e2, e3 = (np.longdouble(e) for e in eta)
     d12, d13, d23 = e1 - e2, e1 - e3, e2 - e3
     if s == 0:
@@ -299,9 +291,3 @@ def pi_star_functionals(p: int, k: int, partition: Partition,
     sigma1 = np.concatenate([base.endpoint_row(1.0, 2), [0.0, 0.0]])
     M = M + np.outer(bub0, delta0 - sigma0) + np.outer(bub1, delta1 - sigma1)
     return PointFunctionals(target, orders, points, M)
-
-
-def pi_star(p: int, k: int, partition: Partition, field,
-            nq: int | None = None) -> UniSpline:
-    """Apply the endpoint projector onto S_{p,k+1,Z} to a 1D field."""
-    return pi_star_functionals(p, k, partition, nq).apply(field)

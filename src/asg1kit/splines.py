@@ -5,7 +5,10 @@ A space is described by a degree ``p``, an interior smoothness ``k`` with
 ``Z = (0 = z_0 < ... < z_n = 1)``.  Internally every space is realized by the
 open knot vector with boundary multiplicity ``p+1`` and interior multiplicity
 ``p-k``.  Evaluation is delegated to :class:`scipy.interpolate.BSpline`, and
-basis derivatives of every order come from one evaluator, `eval_operator`.
+basis derivatives of every order come from one evaluator, `eval_operator`,
+whose scipy basis object is built once per space.  Every tensor-product
+object (the geometry maps and tensor splines) is evaluated by one
+contraction of two such bases, `tensor_jet`.
 Differentiation and antidifferentiation are exact coefficient maps.  Every
 other map between spline spaces (multiplication by a linear polynomial,
 embedding into a superspace) is one collocation at the Greville abscissae of
@@ -42,7 +45,7 @@ __all__ = [
     "greville_points",
     "gauss_rule",
     "eval_operator",
-    "l2_project_values",
+    "tensor_jet",
 ]
 
 _BREAKPOINT_TOL = 1e-12
@@ -250,12 +253,57 @@ def antiderivative(g: UniSpline, c0: float = 0.0) -> UniSpline:
     return UniSpline(target, c0 + _antiderivative_matrix(g.space) @ g.coefficients)
 
 
+@functools.lru_cache(maxsize=None)
+def _basis(space: UniSplineSpace) -> BSpline:
+    """The basis of ``space`` as one vector-valued scipy spline."""
+    return BSpline(knot_vector(space), np.eye(space.dim), space.degree,
+                   extrapolate=False)
+
+
 def eval_operator(space: UniSplineSpace, x: np.ndarray, d: int = 0) -> np.ndarray:
     """Dense matrix E with (E c)_i = (d-th derivative of the spline)(x_i)."""
-    x = _clip_domain(np.atleast_1d(x))
-    basis = BSpline(knot_vector(space), np.eye(space.dim), space.degree,
-                    extrapolate=False)
-    return basis(x, nu=d)
+    return _basis(space)(_clip_domain(np.atleast_1d(x)), nu=d)
+
+
+def tensor_jet(spaces, coef: np.ndarray, x1, x2, orders) -> dict:
+    """{(a, b): sum_ij B1^(a)[., i] coef[i, j, ...] B2^(b)[., j]} for each
+    requested order, with B1, B2 the basis rows of ``spaces`` at x1, x2.
+
+    Trailing axes of ``coef`` (components) stay trailing axes of the result.
+    An order above the degree of its space is identically zero and absent.
+    Basis rows are evaluated once per order and axis, and ``B1^(a) @ coef``
+    once per x1 order.  A column ``x1`` (N1, 1) with a row ``x2`` (1, N2) is
+    contracted as an (N1, N2) grid by one GEMM per order, the components
+    folded into its rows; any other broadcast pair is contracted point by
+    point.
+    """
+    space1, space2 = spaces
+    orders = [(a, b) for a, b in orders
+              if a <= space1.degree and b <= space2.degree]
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    shape = np.broadcast_shapes(x1.shape, x2.shape)
+    grid = x1.ndim == x2.ndim == 2 and x1.shape[1] == 1 and x2.shape[0] == 1
+    if not grid:
+        x1 = np.broadcast_to(x1, shape)
+        x2 = np.broadcast_to(x2, shape)
+    dim1, dim2 = coef.shape[:2]
+    comps = coef.shape[2:]
+    k = int(np.prod(comps))
+    # rows of B1 @ flat hold each component's dim2 coefficients in turn
+    flat = np.moveaxis(coef.reshape(dim1, dim2, k), 2, 1).reshape(dim1, k * dim2)
+    rows2 = {b: eval_operator(space2, x2.ravel(), b) for b in {b for _, b in orders}}
+    out = {}
+    for a in sorted({a for a, _ in orders}):
+        T = eval_operator(space1, x1.ravel(), a) @ flat
+        for b in (b for aa, b in orders if aa == a):
+            if grid:
+                v = (T.reshape(-1, dim2) @ rows2[b].T).reshape(-1, k, shape[1])
+                v = np.moveaxis(v, 1, 2)
+            else:
+                v = np.einsum("nkj,nj->nk", T.reshape(-1, k, dim2), rows2[b])
+            out[a, b] = v.reshape(shape + comps)
+    return out
 
 
 # -- quadrature and L2 machinery ----------------------------------------------
@@ -287,11 +335,6 @@ def l2_projection_matrix(space: UniSplineSpace, nq: int) -> np.ndarray:
     x, w = gauss_rule(space.partition, nq)
     B = eval_operator(space, x)
     return cho_solve(_gram_cholesky(space, nq), B.T * w[None, :])
-
-
-def l2_project_values(space: UniSplineSpace, values: np.ndarray, nq: int) -> UniSpline:
-    """L2 projection from function values at the ``gauss_rule`` nodes."""
-    return UniSpline(space, l2_projection_matrix(space, nq) @ values)
 
 
 # -- collocation at Greville points -------------------------------------------

@@ -1,5 +1,9 @@
 """Tensor-product spline spaces and the directional / tensor projectors.
 
+A tensor spline is evaluated like a geometry map, by one `tensor_jet`
+contraction of its coefficient grid with the basis rows of both directions;
+``jet(x1, x2, orders)`` returns every requested order from one contraction.
+
 The tensor projector applies the univariate order-r projector in each
 parameter direction.  Because a univariate projection is a fixed linear map
 of point-evaluation data (see :mod:`asg1kit.ritz1d`), the tensor coefficients
@@ -17,17 +21,12 @@ import numpy as np
 from .fields import ScalarField1D, ScalarField2D
 from .geometry import EDGE_AXIS, NORMALS
 from .ritz1d import PointFunctionals, ritz_functionals
-from .splines import (
-    UniSpline,
-    UniSplineSpace,
-    eval_operator,
-    _derivative_matrix,
-)
+from .splines import UniSpline, UniSplineSpace, _derivative_matrix, tensor_jet
 
 __all__ = [
     "TensorSplineSpace",
     "TensorSpline",
-    "eval_tensor",
+    "eval_tensor_grid",
     "as_field",
     "trace",
     "normal_derivative_trace",
@@ -64,8 +63,17 @@ class TensorSpline:
                 f"space shape {self.space.shape}"
             )
 
+    def jet(self, x1, x2, orders) -> dict:
+        """{(a, b): d1^a d2^b f} at broadcastable points for every order in
+        the sequence ``orders``, from one contraction."""
+        out = tensor_jet((self.space.space1, self.space.space2),
+                         self.coefficients, x1, x2, orders)
+        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+        return {ab: out[ab] if ab in out else np.zeros(shape) for ab in orders}
+
     def __call__(self, x1, x2, a: int = 0, b: int = 0):
-        return eval_tensor(self, x1, x2, a, b)
+        out = self.jet(x1, x2, [(a, b)])[a, b]
+        return float(out) if out.ndim == 0 else out
 
     def __add__(self, other: "TensorSpline") -> "TensorSpline":
         if other.space != self.space:
@@ -78,33 +86,14 @@ class TensorSpline:
         return TensorSpline(self.space, self.coefficients - other.coefficients)
 
 
-def eval_tensor(f: TensorSpline, x1, x2, a: int = 0, b: int = 0):
-    """d1^a d2^b f at broadcastable point arrays."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    shape = np.broadcast_shapes(x1.shape, x2.shape)
-    if a > f.space.space1.degree or b > f.space.space2.degree:
-        out = np.zeros(shape)
-        return float(out) if out.ndim == 0 else out
-    B1 = eval_operator(f.space.space1, np.broadcast_to(x1, shape).ravel(), a)
-    B2 = eval_operator(f.space.space2, np.broadcast_to(x2, shape).ravel(), b)
-    out = np.einsum("ni,ij,nj->n", B1, f.coefficients, B2).reshape(shape)
-    return float(out) if out.ndim == 0 else out
-
-
 def eval_tensor_grid(f: TensorSpline, x1, x2, a: int = 0, b: int = 0) -> np.ndarray:
     """d1^a d2^b f on the tensor grid x1 (x) x2, shape (len(x1), len(x2))."""
-    if a > f.space.space1.degree or b > f.space.space2.degree:
-        return np.zeros((np.size(x1), np.size(x2)))
-    B1 = eval_operator(f.space.space1, np.atleast_1d(x1), a)
-    B2 = eval_operator(f.space.space2, np.atleast_1d(x2), b)
-    return B1 @ f.coefficients @ B2.T
+    return f.jet(np.reshape(x1, (-1, 1)), np.reshape(x2, (1, -1)), [(a, b)])[a, b]
 
 
 def as_field(f: TensorSpline) -> ScalarField2D:
-    return ScalarField2D(lambda x, y, a, b: eval_tensor(f, x, y, a, b),
-                         max_order=max(f.space.space1.degree,
-                                       f.space.space2.degree))
+    return ScalarField2D(f, max_order=max(f.space.space1.degree,
+                                          f.space.space2.degree))
 
 
 # -- traces ------------------------------------------------------------------------

@@ -25,12 +25,7 @@ from asg1kit.geometry import (
 from asg1kit.gluing import g1_compatibility_residual, recover_all
 from asg1kit.harness import StudyConfig, run_convergence, run_p_sweep
 from asg1kit.norms import combine_tables, physical_error_norms
-from asg1kit.ritz1d import (
-    bubble,
-    pi_cross_functionals,
-    ritz_functionals,
-    ritz_project,
-)
+from asg1kit.ritz1d import bubble, pi_cross_functionals, ritz_functionals
 from asg1kit.splines import (
     Partition,
     UniSpline,
@@ -50,6 +45,7 @@ from asg1kit.tensor import (
 )
 
 from test_asg1 import boundary_gluing_sides, generic_field, reproduction_sample
+from test_ritz1d import ritz_project
 
 
 def _report(num, label, ok, detail=""):

@@ -322,7 +322,6 @@ def test_patch_trace_spaces(skew_projection):
     # traces lie in S_{p,k+1} and crossing-derivative traces in S_{p-1,k}:
     # the L2 projection onto those spaces leaves them unchanged
     from asg1kit.fields import ScalarField1D
-    from asg1kit.ritz1d import l2_project
 
     mp, glue, projections = skew_projection
     for i, (patch, uhat, proj) in enumerate(projections):
@@ -332,7 +331,7 @@ def test_patch_trace_spaces(skew_projection):
             tr_field = ScalarField1D(
                 lambda xx, d=0, jj=j: f(*edge_coords(jj, xx)), max_order=0
             )
-            fit = l2_project(UniSplineSpace(P, K + 1, Zj), tr_field)
+            fit = ritz_functionals(UniSplineSpace(P, K + 1, Zj), 0).apply(tr_field)
             assert np.max(np.abs(fit(T50) - tr_field(T50))) <= 1e-9
 
             dvec = crossing_direction(glue[i, j], j)
@@ -343,7 +342,7 @@ def test_patch_trace_spaces(skew_projection):
                 ),
                 max_order=0,
             )
-            dfit = l2_project(UniSplineSpace(P - 1, K, Zj), d_field)
+            dfit = ritz_functionals(UniSplineSpace(P - 1, K, Zj), 0).apply(d_field)
             assert np.max(np.abs(dfit(T50) - d_field(T50))) <= 1e-9
 
 

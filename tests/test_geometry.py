@@ -128,6 +128,27 @@ def test_jet_matches_derivative(kind):
                             for b in range(absent + 1)}
 
 
+def test_bilinear_jet_is_corner_interpolation():
+    # the degree-1 tensor spline of the corners is sum_ij L_i(x1) L_j(x2)
+    # corners[i, j] with L = (1 - x, x); orders above 1 are absent
+    rng = np.random.default_rng(3)
+    corners = rng.uniform(-1.0, 1.0, (2, 2, 2))
+    gmap = BilinearMap(corners)
+
+    def L(x, a):
+        x = np.asarray(x, float)
+        return np.stack([1.0 - x, x] if a == 0 else
+                        [-np.ones_like(x), np.ones_like(x)], axis=-1)
+
+    s = np.linspace(0.0, 1.0, 6)
+    for x1, x2 in ((rng.random(30), rng.random(30)), (s[:, None], s[None, :])):
+        jet = gmap.jet(x1, x2, 2, 2)
+        assert set(jet) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+        for (a, b), value in jet.items():
+            want = np.einsum("...i,ijk,...j->...k", L(x1, a), corners, L(x2, b))
+            assert np.max(np.abs(value - want)) <= 1e-15, (a, b)
+
+
 def test_nurbs_weights_validated():
     Z = uniform_partition(1)
     S = UniSplineSpace(2, 1, Z)
@@ -333,30 +354,3 @@ def test_unknown_builtin():
     with pytest.raises(GeometryError):
         builtin_geometry("nope")
 
-
-def test_w2_boundedness_surrogate():
-    from asg1kit.geometry import w2_boundedness_check
-
-    # bilinear: second derivatives constant (the mixed one), no jumps
-    mp = builtin_geometry("two_patch_skew", 4)
-    for patch in mp.patches:
-        worst, jump = w2_boundedness_check(patch.gmap, patch.partitions)
-        assert np.isfinite(worst)
-        assert jump <= 1e-10
-
-    # C^1 quadratic spline map: bounded second derivatives, jumps allowed;
-    # C^2 cubic map: continuous second derivatives
-    Z = uniform_partition(2)
-    rng = np.random.default_rng(2)
-    for p, k, jump_tol in ((2, 1, None), (3, 2, 1e-5)):
-        S = UniSplineSpace(p, k, Z)
-        base = np.stack(
-            np.meshgrid(np.linspace(0, 1, S.dim), np.linspace(0, 1, S.dim),
-                        indexing="ij"), axis=-1
-        )
-        ctrl = base + 0.02 * rng.standard_normal(base.shape)
-        gmap = SplineMap(S, S, ctrl)
-        worst, jump = w2_boundedness_check(gmap, (Z, Z))
-        assert np.isfinite(worst) and worst < 1e3
-        if jump_tol is not None:
-            assert jump <= jump_tol

@@ -89,6 +89,17 @@ def test_config_validation():
         StudyConfig("unit_square", "sinsin", 3, 1, base_n=2).validate()
     with pytest.raises(ConfigError):
         StudyConfig("unit_square", "sinsin", 3, 1, levels=0).validate()
+    # h = 1/5 <= 1/(p+1), but eta_3 needs a breakpoint >= 4ph/3 = 16/15
+    with pytest.raises(ConfigError, match="no breakpoint"):
+        StudyConfig("unit_square", "sinsin", 4, 2, base_n=5).validate()
+
+
+def test_bubble_precondition_is_configuration_error(capsys):
+    # p = 6 needs h <= 3/(4p) = 1/8
+    args = ["check-c1", "--geometry", "unit_square", "--p", "6"]
+    assert main(args + ["--n", "7"]) == 2
+    assert "no breakpoint >= 1.14286" in capsys.readouterr().err
+    assert main(args + ["--n", "8"]) == 0
 
 
 def test_coarse_grid_rejected_for_degree():

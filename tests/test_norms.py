@@ -43,6 +43,24 @@ def test_exact_spline_gives_zero_norms():
     assert all(v <= 1e-12 for v in table.norms.values())
 
 
+def test_norms_evaluate_each_basis_order_once_per_block(monkeypatch):
+    # one contraction per block: basis rows of orders 0..2 on each axis
+    from asg1kit import splines
+
+    _, f = spline_exact_pair()
+    calls = []
+    original = splines.eval_operator
+
+    def counting(space, x, d=0):
+        calls.append((space, d))
+        return original(space, x, d)
+
+    monkeypatch.setattr(splines, "eval_operator", counting)
+    physical_error_norms(unit_patch(), manufactured("sinsin"), f)
+    assert sorted(d for space, d in calls if space == f.space.space1) == \
+        [0, 0, 1, 1, 2, 2]
+
+
 def test_identity_geometry_matches_parametric_norms():
     patch = unit_patch(4)
     u = manufactured("sinsin")

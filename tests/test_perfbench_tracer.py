@@ -13,7 +13,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 import tracing  # noqa: E402
 
-from asg1kit import asg1, splines  # noqa: E402
+from asg1kit import asg1, norms, splines  # noqa: E402
 from asg1kit.fields import manufactured  # noqa: E402
 from asg1kit.geometry import builtin_geometry  # noqa: E402
 from asg1kit.gluing import recover_all  # noqa: E402
@@ -36,3 +36,28 @@ def test_tracer_records_projection_spans_and_restores():
     assert "splines.multiply_by_linear" in names
     assert (asg1.global_project, asg1.multiply_by_linear,
             splines.multiply_by_linear) == originals
+
+
+def test_traced_norms_and_conformity_match_untraced():
+    # the tracer rebuilds pullbacks as fields given by an evaluator alone,
+    # and wraps the evaluators the norms and conformity checks reach
+    mp = builtin_geometry("two_patch_skew", 8)
+    glue = recover_all(mp)
+    u = manufactured("sinsin")
+    gp = asg1.global_project(mp, glue, u, 4, 2)
+
+    def measure():
+        table = norms.physical_error_norms(mp.patches[1], u, gp.patches[1].spline)
+        return table.norms, asg1.check_conformity(gp).to_json()
+
+    want = measure()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        got = measure()
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"norms.physical_error_norms", "asg1.check_conformity",
+            "splines.eval_operator", "fields.pullback_eval"} <= names
+    assert got == want

@@ -4,10 +4,10 @@ import pytest
 from asg1kit.fields import ScalarField1D
 from asg1kit.ritz1d import (
     bubble,
-    l2_project,
-    pi_star,
+    bubble_breakpoints,
+    pi_star_functionals,
     reflected_bubble_spline,
-    ritz_project,
+    ritz_functionals,
 )
 from asg1kit.splines import (
     Partition,
@@ -20,6 +20,20 @@ from asg1kit.splines import (
 )
 
 import oracles
+
+
+def ritz_project(space, r, field, nq=None):
+    """The order-r Ritz projection of a 1D field."""
+    return ritz_functionals(space, r, nq).apply(field)
+
+
+def l2_project(space, field):
+    return ritz_project(space, 0, field)
+
+
+def pi_star(p, k, partition, field):
+    """The endpoint projection of a 1D field onto S_{p,k+1}."""
+    return pi_star_functionals(p, k, partition).apply(field)
 
 
 def spline_field(f, max_order=3):
@@ -183,6 +197,15 @@ def test_bubble_membership_and_embedding():
 def test_bubble_rejects_coarse_partition():
     with pytest.raises(ValueError):
         bubble(4, uniform_partition(5), 0)  # eta_3 threshold 16/15 > 1
+
+
+def test_bubble_breakpoints_need_room_for_eta_3():
+    # eta_l is the first breakpoint >= 4*l*p*h/9; p = 6 needs n >= 8
+    assert bubble_breakpoints(6, uniform_partition(8)) == (0.375, 0.75, 1.0)
+    assert bubble(6, uniform_partition(8), 0).eta == (0.375, 0.75, 1.0)
+    for p, n in ((4, 5), (6, 7)):
+        with pytest.raises(ValueError, match="no breakpoint"):
+            bubble_breakpoints(p, uniform_partition(n))
 
 
 def test_bubble_seminorm_scaling():

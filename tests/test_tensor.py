@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from asg1kit.fields import ScalarField2D, manufactured
-from asg1kit.ritz1d import ritz_project
 from asg1kit.splines import UniSpline, UniSplineSpace, uniform_partition
 from asg1kit.tensor import (
     TensorSpline,
@@ -10,7 +9,6 @@ from asg1kit.tensor import (
     as_field,
     data_matrix,
     directional_project,
-    eval_tensor,
     normal_derivative_trace,
     tensor_project,
     tensor_project_Q,
@@ -18,6 +16,7 @@ from asg1kit.tensor import (
 )
 
 import oracles
+from test_ritz1d import ritz_project
 
 
 def tensor_space(p, k, n):
@@ -53,27 +52,44 @@ def test_eval_mixed_derivative_of_bilinear():
 
 
 def test_eval_matches_kronecker_oracle():
-    # independent evaluation through scipy on the raveled Kronecker basis
+    # independent evaluation through scipy, one basis function at a time, of
+    # every order up to degree + 1 at scattered points, at broadcast pairs
+    # and on a column/row grid; a multi-order jet equals one-order calls
     from scipy.interpolate import BSpline
     from asg1kit.splines import knot_vector
+    from asg1kit.tensor import eval_tensor_grid
 
     V = tensor_space(3, 1, 3)
     f = random_tensor_spline(V, seed=5)
-    rng = np.random.default_rng(6)
-    x = rng.random(100)
-    y = rng.random(100)
     t = knot_vector(V.space1)
-    vals = np.zeros(100)
-    for i in range(V.space1.dim):
-        ci = np.zeros(V.space1.dim)
-        ci[i] = 1.0
-        bi = BSpline(t, ci, 3, extrapolate=False)(x)
-        for j in range(V.space2.dim):
-            cj = np.zeros(V.space2.dim)
-            cj[j] = 1.0
-            bj = BSpline(t, cj, 3, extrapolate=False)(y)
-            vals += f.coefficients[i, j] * bi * bj
-    assert np.max(np.abs(f(x, y) - vals)) <= 1e-12
+    dim = V.space1.dim
+
+    def rows(z, d):
+        return np.stack([BSpline(t, np.eye(dim)[i], 3, extrapolate=False)(z, nu=d)
+                         for i in range(dim)], axis=-1)
+
+    rng = np.random.default_rng(6)
+    s1 = np.linspace(0.0, 1.0, 7)
+    s2 = np.array([0.0, 0.2, 0.5, 1.0])
+    cases = [(rng.random(100), rng.random(100)),
+             (s1[:, None], s2), (np.asarray(0.3), s2),
+             (s1[:, None], s2[None, :])]
+    orders = [(a, b) for a in range(5) for b in range(5)]
+    for x1, x2 in cases:
+        X1, X2 = np.broadcast_arrays(x1, x2)
+        jet = f.jet(x1, x2, orders)
+        for a, b in orders:
+            want = np.sum((rows(X1.ravel(), a) @ f.coefficients)
+                          * rows(X2.ravel(), b), axis=1).reshape(X1.shape)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert jet[a, b].shape == X1.shape
+            assert np.max(np.abs(jet[a, b] - want)) <= 1e-12 * scale, (a, b)
+            assert np.array_equal(jet[a, b], f(x1, x2, a, b)), (a, b)
+            if max(a, b) > 3:
+                assert np.all(jet[a, b] == 0.0)
+    grid = f.jet(s1[:, None], s2[None, :], orders)
+    for a, b in orders:
+        assert np.array_equal(grid[a, b], eval_tensor_grid(f, s1, s2, a, b))
 
 
 # -- traces -----------------------------------------------------------------------
