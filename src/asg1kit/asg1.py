@@ -85,10 +85,6 @@ class EdgeCorrection:
     edge_spline: UniSpline
     extension: TensorSpline
 
-    @property
-    def magnitude(self) -> float:
-        return float(np.max(np.abs(self.extension.coefficients)))
-
 
 @dataclass
 class PatchProjection:
@@ -341,7 +337,7 @@ def _physical_c2_data(patch: Patch, spline: TensorSpline, corner) -> np.ndarray:
     ``spline`` o G^{-1} at a parametric corner."""
     x1 = np.asarray(corner[0])
     x2 = np.asarray(corner[1])
-    jet = patch.gmap.jet(x1, x2, 2, 2)
+    jet = patch.gmap.jet(x1, x2, orders=_C2_ORDERS)
     f = spline.jet(x1, x2, _C2_ORDERS)
     grad, hess = _inverse_chain_rule(
         (jet[1, 0], jet[0, 1]),

@@ -10,7 +10,8 @@ bilinear map is the degree-1 case (S_{1,0} on (0, 1), its corners the control
 grid), a NURBS map contracts its homogeneous coefficients (w P, w) and applies
 the quotient rule once.  All of them evaluate derivatives through
 ``jet(x1, x2, c, d)``, one `tensor_jet` contraction that returns
-``{(a, b): d1^a d2^b G}`` for all a <= c, b <= d.  Orders that are
+``{(a, b): d1^a d2^b G}`` for all a <= c, b <= d, or for the (a, b) in
+``orders`` alone (NURBS: and the orders they depend on).  Orders that are
 identically zero are absent (above the degree of polynomial maps); an absent
 key means zero.  When ``x1`` is a column (N1, 1) and ``x2`` a row (1, N2), the
 jet is an (N1, N2) grid from basis rows on N1 + N2 points; any other broadcast
@@ -106,14 +107,14 @@ class _TensorProductMap:
     ``space1`` and ``space2``; subclasses set these and ``_coef`` (dim1,
     dim2, components), which `tensor_jet` contracts."""
 
-    def jet(self, x1, x2, c: int = 0, d: int = 0) -> dict:
-        """{(a, b): d1^a d2^b G} for all a <= c, b <= d in one pass; orders
-        that are identically zero are absent."""
-        return tensor_jet((self.space1, self.space2), self._coef, x1, x2,
-                          product(range(c + 1), range(d + 1)))
+    def jet(self, x1, x2, c: int = 0, d: int = 0, orders=None) -> dict:
+        """{(a, b): d1^a d2^b G} for a <= c, b <= d or the (a, b) in
+        ``orders``, in one pass; identically zero orders are absent."""
+        orders = product(range(c + 1), range(d + 1)) if orders is None else orders
+        return tensor_jet((self.space1, self.space2), self._coef, x1, x2, orders)
 
     def _one_order(self, x1, x2, c: int, d: int) -> np.ndarray:
-        out = tensor_jet((self.space1, self.space2), self._coef, x1, x2, [(c, d)])
+        out = self.jet(x1, x2, orders=[(c, d)])
         if (c, d) in out:
             return out[c, d]
         shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
@@ -188,40 +189,35 @@ class NurbsMap(_TensorProductMap):
         w = self.weights[:, :, None]
         self._coef = np.concatenate([self.control * w, w], axis=2)
 
-    def jet(self, x1, x2, c: int = 0, d: int = 0) -> dict:
-        H = super().jet(x1, x2, c, d)
+    def jet(self, x1, x2, c: int = 0, d: int = 0, orders=None) -> dict:
+        orders = list(product(range(c + 1), range(d + 1)) if orders is None else orders)
+        # an order (a, b) reads every (e, f) <= (a, b)
+        needs = sorted({(e, f) for a, b in orders
+                        for e in range(a + 1) for f in range(b + 1)})
+        H = super().jet(x1, x2, orders=needs)
         w0 = H[0, 0][..., 2:]
         G: dict[tuple[int, int], np.ndarray] = {}
-        for a in range(c + 1):
-            for b in range(d + 1):
-                # F^(a,b) = sum_{e<=a, f<=b} C(a,e) C(b,f) G^(e,f) w^(a-e,b-f)
-                g = (H[a, b][..., :2] if (a, b) in H
-                     else np.zeros(w0.shape[:-1] + (2,)))
-                for e in range(a + 1):
-                    for f in range(b + 1):
-                        if (e, f) != (a, b) and (a - e, b - f) in H:
-                            g -= (comb(a, e) * comb(b, f)
-                                  * G[e, f] * H[a - e, b - f][..., 2:])
-                g /= w0
-                G[a, b] = g
-        return G
+        for a, b in needs:
+            # F^(a,b) = sum_{e<=a, f<=b} C(a,e) C(b,f) G^(e,f) w^(a-e,b-f)
+            g = (H[a, b][..., :2] if (a, b) in H
+                 else np.zeros(w0.shape[:-1] + (2,)))
+            for e in range(a + 1):
+                for f in range(b + 1):
+                    if (e, f) != (a, b) and (a - e, b - f) in H:
+                        g -= (comb(a, e) * comb(b, f)
+                              * G[e, f] * H[a - e, b - f][..., 2:])
+            g /= w0
+            G[a, b] = g
+        return {ab: G[ab] for ab in orders}
 
     def derivative(self, x1, x2, c: int = 0, d: int = 0) -> np.ndarray:
-        return self.jet(x1, x2, c, d)[c, d]
-
-    def point(self, x1, x2) -> np.ndarray:
-        return self.jet(x1, x2, 0, 0)[0, 0]
+        return self._one_order(x1, x2, c, d)
 
 
 def jacobian(gmap, x1, x2) -> np.ndarray:
     """Jacobian with columns d1 G, d2 G; shape (..., 2, 2)."""
-    jet = gmap.jet(x1, x2, 1, 1)
+    jet = gmap.jet(x1, x2, orders=[(1, 0), (0, 1)])
     return np.stack([jet[1, 0], jet[0, 1]], axis=-1)
-
-
-def jacobian_determinant(gmap, x1, x2) -> np.ndarray:
-    J = jacobian(gmap, x1, x2)
-    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
 
 def check_2regular(gmap, samples: int = 33):
@@ -231,7 +227,8 @@ def check_2regular(gmap, samples: int = 33):
     means the map folds and is not 2-regular.
     """
     s = np.linspace(0.0, 1.0, samples)
-    det = jacobian_determinant(gmap, s[:, None], s[None, :])
+    J = jacobian(gmap, s[:, None], s[None, :])
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
     i, j = np.unravel_index(np.argmin(det), det.shape)
     return float(det[i, j]), (float(s[i]), float(s[j]))
 

@@ -6,10 +6,12 @@ Jacobian transpose, the Hessian with the second-order geometry correction
 
     H_phys = J^{-T} (H_param - sum_c grad_phys[c] * hess(G_c)) J^{-1}.
 
-The quadrature sums run over blocks of rows of the x1 nodes, each block at
-most ``_BLOCK_POINTS`` points of the tensor grid, with one geometry jet, one
-bound jet of the target and one jet of the approximation (the six orders the
-norms read) per block; no integrand is formed on the full grid.
+The quadrature sums run over blocks of whole x1 elements, each at most
+``_BLOCK_POINTS`` points of the tensor grid unless one element row is more.
+The x2 axis of the approximation is contracted once per call
+(`TensorSpline.bind_x2`); each block takes one geometry jet, one bound jet of
+the target and the six orders of the approximation from the coefficient rows
+its x1 elements touch.  No integrand is formed on the full grid.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from .tensor import TensorSpline
 
 __all__ = ["ErrorTable", "physical_error_norms", "combine_tables", "observed_order"]
 
-# The largest number of quadrature points whose integrands are alive at once;
-# 2^18 points add about 70 MB to the memory of the norms.  Every block
-# evaluates the x2 basis rows of f_h and of the map again, so smaller blocks
-# cost time.
-_BLOCK_POINTS = 262144
+# The most quadrature points whose integrands are alive at once (unless one
+# element row is more).  A block costs little beyond its points, and 2^15
+# keeps its arrays near the L2 cache, where the elementwise passes run fastest.
+_BLOCK_POINTS = 32768
 
 _ORDERS = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((2, 0), (1, 1), (0, 2))}
 
@@ -102,22 +103,28 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
         ) + 2
     x1, w1 = gauss_rule(patch.partitions[0], nq)
     x2, w2 = gauss_rule(patch.partitions[1], nq)
-    rows = max(1, _BLOCK_POINTS // len(x2))
+    # the orders of f_h the norms read (H2 needs H1's), x2 contracted once
+    reads = set(t_orders) | ({1} if 2 in t_orders else set())
+    fjet = f_h.bind_x2(x2, [ab for t in sorted(reads) for ab in _ORDERS[t]])
+    # blocks of whole x1 elements (nq nodes each), at least one per block
+    rows = nq * max(1, _BLOCK_POINTS // (nq * len(x2)))
     sums = dict.fromkeys(t_orders, 0.0)
     for start in range(0, len(x1), rows):
         block = slice(start, start + rows)
-        for t, s in _squared_errors(patch, u, f_h, x1[block], x2,
+        for t, s in _squared_errors(patch, u, fjet, x1[block], x2,
                                     np.outer(w1[block], w2), t_orders).items():
             sums[t] += s
     return ErrorTable.from_seminorms({t: np.sqrt(s) for t, s in sums.items()})
 
 
-def _squared_errors(patch: Patch, u: ScalarField2D, f_h: TensorSpline, x1, x2,
-                    W, t_orders) -> dict:
-    """{t: sum of W * det * |d^t error|^2} on the tensor grid x1 (x) x2."""
-    # one geometry jet on the grid; absent orders are zero
+def _squared_errors(patch: Patch, u: ScalarField2D, f_bound, x1, x2, W,
+                    t_orders) -> dict:
+    """{t: sum of W * det * |d^t error|^2} on the tensor grid x1 (x) x2;
+    ``f_bound`` is the approximation with x2 bound."""
+    # one geometry jet of the orders read on the grid; absent orders are zero
     top = 2 if 2 in t_orders else 1
-    jet = patch.gmap.jet(x1[:, None], x2[None, :], top, top)
+    jet = patch.gmap.jet(x1[:, None], x2[None, :],
+                         orders=[ab for t in range(top + 1) for ab in _ORDERS[t]])
     d1, d2 = jet[1, 0], jet[0, 1]
     det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
     if np.any(det <= 0.0):
@@ -128,10 +135,7 @@ def _squared_errors(patch: Patch, u: ScalarField2D, f_h: TensorSpline, x1, x2,
         )
     W = W * det
     ujet = u.jet(jet[0, 0][..., 0], jet[0, 0][..., 1], max(t_orders), max(t_orders))
-    # one contraction for the orders of f_h the norms read (H2 needs H1's)
-    reads = set(t_orders) | ({1} if 2 in t_orders else set())
-    fjet = f_h.jet(x1[:, None], x2[None, :],
-                   [ab for t in sorted(reads) for ab in _ORDERS[t]])
+    fjet = f_bound(x1)
 
     out = {}
     if 0 in t_orders:

@@ -8,7 +8,9 @@ open knot vector with boundary multiplicity ``p+1`` and interior multiplicity
 basis derivatives of every order come from one evaluator, `eval_operator`,
 whose scipy basis object is built once per space.  Every tensor-product
 object (the geometry maps and tensor splines) is evaluated by one
-contraction of two such bases, `tensor_jet`.
+contraction of two such bases, `tensor_jet`, in two steps: `tensor_bind_x2`
+multiplies the coefficient grid by the x2 basis rows, then each block of x1
+points multiplies its basis rows by only the band of bound rows they touch.
 Differentiation and antidifferentiation are exact coefficient maps.  Every
 other map between spline spaces (multiplication by a linear polynomial,
 embedding into a superspace) is one collocation at the Greville abscissae of
@@ -45,6 +47,7 @@ __all__ = [
     "greville_points",
     "gauss_rule",
     "eval_operator",
+    "tensor_bind_x2",
     "tensor_jet",
 ]
 
@@ -265,45 +268,64 @@ def eval_operator(space: UniSplineSpace, x: np.ndarray, d: int = 0) -> np.ndarra
     return _basis(space)(_clip_domain(np.atleast_1d(x)), nu=d)
 
 
-def tensor_jet(spaces, coef: np.ndarray, x1, x2, orders) -> dict:
-    """{(a, b): sum_ij B1^(a)[., i] coef[i, j, ...] B2^(b)[., j]} for each
-    requested order, with B1, B2 the basis rows of ``spaces`` at x1, x2.
-
-    Trailing axes of ``coef`` (components) stay trailing axes of the result.
-    An order above the degree of its space is identically zero and absent.
-    Basis rows are evaluated once per order and axis, and ``B1^(a) @ coef``
-    once per x1 order.  A column ``x1`` (N1, 1) with a row ``x2`` (1, N2) is
-    contracted as an (N1, N2) grid by one GEMM per order, the components
-    folded into its rows; any other broadcast pair is contracted point by
-    point.
+def tensor_bind_x2(spaces, coef: np.ndarray, x2, orders, pointwise=False):
+    """Step 1 of `tensor_jet`: ``coef`` times the x2 basis rows, once per x2
+    order.  Returns step 2, ``x1 -> {(a, b): d1^a d2^b}`` for the requested
+    orders within the degrees, on the grid x1 (x) x2 (shape (len(x1),
+    len(x2)) + components, each component slice contiguous along x2) or,
+    with ``pointwise``, at the pairs (x1[n], x2[n]).  Step 2 multiplies the
+    x1 basis rows by only the band of coefficient rows they touch, so a block
+    of a few elements costs p+1 rows per point.
     """
     space1, space2 = spaces
     orders = [(a, b) for a, b in orders
               if a <= space1.degree and b <= space2.degree]
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    shape = np.broadcast_shapes(x1.shape, x2.shape)
-    grid = x1.ndim == x2.ndim == 2 and x1.shape[1] == 1 and x2.shape[0] == 1
-    if not grid:
-        x1 = np.broadcast_to(x1, shape)
-        x2 = np.broadcast_to(x2, shape)
-    dim1, dim2 = coef.shape[:2]
+    x2 = np.ravel(x2)
     comps = coef.shape[2:]
     k = int(np.prod(comps))
-    # rows of B1 @ flat hold each component's dim2 coefficients in turn
-    flat = np.moveaxis(coef.reshape(dim1, dim2, k), 2, 1).reshape(dim1, k * dim2)
-    rows2 = {b: eval_operator(space2, x2.ravel(), b) for b in {b for _, b in orders}}
-    out = {}
-    for a in sorted({a for a, _ in orders}):
-        T = eval_operator(space1, x1.ravel(), a) @ flat
-        for b in (b for aa, b in orders if aa == a):
-            if grid:
-                v = (T.reshape(-1, dim2) @ rows2[b].T).reshape(-1, k, shape[1])
-                v = np.moveaxis(v, 1, 2)
-            else:
-                v = np.einsum("nkj,nj->nk", T.reshape(-1, k, dim2), rows2[b])
-            out[a, b] = v.reshape(shape + comps)
-    return out
+    # bound[b][c, n, i] = sum_j B2^(b)[n, j] coef[i, j, c]
+    ct = coef.reshape(coef.shape[:2] + (k,)).transpose(2, 1, 0)
+    bound = {b: eval_operator(space2, x2, b) @ ct for b in {b for _, b in orders}}
+
+    def block(x1) -> dict:
+        x1 = np.ravel(x1)
+        out = {}
+        for a in sorted({a for a, _ in orders}):
+            B = eval_operator(space1, x1, a)
+            band = slice(None)
+            if not pointwise:  # scattered points touch every row
+                cols = np.flatnonzero(B.any(axis=0))
+                band = slice(cols[0], cols[-1] + 1) if cols.size else slice(0, 0)
+            for b in (b for aa, b in orders if aa == a):
+                R = bound[b][..., band]
+                if pointwise:
+                    out[a, b] = np.einsum("ni,cni->nc", B[:, band], R)
+                else:
+                    v = (B[:, band] @ R.reshape(k * len(x2), -1).T).reshape(-1, k, len(x2))
+                    out[a, b] = np.moveaxis(v, 1, 2).reshape((len(x1), len(x2)) + comps)
+        return out
+
+    return block
+
+
+def tensor_jet(spaces, coef: np.ndarray, x1, x2, orders) -> dict:
+    """{(a, b): sum_ij B1^(a)[., i] coef[i, j, ...] B2^(b)[., j]} for each
+    requested order, with B1, B2 the basis rows of ``spaces`` at x1, x2:
+    `tensor_bind_x2` of x2, then one step 2 of all of x1.
+
+    Trailing axes of ``coef`` (components) stay trailing axes of the result;
+    an order above the degree of its space is identically zero and absent.
+    A column ``x1`` (N1, 1) with a row ``x2`` (1, N2) is an (N1, N2) grid,
+    one GEMM per order; any other broadcast pair is taken point by point.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if x1.ndim == x2.ndim == 2 and x1.shape[1] == 1 and x2.shape[0] == 1:
+        return tensor_bind_x2(spaces, coef, x2, orders)(x1)
+    shape = np.broadcast_shapes(x1.shape, x2.shape)
+    out = tensor_bind_x2(spaces, coef, np.broadcast_to(x2, shape), orders,
+                         pointwise=True)(np.broadcast_to(x1, shape))
+    return {ab: v.reshape(shape + coef.shape[2:]) for ab, v in out.items()}
 
 
 # -- quadrature and L2 machinery ----------------------------------------------

@@ -21,7 +21,8 @@ import numpy as np
 from .fields import ScalarField1D, ScalarField2D
 from .geometry import EDGE_AXIS, NORMALS
 from .ritz1d import PointFunctionals, ritz_functionals
-from .splines import UniSpline, UniSplineSpace, _derivative_matrix, tensor_jet
+from .splines import (UniSpline, UniSplineSpace, _derivative_matrix, tensor_bind_x2,
+                      tensor_jet)
 
 __all__ = [
     "TensorSplineSpace",
@@ -68,8 +69,15 @@ class TensorSpline:
         the sequence ``orders``, from one contraction."""
         out = tensor_jet((self.space.space1, self.space.space2),
                          self.coefficients, x1, x2, orders)
-        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-        return {ab: out[ab] if ab in out else np.zeros(shape) for ab in orders}
+        return _with_zeros(out, orders, np.broadcast_shapes(np.shape(x1), np.shape(x2)))
+
+    def bind_x2(self, x2, orders):
+        """``x1 -> {(a, b): d1^a d2^b f}`` on the grid x1 (x) x2 for every
+        order in ``orders``; the x2 axis is contracted once here, and each
+        call contracts only the coefficient rows its x1 points touch."""
+        block = tensor_bind_x2((self.space.space1, self.space.space2),
+                               self.coefficients, x2, orders)
+        return lambda x1: _with_zeros(block(x1), orders, (np.size(x1), np.size(x2)))
 
     def __call__(self, x1, x2, a: int = 0, b: int = 0):
         out = self.jet(x1, x2, [(a, b)])[a, b]
@@ -84,6 +92,11 @@ class TensorSpline:
         if other.space != self.space:
             raise ValueError("tensor spline subtraction requires identical spaces")
         return TensorSpline(self.space, self.coefficients - other.coefficients)
+
+
+def _with_zeros(out: dict, orders, shape) -> dict:
+    """``out`` with the absent orders above the degree filled in as zeros."""
+    return {ab: out[ab] if ab in out else np.zeros(shape) for ab in orders}
 
 
 def eval_tensor_grid(f: TensorSpline, x1, x2, a: int = 0, b: int = 0) -> np.ndarray:

@@ -128,6 +128,22 @@ def test_jet_matches_derivative(kind):
                             for b in range(absent + 1)}
 
 
+@pytest.mark.parametrize("kind", ["bilinear", "spline", "nurbs"])
+def test_jet_of_requested_orders_equals_full_jet(kind):
+    # the six orders a + b <= 2 that the norms and the vertex C2 data read;
+    # for NURBS the quotient rule then runs over these orders alone
+    gmap = _jet_maps()[kind]
+    six = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    rng = np.random.default_rng(8)
+    s = np.linspace(0.0, 1.0, 9)
+    for x1, x2 in ((rng.random(30), rng.random(30)), (s[:, None], s[None, :])):
+        full = gmap.jet(x1, x2, 2, 2)
+        jet = gmap.jet(x1, x2, orders=six)
+        assert set(jet) == {ab for ab in six if ab in full}
+        for ab, value in jet.items():
+            assert np.array_equal(value, full[ab]), ab
+
+
 def test_bilinear_jet_is_corner_interpolation():
     # the degree-1 tensor spline of the corners is sum_ij L_i(x1) L_j(x2)
     # corners[i, j] with L = (1 - x, x); orders above 1 are absent

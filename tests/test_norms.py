@@ -52,13 +52,37 @@ def test_norms_evaluate_each_basis_order_once_per_block(monkeypatch):
     original = splines.eval_operator
 
     def counting(space, x, d=0):
-        calls.append((space, d))
+        calls.append((space, d, np.array(x)))
         return original(space, x, d)
 
     monkeypatch.setattr(splines, "eval_operator", counting)
     physical_error_norms(unit_patch(), manufactured("sinsin"), f)
-    assert sorted(d for space, d in calls if space == f.space.space1) == \
+    assert sorted(d for space, d, _ in calls if space == f.space.space1) == \
         [0, 0, 1, 1, 2, 2]
+
+    # a patch of several blocks: the x2 rows once per order per call, the x1
+    # rows once per order per block of whole elements
+    Z1, Z2 = uniform_partition(32), uniform_partition(64)
+    patch = Patch(BilinearMap([[[0, 0], [0, 1]], [[1, 0], [1, 1]]]), (Z1, Z2))
+    S1, S2 = UniSplineSpace(3, 1, Z1), UniSplineSpace(3, 1, Z2)
+    f = TensorSpline(TensorSplineSpace(S1, S2), np.ones((S1.dim, S2.dim)))
+    nq = 7
+    x1, _ = gauss_rule(Z1, nq)
+    x2, _ = gauss_rule(Z2, nq)
+    calls.clear()
+    physical_error_norms(patch, manufactured("sinsin"), f, nq=nq)
+    assert sorted(d for space, d, _ in calls if space == S2) == [0, 1, 2]
+    assert all(np.array_equal(x, x2) for space, _, x in calls if space == S2)
+    blocks = {d: [x for space, dd, x in calls if space == S1 and dd == d]
+              for d in range(3)}
+    assert len(blocks[0]) > 1
+    for d in (1, 2):
+        assert len(blocks[d]) == len(blocks[0])
+        assert all(np.array_equal(x, y) for x, y in zip(blocks[d], blocks[0]))
+    assert np.array_equal(np.concatenate(blocks[0]), x1)
+    for x in blocks[0]:
+        assert len(x) % nq == 0
+        assert len(x) * len(x2) <= norms._BLOCK_POINTS
 
 
 def test_identity_geometry_matches_parametric_norms():
@@ -218,6 +242,26 @@ def test_row_blocks_match_full_grid_quadrature():
         want = _full_grid_norms(patch, u, f, nq)
         for t in (0, 1, 2):
             assert table.seminorms[t] == pytest.approx(want[t], rel=1e-12), t
+
+
+def test_element_row_above_block_size_matches_full_grid_quadrature():
+    from test_integration import curved_interior_two_patch
+
+    # one x1 element row of 12 x 3072 points exceeds the block size, so each
+    # block is a single element row
+    nq = 12
+    Z1, Z2 = uniform_partition(2), uniform_partition(256)
+    patch = Patch(curved_interior_two_patch().patches[0].gmap, (Z1, Z2))
+    x2, _ = gauss_rule(Z2, nq)
+    assert nq * len(x2) > norms._BLOCK_POINTS
+    S1, S2 = UniSplineSpace(4, 2, Z1), UniSplineSpace(4, 2, Z2)
+    rng = np.random.default_rng(4)
+    f = TensorSpline(TensorSplineSpace(S1, S2), rng.standard_normal((S1.dim, S2.dim)))
+    u = manufactured("sinsin")
+    table = physical_error_norms(patch, u, f, nq=nq)
+    want = _full_grid_norms(patch, u, f, nq)
+    for t in (0, 1, 2):
+        assert table.seminorms[t] == pytest.approx(want[t], rel=1e-12), t
 
 
 def test_observed_order():

@@ -51,22 +51,28 @@ def test_eval_mixed_derivative_of_bilinear():
     assert np.max(np.abs(f(X, Y) - X * Y)) <= 1e-13
 
 
+def kronecker_rows(space, z, d):
+    """Basis rows of ``space`` at ``z``, one scipy spline per basis function."""
+    from scipy.interpolate import BSpline
+    from asg1kit.splines import knot_vector
+
+    t = knot_vector(space)
+    return np.stack([BSpline(t, np.eye(space.dim)[i], space.degree,
+                             extrapolate=False)(z, nu=d)
+                     for i in range(space.dim)], axis=-1)
+
+
 def test_eval_matches_kronecker_oracle():
     # independent evaluation through scipy, one basis function at a time, of
     # every order up to degree + 1 at scattered points, at broadcast pairs
     # and on a column/row grid; a multi-order jet equals one-order calls
-    from scipy.interpolate import BSpline
-    from asg1kit.splines import knot_vector
     from asg1kit.tensor import eval_tensor_grid
 
     V = tensor_space(3, 1, 3)
     f = random_tensor_spline(V, seed=5)
-    t = knot_vector(V.space1)
-    dim = V.space1.dim
 
     def rows(z, d):
-        return np.stack([BSpline(t, np.eye(dim)[i], 3, extrapolate=False)(z, nu=d)
-                         for i in range(dim)], axis=-1)
+        return kronecker_rows(V.space1, z, d)
 
     rng = np.random.default_rng(6)
     s1 = np.linspace(0.0, 1.0, 7)
@@ -90,6 +96,37 @@ def test_eval_matches_kronecker_oracle():
     grid = f.jet(s1[:, None], s2[None, :], orders)
     for a, b in orders:
         assert np.array_equal(grid[a, b], eval_tensor_grid(f, s1, s2, a, b))
+
+
+def test_blocked_band_contraction_matches_kronecker_oracle():
+    # x2 bound once, then x1 in blocks that start and end inside elements;
+    # x1 holds every breakpoint (right limits) and x = 1, the partition is
+    # non-uniform and the coefficient grid has two components, as for a map
+    from asg1kit.splines import Partition, tensor_bind_x2
+
+    Z = Partition((0.0, 0.1, 0.25, 0.6, 0.7, 1.0))
+    S1 = UniSplineSpace(4, 2, Z)
+    S2 = UniSplineSpace(3, 1, Partition((0.0, 0.3, 0.45, 1.0)))
+    rng = np.random.default_rng(9)
+    coef = rng.standard_normal((S1.dim, S2.dim, 2))
+    x1 = np.sort(np.concatenate((Z.breakpoints, rng.random(25))))
+    x2 = np.sort(np.concatenate(((0.0, 0.3, 0.45, 1.0), rng.random(7))))
+    orders = [(a, b) for a in range(6) for b in range(5)]
+    bound = tensor_bind_x2((S1, S2), coef, x2, orders)
+    cuts = [0, 1, 4, 5, 13, 14, 22, len(x1) - 1, len(x1)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        block = x1[lo:hi]
+        jet = bound(block)
+        assert set(jet) == {(a, b) for a, b in orders if a <= 4 and b <= 3}
+        for (a, b), got in jet.items():
+            assert got.shape == (len(block), len(x2), 2)
+            assert got[..., 1].strides[-1] == got.itemsize
+            for c in range(2):
+                want = (kronecker_rows(S1, block, a) @ coef[..., c]
+                        @ kronecker_rows(S2, x2, b).T)
+                scale = float(np.max(np.abs(want)))
+                assert np.max(np.abs(got[..., c] - want)) <= 1e-14 * scale, \
+                    (lo, a, b, c)
 
 
 # -- traces -----------------------------------------------------------------------
