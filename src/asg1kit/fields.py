@@ -21,6 +21,7 @@ are summed by their order of u, so one order array of u is alive at a time.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -243,7 +244,9 @@ def directional_edge_field(u: ScalarField2D, j: int, alpha, beta) -> ScalarField
 # the order (m, n) of u.  Every factor order of the list for (a, b) is at
 # most (a, b) componentwise, so one geometry jet up to (a, b) holds all of
 # them; a term whose factor order is absent from the jet (identically zero
-# for the map, e.g. any order above 1 of a bilinear map) is skipped.
+# for the map, e.g. any order above 1 of a bilinear map) is skipped.  Only a
+# term's first multiply, (coef * f_0), allocates: the later ones, the group
+# sums and the product with the u-order run in place, never in a jet's array.
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,18 +305,19 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
         ujet = u.jet(jet[0, 0][..., 0], jet[0, 0][..., 1], top, top)
 
         def order(a, b):
-            out = 0.0
+            out = None
             for uo, terms in _terms_by_u_order(a, b):
-                factor = None
+                group = None
                 for coef, factors in terms:
                     if any(od not in jet for _, od in factors):
                         continue
-                    acc = coef
+                    acc = coef  # a float: the first multiply allocates
                     for comp, od in factors:
-                        acc = acc * jet[od][..., comp]
-                    factor = acc if factor is None else factor + acc
-                if factor is not None:
-                    out = out + ujet(*uo) * factor
+                        acc *= jet[od][..., comp]
+                    group = acc if group is None else operator.iadd(group, acc)
+                if group is not None:
+                    group *= ujet(*uo)
+                    out = group if out is None else operator.iadd(out, group)
             return out
 
         return order

@@ -23,15 +23,10 @@ import numpy as np
 from .fields import ScalarField2D
 from .geometry import GeometryError, Patch
 from .ritz1d import default_quadrature_nodes
-from .splines import gauss_rule
+from .splines import _BLOCK_POINTS, gauss_rule
 from .tensor import TensorSpline
 
 __all__ = ["ErrorTable", "physical_error_norms", "combine_tables", "observed_order"]
-
-# The most quadrature points whose integrands are alive at once (unless one
-# element row is more).  A block costs little beyond its points, and 2^15
-# keeps its arrays near the L2 cache, where the elementwise passes run fastest.
-_BLOCK_POINTS = 32768
 
 _ORDERS = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((2, 0), (1, 1), (0, 2))}
 

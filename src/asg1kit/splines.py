@@ -53,6 +53,13 @@ __all__ = [
 
 _BREAKPOINT_TOL = 1e-12
 
+# The most grid points whose arrays are alive at once in the blocked loops of
+# the norm quadrature and of the tensor projector's data (unless one element
+# row, or one data row, is more).  A block costs little beyond its points,
+# and 2^15 keeps its arrays near the L2 cache, where the elementwise passes
+# run fastest.
+_BLOCK_POINTS = 32768
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -200,10 +207,13 @@ def greville_points(space: UniSplineSpace) -> np.ndarray:
 
 
 def _clip_domain(x) -> np.ndarray:
+    """``x`` with round-off overshoot of [0, 1] clipped; one pass for the
+    minimum and one for the maximum, a copy only when there is overshoot."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -_BREAKPOINT_TOL) or np.any(arr > 1.0 + _BREAKPOINT_TOL):
+    lo, hi = arr.min(initial=0.0), arr.max(initial=1.0)
+    if lo < -_BREAKPOINT_TOL or hi > 1.0 + _BREAKPOINT_TOL:
         raise ValueError("evaluation point outside [0, 1]")
-    return np.clip(arr, 0.0, 1.0)
+    return arr if lo == 0.0 and hi == 1.0 else np.clip(arr, 0.0, 1.0)
 
 
 def eval_spline(f: UniSpline, x, d: int = 0):

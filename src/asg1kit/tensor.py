@@ -9,7 +9,9 @@ parameter direction.  Because a univariate projection is a fixed linear map
 of point-evaluation data (see :mod:`asg1kit.ritz1d`), the tensor coefficients
 are ``C = M1 @ D @ M2.T`` where ``D`` holds the mixed derivative data of the
 input on the cartesian product of the two descriptor sets -- the nested
-application of the coefficient functionals of both directions.
+application of the coefficient functionals of both directions.  Each order
+block of ``D`` is evaluated in cache-sized blocks of rows, at most the norm
+quadrature's ``_BLOCK_POINTS`` points each, whatever the field.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 from .fields import ScalarField1D, ScalarField2D
 from .geometry import EDGE_AXIS, NORMALS
 from .ritz1d import PointFunctionals, ritz_functionals
-from .splines import (UniSpline, UniSplineSpace, _derivative_matrix, tensor_bind_x2,
-                      tensor_jet)
+from .splines import (_BLOCK_POINTS, UniSpline, UniSplineSpace, _derivative_matrix,
+                      tensor_bind_x2, tensor_jet)
 
 __all__ = [
     "TensorSplineSpace",
@@ -190,7 +192,9 @@ def directional_project(space: TensorSplineSpace, j: int, r: int,
 
 def data_matrix(u: ScalarField2D, f1: PointFunctionals, f2: PointFunctionals
                 ) -> np.ndarray:
-    """Mixed derivative data D[a, b] = d1^{o1_a} d2^{o2_b} u(x_a, y_b)."""
+    """Mixed derivative data D[a, b] = d1^{o1_a} d2^{o2_b} u(x_a, y_b), one
+    call of ``u`` per order pair and block of rows of at most
+    ``_BLOCK_POINTS`` points (one row at least)."""
     o1 = np.asarray(f1.orders)
     o2 = np.asarray(f2.orders)
     x = np.asarray(f1.points)
@@ -200,7 +204,10 @@ def data_matrix(u: ScalarField2D, f1: PointFunctionals, f2: PointFunctionals
         ia = np.where(o1 == da)[0]
         for db in sorted(set(f2.orders)):
             ib = np.where(o2 == db)[0]
-            D[np.ix_(ia, ib)] = u(x[ia][:, None], y[ib][None, :], da, db)
+            rows = max(1, _BLOCK_POINTS // len(ib))
+            for start in range(0, len(ia), rows):
+                block = ia[start:start + rows]
+                D[np.ix_(block, ib)] = u(x[block][:, None], y[ib][None, :], da, db)
     return D
 
 

@@ -376,6 +376,45 @@ def test_pullback_jet_matches_one_order(kind):
                 assert np.max(np.abs(got - want)) <= 1e-13 * scale, (a, b)
 
 
+def _read_only(arr):
+    arr = np.asarray(arr)
+    arr.flags.writeable = False
+    return arr
+
+
+class _ReadOnlyJets:
+    """A geometry map whose jet arrays raise on any write."""
+
+    def __init__(self, gmap):
+        self.gmap = gmap
+
+    def jet(self, *args, **kwargs):
+        return {od: _read_only(v) for od, v in self.gmap.jet(*args, **kwargs).items()}
+
+
+@pytest.mark.parametrize("kind", ["bilinear", "spline", "nurbs"])
+def test_in_place_pullback_leaves_the_jets_intact(kind):
+    # the chain-rule sums run in place; the geometry jet and the target's
+    # orders are read-only here, so a write into either raises
+    u = manufactured("sinsin")
+    ro_u = ScalarField2D(lambda x, y, a, b: _read_only(u(x, y, a, b)),
+                         max_order=u.max_order)
+    gmap = _geometry_maps()[kind]
+    v = pullback(ro_u, _ReadOnlyJets(gmap))
+    x, y = _jet_points()[1]
+    x = 0.05 + 0.9 * x
+    orders = [(a, b) for a in range(4) for b in range(4)]
+    jet = v.jet(x, y, 3, 3)
+    first = {ab: jet(*ab) for ab in orders}
+    for ab in orders[::-1]:
+        again = jet(*ab)
+        assert again is not first[ab]
+        assert np.array_equal(again, first[ab]), ab
+        assert np.array_equal(again, v(x, y, *ab)), ab
+    G = gmap.point(x, y)
+    assert np.array_equal(first[0, 0], u(G[..., 0], G[..., 1]))
+
+
 @pytest.mark.parametrize("name", sorted(MANUFACTURED))
 def test_evaluator_only_field_gives_the_same_jet(name):
     # the form in which an outside wrapper rebuilds a field

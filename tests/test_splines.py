@@ -121,6 +121,23 @@ def test_eval_outside_domain_rejected():
         f(-0.2)
 
 
+def test_eval_clips_round_off_overshoot_and_rejects_more():
+    from asg1kit.splines import _BREAKPOINT_TOL as tol
+
+    S = UniSplineSpace(3, 1, uniform_partition(4))
+    f = random_spline(S)
+    inside = np.array([0.0, 0.3, 1.0])
+    for d in range(3):
+        # overshoot within the tolerance is evaluated at the end point itself
+        # (unclipped, scipy would return nan beyond the knot span)
+        over = np.array([-0.5 * tol, 0.3, 1.0 + 0.5 * tol])
+        assert np.array_equal(eval_operator(S, over, d), eval_operator(S, inside, d))
+    assert f(1.0 + 0.5 * tol) == f(1.0) and f(-0.5 * tol) == f(0.0)
+    for x in ([-3 * tol], [1.0 + 3 * tol], [0.5, 1.0 + 3 * tol], [-3 * tol, 0.5]):
+        with pytest.raises(ValueError, match="evaluation point outside"):
+            eval_operator(S, np.array(x))
+
+
 def test_polynomial_reproduction():
     for p in (2, 3, 5):
         S = UniSplineSpace(p, p - 2, uniform_partition(3))

@@ -333,3 +333,49 @@ def test_data_matrix_orders_and_points():
     # entry (0, 0): value at (0, 0); entry (1, 1): d1 d2 u at (0, 0)
     assert D[0, 0] == pytest.approx(1.0, abs=1e-14)
     assert D[1, 1] == pytest.approx(2.0, abs=1e-14)
+
+
+def _full_grid_data(u, f1, f2):
+    """The data matrix with every order block evaluated in one call."""
+    o1, o2 = np.asarray(f1.orders), np.asarray(f2.orders)
+    x, y = np.asarray(f1.points), np.asarray(f2.points)
+    D = np.empty((len(x), len(y)))
+    for da in set(f1.orders):
+        for db in set(f2.orders):
+            ia, ib = np.flatnonzero(o1 == da), np.flatnonzero(o2 == db)
+            D[np.ix_(ia, ib)] = u(x[ia][:, None], y[ib][None, :], da, db)
+    return D
+
+
+@pytest.mark.parametrize("kind", ["bilinear", "spline", "tensor_spline"])
+def test_data_matrix_row_blocks_match_full_grid_data(kind):
+    from asg1kit.fields import pullback
+    from asg1kit.ritz1d import ritz_functionals
+    from asg1kit.splines import _BLOCK_POINTS, Partition
+    from test_geometry import _jet_maps
+
+    # 40 graded elements, 8 Gauss nodes each: the (2, 2) block is 320 x 320
+    # points, more than three blocks of 102 rows and a remainder of 14
+    Z = Partition(tuple(float(t) for t in (np.arange(41) / 40) ** 1.5))
+    S = UniSplineSpace(4, 2, Z)
+    f = ritz_functionals(S, 2, 8)
+    gauss = f.orders.count(2)
+    assert gauss ** 2 > 3 * _BLOCK_POINTS and gauss % (_BLOCK_POINTS // gauss)
+    if kind == "tensor_spline":
+        space = TensorSplineSpace(S, S)
+        u = as_field(TensorSpline(space, random_tensor_spline(space).coefficients))
+    else:
+        u = pullback(manufactured("sinsin"), _jet_maps()[kind])
+    calls = []
+
+    def recorded(x, y, a, b):
+        calls.append(((a, b), x.size, np.broadcast_shapes(x.shape, y.shape)))
+        return u(x, y, a, b)
+
+    D = data_matrix(ScalarField2D(recorded, max_order=u.max_order), f, f)
+    assert np.array_equal(D, _full_grid_data(u, f, f))
+    for ab, rows, shape in calls:
+        assert rows == 1 or np.prod(shape) <= _BLOCK_POINTS, (ab, shape)
+    # each order block is covered once, the (2, 2) block in four row blocks
+    assert [rows for ab, rows, _ in calls if ab == (2, 2)] == [102, 102, 102, 14]
+    assert len({ab for ab, _, _ in calls}) == 9
