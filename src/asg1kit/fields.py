@@ -12,10 +12,13 @@ The registry of manufactured functions provides closed-form fields for
 convergence studies.  ``pullback`` composes a physical field with a geometry
 map by a term-wise chain rule (term lists cached per derivative order).  A
 pullback jet takes one geometry jet (see `geometry`), which supplies the
-mapped points, the Jacobian determinant and every chain-rule factor, and one
-jet of the physical field at the mapped points.  Terms with a factor that is
-identically zero for the map (absent from its jet) are skipped, and terms
-are summed by their order of u, so one order array of u is alive at a time.
+mapped points, the Jacobian determinant and every chain-rule factor, each at
+the broadcast shape of the axes it depends on, and one jet of the physical
+field at the mapped points (a column and a row of them on an axis-aligned
+patch).  Terms with a factor that is identically zero for the map (absent
+from its jet) are skipped, and terms are summed by their order of u, so one
+order array of u is alive at a time.  A pullback value has the broadcast
+shape of its input points.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EDGE_AXIS, NORMALS, TANGENTS, GeometryError, edge_coords
+from .geometry import (EDGE_AXIS, NORMALS, TANGENTS, GeometryError, edge_coords,
+                       jacobian_det)
 
 __all__ = [
     "ScalarField1D",
@@ -244,9 +248,25 @@ def directional_edge_field(u: ScalarField2D, j: int, alpha, beta) -> ScalarField
 # the order (m, n) of u.  Every factor order of the list for (a, b) is at
 # most (a, b) componentwise, so one geometry jet up to (a, b) holds all of
 # them; a term whose factor order is absent from the jet (identically zero
-# for the map, e.g. any order above 1 of a bilinear map) is skipped.  Only a
-# term's first multiply, (coef * f_0), allocates: the later ones, the group
-# sums and the product with the u-order run in place, never in a jet's array.
+# for the map, e.g. any order above 1 of a bilinear map) is skipped.  Each
+# factor is a jet component at the broadcast shape of the axes it depends
+# on, so a u-order's products and their sum stay at those small shapes and
+# meet the u-order, which spans the grid, in one multiply.  Only a term's
+# first multiply, (coef * f_0), allocates, and later ones where broadcasting
+# grows the product: the other multiplies, the group sums and the product
+# with the u-order run in place, never in a jet's array.
+
+
+_OUT_OF_PLACE = {operator.imul: operator.mul, operator.iadd: operator.add}
+
+
+def _fold(iop, acc, x):
+    """``iop(acc, x)`` for ``iop`` imul or iadd: in place in ``acc`` (a
+    number or an array this module allocated) unless broadcasting grows it."""
+    try:
+        return iop(acc, x)
+    except ValueError:  # numpy checks the output shape before it writes
+        return _OUT_OF_PLACE[iop](acc, x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -293,8 +313,7 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
 
     def bind(x1, x2, c, d):
         jet = gmap.jet(x1, x2, max(c, 1), max(d, 1))
-        d1, d2 = jet[1, 0], jet[0, 1]
-        det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+        det = jacobian_det(jet[1, 0], jet[0, 1])
         if np.any(det <= 0.0):
             raise GeometryError(
                 "geometry map has non-positive Jacobian determinant "
@@ -302,7 +321,8 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
             )
         # an order (a, b) <= (c, d) reads orders m + n <= c + d of u
         top = min(c + d, u.max_order)
-        ujet = u.jet(jet[0, 0][..., 0], jet[0, 0][..., 1], top, top)
+        ujet = u.jet(*jet[0, 0], top, top)
+        shape = np.broadcast(x1, x2).shape
 
         def order(a, b):
             out = None
@@ -313,12 +333,12 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
                         continue
                     acc = coef  # a float: the first multiply allocates
                     for comp, od in factors:
-                        acc *= jet[od][..., comp]
-                    group = acc if group is None else operator.iadd(group, acc)
+                        acc = _fold(operator.imul, acc, jet[od][comp])
+                    group = acc if group is None else _fold(operator.iadd, group, acc)
                 if group is not None:
-                    group *= ujet(*uo)
-                    out = group if out is None else operator.iadd(out, group)
-            return out
+                    group = _fold(operator.imul, group, ujet(*uo))
+                    out = group if out is None else _fold(operator.iadd, out, group)
+            return out if np.shape(out) == shape else np.broadcast_to(out, shape).copy()
 
         return order
 

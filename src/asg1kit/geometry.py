@@ -9,19 +9,32 @@ Every map G is a set of coefficients over two univariate B-spline bases: a
 bilinear map is the degree-1 case (S_{1,0} on (0, 1), its corners the control
 grid), a NURBS map contracts its homogeneous coefficients (w P, w) and applies
 the quotient rule once.  All of them evaluate derivatives through
-``jet(x1, x2, c, d)``, one `tensor_jet` contraction that returns
-``{(a, b): d1^a d2^b G}`` for all a <= c, b <= d, or for the (a, b) in
-``orders`` alone (NURBS: and the orders they depend on).  Orders that are
-identically zero are absent (above the degree of polynomial maps); an absent
-key means zero.  When ``x1`` is a column (N1, 1) and ``x2`` a row (1, N2), the
-jet is an (N1, N2) grid from basis rows on N1 + N2 points; any other broadcast
-pair is evaluated point by point.  ``derivative`` and ``point`` give single
-orders.
+``jet(x1, x2, c, d)``, which returns ``{(a, b): (d1^a d2^b G_x, d1^a d2^b
+G_y)}`` for all a <= c, b <= d, or for the (a, b) in ``orders`` alone, each
+order a tuple of component arrays.  Orders that are identically zero in every
+component are absent; an absent key means zero.
+
+Dependence rule: component c of order (a, b) is constant in x2 exactly when
+its coefficient grid, differentiated a times along x1 and b times along x2,
+is constant along x2 (below the degree: when its order (a, b+1) is
+identically zero), and the same holds for x1; a component constant in both is
+the value of its coefficients.  This is decided once per map, exactly, from
+the differentiated coefficient grid (`splines._derivative_matrix`).  When
+``x1`` is a column (N1, 1) and ``x2`` a row (1, N2) (`bind_x2`), each
+component has the broadcast shape of the axes it depends on: (N1, 1),
+(1, N2), (1, 1) or (N1, N2).  On a bilinear map d1 G depends on x2 at most,
+d2 G on x1 at most and d12 G on neither; on an axis-aligned patch x depends
+on x1 alone and y on x2 alone.  Components that depend on both axes take one
+folded contraction per group.  Any other broadcast pair of points is
+evaluated point by point, every component at the full shape.  ``derivative``
+and ``point`` give single orders stacked as (..., 2) arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb
@@ -31,8 +44,10 @@ import numpy as np
 from .splines import (
     Partition,
     UniSplineSpace,
+    _derivative_matrix,
     knot_vector,
     refine,
+    tensor_bind_x2,
     tensor_jet,
     uniform_partition,
 )
@@ -102,23 +117,131 @@ def edge_coords(j: int, t):
 _LINEAR = UniSplineSpace(1, 0, Partition((0.0, 1.0)))
 
 
+def _differentiate(space: UniSplineSpace, grid: np.ndarray, axis: int) -> np.ndarray:
+    """The coefficient grid (n1, n2, k) of the derivative along ``axis``:
+    `_derivative_matrix` applied as the scaled differences it is, so equal
+    neighbours give an exact zero."""
+    scale = np.diagonal(_derivative_matrix(space), 1)
+    return np.diff(grid, axis=axis) * scale.reshape((-1, 1, 1) if axis == 0 else (1, -1, 1))
+
+
+def _axis_derivatives(space: UniSplineSpace, grid: np.ndarray, axis: int) -> list:
+    """The grids of the derivatives of order 0, 1, ... along ``axis`` that
+    the coefficient maps reach: up to the degree, or to the first order
+    whose space is discontinuous."""
+    out = [grid]
+    while space.degree > 0 and space.smoothness >= 0:
+        out.append(_differentiate(space, out[-1], axis))
+        space = space.derivative_space()
+    return out
+
+
 class _TensorProductMap:
     """G(x1, x2) = sum_ij N_i(x1) M_j(x2) coef_ij over the bases of
     ``space1`` and ``space2``; subclasses set these and ``_coef`` (dim1,
-    dim2, components), which `tensor_jet` contracts."""
+    dim2, components), which `tensor_bind_x2` (grids) and `tensor_jet`
+    (scattered points) contract."""
+
+    @functools.cached_property
+    def _dependence(self) -> dict:
+        """{(a, b): ((on_x1, on_x2, value), ...)}, one triple per component
+        of d1^a d2^b G for a, b up to the degrees: whether the component
+        depends on x1 and on x2, and its value when it depends on neither.
+        The B-splines of each axis are independent and sum to one, so a
+        component is constant along an axis exactly when its coefficient grid
+        is, and a constant equals each of its coefficients.  Orders that the
+        coefficient maps do not reach count as depending on both axes."""
+        k = self._coef.shape[2]
+        out = dict.fromkeys(product(range(self.space1.degree + 1),
+                                    range(self.space2.degree + 1)),
+                            ((True, True, None),) * k)
+        for a, g in enumerate(_axis_derivatives(self.space1, self._coef, 0)):
+            for b, h in enumerate(_axis_derivatives(self.space2, g, 1)):
+                on1 = np.diff(h, axis=0).any(axis=(0, 1))
+                on2 = np.diff(h, axis=1).any(axis=(0, 1))
+                out[a, b] = tuple(
+                    (bool(i), bool(j), None if i or j else float(h[0, 0, c]))
+                    for c, (i, j) in enumerate(zip(on1, on2)))
+        return out
+
+    def _homogeneous_orders(self, orders) -> list:
+        """The orders of the contracted coefficients that ``orders`` read."""
+        return orders
+
+    def _from_homogeneous(self, jet: dict, orders) -> dict:
+        """The jet of G for ``orders`` from that of the contracted
+        coefficients."""
+        return jet
+
+    def _present(self, orders) -> list:
+        """``orders`` without those identically zero in every component."""
+        deps = self._dependence
+        return [ab for ab in orders
+                if ab in deps and any(v != 0.0 for _, _, v in deps[ab])]
 
     def jet(self, x1, x2, c: int = 0, d: int = 0, orders=None) -> dict:
-        """{(a, b): d1^a d2^b G} for a <= c, b <= d or the (a, b) in
-        ``orders``, in one pass; identically zero orders are absent."""
-        orders = product(range(c + 1), range(d + 1)) if orders is None else orders
-        return tensor_jet((self.space1, self.space2), self._coef, x1, x2, orders)
+        """{(a, b): (d1^a d2^b G_0, d1^a d2^b G_1, ...)} for a <= c, b <= d
+        or the (a, b) in ``orders``, in one pass; orders that are identically
+        zero in every component are absent.  A column ``x1`` (N1, 1) with a
+        row ``x2`` (1, N2) is the grid of `bind_x2`; any other broadcast pair
+        is contracted point by point, every component at the full shape."""
+        orders = list(product(range(c + 1), range(d + 1)) if orders is None else orders)
+        x1 = np.asarray(x1, dtype=float)
+        x2 = np.asarray(x2, dtype=float)
+        if x1.ndim == x2.ndim == 2 and x1.shape[1] == 1 and x2.shape[0] == 1:
+            return self.bind_x2(x2, orders)(x1)
+        needs = self._present(self._homogeneous_orders(orders))
+        full = tensor_jet((self.space1, self.space2), self._coef, x1, x2, needs)
+        k = self._coef.shape[2]
+        return self._from_homogeneous(
+            {ab: tuple(v[..., c] for c in range(k)) for ab, v in full.items()}, orders)
+
+    def bind_x2(self, x2, orders):
+        """``x1 -> jet(x1, x2, orders=orders)`` on the grid x1 (x) x2, x1 a
+        column (or flat) and x2 a row (or flat).  Each component has the
+        broadcast shape of the axes it depends on: (N1, 1), (1, N2), (1, 1)
+        or (N1, N2).  Constants come from the coefficients; the other
+        (order, component) pairs are grouped by the axes they depend on.  A
+        group that does not depend on x1 is evaluated here, the x2 axis of
+        the others is contracted here, and each call contracts only the
+        coefficient rows its x1 points touch."""
+        x2 = np.reshape(x2, (1, -1))
+        needs = self._present(self._homogeneous_orders(orders))
+        deps = self._dependence
+        spaces = (self.space1, self.space2)
+        constants = {ab: [None if v is None else np.full((1, 1), v)
+                          for _, _, v in deps[ab]] for ab in needs}
+        groups = defaultdict(list)
+        for ab in needs:
+            for c, (on1, on2, v) in enumerate(deps[ab]):
+                if v is None:
+                    groups[on1, on2].append((ab, c))
+        bound = []  # (pairs, component index, x1 -> values)
+        for (on1, on2), pairs in groups.items():
+            comps = sorted({c for _, c in pairs})
+            step2 = tensor_bind_x2(spaces, self._coef[..., comps],
+                                   x2 if on2 else x2[:, :1],
+                                   sorted({ab for ab, _ in pairs}))
+            if not on1:  # the same values for every x1
+                step2 = lambda x1, values=step2([0.0]): values  # noqa: E731
+            bound.append((pairs, comps.index, step2))
+
+        def block(x1) -> dict:
+            out = {ab: list(v) for ab, v in constants.items()}
+            for pairs, index, step2 in bound:
+                values = step2(x1)
+                for ab, c in pairs:
+                    out[ab][c] = values[ab][..., index(c)]
+            return self._from_homogeneous({ab: tuple(v) for ab, v in out.items()},
+                                          orders)
+
+        return block
 
     def _one_order(self, x1, x2, c: int, d: int) -> np.ndarray:
-        out = self.jet(x1, x2, orders=[(c, d)])
-        if (c, d) in out:
-            return out[c, d]
-        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-        return np.zeros(shape + (self._coef.shape[2],))
+        out = np.zeros(np.broadcast(x1, x2).shape + (2,))
+        for k, v in enumerate(self.jet(x1, x2, orders=[(c, d)]).get((c, d), ())):
+            out[..., k] = v
+        return out
 
     def point(self, x1, x2) -> np.ndarray:
         return self._one_order(x1, x2, 0, 0)
@@ -167,10 +290,12 @@ class SplineMap(_TensorProductMap):
 class NurbsMap(_TensorProductMap):
     """Rational tensor-product spline patch G = F / w.
 
-    The jet contracts the homogeneous coefficients (w P, w) once, then one
-    in-place pass of the quotient rule applied to ``F = G * w`` turns it into
-    every rational order, which keeps the discrete function space polynomial
-    on the parameter domain.  No order of a rational map is dropped.
+    The jet contracts the homogeneous coefficients (w P, w) once, at the
+    shapes their dependence allows, then the quotient rule applied to
+    ``F = G * w`` turns it into every rational order, each component at the
+    broadcast shape of its operands; this keeps the discrete function space
+    polynomial on the parameter domain.  No order of a rational map is
+    dropped.
     """
 
     kind = "nurbs"
@@ -189,35 +314,40 @@ class NurbsMap(_TensorProductMap):
         w = self.weights[:, :, None]
         self._coef = np.concatenate([self.control * w, w], axis=2)
 
-    def jet(self, x1, x2, c: int = 0, d: int = 0, orders=None) -> dict:
-        orders = list(product(range(c + 1), range(d + 1)) if orders is None else orders)
+    def _homogeneous_orders(self, orders) -> list:
         # an order (a, b) reads every (e, f) <= (a, b)
-        needs = sorted({(e, f) for a, b in orders
-                        for e in range(a + 1) for f in range(b + 1)})
-        H = super().jet(x1, x2, orders=needs)
-        w0 = H[0, 0][..., 2:]
-        G: dict[tuple[int, int], np.ndarray] = {}
-        for a, b in needs:
+        return sorted({(e, f) for a, b in orders
+                       for e in range(a + 1) for f in range(b + 1)})
+
+    def _from_homogeneous(self, H: dict, orders) -> dict:
+        w0 = H[0, 0][2]
+        G: dict[tuple[int, int], tuple] = {}
+        for a, b in self._homogeneous_orders(orders):
             # F^(a,b) = sum_{e<=a, f<=b} C(a,e) C(b,f) G^(e,f) w^(a-e,b-f)
-            g = (H[a, b][..., :2] if (a, b) in H
-                 else np.zeros(w0.shape[:-1] + (2,)))
+            g = [H[a, b][c] if (a, b) in H else 0.0 for c in range(2)]
             for e in range(a + 1):
                 for f in range(b + 1):
                     if (e, f) != (a, b) and (a - e, b - f) in H:
-                        g -= (comb(a, e) * comb(b, f)
-                              * G[e, f] * H[a - e, b - f][..., 2:])
-            g /= w0
-            G[a, b] = g
+                        w = comb(a, e) * comb(b, f) * H[a - e, b - f][2]
+                        g = [g[c] - G[e, f][c] * w for c in range(2)]
+            G[a, b] = tuple(v / w0 for v in g)
         return {ab: G[ab] for ab in orders}
 
     def derivative(self, x1, x2, c: int = 0, d: int = 0) -> np.ndarray:
         return self._one_order(x1, x2, c, d)
 
 
-def jacobian(gmap, x1, x2) -> np.ndarray:
-    """Jacobian with columns d1 G, d2 G; shape (..., 2, 2)."""
+def jacobian(gmap, x1, x2) -> tuple:
+    """The Jacobian's columns (d1 G, d2 G), each a component tuple of
+    `jet`."""
     jet = gmap.jet(x1, x2, orders=[(1, 0), (0, 1)])
-    return np.stack([jet[1, 0], jet[0, 1]], axis=-1)
+    return jet[1, 0], jet[0, 1]
+
+
+def jacobian_det(d1, d2):
+    """det [d1 G | d2 G] from the component tuples of the two columns, at
+    their broadcast shape."""
+    return d1[0] * d2[1] - d1[1] * d2[0]
 
 
 def check_2regular(gmap, samples: int = 33):
@@ -227,8 +357,8 @@ def check_2regular(gmap, samples: int = 33):
     means the map folds and is not 2-regular.
     """
     s = np.linspace(0.0, 1.0, samples)
-    J = jacobian(gmap, s[:, None], s[None, :])
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    det = np.broadcast_to(jacobian_det(*jacobian(gmap, s[:, None], s[None, :])),
+                          (samples, samples))
     i, j = np.unravel_index(np.argmin(det), det.shape)
     return float(det[i, j]), (float(s[i]), float(s[j]))
 

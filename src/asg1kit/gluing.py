@@ -33,6 +33,7 @@ from .geometry import (
     edge_coords,
     edge_parameter_map,
     jacobian,
+    jacobian_det,
 )
 
 __all__ = [
@@ -129,12 +130,10 @@ class GluingData:
 
 def _edge_cross_and_det(patch, j, t):
     """Outward cross-derivative N_j and Jacobian determinant on side j."""
-    J = jacobian(patch.gmap, *edge_coords(j, t))
-    d1, d2 = J[..., 0], J[..., 1]
+    d1, d2 = jacobian(patch.gmap, *edge_coords(j, t))
     n = NORMALS[j]
-    N = n[0] * d1 + n[1] * d2
-    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-    return N, det
+    N = tuple(n[0] * a + n[1] * b for a, b in zip(d1, d2))
+    return N, jacobian_det(d1, d2)
 
 
 def interface_determinants(mp: MultiPatch, iface: Interface, xi):
@@ -144,7 +143,7 @@ def interface_determinants(mp: MultiPatch, iface: Interface, xi):
     eta = edge_parameter_map(iface, xi)
     N_left, D1 = _edge_cross_and_det(mp.patches[i], j, xi)
     N_right, D2 = _edge_cross_and_det(mp.patches[ii], jj, eta)
-    D3 = N_right[..., 0] * N_left[..., 1] - N_right[..., 1] * N_left[..., 0]
+    D3 = jacobian_det(N_right, N_left)
     return D1, D2, D3
 
 
@@ -330,12 +329,11 @@ def g1_compatibility_residual(mp: MultiPatch, iface: Interface,
     (i, j), (ii, jj) = iface.left, iface.right
 
     def pushforward(patch, side, glue, t):
-        J = jacobian(patch.gmap, *edge_coords(side, t))
-        d1, d2 = J[..., 0], J[..., 1]
+        d1, d2 = jacobian(patch.gmap, *edge_coords(side, t))
         dvec = crossing_direction(glue, side)(t)
-        return dvec[..., :1] * d1 + dvec[..., 1:] * d2, max(
-            float(np.max(np.abs(d1))), float(np.max(np.abs(d2)))
-        )
+        return (np.stack([dvec[..., 0] * a + dvec[..., 1] * b
+                          for a, b in zip(d1, d2)], axis=-1),
+                max(float(np.max(np.abs(v))) for v in d1 + d2))
 
     vl, s1 = pushforward(mp.patches[i], j, left, xi)
     vr, s2 = pushforward(mp.patches[ii], jj, right, eta)

@@ -8,10 +8,14 @@ Jacobian transpose, the Hessian with the second-order geometry correction
 
 The quadrature sums run over blocks of whole x1 elements, each at most
 ``_BLOCK_POINTS`` points of the tensor grid unless one element row is more.
-The x2 axis of the approximation is contracted once per call
-(`TensorSpline.bind_x2`); each block takes one geometry jet, one bound jet of
-the target and the six orders of the approximation from the coefficient rows
-its x1 elements touch.  No integrand is formed on the full grid.
+The x2 axis of the approximation and of the geometry is contracted once per
+call (`TensorSpline.bind_x2`, ``gmap.bind_x2``); each block takes one
+geometry jet, one bound jet of the target and the six orders of the
+approximation from the coefficient rows its x1 elements touch.  Geometry jet
+components keep the broadcast shapes of the axes they depend on (see
+`geometry`), and so do the mapped points at which the target is evaluated,
+det G, 1/det and the entries of J^{-1} and of their products; only the
+integrands that meet the approximation span the block's grid.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField2D
-from .geometry import GeometryError, Patch
+from .geometry import GeometryError, Patch, jacobian_det
 from .ritz1d import default_quadrature_nodes
 from .splines import _BLOCK_POINTS, gauss_rule
 from .tensor import TensorSpline
@@ -34,31 +38,32 @@ _ORDERS = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((2, 0), (1, 1), (0, 2))}
 def _inverse_chain_rule(jac, grad, hess=None, geo_hess=None):
     """Physical gradient and Hessian of f o G^{-1} from parametric derivatives.
 
-    ``jac`` holds d1 G and d2 G and ``geo_hess`` holds d11 G, d12 G and d22 G
-    (last axis the physical component); ``grad`` holds d1 f and d2 f and
-    ``hess`` holds d11 f, d12 f and d22 f; a ``geo_hess`` entry of None is
-    an identically zero second derivative of G.
+    ``jac`` holds d1 G and d2 G and ``geo_hess`` holds d11 G, d12 G and d22 G,
+    each a component tuple of a geometry jet; ``grad`` holds d1 f and d2 f
+    and ``hess`` holds d11 f, d12 f and d22 f; a ``geo_hess`` entry of None
+    is an identically zero second derivative of G.  Everything formed from
+    the geometry alone stays at the broadcast shape of its jet components.
     Returns ``(gx, gy)`` and ``(hxx, hxy, hyy)``, the latter None when no
     ``hess`` is given.
     """
-    d1, d2 = jac
-    inv_det = 1.0 / (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    (d1x, d1y), (d2x, d2y) = jac
+    inv_det = 1.0 / jacobian_det(*jac)
+    # B = J^{-1} = adj(J) / det with J = [d1 | d2] columns
+    b11, b12 = inv_det * d2y, -inv_det * d2x
+    b21, b22 = -inv_det * d1y, inv_det * d1x
     g1, g2 = grad
-    # J^{-T} rows from the adjugate: J = [d1 | d2] columns
-    gx = inv_det * (d2[..., 1] * g1 - d1[..., 1] * g2)
-    gy = inv_det * (-d2[..., 0] * g1 + d1[..., 0] * g2)
+    # the physical gradient is B^T times the parametric one
+    gx = b11 * g1 + b21 * g2
+    gy = b12 * g1 + b22 * g2
     if hess is None:
         return (gx, gy), None
-    a11, a12, a22 = (h if G is None else h - (gx * G[..., 0] + gy * G[..., 1])
+    a11, a12, a22 = (h if G is None else h - (gx * G[0] + gy * G[1])
                      for h, G in zip(hess, geo_hess))
-    # H_phys = B^T A B with B = J^{-1} = adj(J) / det
-    b11 = inv_det * d2[..., 1]
-    b12 = inv_det * (-d2[..., 0])
-    b21 = inv_det * (-d1[..., 1])
-    b22 = inv_det * d1[..., 0]
-    hxx = b11 * (a11 * b11 + a12 * b21) + b21 * (a12 * b11 + a22 * b21)
-    hxy = b11 * (a11 * b12 + a12 * b22) + b21 * (a12 * b12 + a22 * b22)
-    hyy = b12 * (a11 * b12 + a12 * b22) + b22 * (a12 * b12 + a22 * b22)
+    # H_phys = B^T A B, each entry a form in (a11, a12, a22) whose
+    # coefficients are products of B entries
+    hxx = a11 * (b11 * b11) + a12 * (2.0 * b11 * b21) + a22 * (b21 * b21)
+    hxy = a11 * (b11 * b12) + a12 * (b11 * b22 + b21 * b12) + a22 * (b21 * b22)
+    hyy = a11 * (b12 * b12) + a12 * (2.0 * b12 * b22) + a22 * (b22 * b22)
     return (gx, gy), (hxx, hxy, hyy)
 
 
@@ -98,38 +103,42 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
         ) + 2
     x1, w1 = gauss_rule(patch.partitions[0], nq)
     x2, w2 = gauss_rule(patch.partitions[1], nq)
-    # the orders of f_h the norms read (H2 needs H1's), x2 contracted once
+    # the orders of f_h the norms read (H2 needs H1's) and those of the
+    # geometry, each with x2 contracted once
     reads = set(t_orders) | ({1} if 2 in t_orders else set())
     fjet = f_h.bind_x2(x2, [ab for t in sorted(reads) for ab in _ORDERS[t]])
+    top = 2 if 2 in t_orders else 1
+    gjet = patch.gmap.bind_x2(x2, [ab for t in range(top + 1) for ab in _ORDERS[t]])
     # blocks of whole x1 elements (nq nodes each), at least one per block
     rows = nq * max(1, _BLOCK_POINTS // (nq * len(x2)))
     sums = dict.fromkeys(t_orders, 0.0)
     for start in range(0, len(x1), rows):
         block = slice(start, start + rows)
-        for t, s in _squared_errors(patch, u, fjet, x1[block], x2,
+        for t, s in _squared_errors(gjet, u, fjet, x1[block], x2,
                                     np.outer(w1[block], w2), t_orders).items():
             sums[t] += s
     return ErrorTable.from_seminorms({t: np.sqrt(s) for t, s in sums.items()})
 
 
-def _squared_errors(patch: Patch, u: ScalarField2D, f_bound, x1, x2, W,
+def _squared_errors(g_bound, u: ScalarField2D, f_bound, x1, x2, W,
                     t_orders) -> dict:
     """{t: sum of W * det * |d^t error|^2} on the tensor grid x1 (x) x2;
-    ``f_bound`` is the approximation with x2 bound."""
+    ``g_bound`` and ``f_bound`` are the geometry and the approximation with
+    x2 bound."""
     # one geometry jet of the orders read on the grid; absent orders are zero
-    top = 2 if 2 in t_orders else 1
-    jet = patch.gmap.jet(x1[:, None], x2[None, :],
-                         orders=[ab for t in range(top + 1) for ab in _ORDERS[t]])
+    jet = g_bound(x1)
     d1, d2 = jet[1, 0], jet[0, 1]
-    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    det = jacobian_det(d1, d2)
     if np.any(det <= 0.0):
+        # det has the shape of the axes it depends on; locate on the grid
+        det = np.broadcast_to(det, (len(x1), len(x2)))
         i, j = np.unravel_index(np.argmin(det), det.shape)
         raise GeometryError(
             f"non-positive Jacobian determinant {det[i, j]:.3e} at quadrature "
             f"point ({x1[i]:.6f}, {x2[j]:.6f})"
         )
     W = W * det
-    ujet = u.jet(jet[0, 0][..., 0], jet[0, 0][..., 1], max(t_orders), max(t_orders))
+    ujet = u.jet(*jet[0, 0], max(t_orders), max(t_orders))
     fjet = f_bound(x1)
 
     out = {}

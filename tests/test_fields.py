@@ -10,7 +10,7 @@ from asg1kit.fields import (
     pullback,
     restrict_to_edge,
 )
-from asg1kit.geometry import BilinearMap, NurbsMap, SplineMap
+from asg1kit.geometry import BilinearMap, NurbsMap, SplineMap, builtin_geometry
 from asg1kit.gluing import LinearFunction
 from asg1kit.splines import UniSpline, UniSplineSpace, uniform_partition
 
@@ -285,6 +285,41 @@ def test_pullback_takes_one_jet_per_evaluation(monkeypatch):
     assert calls == {"jet": 1, "derivative": 0, "point": 0}
 
 
+def test_axis_aligned_patch_passes_the_target_broadcast_points():
+    # on a three_patch_L patch x depends on x1 alone and y on x2 alone, so
+    # the target of a pullback and of the norms sees the N1 + N2 points of
+    # a column and a row, never the N1 x N2 grid
+    from asg1kit.norms import physical_error_norms
+    from asg1kit.splines import gauss_rule
+    from asg1kit.tensor import TensorSpline, TensorSplineSpace
+
+    patch = builtin_geometry("three_patch_L", 4).patches[1]
+    u = manufactured("sinsin")
+    shapes = []
+
+    def recording(x, y, a, b):
+        shapes.append((np.shape(x), np.shape(y)))
+        return u(x, y, a, b)
+
+    rec = ScalarField2D(recording, max_order=u.max_order)
+    s1, s2 = np.linspace(0.1, 0.9, 7), np.linspace(0.1, 0.9, 5)
+    got = pullback(rec, patch.gmap)(s1[:, None], s2[None, :], 2, 2)
+    assert set(shapes) == {((7, 1), (1, 5))}
+    X1, X2 = np.meshgrid(s1, s2, indexing="ij")
+    want = pullback(u, patch.gmap)(X1, X2, 2, 2)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+
+    shapes.clear()
+    S = UniSplineSpace(3, 1, patch.partitions[0])
+    zero = TensorSpline(TensorSplineSpace(S, S), np.zeros((S.dim, S.dim)))
+    nq = 5
+    physical_error_norms(patch, rec, zero, nq=nq)
+    n1 = len(gauss_rule(patch.partitions[0], nq)[0])
+    n2 = len(gauss_rule(patch.partitions[1], nq)[0])
+    assert set(shapes) == {((n1, 1), (1, n2))}
+
+
 def test_nurbs_pullback_consistency():
     Z = uniform_partition(1)
     S = UniSplineSpace(2, 1, Z)
@@ -389,7 +424,8 @@ class _ReadOnlyJets:
         self.gmap = gmap
 
     def jet(self, *args, **kwargs):
-        return {od: _read_only(v) for od, v in self.gmap.jet(*args, **kwargs).items()}
+        return {od: tuple(map(_read_only, v))
+                for od, v in self.gmap.jet(*args, **kwargs).items()}
 
 
 @pytest.mark.parametrize("kind", ["bilinear", "spline", "nurbs"])

@@ -21,7 +21,7 @@ from asg1kit.geometry import (
     physical_mesh_size,
     save_geometry,
 )
-from asg1kit.splines import UniSplineSpace, uniform_partition
+from asg1kit.splines import UniSplineSpace, tensor_jet, uniform_partition
 
 
 def identity_map():
@@ -118,14 +118,63 @@ def test_jet_matches_derivative(kind):
                     continue
                 assert np.any(want != 0.0), (a, b)
                 scale = max(1.0, float(np.max(np.abs(want))))
-                assert jet[a, b].shape == want.shape
-                assert np.max(np.abs(jet[a, b] - want)) <= 1e-13 * scale, (a, b)
-            if (a, b) in jets[1]:
-                scale = max(1.0, float(np.max(np.abs(jets[2][a, b]))))
-                assert np.max(np.abs(jets[1][a, b] - jets[2][a, b])) <= 1e-13 * scale
+                assert len(jet[a, b]) == want.shape[-1]
+                for c, value in enumerate(jet[a, b]):
+                    # grid components broadcast to the grid, others are full
+                    if xy is not grid:
+                        assert value.shape == want.shape[:-1]
+                    got = np.broadcast_to(value, want.shape[:-1])
+                    assert np.max(np.abs(got - want[..., c])) <= 1e-13 * scale, (a, b)
+            for v, w in zip(jets[1].get((a, b), ()), jets[2].get((a, b), ())):
+                scale = max(1.0, float(np.max(np.abs(w))))
+                assert np.max(np.abs(np.broadcast_to(v, w.shape) - w)) <= 1e-13 * scale
     absent = {"bilinear": 1, "spline": 3, "nurbs": top}[kind]
     assert set(jets[0]) == {(a, b) for a in range(absent + 1)
                             for b in range(absent + 1)}
+
+
+@pytest.mark.parametrize("kind", ["three_patch_L", "bilinear", "spline", "nurbs"])
+def test_grid_jet_components_take_the_shapes_of_their_axes(kind):
+    # on a column/row grid each component has the broadcast shape of the
+    # axes it depends on and equals the map point by point on the full grid
+    maps = _jet_maps()
+    maps["three_patch_L"] = builtin_geometry("three_patch_L").patches[1].gmap
+    gmap = maps[kind]
+    s1 = np.linspace(0.0, 1.0, 7)
+    s2 = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
+    X1, X2 = np.meshgrid(s1, s2, indexing="ij")
+    jet = gmap.jet(s1[:, None], s2[None, :], 3, 3)
+    shapes = {}
+    for a in range(4):
+        for b in range(4):
+            # the reference of a polynomial map is the bare contraction of
+            # its coefficients, point by point
+            want = gmap.derivative(X1, X2, a, b) if kind == "nurbs" else tensor_jet(
+                (gmap.space1, gmap.space2), gmap._coef, X1, X2, [(a, b)]
+            ).get((a, b), np.zeros(X1.shape + (2,)))
+            scale = max(1.0, float(np.max(np.abs(want))))
+            if (a, b) not in jet:
+                assert np.max(np.abs(want)) <= 1e-13 * scale, (a, b)
+                continue
+            for c, value in enumerate(jet[a, b]):
+                assert value.shape in ((1, 1), (7, 1), (1, 5), (7, 5)), (a, b, c)
+                got = np.broadcast_to(value, X1.shape)
+                assert np.max(np.abs(got - want[..., c])) <= 1e-13 * scale, (a, b, c)
+                if np.max(np.abs(want[..., c])) <= 1e-13 * scale:
+                    assert np.all(value == 0.0), (a, b, c)
+                shapes[a, b, c] = value.shape
+    if kind == "three_patch_L":
+        # x = x1 - 1, y = x2: d1 G = (1, 0), d2 G = (0, 1), d12 G = 0
+        assert shapes[0, 0, 0] == (7, 1) and shapes[0, 0, 1] == (1, 5)
+        assert all(shapes[ab + (c,)] == (1, 1) for ab in ((1, 0), (0, 1)) for c in (0, 1))
+        assert jet[1, 0] == (1.0, 0.0) and jet[0, 1] == (0.0, 1.0)
+        assert set(jet) == {(0, 0), (1, 0), (0, 1)}
+    if kind in ("three_patch_L", "bilinear"):
+        # d1 G of a bilinear map depends on x2 at most, d2 G on x1 at most
+        assert all(shapes[1, 0, c] in ((1, 1), (1, 5)) for c in (0, 1))
+        assert all(shapes[0, 1, c] in ((1, 1), (7, 1)) for c in (0, 1))
+    if kind in ("spline", "nurbs"):
+        assert all(shape == (7, 5) for shape in shapes.values())
 
 
 @pytest.mark.parametrize("kind", ["bilinear", "spline", "nurbs"])
@@ -141,7 +190,9 @@ def test_jet_of_requested_orders_equals_full_jet(kind):
         jet = gmap.jet(x1, x2, orders=six)
         assert set(jet) == {ab for ab in six if ab in full}
         for ab, value in jet.items():
-            assert np.array_equal(value, full[ab]), ab
+            assert len(value) == len(full[ab])
+            for v, w in zip(value, full[ab]):
+                assert np.array_equal(v, w), ab
 
 
 def test_bilinear_jet_is_corner_interpolation():
@@ -162,7 +213,9 @@ def test_bilinear_jet_is_corner_interpolation():
         assert set(jet) == {(0, 0), (1, 0), (0, 1), (1, 1)}
         for (a, b), value in jet.items():
             want = np.einsum("...i,ijk,...j->...k", L(x1, a), corners, L(x2, b))
-            assert np.max(np.abs(value - want)) <= 1e-15, (a, b)
+            for c, v in enumerate(value):
+                got = np.broadcast_to(v, want.shape[:-1])
+                assert np.max(np.abs(got - want[..., c])) <= 1e-15, (a, b)
 
 
 def test_nurbs_weights_validated():

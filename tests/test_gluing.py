@@ -107,7 +107,7 @@ def test_scaled_patch_determinants():
     xi = np.linspace(0, 1, 5)
     NL, D1 = _edge_cross_and_det(scaled, 2, xi)
     NR, D2 = _edge_cross_and_det(unit, 4, xi)
-    D3 = NR[..., 0] * NL[..., 1] - NR[..., 1] * NL[..., 0]
+    D3 = NR[0] * NL[1] - NR[1] * NL[0]
     np.testing.assert_allclose(D1, 4.0, atol=1e-14)
     np.testing.assert_allclose(D2, 1.0, atol=1e-14)
     np.testing.assert_allclose(D3, 0.0, atol=1e-14)

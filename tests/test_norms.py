@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 import sympy as sym
 
 from asg1kit.fields import ScalarField2D, manufactured, pullback
-from asg1kit.geometry import BilinearMap, Patch, builtin_geometry
+from asg1kit.geometry import (BilinearMap, GeometryError, Patch, builtin_geometry,
+                              jacobian, jacobian_det)
 from asg1kit.norms import (
     ErrorTable,
     combine_tables,
@@ -41,6 +44,34 @@ def test_exact_spline_gives_zero_norms():
     u, f = spline_exact_pair()
     table = physical_error_norms(unit_patch(), u, f)
     assert all(v <= 1e-12 for v in table.norms.values())
+
+
+@pytest.mark.parametrize("corners", [
+    # twisted: the determinant changes sign inside and depends on both axes
+    [[[0, 0], [1.2, 0.1]], [[1, 0], [0.2, 1.0]]],
+    # mirrored: an affine map, so the determinant is one constant, -1
+    [[[1, 0], [1, 1]], [[0, 0], [0, 1]]],
+])
+def test_folded_norms_name_a_quadrature_point_of_non_positive_determinant(corners):
+    patch = Patch(BilinearMap(np.array(corners, float)), (uniform_partition(2),) * 2)
+    S = UniSplineSpace(3, 1, uniform_partition(2))
+    zero = TensorSpline(TensorSplineSpace(S, S), np.zeros((S.dim, S.dim)))
+    nq = 4
+    with pytest.raises(GeometryError, match="non-positive Jacobian") as info:
+        physical_error_norms(patch, manufactured("sinsin"), zero, nq=nq)
+    number = r"(-?\d+\.\d+(?:e[-+]\d+)?)"
+    found = re.search(rf"determinant {number} at quadrature point \({number}, {number}\)",
+                      str(info.value))
+    det, x, y = (float(v) for v in found.groups())
+    # the named point is a node of the rule and the minimum of det over them
+    x1, _ = gauss_rule(patch.partitions[0], nq)
+    x2, _ = gauss_rule(patch.partitions[1], nq)
+    i, j = np.argmin(np.abs(x1 - x)), np.argmin(np.abs(x2 - y))
+    assert abs(x1[i] - x) <= 1e-6 and abs(x2[j] - y) <= 1e-6
+    grid = jacobian_det(*jacobian(patch.gmap, *np.meshgrid(x1, x2, indexing="ij")))
+    assert grid[i, j] <= 0.0
+    assert grid[i, j] == pytest.approx(grid.min(), rel=1e-3)
+    assert det == pytest.approx(grid.min(), rel=1e-3)
 
 
 def test_norms_evaluate_each_basis_order_once_per_block(monkeypatch):
