@@ -31,7 +31,7 @@ from .geometry import (
 from .gluing import fit_linear_gluing, g1_compatibility_residual, recover_all
 from .norms import combine_tables, observed_order, physical_error_norms
 from .ritz1d import bubble_breakpoints
-from .splines import uniform_partition
+from .splines import QuadratureError, uniform_partition
 
 __all__ = [
     "StudyConfig",
@@ -100,13 +100,25 @@ class StudyResult:
 
 
 def _quadrature_override(nq):
-    if nq is not None:
-        return nq
-    env = os.environ.get("ASG1_QUAD_NODES")
-    return int(env) if env else None
+    """``nq``, else ASG1_QUAD_NODES, else None (the default rule)."""
+    if nq is None:
+        env = os.environ.get("ASG1_QUAD_NODES")
+        if not env:
+            return None
+        try:
+            nq = int(env)
+        except ValueError:
+            raise ConfigError(
+                f"ASG1_QUAD_NODES must be a positive integer, got {env!r}"
+            ) from None
+    if nq < 1:
+        raise ConfigError(f"nq must be a positive integer, got {nq}")
+    return nq
 
 
 def resolve_geometry(name: str, n: int) -> MultiPatch:
+    if n < 1:
+        raise ConfigError(f"element count must be >= 1, got {n}")
     if name in BUILTIN_GEOMETRIES:
         return builtin_geometry(name, n)
     if os.path.exists(name):
@@ -372,7 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GeometryError, KeyError) as exc:
+    except (ConfigError, GeometryError, QuadratureError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

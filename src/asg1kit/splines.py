@@ -4,9 +4,10 @@ A space is described by a degree ``p``, an interior smoothness ``k`` with
 ``-1 <= k < p`` and a strictly increasing breakpoint partition
 ``Z = (0 = z_0 < ... < z_n = 1)``.  Internally every space is realized by the
 open knot vector with boundary multiplicity ``p+1`` and interior multiplicity
-``p-k``.  Evaluation is delegated to :class:`scipy.interpolate.BSpline`, and
-basis derivatives of every order come from one evaluator, `eval_operator`,
-whose scipy basis object is built once per space.  Every tensor-product
+``p-k``.  Basis values and derivatives of every order come from one
+evaluator, `eval_operator`: de Boor's recursion over the knot span of each
+point, in numpy alone, with the p+1 nonzero values per point memoised by
+point set, since most calls repeat a recent one.  Every tensor-product
 object (the geometry maps and tensor splines) is evaluated by one
 contraction of two such bases, `tensor_jet`, in two steps: `tensor_bind_x2`
 multiplies the coefficient grid by the x2 basis rows, then each block of x1
@@ -25,11 +26,10 @@ right whenever the requested derivative order exceeds the smoothness; at
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 
 __all__ = [
     "Partition",
@@ -47,6 +47,7 @@ __all__ = [
     "greville_points",
     "gauss_rule",
     "eval_operator",
+    "QuadratureError",
     "tensor_bind_x2",
     "tensor_jet",
 ]
@@ -59,6 +60,17 @@ _BREAKPOINT_TOL = 1e-12
 # and 2^15 keeps its arrays near the L2 cache, where the elementwise passes
 # run fastest.
 _BLOCK_POINTS = 32768
+
+# The most bytes (points and band values) of the basis bands that
+# `eval_operator` keeps for recent (space, order, points) triples.  Most of
+# its calls repeat one (81-95 % in the benchmark workloads, whose 140-390
+# distinct triples take under 2 MB).
+_MEMO_BYTES = 1 << 23
+
+
+class QuadratureError(ValueError):
+    """Too few quadrature nodes per element for a positive definite Gram
+    matrix."""
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,12 @@ class Partition:
             raise ValueError("partition must start at 0 and end at 1")
         if any(b <= a for a, b in zip(z, z[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        # spaces over a partition key the memoised basis rows and the caches
+        # of every module, so its breakpoints are hashed once
+        object.__setattr__(self, "_hash", hash(z))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_elements(self) -> int:
@@ -216,14 +234,74 @@ def _clip_domain(x) -> np.ndarray:
     return arr if lo == 0.0 and hi == 1.0 else np.clip(arr, 0.0, 1.0)
 
 
+def _band(space: UniSplineSpace, x: np.ndarray, d: int):
+    """The nonzero basis values of order ``d`` at the points ``x``:
+    ``(first, rows)`` with ``rows[n, r]`` the value of basis function
+    ``first[n] + r`` at the n-th point, r = 0..p.
+
+    De Boor's recursion over the knot span of each point, vectorised over the
+    points: p-d levels raise the degree of the values, the last d levels
+    differentiate.  Spans are half-open to the right except the last, so
+    breakpoints take right limits and x = 1 the left limit; an order above
+    p gives zeros.
+    """
+    x = _clip_domain(x).ravel()
+    p = space.degree
+    t = knot_vector(space)
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, p, space.dim - 1)
+    h = np.zeros((x.size, p + 1))
+    if d <= p:
+        h[:, 0] = 1.0
+        knots = t[ell[:, None] + np.arange(1 - p, p + 1)]  # t[ell+1-p .. ell+p]
+        xc = x[:, None]
+        for j in range(1, p + 1):
+            xa, xb = knots[:, p - j:p], knots[:, p:p + j]
+            if j <= p - d:
+                w = h[:, :j] / (xb - xa)
+                h[:, :j] = w * (xb - xc)
+                h[:, j] = 0.0
+                h[:, 1:j + 1] += w * (xc - xa)
+            else:
+                w = j * h[:, :j] / (xb - xa)
+                h[:, :j] = -w
+                h[:, j] = 0.0
+                h[:, 1:j + 1] += w
+    first = ell - p
+    first.flags.writeable = h.flags.writeable = False
+    return first, h
+
+
+# Bands by (space, order, shape, bytes of the points), least recently used
+# first, and their size in bytes.
+_memo: OrderedDict = OrderedDict()
+_memo_bytes = 0
+
+
+def _band_at(space: UniSplineSpace, x, d: int):
+    """The shape of the points ``x`` and their memoised `_band`."""
+    global _memo_bytes
+    x = np.atleast_1d(np.ascontiguousarray(x, dtype=float))
+    key = (space, d, x.shape, x.tobytes())
+    band = _memo.get(key)
+    if band is not None:
+        _memo.move_to_end(key)
+        return x.shape, band
+    band = _memo[key] = _band(space, x, d)
+    _memo_bytes += len(key[3]) + band[0].nbytes + band[1].nbytes
+    while _memo_bytes > _MEMO_BYTES:
+        (_, _, _, raw), (first, rows) = _memo.popitem(last=False)
+        _memo_bytes -= len(raw) + first.nbytes + rows.nbytes
+    return x.shape, band
+
+
 def eval_spline(f: UniSpline, x, d: int = 0):
     """Value of the d-th derivative of ``f``; right limits at breakpoints."""
     if d < 0:
         raise ValueError("derivative order must be >= 0")
-    bs = BSpline(knot_vector(f.space), f.coefficients, f.space.degree,
-                 extrapolate=False)
-    out = bs(_clip_domain(x), nu=d)
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
+    shape, (first, rows) = _band_at(f.space, x, d)
+    c = f.coefficients[first[:, None] + np.arange(f.space.degree + 1)]
+    out = (rows * c).sum(axis=1).reshape(shape)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,16 +344,15 @@ def antiderivative(g: UniSpline, c0: float = 0.0) -> UniSpline:
     return UniSpline(target, c0 + _antiderivative_matrix(g.space) @ g.coefficients)
 
 
-@functools.lru_cache(maxsize=None)
-def _basis(space: UniSplineSpace) -> BSpline:
-    """The basis of ``space`` as one vector-valued scipy spline."""
-    return BSpline(knot_vector(space), np.eye(space.dim), space.degree,
-                   extrapolate=False)
-
-
 def eval_operator(space: UniSplineSpace, x: np.ndarray, d: int = 0) -> np.ndarray:
-    """Dense matrix E with (E c)_i = (d-th derivative of the spline)(x_i)."""
-    return _basis(space)(_clip_domain(np.atleast_1d(x)), nu=d)
+    """Dense matrix E with (E c)_i = (d-th derivative of the spline)(x_i),
+    a fresh array each call; the bands of recent point sets are memoised."""
+    shape, (first, rows) = _band_at(space, x, d)
+    n, dim = first.size, space.dim
+    E = np.zeros((n, dim))
+    E.ravel()[(first + np.arange(0, n * dim, dim))[:, None]
+              + np.arange(space.degree + 1)] = rows
+    return E.reshape(shape + (dim,))
 
 
 def tensor_bind_x2(spaces, coef: np.ndarray, x2, orders, pointwise=False):
@@ -354,35 +431,42 @@ def gauss_rule(partition: Partition, nodes_per_element: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _gram_cholesky(space: UniSplineSpace, nq: int):
-    x, w = gauss_rule(space.partition, nq)
-    B = eval_operator(space, x)
-    G = B.T @ (w[:, None] * B)
-    return cho_factor(G)
-
-
-@functools.lru_cache(maxsize=None)
 def l2_projection_matrix(space: UniSplineSpace, nq: int) -> np.ndarray:
     """Matrix mapping samples at the Gauss nodes to L2-projection coefficients."""
     x, w = gauss_rule(space.partition, nq)
     B = eval_operator(space, x)
-    return cho_solve(_gram_cholesky(space, nq), B.T * w[None, :])
+    G = B.T @ (w[:, None] * B)
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        L = np.zeros_like(G)
+    # a singular G can factor with round-off pivots; the bound 1e2 n eps
+    # max|G| on the squared pivots is 30 times the largest of those seen and
+    # 1e6 times below the least of a Gram matrix of enough nodes (on meshes
+    # graded down to 1e-4)
+    if np.diag(L).min() ** 2 <= 100 * len(G) * np.finfo(float).eps * G.max():
+        raise QuadratureError(
+            f"nq={nq} Gauss nodes per element are too few: the Gram matrix of "
+            f"S_({space.degree},{space.smoothness}) is not positive definite"
+        )
+    # G^-1 = L^-T L^-1: two GEMMs beat two triangular solves by an LU each
+    Li = np.linalg.inv(L)
+    return Li.T @ (Li @ (B.T * w[None, :]))
 
 
 # -- collocation at Greville points -------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
-def _collocation_lu(space: UniSplineSpace):
+def _collocation_inverse(space: UniSplineSpace) -> np.ndarray:
     if space.smoothness < 0:
         raise ValueError("Greville collocation requires a continuous space")
-    A = eval_operator(space, greville_points(space))
-    return lu_factor(A)
+    return np.linalg.inv(eval_operator(space, greville_points(space)))
 
 
 def interpolate_at_greville(space: UniSplineSpace, values: np.ndarray) -> UniSpline:
     """The unique spline matching the given values at the Greville abscissae."""
-    return UniSpline(space, lu_solve(_collocation_lu(space), np.asarray(values, float)))
+    return UniSpline(space, _collocation_inverse(space) @ np.asarray(values, float))
 
 
 @functools.lru_cache(maxsize=None)

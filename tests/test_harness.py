@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -233,3 +236,37 @@ def test_gluing_recovers_once(monkeypatch, capsys):
     assert main(["gluing", "--geometry", "three_patch_L"]) == 0
     assert len(json.loads(capsys.readouterr().out)["interfaces"]) == 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("args,env,message", [
+    (["project", "--geometry", "unit_square", "--p", "4", "--n", "8",
+      "--nq", "0"], None, "nq must be a positive integer"),
+    (["p-sweep", "--geometry", "unit_square", "--p", "4", "--n", "8",
+      "--nq", "-3"], None, "nq must be a positive integer"),
+    (["project", "--geometry", "unit_square", "--p", "4", "--n", "8"], "abc",
+     "ASG1_QUAD_NODES must be a positive integer"),
+    (["project", "--geometry", "unit_square", "--p", "4", "--n", "8",
+      "--nq", "2"], None, "nq=2 Gauss nodes per element are too few"),
+    # singular, but its Cholesky pivots are positive by round-off
+    (["check-c1", "--geometry", "unit_square", "--p", "3", "--n", "8",
+      "--nq", "1"], None, "nq=1 Gauss nodes per element are too few"),
+    (["gluing", "--geometry", "three_patch_L", "--n", "0"], None,
+     "element count must be >= 1"),
+], ids=["nq-zero", "p-sweep-nq-negative", "env-not-integer", "gram-not-pd",
+        "gram-singular", "gluing-n-zero"])
+def test_usage_errors_exit_2(args, env, message, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("ASG1_QUAD_NODES", env)
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    import asg1kit
+
+    src = os.path.dirname(os.path.dirname(asg1kit.__file__))
+    code = ("import sys, asg1kit, asg1kit.harness; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

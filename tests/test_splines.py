@@ -277,6 +277,68 @@ def test_eval_operator_matches_eval_spline(p, k):
         assert np.max(np.abs(ours - expected)) <= 1e-10 * scale, d
 
 
+@pytest.mark.parametrize("p,Z", [
+    pytest.param(p, Z, id=f"{p}-{label}")
+    for p in range(9)
+    for label, Z in [("uniform128", uniform_partition(128)),
+                     ("nonuniform", NONUNIFORM)]
+] + [pytest.param(12, uniform_partition(3), id="12-uniform3")])
+def test_basis_matches_scipy_bspline(p, Z):
+    # scipy's de Boor evaluation as the oracle, for every smoothness and
+    # every derivative order up to p+1: each row within 1e-14 of its maximum
+    from scipy.interpolate import BSpline
+
+    from asg1kit.splines import knot_vector
+
+    rng = np.random.default_rng(p)
+    x = np.concatenate((rng.uniform(0, 1, 100), Z.as_array(), [0.0, 1.0]))
+    for k in range(-1, p):
+        S = UniSplineSpace(p, k, Z)
+        basis = BSpline(knot_vector(S), np.eye(S.dim), p, extrapolate=False)
+        f = random_spline(S, seed=k + 1)
+        spline = BSpline(knot_vector(S), f.coefficients, p, extrapolate=False)
+        for d in range(p + 2):
+            ref = basis(x, nu=d)
+            ours = eval_operator(S, x, d)
+            bound = 1e-14 * np.max(np.abs(ref), axis=1)
+            assert np.all(np.abs(ours - ref).max(axis=1) <= bound), (k, d)
+            scale = np.abs(ref) @ np.abs(f.coefficients)
+            assert np.all(np.abs(eval_spline(f, x, d) - spline(x, nu=d))
+                          <= 1e-14 * scale), (k, d)
+
+
+def test_eval_operator_results_are_fresh_arrays():
+    S = UniSplineSpace(3, 1, uniform_partition(4))
+    x = np.array([0.1, 0.5, 1.0])
+    expected = eval_operator(S, x, 1).copy()
+    eval_operator(S, x, 1)[:] = 7.0
+    assert np.array_equal(eval_operator(S, x, 1), expected)
+
+
+def test_eval_operator_rejects_outside_points_every_call():
+    S = UniSplineSpace(3, 1, uniform_partition(4))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="evaluation point outside"):
+            eval_operator(S, np.array([0.5, 1.5]))
+
+
+def test_eval_operator_memo_stays_within_its_bound():
+    from asg1kit import splines
+
+    S = UniSplineSpace(3, 1, uniform_partition(16))
+    rng = np.random.default_rng(0)
+    sets = [rng.uniform(0, 1, 1000) for _ in range(300)]
+    first = eval_operator(S, sets[0])
+    for x in sets:
+        eval_operator(S, x)
+        assert splines._memo_bytes <= splines._MEMO_BYTES
+    # 300 sets of 48 kB each: the oldest are gone, and the count is exact
+    assert len(splines._memo) < len(sets)
+    assert splines._memo_bytes == sum(len(raw) + f.nbytes + r.nbytes for
+                                      (_, _, _, raw), (f, r) in splines._memo.items())
+    assert np.array_equal(eval_operator(S, sets[0]), first)
+
+
 # -- embedding ---------------------------------------------------------------------
 
 def test_embed_smoothness_drop():
