@@ -38,6 +38,7 @@ from .geometry import (
     Patch,
     edge_coords,
     edge_parameter_map,
+    side_end,
 )
 from .gluing import EdgeGluing, GluingData, crossing_direction
 from .norms import _inverse_chain_rule
@@ -107,17 +108,11 @@ class GlobalProjection:
 
 
 def _bubble_factor(j: int, sigma: int, p: int, partitions) -> UniSpline:
-    """The univariate bubble factor of side j's extension, own axis."""
-    Z1, Z2 = partitions
-    if j == 1:
-        return bubble(p, Z2, sigma).spline
-    if j == 2:
-        return reflected_bubble_spline(p, Z1, sigma)
-    if j == 3:
-        return reflected_bubble_spline(p, Z2, sigma)
-    if j == 4:
-        return bubble(p, Z1, sigma).spline
-    raise ValueError(f"side index must be 1..4, got {j}")
+    """The univariate bubble factor of side j's extension, own axis: the
+    bubble at 0, reflected for a side at 1."""
+    end = side_end(j)
+    Z = partitions[1 - EDGE_AXIS[j]]
+    return reflected_bubble_spline(p, Z, sigma) if end else bubble(p, Z, sigma).spline
 
 
 def extend(j: int, sigma: int, g: UniSpline, partitions, p: int, k: int

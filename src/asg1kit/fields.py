@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (EDGE_AXIS, NORMALS, TANGENTS, GeometryError, edge_coords,
-                       jacobian_det)
+                       jacobian_det, side_end)
 
 __all__ = [
     "ScalarField1D",
@@ -185,8 +185,7 @@ def manufactured(name: str) -> ScalarField2D:
 
 def restrict_to_edge(u: ScalarField2D, j: int) -> ScalarField1D:
     """Trace of ``u`` on side ``j`` in the side's intrinsic parameter."""
-    if j not in (1, 2, 3, 4):
-        raise ValueError(f"side index must be 1..4, got {j}")
+    side_end(j)  # a ValueError for a bad side now, not at the first call
     axis = EDGE_AXIS[j]
 
     def ev(t, d):

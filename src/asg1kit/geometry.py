@@ -19,7 +19,7 @@ its coefficient grid, differentiated a times along x1 and b times along x2,
 is constant along x2 (below the degree: when its order (a, b+1) is
 identically zero), and the same holds for x1; a component constant in both is
 the value of its coefficients.  This is decided once per map, exactly, from
-the differentiated coefficient grid (`splines._derivative_matrix`).  When
+the differentiated coefficient grid (`splines.differentiate`).  When
 ``x1`` is a column (N1, 1) and ``x2`` a row (1, N2) (`bind_x2`), each
 component has the broadcast shape of the axes it depends on: (N1, 1),
 (1, N2), (1, 1) or (N1, N2).  On a bilinear map d1 G depends on x2 at most,
@@ -44,9 +44,9 @@ import numpy as np
 from .splines import (
     Partition,
     UniSplineSpace,
-    _derivative_matrix,
+    differentiate,
     knot_vector,
-    refine,
+    reverse,
     tensor_bind_x2,
     tensor_jet,
     uniform_partition,
@@ -63,6 +63,8 @@ __all__ = [
     "NORMALS",
     "TANGENTS",
     "EDGE_AXIS",
+    "SIDE_END",
+    "side_end",
     "EDGE_PARAM_SIGN",
     "edge_coords",
     "edge_parameter_map",
@@ -84,9 +86,11 @@ class GeometryError(ValueError):
 NORMALS = {1: (0.0, -1.0), 2: (1.0, 0.0), 3: (0.0, 1.0), 4: (-1.0, 0.0)}
 TANGENTS = {j: (n[1], -n[0]) for j, n in NORMALS.items()}
 
-# Axis carrying the intrinsic edge parameter (0 = xi1, 1 = xi2) and the sign
-# relating t_j to the direction of increasing edge parameter.
+# Axis carrying the intrinsic edge parameter (0 = xi1, 1 = xi2), the value
+# (0 or 1) at which side j fixes the other coordinate, and the sign relating
+# t_j to the direction of increasing edge parameter.
 EDGE_AXIS = {1: 0, 2: 1, 3: 0, 4: 1}
+SIDE_END = {1: 0, 2: 1, 3: 1, 4: 0}
 EDGE_PARAM_SIGN = {
     j: float(np.sign(TANGENTS[j][EDGE_AXIS[j]])) for j in (1, 2, 3, 4)
 }
@@ -95,20 +99,18 @@ EDGE_PARAM_SIGN = {
 CORNERS = {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (1.0, 1.0), 4: (0.0, 1.0)}
 
 
+def side_end(j: int) -> int:
+    """``SIDE_END[j]``; a ValueError for a side index outside 1..4."""
+    if j not in SIDE_END:
+        raise ValueError(f"side index must be 1..4, got {j}")
+    return SIDE_END[j]
+
+
 def edge_coords(j: int, t):
     """Parameter-square coordinates of side ``j`` at edge parameter ``t``."""
     t = np.asarray(t, dtype=float)
-    zeros = np.zeros_like(t)
-    ones = np.ones_like(t)
-    if j == 1:
-        return t, zeros
-    if j == 2:
-        return ones, t
-    if j == 3:
-        return t, ones
-    if j == 4:
-        return zeros, t
-    raise ValueError(f"side index must be 1..4, got {j}")
+    fixed = np.full_like(t, side_end(j))
+    return (t, fixed) if EDGE_AXIS[j] == 0 else (fixed, t)
 
 
 # -- geometry maps ---------------------------------------------------------------
@@ -117,21 +119,13 @@ def edge_coords(j: int, t):
 _LINEAR = UniSplineSpace(1, 0, Partition((0.0, 1.0)))
 
 
-def _differentiate(space: UniSplineSpace, grid: np.ndarray, axis: int) -> np.ndarray:
-    """The coefficient grid (n1, n2, k) of the derivative along ``axis``:
-    `_derivative_matrix` applied as the scaled differences it is, so equal
-    neighbours give an exact zero."""
-    scale = np.diagonal(_derivative_matrix(space), 1)
-    return np.diff(grid, axis=axis) * scale.reshape((-1, 1, 1) if axis == 0 else (1, -1, 1))
-
-
 def _axis_derivatives(space: UniSplineSpace, grid: np.ndarray, axis: int) -> list:
     """The grids of the derivatives of order 0, 1, ... along ``axis`` that
     the coefficient maps reach: up to the degree, or to the first order
     whose space is discontinuous."""
     out = [grid]
     while space.degree > 0 and space.smoothness >= 0:
-        out.append(_differentiate(space, out[-1], axis))
+        out.append(differentiate(space, out[-1], axis))
         space = space.derivative_space()
     return out
 
@@ -460,9 +454,8 @@ class MultiPatch:
                     f"pointwise (gap {gap:.3e})"
                 )
             za = self.patches[i].side_partition(j).as_array()
-            zb = self.patches[ii].side_partition(jj).as_array()
-            if iface.reversed:
-                zb = np.concatenate(([0.0], 1.0 - zb[-2:0:-1], [1.0]))
+            zb = self.patches[ii].side_partition(jj)
+            zb = (reverse(zb) if iface.reversed else zb).as_array()
             if za.shape != zb.shape or np.max(np.abs(za - zb)) > 1e-12:
                 raise GeometryError(
                     f"partitions along interface {iface.left}-{iface.right} "
@@ -475,15 +468,6 @@ class MultiPatch:
         Z = uniform_partition(n)
         return MultiPatch(
             [Patch(p.gmap, (Z, Z)) for p in self.patches], list(self.interfaces)
-        )
-
-    def refined(self) -> "MultiPatch":
-        return MultiPatch(
-            [
-                Patch(p.gmap, (refine(p.partitions[0]), refine(p.partitions[1])))
-                for p in self.patches
-            ],
-            list(self.interfaces),
         )
 
 
@@ -534,6 +518,8 @@ def _space_from_knots(degree: int, knots, where: str) -> UniSplineSpace:
     if len(interior_mult) > 1:
         raise GeometryError(f"{where}: non-uniform interior knot multiplicity")
     mult = interior_mult.pop() if interior_mult else 1
+    if mult > degree + 1:
+        raise GeometryError(f"{where}: interior knot multiplicity {mult} > degree + 1")
     if np.sum(np.isclose(t, 0.0)) != degree + 1 or np.sum(np.isclose(t, 1.0)) != degree + 1:
         raise GeometryError(f"{where}: knot vector must be open")
     return UniSplineSpace(degree, degree - mult, Partition(tuple(float(z) for z in breaks)))
@@ -545,7 +531,12 @@ def _patch_from_json(entry: dict, idx: int) -> Patch:
     parts = _require(entry, "partitions", where)
     if len(parts) != 2:
         raise GeometryError(f"{where}.partitions: need two breakpoint lists")
-    partitions = tuple(Partition(tuple(float(z) for z in zs)) for zs in parts)
+    partitions = []
+    for m, zs in enumerate(parts):
+        try:
+            partitions.append(Partition(tuple(float(z) for z in zs)))
+        except (TypeError, ValueError) as exc:
+            raise GeometryError(f"{where}.partitions[{m}]: {exc}") from exc
     cps = np.asarray(_require(entry, "control_points", where), dtype=float)
     if kind == "bilinear":
         if cps.shape != (4, 2):
@@ -572,7 +563,7 @@ def _patch_from_json(entry: dict, idx: int) -> Patch:
             gmap = NurbsMap(s1, s2, grid, w.reshape(s1.dim, s2.dim))
     else:
         raise GeometryError(f"{where}.kind: unknown kind '{kind}'")
-    return Patch(gmap, partitions)
+    return Patch(gmap, tuple(partitions))
 
 
 def _patch_to_json(patch: Patch) -> dict:

@@ -26,10 +26,10 @@ from .splines import (
     Partition,
     UniSpline,
     UniSplineSpace,
-    _antiderivative_matrix,
     embed,
     eval_operator,
     gauss_rule,
+    integrate,
     knot_vector,
     l2_projection_matrix,
     reverse,
@@ -95,15 +95,11 @@ def ritz_functionals(space: UniSplineSpace, r: int, nq: int | None = None
         raise ValueError(f"need r <= p, got r={r}, p={p}")
     if nq is None:
         nq = default_quadrature_nodes(p)
-    base = UniSplineSpace(p - r, k - r, space.partition)
     x, _ = gauss_rule(space.partition, nq)
-    matrix = l2_projection_matrix(base, nq)
-    sp = base
+    matrix = l2_projection_matrix(UniSplineSpace(p - r, k - r, space.partition), nq)
     for m in range(r):
-        A = _antiderivative_matrix(sp)
-        sp = sp.antiderivative_space()
-        ones = np.ones((sp.dim, 1))
-        matrix = np.hstack([ones, A @ matrix])
+        sp = UniSplineSpace(p - r + m, k - r + m, space.partition)
+        matrix = np.hstack([np.ones((sp.dim + 1, 1)), integrate(sp, matrix)])
     orders = tuple(range(r)) + (r,) * x.size
     points = (0.0,) * r + tuple(x)
     return PointFunctionals(space, orders, points, matrix)

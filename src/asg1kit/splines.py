@@ -12,7 +12,9 @@ object (the geometry maps and tensor splines) is evaluated by one
 contraction of two such bases, `tensor_jet`, in two steps: `tensor_bind_x2`
 multiplies the coefficient grid by the x2 basis rows, then each block of x1
 points multiplies its basis rows by only the band of bound rows they touch.
-Differentiation and antidifferentiation are exact coefficient maps.  Every
+Differentiation and antidifferentiation are exact coefficient maps along any
+axis of a coefficient array, `differentiate` (scaled differences) and
+`integrate` (its cumulative-sum inverse), and have no other form.  Every
 other map between spline spaces (multiplication by a linear polynomial,
 embedding into a superspace) is one collocation at the Greville abscissae of
 the target space: the image lies in the target, where Greville collocation is
@@ -42,6 +44,8 @@ __all__ = [
     "eval_spline",
     "derivative",
     "antiderivative",
+    "differentiate",
+    "integrate",
     "multiply_by_linear",
     "embed",
     "greville_points",
@@ -305,43 +309,42 @@ def eval_spline(f: UniSpline, x, d: int = 0):
 
 
 @functools.lru_cache(maxsize=None)
-def _derivative_matrix(space: UniSplineSpace) -> np.ndarray:
-    """Coefficient map S_{p,k,Z} -> S_{p-1,k-1,Z} of differentiation."""
+def _difference_scale(space: UniSplineSpace, trailing: int) -> np.ndarray:
+    """p / (t_{i+p+1} - t_{i+1}), i = 0..dim-2, with ``trailing`` unit axes:
+    differentiation maps coefficients c to these times c_{i+1} - c_i."""
     p = space.degree
     t = knot_vector(space)
     m = space.dim - 1
-    denom = t[p + 1:p + 1 + m] - t[1:1 + m]
-    D = np.zeros((m, m + 1))
-    idx = np.arange(m)
-    D[idx, idx] = -p / denom
-    D[idx, idx + 1] = p / denom
-    return D
+    return (p / (t[p + 1:p + 1 + m] - t[1:1 + m])).reshape((-1,) + (1,) * trailing)
+
+
+def differentiate(space: UniSplineSpace, c: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Coefficients along ``axis`` of ``c`` (in ``space``) of the derivative,
+    in S_{p-1,k-1,Z}: scaled differences, so equal neighbours give an exact
+    zero."""
+    if space.smoothness < 0:
+        raise ValueError("cannot differentiate a discontinuous spline space")
+    return np.diff(c, axis=axis) * _difference_scale(space, len(np.shape(c)[axis:]) - 1)
+
+
+def integrate(space: UniSplineSpace, c: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Coefficients along ``axis`` of ``c`` (in ``space``) of the integral
+    from 0, in S_{p+1,k+1,Z}: the inverse of `differentiate` there, a
+    cumulative sum of the scaled coefficients after a leading zero."""
+    scale = _difference_scale(space.antiderivative_space(), len(np.shape(c)[axis:]) - 1)
+    return np.insert(np.cumsum(c / scale, axis=axis), 0, 0.0, axis=axis)
 
 
 def derivative(f: UniSpline) -> UniSpline:
     """Derivative as an element of S_{p-1,k-1,Z}."""
-    if f.space.smoothness < 0:
-        raise ValueError("cannot differentiate a discontinuous spline space")
-    target = f.space.derivative_space()
-    return UniSpline(target, _derivative_matrix(f.space) @ f.coefficients)
-
-
-@functools.lru_cache(maxsize=None)
-def _antiderivative_matrix(space: UniSplineSpace) -> np.ndarray:
-    """Coefficient map of integration from 0 into the antiderivative space."""
-    q = space.degree
-    T = knot_vector(space.antiderivative_space())
-    m = space.dim
-    steps = (T[q + 2:q + 2 + m] - T[1:1 + m]) / (q + 1)
-    A = np.zeros((m + 1, m))
-    A[1:] = np.cumsum(np.diag(steps), axis=0)
-    return A
+    dc = differentiate(f.space, f.coefficients)
+    return UniSpline(f.space.derivative_space(), dc)
 
 
 def antiderivative(g: UniSpline, c0: float = 0.0) -> UniSpline:
     """Antiderivative in S_{p+1,k+1,Z} with value ``c0`` at 0."""
-    target = g.space.antiderivative_space()
-    return UniSpline(target, c0 + _antiderivative_matrix(g.space) @ g.coefficients)
+    return UniSpline(g.space.antiderivative_space(),
+                     c0 + integrate(g.space, g.coefficients))
 
 
 def eval_operator(space: UniSplineSpace, x: np.ndarray, d: int = 0) -> np.ndarray:

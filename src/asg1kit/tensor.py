@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField1D, ScalarField2D
-from .geometry import EDGE_AXIS, NORMALS
+from .geometry import EDGE_AXIS, side_end
 from .ritz1d import PointFunctionals, ritz_functionals
-from .splines import (_BLOCK_POINTS, UniSpline, UniSplineSpace, _derivative_matrix,
+from .splines import (_BLOCK_POINTS, UniSpline, UniSplineSpace, differentiate,
                       tensor_bind_x2, tensor_jet)
 
 __all__ = [
@@ -114,37 +114,25 @@ def as_field(f: TensorSpline) -> ScalarField2D:
 # -- traces ------------------------------------------------------------------------
 
 
+def _side_row(c: np.ndarray, j: int) -> np.ndarray:
+    """The coefficients of side ``j``'s row of the grid ``c`` (a copy): the
+    first or last index of the axis normal to the side."""
+    return np.take(c, -side_end(j), axis=1 - EDGE_AXIS[j])
+
+
 def trace(f: TensorSpline, j: int) -> UniSpline:
     """Restriction to side ``j`` as a univariate spline in the side space."""
-    c = f.coefficients
-    if j == 1:
-        return UniSpline(f.space.space1, c[:, 0].copy())
-    if j == 2:
-        return UniSpline(f.space.space2, c[-1, :].copy())
-    if j == 3:
-        return UniSpline(f.space.space1, c[:, -1].copy())
-    if j == 4:
-        return UniSpline(f.space.space2, c[0, :].copy())
-    raise ValueError(f"side index must be 1..4, got {j}")
+    c = _side_row(f.coefficients, j)  # first: a ValueError for a bad side
+    return UniSpline(f.space.side_space(j), c)
 
 
 def normal_derivative_trace(f: TensorSpline, j: int) -> UniSpline:
-    """(n_j . grad f) restricted to side ``j``, in the side's tangential space."""
-    c = f.coefficients
-    if EDGE_AXIS[j] == 0:
-        dc = c @ _derivative_matrix(f.space.space2).T
-        df = TensorSpline(
-            TensorSplineSpace(f.space.space1, f.space.space2.derivative_space()), dc
-        )
-    else:
-        dc = _derivative_matrix(f.space.space1) @ c
-        df = TensorSpline(
-            TensorSplineSpace(f.space.space1.derivative_space(), f.space.space2), dc
-        )
-    n = NORMALS[j]
-    sign = n[0] + n[1]  # the nonzero component of the outward normal
-    tr = trace(df, j)
-    return UniSpline(tr.space, sign * tr.coefficients)
+    """(n_j . grad f) restricted to side ``j``, in the side's tangential space:
+    the trace of the difference along the normal axis, negated at its start."""
+    end = side_end(j)
+    axis = 1 - EDGE_AXIS[j]
+    dc = differentiate((f.space.space1, f.space.space2)[axis], f.coefficients, axis)
+    return UniSpline(f.space.side_space(j), (2 * end - 1) * _side_row(dc, j))
 
 
 # -- directional projectors -----------------------------------------------------------

@@ -412,13 +412,6 @@ def test_builtins_all_load_and_are_regular():
             assert det > 0, name
 
 
-def test_refinement_preserves_topology():
-    mp = builtin_geometry("two_patch_skew", 4)
-    fine = mp.refined()
-    assert fine.patches[0].partitions[0].n_elements == 8
-    assert fine.interfaces == mp.interfaces
-
-
 def test_unknown_builtin():
     with pytest.raises(GeometryError):
         builtin_geometry("nope")

@@ -172,6 +172,21 @@ def test_folded_geometry_is_configuration_error(tmp_path, capsys, command):
     assert "non-positive Jacobian determinant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("patch,field", [
+    ({"kind": "spline", "degree": [2, 1],
+      "knots": [[0, 0, 0, .5, .5, .5, .5, 1, 1, 1], [0, 0, 1, 1]],
+      "control_points": [[0, 0]] * 14, "partitions": [[0, .5, 1], [0, 1]]},
+     "patches[0].knots[0]"),
+    ({"kind": "bilinear", "control_points": [[0, 0], [0, 1], [1, 0], [1, 1]],
+      "partitions": [[0, 1], [0.5]]}, "patches[0].partitions[1]"),
+], ids=["knot-multiplicity-above-p+1", "one-breakpoint"])
+def test_malformed_geometry_json_exits_2(tmp_path, capsys, patch, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"patches": [patch]}))
+    assert main(["gluing", "--geometry", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_check_c1_passes_at_p4(capsys):
     code = main([
         "check-c1", "--geometry", "two_patch_skew", "--function", "sinsin",

@@ -234,12 +234,17 @@ def test_reflected_bubble_mirrors_conditions():
 
 @pytest.mark.parametrize("p,k", [(3, 1), (4, 1), (4, 2), (6, 2), (5, 3)])
 def test_pi_star_reproduces_target_space(p, k):
+    # g = M d reproduces f up to the round-off bound of the product M d with
+    # n data points: |g - f| <= n eps (|M| |d|) entrywise
     Z = uniform_partition(8)
     S = UniSplineSpace(p, k + 1, Z)
-    rng = np.random.default_rng(p + k)
-    f = UniSpline(S, rng.standard_normal(S.dim))
-    g = pi_star(p, k, Z, spline_field(f))
-    assert np.max(np.abs(g.coefficients - f.coefficients)) <= 1e-12
+    funcs = pi_star_functionals(p, k, Z)
+    for seed in sorted({p + k, *range(10)}):
+        f = UniSpline(S, np.random.default_rng(seed).standard_normal(S.dim))
+        d = funcs.data_vector(spline_field(f))
+        g = pi_star(p, k, Z, spline_field(f))
+        bound = d.size * np.finfo(float).eps * (np.abs(funcs.matrix) @ np.abs(d))
+        assert np.all(np.abs(g.coefficients - f.coefficients) <= bound), seed
 
 
 def test_pi_star_endpoint_contract_low_p():

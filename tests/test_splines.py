@@ -9,11 +9,13 @@ from asg1kit.splines import (
     UniSplineSpace,
     antiderivative,
     derivative,
+    differentiate,
     dimension,
     embed,
     eval_operator,
     eval_spline,
     greville_points,
+    integrate,
     interpolate_at_greville,
     multiply_by_linear,
     refine,
@@ -206,6 +208,26 @@ def test_derivative_antiderivative_roundtrip():
     f = random_spline(S, seed=4)
     again = antiderivative(derivative(f), float(f(0.0)))
     assert np.max(np.abs(again.coefficients - f.coefficients)) <= 1e-12
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_axis_maps_act_on_every_fiber(axis):
+    Z = Partition((0.0, 0.1, 0.35, 0.4, 0.8, 1.0))
+    S = UniSplineSpace(3, 1, Z)
+    shape = [4, 4, 2]
+    shape[axis] = S.dim
+    c = np.random.default_rng(5).standard_normal(shape)
+    dc, ic = differentiate(S, c, axis), integrate(S, c, axis)
+    assert dc.shape[axis] == S.dim - 1 and ic.shape[axis] == S.dim + 1
+    fibers, dfib, ifib = (np.moveaxis(v, axis, -1) for v in (c, dc, ic))
+    for idx in np.ndindex(fibers.shape[:-1]):
+        f = UniSpline(S, fibers[idx])
+        assert np.max(np.abs(dfib[idx] - derivative(f).coefficients)) <= 1e-13
+        assert np.max(np.abs(ifib[idx] - antiderivative(f).coefficients)) <= 1e-14
+    back = differentiate(S.antiderivative_space(), ic, axis)
+    assert np.max(np.abs(back - c)) <= 1e-13
+    constant = np.repeat(np.take(c, [0], axis), S.dim, axis)
+    assert np.all(differentiate(S, constant, axis) == 0.0)
 
 
 # -- multiply by linear -----------------------------------------------------------
