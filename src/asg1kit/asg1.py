@@ -107,14 +107,6 @@ class GlobalProjection:
 # -- extension operators --------------------------------------------------------
 
 
-def _bubble_factor(j: int, sigma: int, p: int, partitions) -> UniSpline:
-    """The univariate bubble factor of side j's extension, own axis: the
-    bubble at 0, reflected for a side at 1."""
-    end = side_end(j)
-    Z = partitions[1 - EDGE_AXIS[j]]
-    return reflected_bubble_spline(p, Z, sigma) if end else bubble(p, Z, sigma).spline
-
-
 def extend(j: int, sigma: int, g: UniSpline, partitions, p: int, k: int
            ) -> TensorSpline:
     """Extension of edge data ``g`` from side ``j`` into the patch.
@@ -123,23 +115,19 @@ def extend(j: int, sigma: int, g: UniSpline, partitions, p: int, k: int
     (sigma=1) on side j, and vanishing value and normal derivative on the
     other three sides.
     """
+    end = side_end(j)  # first: a ValueError for a bad side, not a KeyError
     if sigma not in (0, 1):
         raise ValueError("sigma must be 0 or 1")
-    Z1, Z2 = partitions
-    tangential = UniSplineSpace(p, k, Z1 if EDGE_AXIS[j] == 0 else Z2)
+    axis = EDGE_AXIS[j]
+    tangential = UniSplineSpace(p, k, partitions[axis])
+    normal_space = UniSplineSpace(p, k, partitions[1 - axis])
+    Zn = normal_space.partition  # the bubble at 0, reflected for a side at 1
+    bub = reflected_bubble_spline(p, Zn, sigma) if end else bubble(p, Zn, sigma).spline
     gc = embed(g, tangential).coefficients
-    bub = _bubble_factor(j, sigma, p, partitions)
-    normal_space = UniSplineSpace(p, k, Z2 if EDGE_AXIS[j] == 0 else Z1)
     bc = embed(bub, normal_space).coefficients
-    if sigma == 1:
-        bc = -bc
-    if EDGE_AXIS[j] == 0:
-        grid = np.outer(gc, bc)
-        space = TensorSplineSpace(tangential, normal_space)
-    else:
-        grid = np.outer(bc, gc)
-        space = TensorSplineSpace(normal_space, tangential)
-    return TensorSpline(space, grid)
+    factors = [(gc, tangential), (-bc if sigma == 1 else bc, normal_space)]
+    (c1, s1), (c2, s2) = factors if axis == 0 else factors[::-1]
+    return TensorSpline(TensorSplineSpace(s1, s2), np.outer(c1, c2))
 
 
 # -- edge projectors ---------------------------------------------------------------
@@ -334,12 +322,8 @@ def _physical_c2_data(patch: Patch, spline: TensorSpline, corner) -> np.ndarray:
     x2 = np.asarray(corner[1])
     jet = patch.gmap.jet(x1, x2, orders=_C2_ORDERS)
     f = spline.jet(x1, x2, _C2_ORDERS)
-    grad, hess = _inverse_chain_rule(
-        (jet[1, 0], jet[0, 1]),
-        (f[1, 0], f[0, 1]),
-        [f[ab] for ab in _C2_ORDERS[3:]],
-        [jet.get(ab) for ab in _C2_ORDERS[3:]],
-    )
+    grad, hess = _inverse_chain_rule(jet, patch.gmap.zeros, (f[1, 0], f[0, 1]),
+                                     [f[ab] for ab in _C2_ORDERS[3:]])
     return np.array([f[0, 0], *grad, *hess], dtype=float)
 
 

@@ -16,9 +16,9 @@ mapped points, the Jacobian determinant and every chain-rule factor, each at
 the broadcast shape of the axes it depends on, and one jet of the physical
 field at the mapped points (a column and a row of them on an axis-aligned
 patch).  Terms with a factor that is identically zero for the map (absent
-from its jet) are skipped, and terms are summed by their order of u, so one
-order array of u is alive at a time.  A pullback value has the broadcast
-shape of its input points.
+from its jet, or in ``gmap.zeros``) are skipped, with the orders of u only
+they read; terms are summed by their order of u, so one order array of u is
+alive at a time.  A pullback value has the broadcast shape of its points.
 """
 
 from __future__ import annotations
@@ -246,14 +246,14 @@ def directional_edge_field(u: ScalarField2D, j: int, alpha, beta) -> ScalarField
 # list depends only on the requested order (a, b) and is cached, grouped by
 # the order (m, n) of u.  Every factor order of the list for (a, b) is at
 # most (a, b) componentwise, so one geometry jet up to (a, b) holds all of
-# them; a term whose factor order is absent from the jet (identically zero
-# for the map, e.g. any order above 1 of a bilinear map) is skipped.  Each
-# factor is a jet component at the broadcast shape of the axes it depends
-# on, so a u-order's products and their sum stay at those small shapes and
-# meet the u-order, which spans the grid, in one multiply.  Only a term's
-# first multiply, (coef * f_0), allocates, and later ones where broadcasting
-# grows the product: the other multiplies, the group sums and the product
-# with the u-order run in place, never in a jet's array.
+# them; a term with a factor identically zero for the map (absent from the
+# jet, or in ``gmap.zeros``, e.g. d2 G_x on an axis-aligned patch) is
+# skipped.  Each factor is a jet component at the broadcast shape of the
+# axes it depends on, so a u-order's products and their sum stay at those
+# small shapes and meet the u-order, which spans the grid, in one multiply.
+# Only a term's first multiply, (coef * f_0), allocates, and later ones where
+# broadcasting grows the product: the other multiplies, the group sums and
+# the product with the u-order run in place, never in a jet's array.
 
 
 _OUT_OF_PLACE = {operator.imul: operator.mul, operator.iadd: operator.add}
@@ -312,6 +312,7 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
 
     def bind(x1, x2, c, d):
         jet = gmap.jet(x1, x2, max(c, 1), max(d, 1))
+        zeros = getattr(gmap, "zeros", ())
         det = jacobian_det(jet[1, 0], jet[0, 1])
         if np.any(det <= 0.0):
             raise GeometryError(
@@ -328,7 +329,7 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
             for uo, terms in _terms_by_u_order(a, b):
                 group = None
                 for coef, factors in terms:
-                    if any(od not in jet for _, od in factors):
+                    if any(od not in jet or (od, comp) in zeros for comp, od in factors):
                         continue
                     acc = coef  # a float: the first multiply allocates
                     for comp, od in factors:

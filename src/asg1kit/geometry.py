@@ -12,7 +12,8 @@ the quotient rule once.  All of them evaluate derivatives through
 ``jet(x1, x2, c, d)``, which returns ``{(a, b): (d1^a d2^b G_x, d1^a d2^b
 G_y)}`` for all a <= c, b <= d, or for the (a, b) in ``orders`` alone, each
 order a tuple of component arrays.  Orders that are identically zero in every
-component are absent; an absent key means zero.
+component are absent; an absent key means zero, and so does a component in
+``zeros``, whose terms `fields.pullback` and `norms` drop.
 
 Dependence rule: component c of order (a, b) is constant in x2 exactly when
 its coefficient grid, differentiated a times along x1 and b times along x2,
@@ -25,8 +26,9 @@ component has the broadcast shape of the axes it depends on: (N1, 1),
 (1, N2), (1, 1) or (N1, N2).  On a bilinear map d1 G depends on x2 at most,
 d2 G on x1 at most and d12 G on neither; on an axis-aligned patch x depends
 on x1 alone and y on x2 alone.  Components that depend on both axes take one
-folded contraction per group.  Any other broadcast pair of points is
-evaluated point by point, every component at the full shape.  ``derivative``
+folded contraction per group; grid jets share the binding of a recent row
+(`_bound_x2`).  Any other broadcast pair of points is evaluated point by
+point, every component at the full shape.  ``derivative``
 and ``point`` give single orders stacked as (..., 2) arrays.
 """
 
@@ -158,6 +160,12 @@ class _TensorProductMap:
                     for c, (i, j) in enumerate(zip(on1, on2)))
         return out
 
+    @functools.cached_property
+    def zeros(self) -> frozenset:
+        """The (order, component) pairs of G that `_dependence` finds 0.0."""
+        return frozenset((ab, c) for ab, deps in self._dependence.items()
+                         for c, (_, _, v) in enumerate(deps) if v == 0.0)
+
     def _homogeneous_orders(self, orders) -> list:
         """The orders of the contracted coefficients that ``orders`` read."""
         return orders
@@ -183,12 +191,17 @@ class _TensorProductMap:
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         if x1.ndim == x2.ndim == 2 and x1.shape[1] == 1 and x2.shape[0] == 1:
-            return self.bind_x2(x2, orders)(x1)
+            return self._bound_x2(x2.tobytes(), tuple(orders))(x1)
         needs = self._present(self._homogeneous_orders(orders))
         full = tensor_jet((self.space1, self.space2), self._coef, x1, x2, needs)
         k = self._coef.shape[2]
         return self._from_homogeneous(
             {ab: tuple(v[..., c] for c in range(k)) for ab, v in full.items()}, orders)
+
+    @functools.lru_cache(maxsize=8)
+    def _bound_x2(self, x2: bytes, orders: tuple):
+        """`bind_x2` of the row with bytes ``x2``; a data matrix's blocks share it."""
+        return self.bind_x2(np.frombuffer(x2), orders)
 
     def bind_x2(self, x2, orders):
         """``x1 -> jet(x1, x2, orders=orders)`` on the grid x1 (x) x2, x1 a
@@ -288,11 +301,12 @@ class NurbsMap(_TensorProductMap):
     shapes their dependence allows, then the quotient rule applied to
     ``F = G * w`` turns it into every rational order, each component at the
     broadcast shape of its operands; this keeps the discrete function space
-    polynomial on the parameter domain.  No order of a rational map is
-    dropped.
+    polynomial on the parameter domain.  No order or component of a
+    rational map is dropped: the dependence rule reads w P and w, not G.
     """
 
     kind = "nurbs"
+    zeros = frozenset()
 
     def __init__(self, space1, space2, control, weights):
         self.space1 = space1

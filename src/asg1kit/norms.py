@@ -20,6 +20,8 @@ integrands that meet the approximation span the block's grid.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,35 +37,52 @@ __all__ = ["ErrorTable", "physical_error_norms", "combine_tables", "observed_ord
 _ORDERS = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((2, 0), (1, 1), (0, 2))}
 
 
-def _inverse_chain_rule(jac, grad, hess=None, geo_hess=None):
+def _mul(*factors):
+    """The product of ``factors`` left to right; None (zero) if one is."""
+    if any(f is None for f in factors):
+        return None
+    return functools.reduce(operator.mul, factors)
+
+
+def _add(*terms):
+    """The sum of the ``terms`` that are not None, left to right, or None."""
+    terms = [t for t in terms if t is not None]
+    return functools.reduce(operator.add, terms) if terms else None
+
+
+def _inverse_chain_rule(jet, zeros, grad, hess=None):
     """Physical gradient and Hessian of f o G^{-1} from parametric derivatives.
 
-    ``jac`` holds d1 G and d2 G and ``geo_hess`` holds d11 G, d12 G and d22 G,
-    each a component tuple of a geometry jet; ``grad`` holds d1 f and d2 f
-    and ``hess`` holds d11 f, d12 f and d22 f; a ``geo_hess`` entry of None
-    is an identically zero second derivative of G.  Everything formed from
-    the geometry alone stays at the broadcast shape of its jet components.
-    Returns ``(gx, gy)`` and ``(hxx, hxy, hyy)``, the latter None when no
-    ``hess`` is given.
+    ``jet`` holds d1 G, d2 G and, with ``hess`` (d11 f, d12 f, d22 f), the
+    second orders of G; ``grad`` holds d1 f and d2 f.  Components in ``zeros``
+    (``gmap.zeros``) or of absent orders are zero: the J^{-1} entries and terms
+    they form are dropped.  Geometry-only terms keep the broadcast shapes of
+    the jet.  Returns ``(gx, gy)`` and ``(hxx, hxy, hyy)``, or None for them.
     """
-    (d1x, d1y), (d2x, d2y) = jac
-    inv_det = 1.0 / jacobian_det(*jac)
+    def comp(ab, c):
+        return None if ab not in jet or (ab, c) in zeros else jet[ab][c]
+
+    inv_det = 1.0 / jacobian_det(jet[1, 0], jet[0, 1])
     # B = J^{-1} = adj(J) / det with J = [d1 | d2] columns
-    b11, b12 = inv_det * d2y, -inv_det * d2x
-    b21, b22 = -inv_det * d1y, inv_det * d1x
+    b11, b12 = _mul(inv_det, comp((0, 1), 1)), _mul(-inv_det, comp((0, 1), 0))
+    b21, b22 = _mul(-inv_det, comp((1, 0), 1)), _mul(inv_det, comp((1, 0), 0))
     g1, g2 = grad
     # the physical gradient is B^T times the parametric one
-    gx = b11 * g1 + b21 * g2
-    gy = b12 * g1 + b22 * g2
+    gx = _add(_mul(b11, g1), _mul(b21, g2))
+    gy = _add(_mul(b12, g1), _mul(b22, g2))
     if hess is None:
         return (gx, gy), None
-    a11, a12, a22 = (h if G is None else h - (gx * G[0] + gy * G[1])
-                     for h, G in zip(hess, geo_hess))
+    a11, a12, a22 = (h if s is None else h - s for h, s in zip(hess, (
+        _add(_mul(gx, comp(ab, 0)), _mul(gy, comp(ab, 1))) for ab in _ORDERS[2])))
     # H_phys = B^T A B, each entry a form in (a11, a12, a22) whose
     # coefficients are products of B entries
-    hxx = a11 * (b11 * b11) + a12 * (2.0 * b11 * b21) + a22 * (b21 * b21)
-    hxy = a11 * (b11 * b12) + a12 * (b11 * b22 + b21 * b12) + a22 * (b21 * b22)
-    hyy = a11 * (b12 * b12) + a12 * (2.0 * b12 * b22) + a22 * (b22 * b22)
+    hxx = _add(_mul(a11, _mul(b11, b11)), _mul(a12, _mul(2.0, b11, b21)),
+               _mul(a22, _mul(b21, b21)))
+    hxy = _add(_mul(a11, _mul(b11, b12)),
+               _mul(a12, _add(_mul(b11, b22), _mul(b21, b12))),
+               _mul(a22, _mul(b21, b22)))
+    hyy = _add(_mul(a11, _mul(b12, b12)), _mul(a12, _mul(2.0, b12, b22)),
+               _mul(a22, _mul(b22, b22)))
     return (gx, gy), (hxx, hxy, hyy)
 
 
@@ -114,21 +133,20 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
     sums = dict.fromkeys(t_orders, 0.0)
     for start in range(0, len(x1), rows):
         block = slice(start, start + rows)
-        for t, s in _squared_errors(gjet, u, fjet, x1[block], x2,
-                                    np.outer(w1[block], w2), t_orders).items():
+        for t, s in _squared_errors(gjet, patch.gmap.zeros, u, fjet, x1[block],
+                                    x2, np.outer(w1[block], w2), t_orders).items():
             sums[t] += s
     return ErrorTable.from_seminorms({t: np.sqrt(s) for t, s in sums.items()})
 
 
-def _squared_errors(g_bound, u: ScalarField2D, f_bound, x1, x2, W,
+def _squared_errors(g_bound, zeros, u: ScalarField2D, f_bound, x1, x2, W,
                     t_orders) -> dict:
     """{t: sum of W * det * |d^t error|^2} on the tensor grid x1 (x) x2;
     ``g_bound`` and ``f_bound`` are the geometry and the approximation with
-    x2 bound."""
+    x2 bound, ``zeros`` the geometry's exact-zero components."""
     # one geometry jet of the orders read on the grid; absent orders are zero
     jet = g_bound(x1)
-    d1, d2 = jet[1, 0], jet[0, 1]
-    det = jacobian_det(d1, d2)
+    det = jacobian_det(jet[1, 0], jet[0, 1])
     if np.any(det <= 0.0):
         # det has the shape of the axes it depends on; locate on the grid
         det = np.broadcast_to(det, (len(x1), len(x2)))
@@ -148,11 +166,8 @@ def _squared_errors(g_bound, u: ScalarField2D, f_bound, x1, x2, W,
 
     if 1 in t_orders or 2 in t_orders:
         grad = (fjet[1, 0], fjet[0, 1])
-        hess = geo_hess = None
-        if 2 in t_orders:
-            hess = [fjet[ab] for ab in _ORDERS[2]]
-            geo_hess = [jet.get(ab) for ab in _ORDERS[2]]
-        (gx, gy), phys_hess = _inverse_chain_rule((d1, d2), grad, hess, geo_hess)
+        hess = [fjet[ab] for ab in _ORDERS[2]] if 2 in t_orders else None
+        (gx, gy), phys_hess = _inverse_chain_rule(jet, zeros, grad, hess)
         if 1 in t_orders:
             ex = ujet(1, 0) - gx
             ey = ujet(0, 1) - gy

@@ -39,7 +39,6 @@ __all__ = [
     "UniSpline",
     "uniform_partition",
     "reverse",
-    "refine",
     "dimension",
     "eval_spline",
     "derivative",
@@ -64,6 +63,13 @@ _BREAKPOINT_TOL = 1e-12
 # and 2^15 keeps its arrays near the L2 cache, where the elementwise passes
 # run fastest.
 _BLOCK_POINTS = 32768
+
+# glibc maps a request above its mmap threshold (128 KB at start) and raises
+# it, and the heap's trim threshold to twice it, to the size of a freed mapped
+# chunk.  Near a block array's 256 KB, a block's arrays are mapped or the heap
+# is trimmed after it, and the next block faults the pages in again; one
+# untouched 8 MB array freed here lifts both above a block's working set.
+np.empty(_BLOCK_POINTS << 5)
 
 # The most bytes (points and band values) of the basis bands that
 # `eval_operator` keeps for recent (space, order, points) triples.  Most of
@@ -124,13 +130,6 @@ def reverse(partition: Partition) -> Partition:
     z = partition.as_array()
     inner = tuple(float(1.0 - v) for v in z[-2:0:-1])
     return Partition((0.0,) + inner + (1.0,))
-
-
-def refine(partition: Partition) -> Partition:
-    """Dyadic refinement: insert the midpoint of every element."""
-    z = partition.as_array()
-    mid = 0.5 * (z[:-1] + z[1:])
-    return Partition(tuple(float(v) for v in np.sort(np.concatenate((z, mid)))))
 
 
 @dataclass(frozen=True)

@@ -178,24 +178,26 @@ def directional_project(space: TensorSplineSpace, j: int, r: int,
 # -- tensor projector -----------------------------------------------------------------
 
 
+def _runs(orders):
+    """(order, slice) for each run of equal entries of ``orders``."""
+    cuts = [0] + [i for i in range(1, len(orders)) if orders[i] != orders[i - 1]]
+    return [(orders[a], slice(a, b)) for a, b in zip(cuts, cuts[1:] + [len(orders)])]
+
+
 def data_matrix(u: ScalarField2D, f1: PointFunctionals, f2: PointFunctionals
                 ) -> np.ndarray:
     """Mixed derivative data D[a, b] = d1^{o1_a} d2^{o2_b} u(x_a, y_b), one
-    call of ``u`` per order pair and block of rows of at most
-    ``_BLOCK_POINTS`` points (one row at least)."""
-    o1 = np.asarray(f1.orders)
-    o2 = np.asarray(f2.orders)
+    call of ``u``, written by slices, per pair of runs of equal order and
+    block of at most ``_BLOCK_POINTS`` points (one row at least)."""
     x = np.asarray(f1.points)
     y = np.asarray(f2.points)
     D = np.empty((len(x), len(y)))
-    for da in sorted(set(f1.orders)):
-        ia = np.where(o1 == da)[0]
-        for db in sorted(set(f2.orders)):
-            ib = np.where(o2 == db)[0]
-            rows = max(1, _BLOCK_POINTS // len(ib))
-            for start in range(0, len(ia), rows):
-                block = ia[start:start + rows]
-                D[np.ix_(block, ib)] = u(x[block][:, None], y[ib][None, :], da, db)
+    for da, ia in _runs(f1.orders):
+        for db, ib in _runs(f2.orders):
+            rows = max(1, _BLOCK_POINTS // (ib.stop - ib.start))
+            for start in range(ia.start, ia.stop, rows):
+                block = slice(start, min(start + rows, ia.stop))
+                D[block, ib] = u(x[block, None], y[None, ib], da, db)
     return D
 
 

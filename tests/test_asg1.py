@@ -134,6 +134,14 @@ def test_extend_vanishes_on_opposite_side(j):
         assert np.max(np.abs(n[0] * E(x, y, 1, 0) + n[1] * E(x, y, 0, 1))) <= 1e-12
 
 
+def test_extend_rejects_a_bad_side():
+    Z = uniform_partition(N)
+    S = UniSplineSpace(P, K, Z)
+    one = UniSpline(S, np.ones(S.dim))
+    with pytest.raises(ValueError, match="side index"):
+        extend(5, 0, one, (Z, Z), P, K)
+
+
 def test_extend_propagates_bubble_failure():
     Z = uniform_partition(5)  # too coarse for p=4 bubbles
     S = UniSplineSpace(4, 1, Z)

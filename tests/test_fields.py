@@ -478,3 +478,32 @@ def test_directional_edge_field_takes_one_jet(monkeypatch, j):
                                LinearFunction(1.0, 0.5), LinearFunction(0.2, -0.3))
     g(np.linspace(0.0, 1.0, 9), 2)
     assert calls == {"jet": 1, "derivative": 0, "point": 0}
+
+
+@pytest.mark.parametrize("points", ["grid", "scattered"])
+def test_axis_aligned_pullback_reads_one_order_of_u(points):
+    # on G = (x0 + h1 x1, y0 + h2 x2) every chain-rule term with a factor
+    # d2 G_x, d1 G_y or an order above 1 is an exact zero and is dropped,
+    # so order (a, b) of u o G is h1^a h2^b (d^(a,b) u) o G, one u-order
+    h1, h2 = 2.0, 0.5  # powers of two: the scaling is exact
+    gmap = BilinearMap([[(-1.0, 0.25), (-1.0, 0.75)], [(1.0, 0.25), (1.0, 0.75)]])
+    assert gmap.zeros == {((1, 0), 1), ((0, 1), 0), ((1, 1), 0), ((1, 1), 1)}
+    u = manufactured("sinsin")
+    seen = []
+
+    def ev(x, y, m, n):
+        seen.append(((m, n), x, y))
+        return u(x, y, m, n)
+
+    v = pullback(ScalarField2D(ev, max_order=u.max_order), gmap)
+    s = np.linspace(0.0, 1.0, 7)
+    x1, x2 = (s[:, None], s[None, :5]) if points == "grid" else (s, s[::-1])
+    for a in range(4):
+        for b in range(4):
+            seen.clear()
+            got = v(x1, x2, a, b)
+            assert [uo for uo, _, _ in seen] == [(a, b)]
+            _, X, Y = seen[0]
+            want = h1 ** a * h2 ** b * u(X, Y, a, b)
+            assert got.shape == np.broadcast_shapes(x1.shape, x2.shape)
+            assert np.array_equal(got, np.broadcast_to(want, got.shape)), (a, b)

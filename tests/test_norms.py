@@ -301,3 +301,37 @@ def test_observed_order():
     assert observed_order(0.5, 0.5) == pytest.approx(0.0)
     assert observed_order(0.0, 0.1) is None
     assert observed_order(0.1, 0.0) is None
+
+
+@pytest.mark.parametrize("name", ["three_patch_L", "two_patch_skew"])
+def test_inverse_chain_rule_drops_exact_zero_jacobian_entries(name):
+    # on an axis-aligned patch d2 G_x and d1 G_y are exact zeros, so the
+    # J^-1 entries b12 and b21 and every term they multiply are dropped;
+    # the gradient and Hessian are those of the full rule, bit for bit
+    from test_tensor import random_tensor_spline
+
+    patch = builtin_geometry(name).patches[-1]
+    zeros = patch.gmap.zeros
+    if name == "three_patch_L":
+        assert {((1, 0), 1), ((0, 1), 0)} <= zeros
+    else:  # the skew patch: d2 G_x and d12 G_x
+        assert zeros == {((0, 1), 0), ((1, 1), 0)}
+    s = np.linspace(0.05, 0.95, 6)
+    x1, x2 = s[:, None], s[None, :]
+    orders = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    jet = patch.gmap.jet(x1, x2, 2, 2)
+    V = TensorSplineSpace(*(UniSplineSpace(4, 2, z) for z in patch.partitions))
+    f = random_tensor_spline(V).jet(x1, x2, orders)
+    grad, hess = (f[1, 0], f[0, 1]), [f[ab] for ab in orders[2:]]
+    got = norms._inverse_chain_rule(jet, zeros, grad, hess)
+    want = norms._inverse_chain_rule(jet, frozenset(), grad, hess)
+    for g, w in zip(got[0] + got[1], want[0] + want[1]):
+        assert np.array_equal(np.broadcast_to(g, (6, 6)), np.broadcast_to(w, (6, 6)))
+    if name == "three_patch_L":
+        # a NaN in d2 f and d12 f reaches gx and hxx, hyy only through a
+        # product with b21 or b12 (0 * nan is nan), so only when not dropped
+        nan = np.full((6, 6), np.nan)
+        for z, finite in ((zeros, True), (frozenset(), False)):
+            (gx, _), (hxx, _, hyy) = norms._inverse_chain_rule(
+                jet, z, (grad[0], nan), [hess[0], nan, hess[2]])
+            assert all(np.isfinite(v).all() == finite for v in (gx, hxx, hyy))

@@ -18,7 +18,6 @@ from asg1kit.splines import (
     integrate,
     interpolate_at_greville,
     multiply_by_linear,
-    refine,
     reverse,
     uniform_partition,
 )
@@ -63,11 +62,6 @@ def test_reverse():
     np.testing.assert_allclose(
         reverse(reverse(z)).as_array(), z.as_array(), atol=1e-15
     )
-
-
-def test_refine_inserts_midpoints():
-    z = refine(Partition((0.0, 0.5, 1.0)))
-    assert z.breakpoints == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 # -- dimension -----------------------------------------------------------------
@@ -400,7 +394,7 @@ def test_embed_rejects_non_nesting():
 def test_embed_into_refined_partition():
     Z = uniform_partition(2)
     f = random_spline(UniSplineSpace(3, 1, Z), seed=10)
-    g = embed(f, UniSplineSpace(3, 1, refine(Z)))
+    g = embed(f, UniSplineSpace(3, 1, Partition((0.0, 0.25, 0.5, 0.75, 1.0))))
     x = np.linspace(0, 1, 100)
     assert np.max(np.abs(g(x) - f(x))) <= 1e-12
 

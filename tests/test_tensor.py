@@ -347,7 +347,7 @@ def _full_grid_data(u, f1, f2):
     return D
 
 
-@pytest.mark.parametrize("kind", ["bilinear", "spline", "tensor_spline"])
+@pytest.mark.parametrize("kind", ["bilinear", "spline", "nurbs", "tensor_spline"])
 def test_data_matrix_row_blocks_match_full_grid_data(kind):
     from asg1kit.fields import pullback
     from asg1kit.ritz1d import ritz_functionals
@@ -379,3 +379,46 @@ def test_data_matrix_row_blocks_match_full_grid_data(kind):
     # each order block is covered once, the (2, 2) block in four row blocks
     assert [rows for ab, rows, _ in calls if ab == (2, 2)] == [102, 102, 102, 14]
     assert len({ab for ab, _, _ in calls}) == 9
+
+
+def test_data_matrix_binds_each_geometry_row_once():
+    # the row blocks of one order pair share a binding of the map's x2 row;
+    # the memo of bindings keeps the eight most recent ones
+    from asg1kit.fields import pullback
+    from asg1kit.geometry import _TensorProductMap, builtin_geometry
+    from asg1kit.ritz1d import ritz_functionals
+    from asg1kit.splines import Partition
+
+    gmap = builtin_geometry("three_patch_L").patches[1].gmap
+    bind = gmap.bind_x2
+    binds = []
+
+    def counted(x2, orders):
+        binds.append((np.asarray(x2).tobytes(), orders))
+        return bind(x2, orders)
+
+    gmap.bind_x2 = counted
+    Z = Partition(tuple(float(t) for t in (np.arange(41) / 40) ** 1.5))
+    f = ritz_functionals(UniSplineSpace(4, 2, Z), 2, 8)
+    u = pullback(manufactured("sinsin"), gmap)
+    calls = []
+
+    def recorded(x, y, a, b):
+        calls.append((a, b))
+        return u(x, y, a, b)
+
+    data_matrix(ScalarField2D(recorded, max_order=u.max_order), f, f)
+    assert len(calls) > 9  # the (2, *) pairs take several row blocks
+    # one binding per (row, orders): the order pairs (a, b) and (max(a, 1),
+    # max(b, 1)) read the same jet orders
+    assert len(binds) == len(set(binds)) <= 9
+    binds.clear()
+    rows = np.linspace(0.0, 1.0, 20)[:, None] * np.linspace(0.1, 1.0, 5)[None, :]
+    for row in rows:
+        gmap.jet(np.zeros((3, 1)), row[None, :], 1, 1)
+    assert len(binds) == 20
+    info = _TensorProductMap._bound_x2.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+    gmap.jet(np.zeros((3, 1)), rows[0][None, :], 1, 1)  # evicted: bound again
+    gmap.jet(np.zeros((3, 1)), rows[-1][None, :], 1, 1)  # kept
+    assert len(binds) == 21
