@@ -50,14 +50,14 @@ def _add(*terms):
     return functools.reduce(operator.add, terms) if terms else None
 
 
-def _inverse_chain_rule(jet, zeros, grad, hess=None):
+def _inverse_chain_rule(jet, zeros, grad, hess):
     """Physical gradient and Hessian of f o G^{-1} from parametric derivatives.
 
-    ``jet`` holds d1 G, d2 G and, with ``hess`` (d11 f, d12 f, d22 f), the
-    second orders of G; ``grad`` holds d1 f and d2 f.  Components in ``zeros``
+    ``jet`` holds the first and second orders of G, ``grad`` d1 f and d2 f,
+    ``hess`` d11 f, d12 f and d22 f.  Components in ``zeros``
     (``gmap.zeros``) or of absent orders are zero: the J^{-1} entries and terms
     they form are dropped.  Geometry-only terms keep the broadcast shapes of
-    the jet.  Returns ``(gx, gy)`` and ``(hxx, hxy, hyy)``, or None for them.
+    the jet.  Returns ``(gx, gy)`` and ``(hxx, hxy, hyy)``, None for a zero.
     """
     def comp(ab, c):
         return None if ab not in jet or (ab, c) in zeros else jet[ab][c]
@@ -70,8 +70,6 @@ def _inverse_chain_rule(jet, zeros, grad, hess=None):
     # the physical gradient is B^T times the parametric one
     gx = _add(_mul(b11, g1), _mul(b21, g2))
     gy = _add(_mul(b12, g1), _mul(b22, g2))
-    if hess is None:
-        return (gx, gy), None
     a11, a12, a22 = (h if s is None else h - s for h, s in zip(hess, (
         _add(_mul(gx, comp(ab, 0)), _mul(gy, comp(ab, 1))) for ab in _ORDERS[2])))
     # H_phys = B^T A B, each entry a form in (a11, a12, a22) whose
@@ -104,15 +102,14 @@ class ErrorTable:
 
 
 def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
-                         t_orders=(0, 1, 2), nq: int | None = None) -> ErrorTable:
-    """Error (semi)norms of u - f_h o G^{-1} over one patch.
+                         nq: int | None = None) -> ErrorTable:
+    """Error seminorms and norms of orders 0, 1, 2 of u - f_h o G^{-1} over
+    one patch.
 
     ``u`` is a physical field; ``f_h`` the parametric spline approximation.
     Quadrature respects the breakpoints of both partitions so every integrand
     is element-wise smooth.
     """
-    if max(t_orders) > 2:
-        raise ValueError("norm orders above 2 are not supported")
     if nq is None:
         # error integrands mix the analytic target with the spline and suffer
         # near-cancellation; two extra nodes over the projector rule keep the
@@ -122,29 +119,25 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
         ) + 2
     x1, w1 = gauss_rule(patch.partitions[0], nq)
     x2, w2 = gauss_rule(patch.partitions[1], nq)
-    # the orders of f_h the norms read (H2 needs H1's) and those of the
-    # geometry, each with x2 contracted once
-    reads = set(t_orders) | ({1} if 2 in t_orders else set())
-    fjet = f_h.bind_x2(x2, [ab for t in sorted(reads) for ab in _ORDERS[t]])
-    top = 2 if 2 in t_orders else 1
-    gjet = patch.gmap.bind_x2(x2, [ab for t in range(top + 1) for ab in _ORDERS[t]])
+    # the six orders of f_h and of the geometry, each with x2 contracted once
+    orders = [ab for t in range(3) for ab in _ORDERS[t]]
+    fjet, gjet = f_h.bind_x2(x2, orders), patch.gmap.bind_x2(x2, orders)
     # blocks of whole x1 elements (nq nodes each), at least one per block
     rows = nq * max(1, _BLOCK_POINTS // (nq * len(x2)))
-    sums = dict.fromkeys(t_orders, 0.0)
+    sums = np.zeros(3)
     for start in range(0, len(x1), rows):
         block = slice(start, start + rows)
-        for t, s in _squared_errors(gjet, patch.gmap.zeros, u, fjet, x1[block],
-                                    x2, np.outer(w1[block], w2), t_orders).items():
-            sums[t] += s
-    return ErrorTable.from_seminorms({t: np.sqrt(s) for t, s in sums.items()})
+        sums += _squared_errors(gjet, patch.gmap.zeros, u, fjet, x1[block], x2,
+                                np.outer(w1[block], w2))
+    return ErrorTable.from_seminorms(dict(enumerate(np.sqrt(sums))))
 
 
-def _squared_errors(g_bound, zeros, u: ScalarField2D, f_bound, x1, x2, W,
-                    t_orders) -> dict:
-    """{t: sum of W * det * |d^t error|^2} on the tensor grid x1 (x) x2;
-    ``g_bound`` and ``f_bound`` are the geometry and the approximation with
-    x2 bound, ``zeros`` the geometry's exact-zero components."""
-    # one geometry jet of the orders read on the grid; absent orders are zero
+def _squared_errors(g_bound, zeros, u: ScalarField2D, f_bound, x1, x2, W) -> tuple:
+    """The sums of W * det * |d^t error|^2 for t = 0, 1, 2 on the tensor grid
+    x1 (x) x2; ``g_bound`` and ``f_bound`` are the geometry and the
+    approximation with x2 bound, ``zeros`` the geometry's exact-zero
+    components."""
+    # one geometry jet of the six orders on the grid; absent orders are zero
     jet = g_bound(x1)
     det = jacobian_det(jet[1, 0], jet[0, 1])
     if np.any(det <= 0.0):
@@ -156,29 +149,17 @@ def _squared_errors(g_bound, zeros, u: ScalarField2D, f_bound, x1, x2, W,
             f"point ({x1[i]:.6f}, {x2[j]:.6f})"
         )
     W = W * det
-    ujet = u.jet(*jet[0, 0], max(t_orders), max(t_orders))
+    ujet = u.jet(*jet[0, 0], 2, 2)
     fjet = f_bound(x1)
 
-    out = {}
-    if 0 in t_orders:
-        diff = ujet(0, 0) - fjet.pop((0, 0))
-        out[0] = np.sum(W * diff ** 2)
-
-    if 1 in t_orders or 2 in t_orders:
-        grad = (fjet[1, 0], fjet[0, 1])
-        hess = [fjet[ab] for ab in _ORDERS[2]] if 2 in t_orders else None
-        (gx, gy), phys_hess = _inverse_chain_rule(jet, zeros, grad, hess)
-        if 1 in t_orders:
-            ex = ujet(1, 0) - gx
-            ey = ujet(0, 1) - gy
-            out[1] = np.sum(W * (ex ** 2 + ey ** 2))
-        if 2 in t_orders:
-            hxx, hxy, hyy = phys_hess
-            exx = ujet(2, 0) - hxx
-            exy = ujet(1, 1) - hxy
-            eyy = ujet(0, 2) - hyy
-            out[2] = np.sum(W * (exx ** 2 + 2.0 * exy ** 2 + eyy ** 2))
-    return out
+    l2 = np.sum(W * (ujet(0, 0) - fjet.pop((0, 0))) ** 2)
+    (gx, gy), (hxx, hxy, hyy) = _inverse_chain_rule(
+        jet, zeros, (fjet[1, 0], fjet[0, 1]), [fjet[ab] for ab in _ORDERS[2]])
+    h1 = np.sum(W * ((ujet(1, 0) - gx) ** 2 + (ujet(0, 1) - gy) ** 2))
+    exx = ujet(2, 0) - hxx
+    exy = ujet(1, 1) - hxy
+    eyy = ujet(0, 2) - hyy
+    return l2, h1, np.sum(W * (exx ** 2 + 2.0 * exy ** 2 + eyy ** 2))
 
 
 def combine_tables(tables) -> ErrorTable:

@@ -5,13 +5,14 @@ A space is described by a degree ``p``, an interior smoothness ``k`` with
 ``Z = (0 = z_0 < ... < z_n = 1)``.  Internally every space is realized by the
 open knot vector with boundary multiplicity ``p+1`` and interior multiplicity
 ``p-k``.  Basis values and derivatives of every order come from one
-evaluator, `eval_operator`: de Boor's recursion over the knot span of each
-point, in numpy alone, with the p+1 nonzero values per point memoised by
-point set, since most calls repeat a recent one.  Every tensor-product
-object (the geometry maps and tensor splines) is evaluated by one
-contraction of two such bases, `tensor_jet`, in two steps: `tensor_bind_x2`
-multiplies the coefficient grid by the x2 basis rows, then each block of x1
-points multiplies its basis rows by only the band of bound rows they touch.
+evaluator, de Boor's recursion over each point's knot span in numpy alone,
+as bands (each point's first nonzero index and p+1 values) memoised by point
+set; dense rows (`eval_operator`) are made from them only for a matrix or a
+BLAS product.  Every tensor-product object (the geometry maps and tensor
+splines) is evaluated by one contraction of two bases, `tensor_jet`, which
+contracts the x2 bands first and the x1 bands second; on grids the dense x2
+rows in one GEMM per order (`tensor_bind_x2`), then a block's x1 bands over
+only the columns they span.
 Differentiation and antidifferentiation are exact coefficient maps along any
 axis of a coefficient array, `differentiate` (scaled differences) and
 `integrate` (its cumulative-sum inverse), and have no other form.  Every
@@ -346,52 +347,46 @@ def antiderivative(g: UniSpline, c0: float = 0.0) -> UniSpline:
                      c0 + integrate(g.space, g.coefficients))
 
 
+def _dense(first: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
+    """Rows of ``width`` zeros but for the band ``rows`` from column ``first``."""
+    E = np.zeros((len(first), width))
+    E.ravel()[(first + width * np.arange(len(first)))[:, None]
+              + np.arange(rows.shape[1])] = rows
+    return E
+
+
 def eval_operator(space: UniSplineSpace, x: np.ndarray, d: int = 0) -> np.ndarray:
     """Dense matrix E with (E c)_i = (d-th derivative of the spline)(x_i),
     a fresh array each call; the bands of recent point sets are memoised."""
     shape, (first, rows) = _band_at(space, x, d)
-    n, dim = first.size, space.dim
-    E = np.zeros((n, dim))
-    E.ravel()[(first + np.arange(0, n * dim, dim))[:, None]
-              + np.arange(space.degree + 1)] = rows
-    return E.reshape(shape + (dim,))
+    return _dense(first, rows, space.dim).reshape(shape + (space.dim,))
 
 
-def tensor_bind_x2(spaces, coef: np.ndarray, x2, orders, pointwise=False):
-    """Step 1 of `tensor_jet`: ``coef`` times the x2 basis rows, once per x2
-    order.  Returns step 2, ``x1 -> {(a, b): d1^a d2^b}`` for the requested
-    orders within the degrees, on the grid x1 (x) x2 (shape (len(x1),
-    len(x2)) + components, each component slice contiguous along x2) or,
-    with ``pointwise``, at the pairs (x1[n], x2[n]).  Step 2 multiplies the
-    x1 basis rows by only the band of coefficient rows they touch, so a block
-    of a few elements costs p+1 rows per point.
+def tensor_bind_x2(spaces, coef: np.ndarray, x2, orders):
+    """Step 1 of `tensor_jet`: ``coef`` times the dense x2 basis rows, one
+    GEMM per x2 order.  Returns step 2, ``x1 -> {(a, b): d1^a d2^b}`` on the
+    grid x1 (x) x2 for the orders within the degrees (shape (len(x1), len(x2))
+    + components, each component slice contiguous along x2): one GEMM per
+    order of the x1 bands, as rows over only columns min(first)..max(first)+p.
     """
     space1, space2 = spaces
     orders = [(a, b) for a, b in orders
               if a <= space1.degree and b <= space2.degree]
-    x2 = np.ravel(x2)
-    comps = coef.shape[2:]
-    k = int(np.prod(comps))
+    x2, comps, k = np.ravel(x2), coef.shape[2:], coef[0, 0].size
     # bound[b][c, n, i] = sum_j B2^(b)[n, j] coef[i, j, c]
     ct = coef.reshape(coef.shape[:2] + (k,)).transpose(2, 1, 0)
     bound = {b: eval_operator(space2, x2, b) @ ct for b in {b for _, b in orders}}
 
     def block(x1) -> dict:
-        x1 = np.ravel(x1)
         out = {}
         for a in sorted({a for a, _ in orders}):
-            B = eval_operator(space1, x1, a)
-            band = slice(None)
-            if not pointwise:  # scattered points touch every row
-                cols = np.flatnonzero(B.any(axis=0))
-                band = slice(cols[0], cols[-1] + 1) if cols.size else slice(0, 0)
+            _, (first, rows) = _band_at(space1, np.ravel(x1), a)
+            lo, hi = (first.min(), first.max() + rows.shape[1]) if first.size else (0, 0)
+            B = _dense(first - lo, rows, hi - lo)
             for b in (b for aa, b in orders if aa == a):
-                R = bound[b][..., band]
-                if pointwise:
-                    out[a, b] = np.einsum("ni,cni->nc", B[:, band], R)
-                else:
-                    v = (B[:, band] @ R.reshape(k * len(x2), -1).T).reshape(-1, k, len(x2))
-                    out[a, b] = np.moveaxis(v, 1, 2).reshape((len(x1), len(x2)) + comps)
+                R = bound[b][..., lo:hi].reshape(k * len(x2), hi - lo)
+                v = (B @ R.T).reshape(len(B), k, len(x2))
+                out[a, b] = np.moveaxis(v, 1, 2).reshape((len(B), len(x2)) + comps)
         return out
 
     return block
@@ -399,22 +394,32 @@ def tensor_bind_x2(spaces, coef: np.ndarray, x2, orders, pointwise=False):
 
 def tensor_jet(spaces, coef: np.ndarray, x1, x2, orders) -> dict:
     """{(a, b): sum_ij B1^(a)[., i] coef[i, j, ...] B2^(b)[., j]} for each
-    requested order, with B1, B2 the basis rows of ``spaces`` at x1, x2:
-    `tensor_bind_x2` of x2, then one step 2 of all of x1.
-
-    Trailing axes of ``coef`` (components) stay trailing axes of the result;
-    an order above the degree of its space is identically zero and absent.
+    requested order, with B1, B2 the basis rows of ``spaces`` at x1, x2;
+    trailing axes of ``coef`` (components) stay trailing axes of the result,
+    and an order above the degree of its space is identically zero and absent.
     A column ``x1`` (N1, 1) with a row ``x2`` (1, N2) is an (N1, N2) grid,
-    one GEMM per order; any other broadcast pair is taken point by point.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+    `tensor_bind_x2` of x2 and then of x1.  At other broadcast pairs each
+    point gathers its (p1+1) x (p2+1) coefficients once and contracts them
+    with its x2 band, then its x1 band, as on grids."""
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     if x1.ndim == x2.ndim == 2 and x1.shape[1] == 1 and x2.shape[0] == 1:
         return tensor_bind_x2(spaces, coef, x2, orders)(x1)
-    shape = np.broadcast_shapes(x1.shape, x2.shape)
-    out = tensor_bind_x2(spaces, coef, np.broadcast_to(x2, shape), orders,
-                         pointwise=True)(np.broadcast_to(x1, shape))
-    return {ab: v.reshape(shape + coef.shape[2:]) for ab, v in out.items()}
+    (space1, space2), shape = spaces, np.broadcast_shapes(x1.shape, x2.shape)
+    orders = [(a, b) for a, b in orders
+              if a <= space1.degree and b <= space2.degree]
+    if not orders:
+        return {}
+    x1, x2 = np.broadcast_to(x1, shape), np.broadcast_to(x2, shape)
+    band1 = {a: _band_at(space1, x1, a)[1] for a in {a for a, _ in orders}}
+    band2 = {b: _band_at(space2, x2, b)[1] for b in {b for _, b in orders}}
+    f1, f2 = band1[orders[0][0]][0], band2[orders[0][1]][0]
+    comps, width, k = coef.shape[2:], space1.degree + 1, coef[0, 0].size
+    # C[n, j, i k + c] = coef[f1[n] + i, f2[n] + j, c], x2's band outermost
+    C = np.lib.stride_tricks.sliding_window_view(np.swapaxes(coef, 0, 1).reshape(
+        space2.dim, -1), (space2.degree + 1, width * k))[f2, f1 * k]
+    bound = {b: np.einsum("nj,njm->nm", r, C) for b, (_, r) in band2.items()}
+    return {(a, b): np.einsum("ni,nic->nc", band1[a][1], bound[b].reshape(
+        len(f1), width, k)).reshape(shape + comps) for a, b in orders}
 
 
 # -- quadrature and L2 machinery ----------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField1D, ScalarField2D
+from .fields import ScalarField2D
 from .geometry import EDGE_AXIS, side_end
 from .ritz1d import PointFunctionals, ritz_functionals
 from .splines import (_BLOCK_POINTS, UniSpline, UniSplineSpace, differentiate,
@@ -154,17 +154,6 @@ class DirectionalProjection:
     @property
     def axis(self) -> int:
         return EDGE_AXIS[self.side]
-
-    def fiber(self, s: float) -> UniSpline:
-        """The univariate projection of the fiber at the other coordinate s."""
-        u = self.field
-        if self.axis == 0:
-            fiber_field = ScalarField1D(lambda x, d: u(x, np.asarray(s), d, 0),
-                                        max_order=u.max_order)
-        else:
-            fiber_field = ScalarField1D(lambda y, d: u(np.asarray(s), y, 0, d),
-                                        max_order=u.max_order)
-        return self.functionals.apply(fiber_field)
 
 
 def directional_project(space: TensorSplineSpace, j: int, r: int,

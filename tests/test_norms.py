@@ -80,13 +80,13 @@ def test_norms_evaluate_each_basis_order_once_per_block(monkeypatch):
 
     _, f = spline_exact_pair()
     calls = []
-    original = splines.eval_operator
+    original = splines._band_at
 
-    def counting(space, x, d=0):
+    def counting(space, x, d):
         calls.append((space, d, np.array(x)))
         return original(space, x, d)
 
-    monkeypatch.setattr(splines, "eval_operator", counting)
+    monkeypatch.setattr(splines, "_band_at", counting)
     physical_error_norms(unit_patch(), manufactured("sinsin"), f)
     assert sorted(d for space, d, _ in calls if space == f.space.space1) == \
         [0, 0, 1, 1, 2, 2]

@@ -101,8 +101,9 @@ def test_eval_matches_kronecker_oracle():
 def test_blocked_band_contraction_matches_kronecker_oracle():
     # x2 bound once, then x1 in blocks that start and end inside elements;
     # x1 holds every breakpoint (right limits) and x = 1, the partition is
-    # non-uniform and the coefficient grid has two components, as for a map
-    from asg1kit.splines import Partition, tensor_bind_x2
+    # non-uniform and the coefficient grid has two components, as for a map;
+    # the same points paired up are the scattered input of `tensor_jet`
+    from asg1kit.splines import Partition, tensor_bind_x2, tensor_jet
 
     Z = Partition((0.0, 0.1, 0.25, 0.6, 0.7, 1.0))
     S1 = UniSplineSpace(4, 2, Z)
@@ -127,6 +128,38 @@ def test_blocked_band_contraction_matches_kronecker_oracle():
                 scale = float(np.max(np.abs(want)))
                 assert np.max(np.abs(got[..., c] - want)) <= 1e-14 * scale, \
                     (lo, a, b, c)
+    y2 = rng.permutation(np.resize(x2, len(x1)))
+    jet = tensor_jet((S1, S2), coef, x1, y2, orders)
+    assert set(jet) == {(a, b) for a, b in orders if a <= 4 and b <= 3}
+    for (a, b), got in jet.items():
+        assert got.shape == (len(x1), 2)
+        for c in range(2):
+            want = np.einsum("ni,ij,nj->n", kronecker_rows(S1, x1, a), coef[..., c],
+                             kronecker_rows(S2, y2, b))
+            scale = float(np.max(np.abs(want)))
+            assert np.max(np.abs(got[:, c] - want)) <= 1e-14 * scale, (a, b, c)
+
+
+def test_band_contraction_keeps_empty_and_zero_dimensional_shapes():
+    # an empty grid block, an empty scattered set and 0-d points have the
+    # shapes of the points followed by the components
+    from asg1kit.splines import tensor_bind_x2, tensor_jet
+
+    S = UniSplineSpace(3, 1, uniform_partition(4))
+    coef = np.random.default_rng(2).standard_normal((S.dim, S.dim, 2))
+    orders = [(0, 0), (1, 2), (3, 0)]
+    x2 = np.linspace(0.0, 1.0, 5)
+    for ab, v in tensor_bind_x2((S, S), coef, x2, orders)(np.empty(0)).items():
+        assert v.shape == (0, 5, 2), ab
+    for ab, v in tensor_jet((S, S), coef, np.empty(0), np.empty(0), orders).items():
+        assert v.shape == (0, 2), ab
+    point = tensor_jet((S, S), coef, 0.25, 0.6, orders)
+    grid = tensor_bind_x2((S, S), coef, [0.6], orders)([0.25])
+    for ab in orders:
+        assert point[ab].shape == (2,)
+        assert np.allclose(point[ab], grid[ab][0, 0], rtol=1e-14, atol=0.0), ab
+    f = TensorSpline(TensorSplineSpace(S, S), coef[..., 0])
+    assert isinstance(f(0.25, 0.6, 1, 2), float)
 
 
 # -- traces -----------------------------------------------------------------------
@@ -186,34 +219,6 @@ def test_normal_derivative_trace_matches_eval(j):
 
 
 # -- directional projection ----------------------------------------------------------
-
-def test_directional_fiber_matches_univariate_projection():
-    V = tensor_space(3, 1, 4)
-    u = manufactured("sinsin")
-    proj = directional_project(V, 1, 2, u)
-    s = 0.37
-    fiber = proj.fiber(s)
-    from asg1kit.fields import ScalarField1D
-
-    restricted = ScalarField1D(lambda x, d: u(x, np.asarray(s), d, 0), max_order=3)
-    direct = ritz_project(V.space1, 2, restricted)
-    assert np.max(np.abs(fiber.coefficients - direct.coefficients)) <= 1e-12
-
-
-def test_directional_constant_fiber_reproduced():
-    V = tensor_space(3, 1, 4)
-    S = V.space1
-    from asg1kit.splines import greville_points, interpolate_at_greville
-
-    g = interpolate_at_greville(S, np.sin(greville_points(S)))
-
-    u = ScalarField2D(lambda x, y, a, b: g(x, a) * (1.0 if b == 0 else 0.0),
-                      max_order=3)
-    proj = directional_project(V, 1, 2, u)
-    for s in (0.0, 0.3, 1.0):
-        fiber = proj.fiber(s)
-        assert np.max(np.abs(fiber.coefficients - g.coefficients)) <= 1e-12
-
 
 def test_opposite_sides_share_operator():
     V = tensor_space(3, 1, 4)
