@@ -305,14 +305,15 @@ class ConformityReport:
         }
 
 
-def _d_derivative_on_edge(proj: TensorSpline, glue: EdgeGluing, j: int, t):
-    x1, x2 = edge_coords(j, t)
-    d = crossing_direction(glue, j)(t)
-    grad = proj.jet(x1, x2, [(1, 0), (0, 1)])
-    return d[..., 0] * grad[1, 0] + d[..., 1] * grad[0, 1]
-
-
 _C2_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _edge_sample(proj: TensorSpline, glue: EdgeGluing, j: int, t):
+    """The trace and the crossing derivative of ``proj`` at the points ``t``
+    of side ``j``, from one jet."""
+    d = crossing_direction(glue, j)(t)
+    f = proj.jet(*edge_coords(j, t), _C2_ORDERS[:3])
+    return f[0, 0], d[..., 0] * f[1, 0] + d[..., 1] * f[0, 1]
 
 
 def _physical_c2_data(patch: Patch, spline: TensorSpline, corner) -> np.ndarray:
@@ -347,13 +348,9 @@ def check_conformity(gp: GlobalProjection, samples: int = 50) -> ConformityRepor
     for iface in mp.interfaces:
         (i, j), (ii, jj) = iface.left, iface.right
         s = edge_parameter_map(iface, t)
-        fl = gp.patches[i].spline
-        fr = gp.patches[ii].spline
-        xl, yl = edge_coords(j, t)
-        xr, yr = edge_coords(jj, s)
-        value_jump = float(np.max(np.abs(fl(xl, yl) - fr(xr, yr))))
-        dl = _d_derivative_on_edge(fl, gp.gluing[i, j], j, t)
-        dr = _d_derivative_on_edge(fr, gp.gluing[ii, jj], jj, s)
+        vl, dl = _edge_sample(gp.patches[i].spline, gp.gluing[i, j], j, t)
+        vr, dr = _edge_sample(gp.patches[ii].spline, gp.gluing[ii, jj], jj, s)
+        value_jump = float(np.max(np.abs(vl - vr)))
         d_jump = float(np.max(np.abs(dl + dr)))
         vsl, gsl = scales[i]
         vsr, gsr = scales[ii]
@@ -395,21 +392,11 @@ def check_conformity(gp: GlobalProjection, samples: int = 50) -> ConformityRepor
 
     # boundary edges: record input and projected trace magnitudes
     for (i, j) in mp.boundary_edges:
-        patch = mp.patches[i]
-        x1, x2 = edge_coords(j, t)
-        pts = patch.gmap.point(x1, x2)
-        uvals = gp.field(pts[..., 0], pts[..., 1])
-        uhat = pullback(gp.field, patch.gmap)
+        uhat = pullback(gp.field, mp.patches[i].gmap)
         glue = gp.gluing[i, j]
         dfield = directional_edge_field(uhat, j, glue.alpha, glue.beta)
-        proj = gp.patches[i].spline
+        value, d = _edge_sample(gp.patches[i].spline, glue, j, t)
+        sups = (restrict_to_edge(uhat, j)(t), value, dfield(t), d)
         report.boundaries.append(
-            BoundaryConformity(
-                (i, j),
-                float(np.max(np.abs(uvals))),
-                float(np.max(np.abs(proj(x1, x2)))),
-                float(np.max(np.abs(dfield(t)))),
-                float(np.max(np.abs(_d_derivative_on_edge(proj, glue, j, t)))),
-            )
-        )
+            BoundaryConformity((i, j), *(float(np.max(np.abs(v))) for v in sups)))
     return report

@@ -1,24 +1,23 @@
-"""Evaluable scalar fields with mixed partial derivatives.
+"""Scalar fields of one and two variables, manufactured targets, pullbacks.
 
-``ScalarField2D.jet(x, y, c, d)`` binds a field to a point set and returns
-``(m, n) -> d1^m d2^n u`` at those points for m <= c, n <= d.  Work that the
-orders share (the sines and cosines of ``sinsin``, the powers of ``poly4``,
-the exponential of ``expxy``) is done once per jet; each order is built only
-when asked for and is not kept.  Calling a field is a one-order jet, and a
-field given by an evaluator ``(x, y, dx, dy) -> value`` alone falls back to
-one evaluator call per order.
+Fields of both kinds share one jet protocol: ``ScalarField2D.jet(x, y, c, d)``
+returns ``(m, n) -> d1^m d2^n u`` at the points for m <= c, n <= d, and
+``ScalarField1D.jet(x, top)`` returns ``d -> f^(d)(x)`` for d <= top.  Work
+the orders share (the sines and cosines of ``sinsin``, the one jet of u that
+an edge field binds on its side) is done once per jet; each order is built on
+request and not kept.  A call is a one-order jet; a field given by an
+evaluator alone calls it once per order asked for.
 
-The registry of manufactured functions provides closed-form fields for
-convergence studies.  ``pullback`` composes a physical field with a geometry
-map by a term-wise chain rule (term lists cached per derivative order).  A
-pullback jet takes one geometry jet (see `geometry`), which supplies the
-mapped points, the Jacobian determinant and every chain-rule factor, each at
-the broadcast shape of the axes it depends on, and one jet of the physical
-field at the mapped points (a column and a row of them on an axis-aligned
-patch).  Terms with a factor that is identically zero for the map (absent
-from its jet, or in ``gmap.zeros``) are skipped, with the orders of u only
-they read; terms are summed by their order of u, so one order array of u is
-alive at a time.  A pullback value has the broadcast shape of its points.
+``pullback`` composes a physical field with a geometry map by a term-wise
+chain rule (term lists cached per derivative order).  A pullback jet takes
+one geometry jet (see `geometry`), which supplies the mapped points, the
+Jacobian determinant and every chain-rule factor, each at the broadcast shape
+of the axes it depends on, and one jet of the physical field at the mapped
+points (a column and a row of them on an axis-aligned patch).  Terms with a
+factor that is identically zero for the map (absent from its jet, or in
+``gmap.zeros``) are skipped, with the orders of u only they read; terms are
+summed by their order of u, so one order array of u is alive at a time.  A
+pullback value has the broadcast shape of its points.
 """
 
 from __future__ import annotations
@@ -45,57 +44,59 @@ __all__ = [
 ]
 
 
-class ScalarField1D:
-    """Scalar function on [0, 1] with derivatives up to ``max_order``."""
+class _JetField:
+    """The jet protocol of fields of ``arity`` variables: ``jet(*points,
+    *tops)`` returns ``(*orders) -> derivative`` at the points for orders up
+    to the tops, and a call ``f(*points, *orders)`` is a one-order jet (tops
+    and orders left out are 0).  A field given by an evaluator ``(*points,
+    *orders) -> value`` alone calls it once per order it is asked for."""
 
     def __init__(self, evaluator, max_order: int = 3):
         self._eval = evaluator
         self.max_order = max_order
 
-    def __call__(self, x, d: int = 0):
-        if d < 0 or d > self.max_order:
-            raise ValueError(f"derivative order {d} outside 0..{self.max_order}")
-        return self._eval(np.asarray(x, dtype=float), d)
+    def _bind(self, *args):
+        """The order function at the points for orders up to the tops."""
+        return functools.partial(self._eval, *args[:self.arity])
 
+    def jet(self, *args):
+        args += (0,) * (2 * self.arity - len(args))
+        tops = args[self.arity:]
+        if min(tops) < 0 or max(tops) > self.max_order:
+            raise ValueError(f"derivative orders {tops} outside 0..{self.max_order}")
+        order = self._bind(*(np.asarray(z, dtype=float) for z in args[:self.arity]),
+                           *tops)
 
-class ScalarField2D:
-    """Scalar function of two variables with mixed partials up to
-    ``max_order`` in each variable."""
-
-    def __init__(self, evaluator, max_order: int = 3):
-        self._eval = evaluator
-        self.max_order = max_order
-
-    def _bind(self, x, y, c: int, d: int):
-        """The order function (m, n) -> d1^m d2^n u at the points (x, y);
-        a field given by its evaluator alone evaluates each order on its own."""
-        return functools.partial(self._eval, x, y)
-
-    def jet(self, x, y, c: int = 0, d: int = 0):
-        """``(m, n) -> d1^m d2^n u`` at the points (x, y) for m <= c, n <= d;
-        work shared by the orders is done once, each order on request."""
-        if min(c, d) < 0 or max(c, d) > self.max_order:
-            raise ValueError(
-                f"derivative orders ({c},{d}) outside 0..{self.max_order}"
-            )
-        order = self._bind(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                           c, d)
-
-        def partial(m: int, n: int):
-            if not (0 <= m <= c and 0 <= n <= d):
-                raise ValueError(f"order ({m},{n}) outside the jet up to ({c},{d})")
-            return order(m, n)
+        def partial(*orders):
+            if not all(0 <= m <= top for m, top in zip(orders, tops)):
+                raise ValueError(f"order {orders} outside the jet up to {tops}")
+            return order(*orders)
 
         return partial
 
-    def __call__(self, x, y, dx: int = 0, dy: int = 0):
-        return self.jet(x, y, dx, dy)(dx, dy)
+    def __call__(self, *args):
+        orders = args[self.arity:] + (0,) * (2 * self.arity - len(args))
+        return self.jet(*args)(*orders)
 
 
-def _jet_field(bind, max_order: int) -> ScalarField2D:
-    """The field whose jets come from ``bind(x, y, c, d)``, which returns the
-    order function of the points (x, y) for orders up to (c, d)."""
-    field = ScalarField2D(None, max_order)
+class ScalarField1D(_JetField):
+    """Scalar function on [0, 1] with derivatives up to ``max_order``:
+    ``jet(x, top)``, ``f(x, d)``, evaluator ``(x, d) -> value``."""
+
+    arity = 1
+
+
+class ScalarField2D(_JetField):
+    """Scalar function of two variables with mixed partials up to
+    ``max_order`` in each variable: ``jet(x, y, c, d)``, ``f(x, y, dx, dy)``,
+    evaluator ``(x, y, dx, dy) -> value``."""
+
+    arity = 2
+
+
+def _jet_field(bind, max_order: int, kind=ScalarField2D):
+    """The field of ``kind`` whose order functions come from ``bind``."""
+    field = kind(None, max_order)
     field._bind = bind
     return field
 
@@ -183,21 +184,28 @@ def manufactured(name: str) -> ScalarField2D:
 # -- edge restrictions ---------------------------------------------------------
 
 
+def _along(axis: int, tangential: int, normal: int) -> tuple[int, int]:
+    """The (x1, x2) orders of derivatives along and across an edge of ``axis``."""
+    return (tangential, normal) if axis == 0 else (normal, tangential)
+
+
 def restrict_to_edge(u: ScalarField2D, j: int) -> ScalarField1D:
-    """Trace of ``u`` on side ``j`` in the side's intrinsic parameter."""
+    """Trace of ``u`` on side ``j`` in the side's intrinsic parameter; its
+    jet up to ``top`` is one jet of ``u`` up to ``top`` along the side."""
     side_end(j)  # a ValueError for a bad side now, not at the first call
     axis = EDGE_AXIS[j]
 
-    def ev(t, d):
-        x, y = edge_coords(j, t)
-        return u(x, y, d, 0) if axis == 0 else u(x, y, 0, d)
+    def bind(t, top):
+        jet = u.jet(*edge_coords(j, t), *_along(axis, top, 0))
+        return lambda d: jet(*_along(axis, d, 0))
 
-    return ScalarField1D(ev, max_order=u.max_order)
+    return _jet_field(bind, u.max_order, ScalarField1D)
 
 
 def directional_edge_field(u: ScalarField2D, j: int, alpha, beta) -> ScalarField1D:
     """The crossing-direction derivative (n_j + beta t_j) . grad(u) / alpha
-    along side ``j``, with tangential derivatives up to order 2.
+    along side ``j``, with tangential derivatives up to order 2; its jet up to
+    ``top`` is one jet of ``u`` up to ``top + 1`` along the side and 1 across.
 
     ``alpha`` and ``beta`` are linear functions of the edge parameter exposing
     ``__call__`` and a constant ``slope``; alpha must be positive on [0, 1].
@@ -205,37 +213,36 @@ def directional_edge_field(u: ScalarField2D, j: int, alpha, beta) -> ScalarField
     if alpha(0.0) <= 0.0 or alpha(1.0) <= 0.0:
         raise ValueError("alpha must be strictly positive on [0, 1]")
     axis = EDGE_AXIS[j]
-    n = NORMALS[j]
-    tj = TANGENTS[j]
+    n, tj = NORMALS[j], TANGENTS[j]
 
-    def ev(t, d):
-        x, y = edge_coords(j, t)
-        # grad[m] = m-th tangential derivative of (d1 u, d2 u) on the edge,
-        # all read from one jet up to (d+1, 1) or (1, d+1)
-        if axis == 0:
-            jet = u.jet(x, y, d + 1, 1)
-            grad = [(jet(m + 1, 0), jet(m, 1)) for m in range(d + 1)]
-        else:
-            jet = u.jet(x, y, 1, d + 1)
-            grad = [(jet(1, m), jet(0, m + 1)) for m in range(d + 1)]
+    def bind(t, top):
+        jet = u.jet(*edge_coords(j, t), *_along(axis, top + 1, 1))
+        a, da = alpha(t), alpha.slope
+
+        @functools.cache
+        def grad(m):
+            """m-th tangential derivatives of u along and across the edge."""
+            return jet(*_along(axis, m + 1, 0)), jet(*_along(axis, m, 1))
 
         def partial(m, direction):
             """m-th tangential derivative of direction . grad(u) on the edge."""
-            return direction[0] * grad[m][0] + direction[1] * grad[m][1]
+            along, across = grad(m)
+            return direction[axis] * along + direction[1 - axis] * across
 
-        a = alpha(t)
-        da = alpha.slope
-        N0 = partial(0, n) + beta(t) * partial(0, tj)
-        if d == 0:
-            return N0 / a
-        N1 = partial(1, n) + beta.slope * partial(0, tj) + beta(t) * partial(1, tj)
-        if d == 1:
-            return N1 / a - N0 * da / a ** 2
-        N2 = partial(2, n) + 2.0 * beta.slope * partial(1, tj) \
-            + beta(t) * partial(2, tj)
-        return N2 / a - 2.0 * N1 * da / a ** 2 + 2.0 * N0 * da ** 2 / a ** 3
+        def order(d):
+            N0 = partial(0, n) + beta(t) * partial(0, tj)
+            if d == 0:
+                return N0 / a
+            N1 = partial(1, n) + beta.slope * partial(0, tj) + beta(t) * partial(1, tj)
+            if d == 1:
+                return N1 / a - N0 * da / a ** 2
+            N2 = partial(2, n) + 2.0 * beta.slope * partial(1, tj) \
+                + beta(t) * partial(2, tj)
+            return N2 / a - 2.0 * N1 * da / a ** 2 + 2.0 * N0 * da ** 2 / a ** 3
 
-    return ScalarField1D(ev, max_order=2)
+        return order
+
+    return _jet_field(bind, 2, ScalarField1D)
 
 
 # -- pullback under a geometry map ------------------------------------------------

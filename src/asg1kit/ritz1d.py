@@ -11,8 +11,9 @@ derivatives up to r-1 are interpolated at 0, and for p >= 2r-1 also at 1.
 
 Every projector is stored as a matrix acting on a fixed data vector of point
 evaluations ``(order_m, point_m)`` of the input: the r endpoint derivatives
-at 0 followed by the r-th derivative at the Gauss nodes.  This makes the
-later tensor-product nesting a pair of matrix products.
+at 0 followed by the r-th derivative at the Gauss nodes, read from one jet of
+the input at all the points.  This makes the later tensor-product nesting a
+pair of matrix products.
 """
 
 from __future__ import annotations
@@ -67,12 +68,14 @@ class PointFunctionals:
     matrix: np.ndarray
 
     def data_vector(self, field) -> np.ndarray:
+        """The data ``field(points[m], orders[m])`` from one jet of ``field``
+        at all the points, each order read at its own points; a field given
+        by its evaluator alone is called with all the points once per order."""
         orders = np.asarray(self.orders)
-        points = np.asarray(self.points)
-        data = np.empty(len(points))
+        jet = field.jet(np.asarray(self.points), max(self.orders))
+        data = np.empty(len(orders))
         for d in sorted(set(self.orders)):
-            sel = orders == d
-            data[sel] = field(points[sel], d)
+            data[orders == d] = jet(d)[orders == d]
         return data
 
     def apply(self, field) -> UniSpline:
@@ -279,10 +282,7 @@ def pi_star_functionals(p: int, k: int, partition: Partition,
     M = np.hstack([base.matrix, np.zeros((target.dim, 2))])
     bub0 = embed(bubble(p, partition, 2).spline, target).coefficients
     bub1 = embed(reflected_bubble_spline(p, partition, 2), target).coefficients
-    delta0 = np.zeros(m + 2)
-    delta0[m] = 1.0
-    delta1 = np.zeros(m + 2)
-    delta1[m + 1] = 1.0
+    delta0, delta1 = np.eye(m + 2)[m:]
     sigma0 = np.concatenate([base.endpoint_row(0.0, 2), [0.0, 0.0]])
     sigma1 = np.concatenate([base.endpoint_row(1.0, 2), [0.0, 0.0]])
     M = M + np.outer(bub0, delta0 - sigma0) + np.outer(bub1, delta1 - sigma1)

@@ -43,7 +43,6 @@ __all__ = [
     "dimension",
     "eval_spline",
     "derivative",
-    "antiderivative",
     "differentiate",
     "integrate",
     "multiply_by_linear",
@@ -339,12 +338,6 @@ def derivative(f: UniSpline) -> UniSpline:
     """Derivative as an element of S_{p-1,k-1,Z}."""
     dc = differentiate(f.space, f.coefficients)
     return UniSpline(f.space.derivative_space(), dc)
-
-
-def antiderivative(g: UniSpline, c0: float = 0.0) -> UniSpline:
-    """Antiderivative in S_{p+1,k+1,Z} with value ``c0`` at 0."""
-    return UniSpline(g.space.antiderivative_space(),
-                     c0 + integrate(g.space, g.coefficients))
 
 
 def _dense(first: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Tensor-product spline spaces and the directional / tensor projectors.
+"""Tensor-product spline spaces and the tensor projector.
 
 A tensor spline is evaluated like a geometry map, by one `tensor_jet`
 contraction of its coefficient grid with the basis rows of both directions;
@@ -33,8 +33,6 @@ __all__ = [
     "as_field",
     "trace",
     "normal_derivative_trace",
-    "DirectionalProjection",
-    "directional_project",
     "tensor_project",
     "tensor_project_Q",
 ]
@@ -133,35 +131,6 @@ def normal_derivative_trace(f: TensorSpline, j: int) -> UniSpline:
     axis = 1 - EDGE_AXIS[j]
     dc = differentiate((f.space.space1, f.space.space2)[axis], f.coefficients, axis)
     return UniSpline(f.space.side_space(j), (2 * end - 1) * _side_row(dc, j))
-
-
-# -- directional projectors -----------------------------------------------------------
-
-
-@dataclass
-class DirectionalProjection:
-    """Fiber-wise univariate projection in the direction of side ``j``'s edge.
-
-    Sides 1 and 3 share the xi1-direction operator, sides 2 and 4 the
-    xi2-direction one.
-    """
-
-    space: TensorSplineSpace
-    side: int
-    functionals: PointFunctionals
-    field: ScalarField2D
-
-    @property
-    def axis(self) -> int:
-        return EDGE_AXIS[self.side]
-
-
-def directional_project(space: TensorSplineSpace, j: int, r: int,
-                        u: ScalarField2D, nq: int | None = None
-                        ) -> DirectionalProjection:
-    axis = EDGE_AXIS[j]
-    funcs = ritz_functionals(space.space1 if axis == 0 else space.space2, r, nq)
-    return DirectionalProjection(space, j, funcs, u)
 
 
 # -- tensor projector -----------------------------------------------------------------

@@ -4,6 +4,7 @@ import sympy as sym
 
 from asg1kit.fields import (
     MANUFACTURED,
+    ScalarField1D,
     ScalarField2D,
     directional_edge_field,
     manufactured,
@@ -12,6 +13,7 @@ from asg1kit.fields import (
 )
 from asg1kit.geometry import BilinearMap, NurbsMap, SplineMap, builtin_geometry
 from asg1kit.gluing import LinearFunction
+from asg1kit.ritz1d import pi_cross_functionals, pi_star_functionals
 from asg1kit.splines import UniSpline, UniSplineSpace, uniform_partition
 
 
@@ -389,6 +391,34 @@ def test_jet_rejects_orders_outside_its_bounds():
         jet(0, 2)
     with pytest.raises(ValueError):
         u.jet(np.zeros(3), np.zeros(3), 9, 0)
+    # fields of one variable: a jet field and an evaluator-only one
+    for f in (restrict_to_edge(u, 2), ScalarField1D(lambda x, d: np.exp(x), 2)):
+        for top in (-1, f.max_order + 1):
+            with pytest.raises(ValueError):
+                f.jet(np.zeros(3), top)
+        with pytest.raises(ValueError):
+            f.jet(np.zeros(3), 1)(2)
+        with pytest.raises(ValueError):
+            f(np.zeros(3), f.max_order + 1)
+
+
+def test_evaluator_only_1d_field_is_called_once_per_order_asked_for():
+    calls = []
+
+    def ev(x, d):
+        calls.append((d, x.size))
+        return np.exp(x)
+
+    f = ScalarField1D(ev, max_order=3)
+    jet = f.jet(np.linspace(0.0, 1.0, 5), 3)
+    assert calls == []
+    jet(2)
+    jet(0)
+    assert calls == [(2, 5), (0, 5)]
+    calls.clear()
+    funcs = pi_star_functionals(4, 1, uniform_partition(6))
+    funcs.data_vector(f)
+    assert calls == [(d, len(funcs.points)) for d in (0, 1, 2)]
 
 
 def _geometry_maps():
@@ -465,19 +495,55 @@ def test_evaluator_only_field_gives_the_same_jet(name):
                 assert np.array_equal(jf(m, n), jg(m, n)), (m, n)
 
 
-@pytest.mark.parametrize("j", [1, 2, 3, 4])
-def test_directional_edge_field_takes_one_jet(monkeypatch, j):
-    gmap = _geometry_maps()["spline"]
+def _count_spline_map_calls(monkeypatch):
     calls = {"jet": 0, "derivative": 0, "point": 0}
     for name in calls:
         def counted(self, *args, _name=name, _fn=getattr(SplineMap, name)):
             calls[_name] += 1
             return _fn(self, *args)
         monkeypatch.setattr(SplineMap, name, counted)
-    g = directional_edge_field(pullback(manufactured("expxy"), gmap), j,
-                               LinearFunction(1.0, 0.5), LinearFunction(0.2, -0.3))
+    return calls
+
+
+def _crossing_field(u, j):
+    return directional_edge_field(u, j, LinearFunction(1.0, 0.5),
+                                  LinearFunction(0.2, -0.3))
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_directional_edge_field_takes_one_jet(monkeypatch, j):
+    gmap = _geometry_maps()["spline"]
+    calls = _count_spline_map_calls(monkeypatch)
+    g = _crossing_field(pullback(manufactured("expxy"), gmap), j)
     g(np.linspace(0.0, 1.0, 9), 2)
     assert calls == {"jet": 1, "derivative": 0, "point": 0}
+
+
+# functional builders and the edge fields they are applied to
+_EDGE_APPLICATIONS = {
+    # p = 4: the order-2 projection with bubble corrections; p = 6: order 3
+    "pi_star_p4": (lambda Z: pi_star_functionals(4, 1, Z), restrict_to_edge),
+    "pi_star_p6": (lambda Z: pi_star_functionals(6, 2, Z), restrict_to_edge),
+    # p = 3: the Hermite-constrained L2 projection; p = 6: order-2 Ritz
+    "pi_cross_p3": (lambda Z: pi_cross_functionals(3, 1, Z), _crossing_field),
+    "pi_cross_p6": (lambda Z: pi_cross_functionals(6, 2, Z), _crossing_field),
+}
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", sorted(_EDGE_APPLICATIONS))
+def test_edge_functionals_take_one_map_jet_per_application(monkeypatch, case, j):
+    functionals, edge_field = _EDGE_APPLICATIONS[case]
+    funcs = functionals(uniform_partition(8))
+    field = edge_field(pullback(manufactured("sinsin"), _geometry_maps()["spline"]), j)
+    calls = _count_spline_map_calls(monkeypatch)
+    funcs.apply(field)
+    assert calls == {"jet": 1, "derivative": 0, "point": 0}
+    # each order's data are its one-order evaluations at its own points
+    data = funcs.data_vector(field)
+    orders, points = np.asarray(funcs.orders), np.asarray(funcs.points)
+    for d in set(funcs.orders):
+        assert np.array_equal(data[orders == d], field(points[orders == d], d)), d
 
 
 @pytest.mark.parametrize("points", ["grid", "scattered"])

@@ -7,7 +7,6 @@ from asg1kit.splines import (
     Partition,
     UniSpline,
     UniSplineSpace,
-    antiderivative,
     derivative,
     differentiate,
     dimension,
@@ -154,7 +153,7 @@ def test_eval_one_sided_limits():
     assert f(0.5) == pytest.approx(0.25, abs=1e-13)
 
 
-# -- derivative / antiderivative -------------------------------------------------
+# -- derivative / integrate ------------------------------------------------------
 
 def test_derivative_of_constant_is_zero():
     S = UniSplineSpace(3, 2, uniform_partition(4))
@@ -182,26 +181,27 @@ def test_derivative_matches_eval(p, k):
 
 
 def test_antiderivative_examples():
+    # the integral from 0 plus a constant c0 is the antiderivative with value c0 at 0
     S0 = UniSplineSpace(2, 0, uniform_partition(3))
-    zero = UniSpline(S0, np.zeros(S0.dim))
-    const3 = antiderivative(zero, 3.0)
+    S1 = S0.antiderivative_space()
+    const3 = UniSpline(S1, 3.0 + integrate(S0, np.zeros(S0.dim)))
     x = np.linspace(0, 1, 20)
     assert np.max(np.abs(const3(x) - 3.0)) <= 1e-14
 
-    one = UniSpline(S0, np.ones(S0.dim))
-    lin = antiderivative(one, 0.0)
+    lin = UniSpline(S1, integrate(S0, np.ones(S0.dim)))
     assert np.max(np.abs(lin(x) - x)) <= 1e-14
 
 
 def test_derivative_antiderivative_roundtrip():
     S = UniSplineSpace(3, 1, uniform_partition(4))
     g = random_spline(UniSplineSpace(2, 0, S.partition), seed=3)
-    back = derivative(antiderivative(g, 1.25))
+    back = derivative(UniSpline(S, 1.25 + integrate(g.space, g.coefficients)))
     assert np.max(np.abs(back.coefficients - g.coefficients)) <= 1e-13
 
     f = random_spline(S, seed=4)
-    again = antiderivative(derivative(f), float(f(0.0)))
-    assert np.max(np.abs(again.coefficients - f.coefficients)) <= 1e-12
+    df = derivative(f)
+    again = float(f(0.0)) + integrate(df.space, df.coefficients)
+    assert np.max(np.abs(again - f.coefficients)) <= 1e-12
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -217,7 +217,7 @@ def test_axis_maps_act_on_every_fiber(axis):
     for idx in np.ndindex(fibers.shape[:-1]):
         f = UniSpline(S, fibers[idx])
         assert np.max(np.abs(dfib[idx] - derivative(f).coefficients)) <= 1e-13
-        assert np.max(np.abs(ifib[idx] - antiderivative(f).coefficients)) <= 1e-14
+        assert np.max(np.abs(ifib[idx] - integrate(S, fibers[idx]))) <= 1e-14
     back = differentiate(S.antiderivative_space(), ic, axis)
     assert np.max(np.abs(back - c)) <= 1e-13
     constant = np.repeat(np.take(c, [0], axis), S.dim, axis)

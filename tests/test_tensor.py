@@ -8,7 +8,6 @@ from asg1kit.tensor import (
     TensorSplineSpace,
     as_field,
     data_matrix,
-    directional_project,
     normal_derivative_trace,
     tensor_project,
     tensor_project_Q,
@@ -216,17 +215,6 @@ def test_normal_derivative_trace_matches_eval(j):
     n = NORMALS[j]
     want = n[0] * f(x, y, 1, 0) + n[1] * f(x, y, 0, 1)
     assert np.max(np.abs(normal_derivative_trace(f, j)(t) - want)) <= 1e-12
-
-
-# -- directional projection ----------------------------------------------------------
-
-def test_opposite_sides_share_operator():
-    V = tensor_space(3, 1, 4)
-    u = manufactured("sinsin")
-    p1 = directional_project(V, 1, 2, u)
-    p3 = directional_project(V, 3, 2, u)
-    assert p1.functionals is p3.functionals
-    assert p1.axis == p3.axis == 0
 
 
 # -- tensor projector -------------------------------------------------------------------
