@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (
+    _crossing_orders,
     ScalarField2D,
     directional_edge_field,
     pullback,
@@ -390,13 +391,14 @@ def check_conformity(gp: GlobalProjection, samples: int = 50) -> ConformityRepor
                              defect, scale)
         )
 
-    # boundary edges: record input and projected trace magnitudes
+    # boundary edges: record input and projected trace magnitudes; the input
+    # trace and crossing derivative come from one pullback jet up to (1, 1)
     for (i, j) in mp.boundary_edges:
-        uhat = pullback(gp.field, mp.patches[i].gmap)
         glue = gp.gluing[i, j]
-        dfield = directional_edge_field(uhat, j, glue.alpha, glue.beta)
+        ujet = pullback(gp.field, mp.patches[i].gmap).jet(*edge_coords(j, t), 1, 1)
         value, d = _edge_sample(gp.patches[i].spline, glue, j, t)
-        sups = (restrict_to_edge(uhat, j)(t), value, dfield(t), d)
+        sups = (ujet(0, 0), value,
+                _crossing_orders(ujet, j, t, glue.alpha, glue.beta)(0), d)
         report.boundaries.append(
             BoundaryConformity((i, j), *(float(np.max(np.abs(v))) for v in sups)))
     return report

@@ -213,36 +213,45 @@ def directional_edge_field(u: ScalarField2D, j: int, alpha, beta) -> ScalarField
     if alpha(0.0) <= 0.0 or alpha(1.0) <= 0.0:
         raise ValueError("alpha must be strictly positive on [0, 1]")
     axis = EDGE_AXIS[j]
-    n, tj = NORMALS[j], TANGENTS[j]
 
     def bind(t, top):
         jet = u.jet(*edge_coords(j, t), *_along(axis, top + 1, 1))
-        a, da = alpha(t), alpha.slope
-
-        @functools.cache
-        def grad(m):
-            """m-th tangential derivatives of u along and across the edge."""
-            return jet(*_along(axis, m + 1, 0)), jet(*_along(axis, m, 1))
-
-        def partial(m, direction):
-            """m-th tangential derivative of direction . grad(u) on the edge."""
-            along, across = grad(m)
-            return direction[axis] * along + direction[1 - axis] * across
-
-        def order(d):
-            N0 = partial(0, n) + beta(t) * partial(0, tj)
-            if d == 0:
-                return N0 / a
-            N1 = partial(1, n) + beta.slope * partial(0, tj) + beta(t) * partial(1, tj)
-            if d == 1:
-                return N1 / a - N0 * da / a ** 2
-            N2 = partial(2, n) + 2.0 * beta.slope * partial(1, tj) \
-                + beta(t) * partial(2, tj)
-            return N2 / a - 2.0 * N1 * da / a ** 2 + 2.0 * N0 * da ** 2 / a ** 3
-
-        return order
+        return _crossing_orders(jet, j, t, alpha, beta)
 
     return _jet_field(bind, 2, ScalarField1D)
+
+
+def _crossing_orders(jet, j: int, t, alpha, beta):
+    """``d -> d``-th tangential derivative of the crossing-direction
+    derivative of `directional_edge_field` at the points ``t`` of side ``j``,
+    from ``jet``, a jet of u there up to order d + 1 along the side and 1
+    across."""
+    axis = EDGE_AXIS[j]
+    n, tj = NORMALS[j], TANGENTS[j]
+    a, da = alpha(t), alpha.slope
+
+    @functools.cache
+    def grad(m):
+        """m-th tangential derivatives of u along and across the edge."""
+        return jet(*_along(axis, m + 1, 0)), jet(*_along(axis, m, 1))
+
+    def partial(m, direction):
+        """m-th tangential derivative of direction . grad(u) on the edge."""
+        along, across = grad(m)
+        return direction[axis] * along + direction[1 - axis] * across
+
+    def order(d):
+        N0 = partial(0, n) + beta(t) * partial(0, tj)
+        if d == 0:
+            return N0 / a
+        N1 = partial(1, n) + beta.slope * partial(0, tj) + beta(t) * partial(1, tj)
+        if d == 1:
+            return N1 / a - N0 * da / a ** 2
+        N2 = partial(2, n) + 2.0 * beta.slope * partial(1, tj) \
+            + beta(t) * partial(2, tj)
+        return N2 / a - 2.0 * N1 * da / a ** 2 + 2.0 * N0 * da ** 2 / a ** 3
+
+    return order
 
 
 # -- pullback under a geometry map ------------------------------------------------

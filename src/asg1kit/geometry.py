@@ -332,12 +332,20 @@ class NurbsMap(_TensorProductMap):
         G: dict[tuple[int, int], tuple] = {}
         for a, b in self._homogeneous_orders(orders):
             # F^(a,b) = sum_{e<=a, f<=b} C(a,e) C(b,f) G^(e,f) w^(a-e,b-f)
-            g = [H[a, b][c] if (a, b) in H else 0.0 for c in range(2)]
-            for e in range(a + 1):
-                for f in range(b + 1):
-                    if (e, f) != (a, b) and (a - e, b - f) in H:
-                        w = comb(a, e) * comb(b, f) * H[a - e, b - f][2]
-                        g = [g[c] - G[e, f][c] * w for c in range(2)]
+            terms = [(e, f) for e, f in product(range(a + 1), range(b + 1))
+                     if (e, f) != (a, b) and (a - e, b - f) in H]
+            g = list(H[a, b][:2]) if (a, b) in H else [0.0, 0.0]
+            for i, (e, f) in enumerate(terms):
+                m, w = comb(a, e) * comb(b, f), H[a - e, b - f][2]
+                w = w if m == 1 else m * w
+                for c in range(2):
+                    t = G[e, f][c] * w
+                    # the first term makes g[c] an array of its own, which
+                    # later terms of its shape update in place; H stays
+                    if i and g[c].shape == t.shape:
+                        g[c] -= t
+                    else:
+                        g[c] = g[c] - t
             G[a, b] = tuple(v / w0 for v in g)
         return {ab: G[ab] for ab in orders}
 

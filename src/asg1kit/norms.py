@@ -16,6 +16,16 @@ components keep the broadcast shapes of the axes they depend on (see
 `geometry`), and so do the mapped points at which the target is evaluated,
 det G, 1/det and the entries of J^{-1} and of their products; only the
 integrands that meet the approximation span the block's grid.
+
+The weights stay separable: no weight grid is built.  det G is folded into
+the x2 weights where it depends on x2 at most (every axis-aligned or affine
+patch) and into the x1 weights where it depends on x1 alone, so each sum is
+w1 @ (E @ w2), one GEMV over the squared error E; only where det depends on
+both axes (curved spline and NURBS patches) is w1 w2 det formed, once per
+block.  Each error is formed in place, one subtraction and one square per
+order, in the block's own array of that order of the approximation (a fresh
+GEMM output, a zero array or a chain-rule product), never in an array of a
+target or geometry jet, which caches share.
 """
 
 from __future__ import annotations
@@ -128,15 +138,38 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
     for start in range(0, len(x1), rows):
         block = slice(start, start + rows)
         sums += _squared_errors(gjet, patch.gmap.zeros, u, fjet, x1[block], x2,
-                                np.outer(w1[block], w2))
+                                w1[block], w2)
     return ErrorTable.from_seminorms(dict(enumerate(np.sqrt(sums))))
 
 
-def _squared_errors(g_bound, zeros, u: ScalarField2D, f_bound, x1, x2, W) -> tuple:
-    """The sums of W * det * |d^t error|^2 for t = 0, 1, 2 on the tensor grid
-    x1 (x) x2; ``g_bound`` and ``f_bound`` are the geometry and the
-    approximation with x2 bound, ``zeros`` the geometry's exact-zero
-    components."""
+def _weighted_sum(w1, w2, det):
+    """``E -> sum_ij w1[i] w2[j] det[i, j] E[i, j]`` for E on the grid.
+    ``det`` has the broadcast shape of the axes it depends on and is folded
+    into the weights of those axes once: where it depends on one axis or
+    none, each sum is one GEMV over E."""
+    if det.shape[0] == 1:
+        w2 = w2 * det[0]
+    elif det.shape[1] == 1:
+        w1 = w1 * det[:, 0]
+    else:
+        W = w1[:, None] * (w2 * det)
+        return lambda E: np.vdot(W, E)
+    return lambda E: w1 @ (E @ w2)
+
+
+def _squared(approx, target):
+    """(approx - target)^2, written into ``approx``: a full-grid array the
+    block owns (never one of a target or geometry jet, which caches share)."""
+    approx -= target
+    approx *= approx
+    return approx
+
+
+def _squared_errors(g_bound, zeros, u: ScalarField2D, f_bound, x1, x2, w1, w2) -> tuple:
+    """The sums of w1 w2 det |d^t error|^2 for t = 0, 1, 2 on the tensor grid
+    x1 (x) x2 with weights w1 (x) w2; ``g_bound`` and ``f_bound`` are the
+    geometry and the approximation with x2 bound, ``zeros`` the geometry's
+    exact-zero components."""
     # one geometry jet of the six orders on the grid; absent orders are zero
     jet = g_bound(x1)
     det = jacobian_det(jet[1, 0], jet[0, 1])
@@ -148,18 +181,21 @@ def _squared_errors(g_bound, zeros, u: ScalarField2D, f_bound, x1, x2, W) -> tup
             f"non-positive Jacobian determinant {det[i, j]:.3e} at quadrature "
             f"point ({x1[i]:.6f}, {x2[j]:.6f})"
         )
-    W = W * det
+    weighted_sum = _weighted_sum(w1, w2, det)
     ujet = u.jet(*jet[0, 0], 2, 2)
     fjet = f_bound(x1)
 
-    l2 = np.sum(W * (ujet(0, 0) - fjet.pop((0, 0))) ** 2)
+    l2 = weighted_sum(_squared(fjet.pop((0, 0)), ujet(0, 0)))
     (gx, gy), (hxx, hxy, hyy) = _inverse_chain_rule(
         jet, zeros, (fjet[1, 0], fjet[0, 1]), [fjet[ab] for ab in _ORDERS[2]])
-    h1 = np.sum(W * ((ujet(1, 0) - gx) ** 2 + (ujet(0, 1) - gy) ** 2))
-    exx = ujet(2, 0) - hxx
-    exy = ujet(1, 1) - hxy
-    eyy = ujet(0, 2) - hyy
-    return l2, h1, np.sum(W * (exx ** 2 + 2.0 * exy ** 2 + eyy ** 2))
+    e1 = _squared(gx, ujet(1, 0))
+    e1 += _squared(gy, ujet(0, 1))
+    e2 = _squared(hxx, ujet(2, 0))
+    exy = _squared(hxy, ujet(1, 1))
+    exy *= 2.0
+    e2 += exy
+    e2 += _squared(hyy, ujet(0, 2))
+    return l2, weighted_sum(e1), weighted_sum(e2)
 
 
 def combine_tables(tables) -> ErrorTable:

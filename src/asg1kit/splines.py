@@ -357,18 +357,23 @@ def eval_operator(space: UniSplineSpace, x: np.ndarray, d: int = 0) -> np.ndarra
 
 def tensor_bind_x2(spaces, coef: np.ndarray, x2, orders):
     """Step 1 of `tensor_jet`: ``coef`` times the dense x2 basis rows, one
-    GEMM per x2 order.  Returns step 2, ``x1 -> {(a, b): d1^a d2^b}`` on the
-    grid x1 (x) x2 for the orders within the degrees (shape (len(x1), len(x2))
-    + components, each component slice contiguous along x2): one GEMM per
-    order of the x1 bands, as rows over only columns min(first)..max(first)+p.
+    GEMM per x2 order, each bound order a (dim1, k N2) array for k
+    components, a coefficient row i holding its k x2 rows side by side.
+    Returns step 2, ``x1 -> {(a, b): d1^a d2^b}`` on the grid x1 (x) x2 for
+    the orders within the degrees: one GEMM per order of the x1 bands, as
+    rows over only columns min(first)..max(first)+p, with the contiguous
+    slab of bound rows they span.  Each result, shape (len(x1), len(x2)) +
+    components, is a transposed view of that GEMM's output whose component
+    slices are contiguous along x2.
     """
     space1, space2 = spaces
     orders = [(a, b) for a, b in orders
               if a <= space1.degree and b <= space2.degree]
     x2, comps, k = np.ravel(x2), coef.shape[2:], coef[0, 0].size
-    # bound[b][c, n, i] = sum_j B2^(b)[n, j] coef[i, j, c]
-    ct = coef.reshape(coef.shape[:2] + (k,)).transpose(2, 1, 0)
-    bound = {b: eval_operator(space2, x2, b) @ ct for b in {b for _, b in orders}}
+    # bound[b][i, c N2 + n] = sum_j coef[i, j, c] B2^(b)[n, j]
+    ct = np.swapaxes(coef.reshape(coef.shape[:2] + (k,)), 1, 2).reshape(-1, space2.dim)
+    bound = {b: (ct @ eval_operator(space2, x2, b).T).reshape(space1.dim, k * len(x2))
+             for b in {b for _, b in orders}}
 
     def block(x1) -> dict:
         out = {}
@@ -377,9 +382,8 @@ def tensor_bind_x2(spaces, coef: np.ndarray, x2, orders):
             lo, hi = (first.min(), first.max() + rows.shape[1]) if first.size else (0, 0)
             B = _dense(first - lo, rows, hi - lo)
             for b in (b for aa, b in orders if aa == a):
-                R = bound[b][..., lo:hi].reshape(k * len(x2), hi - lo)
-                v = (B @ R.T).reshape(len(B), k, len(x2))
-                out[a, b] = np.moveaxis(v, 1, 2).reshape((len(B), len(x2)) + comps)
+                v = (B @ bound[b][lo:hi]).reshape(len(B), k, len(x2))
+                out[a, b] = v.transpose(0, 2, 1).reshape((len(B), len(x2)) + comps)
         return out
 
     return block

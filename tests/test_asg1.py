@@ -461,6 +461,29 @@ def test_boundary_vanishing_gradient_preserved():
     assert seen
 
 
+@pytest.mark.parametrize("name", ["two_patch_skew", "curved", "nurbs"])
+def test_boundary_conformity_reads_one_pullback_jet(name):
+    # the input trace and crossing derivative of each boundary edge come from
+    # one pullback jet; they equal the trace field and the crossing field of
+    # two jets, bit for bit
+    from test_integration import curved_interior_two_patch, single_patch_nurbs
+
+    mp = {"two_patch_skew": lambda: builtin_geometry(name, N),
+          "curved": curved_interior_two_patch, "nurbs": single_patch_nurbs}[name]()
+    u = generic_field()
+    gp = global_project(mp, recover_all(mp), u, P, K)
+    rep = check_conformity(gp)
+    assert {b.edge for b in rep.boundaries} == set(mp.boundary_edges)
+    for b in rep.boundaries:
+        i, j = b.edge
+        uhat, glue = pullback(u, mp.patches[i].gmap), gp.gluing[i, j]
+        trace = restrict_to_edge(uhat, j)(T50)
+        crossing = directional_edge_field(uhat, j, glue.alpha, glue.beta)(T50)
+        assert b.input_trace_sup == float(np.max(np.abs(trace))), b.edge
+        assert b.input_d_sup == float(np.max(np.abs(crossing))), b.edge
+        assert b.input_d_sup > 0.0
+
+
 def test_global_refuses_uncertified_geometry():
     mp = builtin_geometry("two_patch_skew", N)
     glue = recover_all(mp)

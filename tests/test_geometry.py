@@ -195,6 +195,49 @@ def test_jet_of_requested_orders_equals_full_jet(kind):
                 assert np.array_equal(v, w), ab
 
 
+def test_nurbs_jet_is_the_quotient_rule_of_its_homogeneous_jet():
+    # the rational orders up to (2, 2) equal the quotient rule written out
+    # here, bit for bit, and the homogeneous jet they are built from is
+    # read-only: the quotient rule writes into no array of it
+    from math import comb
+
+    gmap = _jet_maps()["nurbs"]
+
+    class Homogeneous(NurbsMap):
+        def _from_homogeneous(self, H, orders):
+            return H
+
+    class ReadOnly(NurbsMap):
+        def _from_homogeneous(self, H, orders):
+            for comps in H.values():
+                for v in comps:
+                    v.flags.writeable = False
+            return super()._from_homogeneous(H, orders)
+
+    args = (gmap.space1, gmap.space2, gmap.control, gmap.weights)
+    homogeneous, read_only = Homogeneous(*args), ReadOnly(*args)
+    rng = np.random.default_rng(14)
+    s1 = np.linspace(0.0, 1.0, 7)
+    s2 = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
+    for x1, x2 in ((s1[:, None], s2[None, :]), (rng.random(30), rng.random(30))):
+        H = homogeneous.jet(x1, x2, 2, 2)
+        want = {}
+        for a in range(3):
+            for b in range(3):
+                g = [H[a, b][c] if (a, b) in H else 0.0 for c in range(2)]
+                for e in range(a + 1):
+                    for f in range(b + 1):
+                        if (e, f) != (a, b) and (a - e, b - f) in H:
+                            w = comb(a, e) * comb(b, f) * H[a - e, b - f][2]
+                            g = [g[c] - want[e, f][c] * w for c in range(2)]
+                want[a, b] = tuple(v / H[0, 0][2] for v in g)
+        for jet in (gmap.jet(x1, x2, 2, 2), read_only.jet(x1, x2, 2, 2)):
+            assert set(jet) == set(want)
+            for ab, comps in jet.items():
+                for v, w in zip(comps, want[ab], strict=True):
+                    assert v.shape == w.shape and np.array_equal(v, w), ab
+
+
 def test_bilinear_jet_is_corner_interpolation():
     # the degree-1 tensor spline of the corners is sum_ij L_i(x1) L_j(x2)
     # corners[i, j] with L = (1 - x, x); orders above 1 are absent

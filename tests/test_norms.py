@@ -5,8 +5,8 @@ import pytest
 import sympy as sym
 
 from asg1kit.fields import ScalarField2D, manufactured, pullback
-from asg1kit.geometry import (BilinearMap, GeometryError, Patch, builtin_geometry,
-                              jacobian, jacobian_det)
+from asg1kit.geometry import (BilinearMap, GeometryError, Patch, SplineMap,
+                              builtin_geometry, jacobian, jacobian_det)
 from asg1kit.norms import (
     ErrorTable,
     combine_tables,
@@ -14,7 +14,8 @@ from asg1kit.norms import (
     physical_error_norms,
 )
 from asg1kit import norms
-from asg1kit.splines import UniSplineSpace, gauss_rule, uniform_partition
+from asg1kit.splines import (UniSplineSpace, gauss_rule, greville_points,
+                             uniform_partition)
 from asg1kit.tensor import (
     TensorSpline,
     TensorSplineSpace,
@@ -273,6 +274,102 @@ def test_row_blocks_match_full_grid_quadrature():
         want = _full_grid_norms(patch, u, f, nq)
         for t in (0, 1, 2):
             assert table.seminorms[t] == pytest.approx(want[t], rel=1e-12), t
+
+
+def _stretched_map(axis):
+    """The spline map that takes x_axis to phi(x_axis), phi monotone and
+    not affine, and keeps the other coordinate: det G depends on x_axis
+    alone."""
+    S = UniSplineSpace(2, 1, uniform_partition(2))
+    g = greville_points(S)
+    ctrl = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
+    phi = g + 0.4 * g * (1.0 - g)
+    ctrl[..., axis] = phi[:, None] if axis == 0 else phi[None, :]
+    return SplineMap(S, S, ctrl)
+
+
+def _det_shape_maps():
+    from test_integration import curved_interior_two_patch, single_patch_nurbs
+
+    return {
+        # kind: (map, the shape of det G on a grid of N1 x N2 points)
+        "affine": (BilinearMap([[[0, 0], [0, 1]], [[2, 0.5], [2, 1.5]]]), "11"),
+        "stretch_x1": (_stretched_map(0), "N1"),
+        "stretch_x2": (_stretched_map(1), "1N"),
+        # a bilinear d1 G depends on x2 and d2 G on x1, so the det of this
+        # trapezoid takes the grid's shape although its values vary along x1
+        "trapezoid": (BilinearMap([[[0, 0], [0, 1]], [[1, -0.25], [1, 1.25]]]), "NN"),
+        "spline": (curved_interior_two_patch().patches[0].gmap, "NN"),
+        "nurbs": (single_patch_nurbs().patches[0].gmap, "NN"),
+    }
+
+
+@pytest.mark.parametrize("kind", ["affine", "stretch_x1", "stretch_x2", "trapezoid",
+                                  "spline", "nurbs"])
+def test_blocked_norms_fold_det_for_each_of_its_shapes(kind):
+    # det G enters the weights along the axes it depends on; blocked norms
+    # over three blocks equal the quadrature with outer(w1, w2) * det on the
+    # whole grid
+    gmap, shape = _det_shape_maps()[kind]
+    p, k, nq = 4, 2, 9
+    Z = uniform_partition(32)
+    patch = Patch(gmap, (Z, Z))
+    x1, _ = gauss_rule(Z, nq)
+    x2, _ = gauss_rule(Z, nq)
+    assert len(x1) * len(x2) > 2 * norms._BLOCK_POINTS
+    det = jacobian_det(*jacobian(gmap, x1[:, None], x2[None, :]))
+    N1, N2 = len(x1), len(x2)
+    assert det.shape == {"11": (1, 1), "N1": (N1, 1), "1N": (1, N2),
+                         "NN": (N1, N2)}[shape]
+    assert np.max(np.abs(det - 1.0)) > 1e-3  # a norm without det differs
+    S = UniSplineSpace(p, k, Z)
+    rng = np.random.default_rng(12)
+    f = TensorSpline(TensorSplineSpace(S, S), rng.standard_normal((S.dim, S.dim)))
+    u = manufactured("sinsin")
+    table = physical_error_norms(patch, u, f, nq=nq)
+    want = _full_grid_norms(patch, u, f, nq)
+    for t in (0, 1, 2):
+        assert table.seminorms[t] == pytest.approx(want[t], rel=1e-12), t
+
+
+@pytest.mark.parametrize("kind", ["three_patch_L", "spline", "nurbs"])
+def test_norms_write_into_no_target_or_geometry_jet(kind, monkeypatch):
+    # caches share the arrays of target and geometry jets (a map's bound
+    # rows, the sines of sinsin): made read-only, any write into them raises
+    def frozen(v):
+        v.flags.writeable = False
+        return v
+
+    if kind == "three_patch_L":
+        patch = builtin_geometry(kind, 16).patches[0]
+    else:
+        Z = uniform_partition(16)
+        patch = Patch(_det_shape_maps()[kind][0], (Z, Z))
+    gmap = patch.gmap
+    bind = gmap.bind_x2
+
+    def frozen_bind(x2, orders):
+        block = bind(x2, orders)
+
+        def jet(x1):
+            out = block(x1)
+            for comps in out.values():
+                for v in comps:
+                    frozen(v)
+            return out
+
+        return jet
+
+    S = UniSplineSpace(4, 2, patch.partitions[0])
+    T = UniSplineSpace(4, 2, patch.partitions[1])
+    rng = np.random.default_rng(13)
+    f = TensorSpline(TensorSplineSpace(S, T), rng.standard_normal((S.dim, T.dim)))
+    sinsin = manufactured("sinsin")
+    want = physical_error_norms(patch, sinsin, f)
+    monkeypatch.setattr(gmap, "bind_x2", frozen_bind)
+    u = ScalarField2D(lambda x, y, a, b: frozen(sinsin(x, y, a, b)), max_order=8)
+    got = physical_error_norms(patch, u, f)
+    assert got.seminorms == want.seminorms
 
 
 def test_element_row_above_block_size_matches_full_grid_quadrature():

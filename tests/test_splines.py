@@ -18,6 +18,8 @@ from asg1kit.splines import (
     interpolate_at_greville,
     multiply_by_linear,
     reverse,
+    tensor_bind_x2,
+    tensor_jet,
     uniform_partition,
 )
 
@@ -397,6 +399,35 @@ def test_embed_into_refined_partition():
     g = embed(f, UniSplineSpace(3, 1, Partition((0.0, 0.25, 0.5, 0.75, 1.0))))
     x = np.linspace(0, 1, 100)
     assert np.max(np.abs(g(x) - f(x))) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bind_x2_layout_matches_scattered_contraction(k):
+    # every order within the degrees, k components bound as (dim1, k N2)
+    # rows: each result agrees with the band contraction of the same points
+    # paired up (which sums in another order), each component slice is
+    # contiguous along x2 and equals the binding of that component alone
+    Z = Partition((0.0, 0.1, 0.25, 0.6, 0.7, 1.0))
+    S1, S2 = UniSplineSpace(4, 2, Z), UniSplineSpace(3, 1, uniform_partition(3))
+    rng = np.random.default_rng(20 + k)
+    coef = rng.standard_normal((S1.dim, S2.dim, k))
+    x1 = np.sort(np.concatenate((Z.breakpoints, rng.random(25))))
+    x2 = np.sort(np.concatenate(((0.0, 1.0), rng.random(9))))
+    orders = [(a, b) for a in range(S1.degree + 1) for b in range(S2.degree + 1)]
+    step2 = tensor_bind_x2((S1, S2), coef, x2, orders)
+    alone = [tensor_bind_x2((S1, S2), coef[..., c], x2, orders) for c in range(k)]
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    want = tensor_jet((S1, S2), coef, X1, X2, orders)
+    for lo, hi in ((0, 7), (7, len(x1))):
+        got = step2(x1[lo:hi])
+        assert set(got) == set(orders)
+        for ab in orders:
+            assert got[ab].shape == (hi - lo, len(x2), k)
+            scale = float(np.max(np.abs(want[ab])))
+            assert np.max(np.abs(got[ab] - want[ab][lo:hi])) <= 1e-14 * scale, ab
+            for c in range(k):
+                assert got[ab][..., c].strides[1] == got[ab].itemsize, (ab, c)
+                assert np.array_equal(got[ab][..., c], alone[c](x1[lo:hi])[ab]), (ab, c)
 
 
 def test_greville_points_cover_endpoints():
