@@ -39,10 +39,11 @@ from .geometry import (
     Patch,
     edge_coords,
     edge_parameter_map,
+    jacobian_det,
     side_end,
 )
 from .gluing import EdgeGluing, GluingData, crossing_direction
-from .norms import _inverse_chain_rule
+from .norms import inverse_chain_rule
 from .ritz1d import (
     bubble,
     bubble_breakpoints,
@@ -324,8 +325,10 @@ def _physical_c2_data(patch: Patch, spline: TensorSpline, corner) -> np.ndarray:
     x2 = np.asarray(corner[1])
     jet = patch.gmap.jet(x1, x2, orders=_C2_ORDERS)
     f = spline.jet(x1, x2, _C2_ORDERS)
-    grad, hess = _inverse_chain_rule(jet, patch.gmap.zeros, (f[1, 0], f[0, 1]),
-                                     [f[ab] for ab in _C2_ORDERS[3:]])
+    grad, hess = inverse_chain_rule(jet, patch.gmap.zeros,
+                                    jacobian_det(jet[1, 0], jet[0, 1]),
+                                    (f[1, 0], f[0, 1]),
+                                    [f[ab] for ab in _C2_ORDERS[3:]])
     return np.array([f[0, 0], *grad, *hess], dtype=float)
 
 

@@ -582,7 +582,10 @@ def _patch_from_json(entry: dict, idx: int) -> Patch:
             w = np.asarray(_require(entry, "weights", where), dtype=float)
             if w.shape != (s1.dim * s2.dim,):
                 raise GeometryError(f"{where}.weights: expected {s1.dim * s2.dim}")
-            gmap = NurbsMap(s1, s2, grid, w.reshape(s1.dim, s2.dim))
+            try:
+                gmap = NurbsMap(s1, s2, grid, w.reshape(s1.dim, s2.dim))
+            except GeometryError as exc:
+                raise GeometryError(f"{where}.weights: {exc}") from None
     else:
         raise GeometryError(f"{where}.kind: unknown kind '{kind}'")
     return Patch(gmap, tuple(partitions))

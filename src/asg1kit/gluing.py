@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    GeometryError,
     Interface,
     MultiPatch,
     NORMALS,
@@ -147,6 +148,16 @@ def interface_determinants(mp: MultiPatch, iface: Interface, xi):
     return D1, D2, D3
 
 
+def _require_positive(iface: Interface, D1, D2):
+    """GeometryError unless the determinants of both sides are positive."""
+    low = min(float(np.min(D1)), float(np.min(D2)))
+    if low <= 0.0:
+        raise GeometryError(
+            f"interface {iface.left}-{iface.right}: non-positive Jacobian "
+            f"determinant {low:.3e} (geometry not 2-regular along the interface)"
+        )
+
+
 def _chebyshev_samples(m: int = 64) -> np.ndarray:
     k = np.arange(m)
     return 0.5 * (1.0 - np.cos((2 * k + 1) * np.pi / (2 * m)))
@@ -181,11 +192,7 @@ def recover_gluing(mp: MultiPatch, iface: Interface, tol: float = 1e-10):
     D1, D2, D3 = interface_determinants(mp, iface, xi)
     scale = max(float(np.max(np.abs(D1))), float(np.max(np.abs(D2))),
                 float(np.max(np.abs(D3))), 1e-300)
-    if np.any(D1 <= 0) or np.any(D2 <= 0):
-        raise ValueError(
-            "interface determinants must be positive (geometry not 2-regular "
-            "along the interface)"
-        )
+    _require_positive(iface, D1, D2)
 
     phi = np.stack([1.0 - xi, xi], axis=1)
 
@@ -241,8 +248,7 @@ def fit_linear_gluing(mp: MultiPatch, iface: Interface, lam_beta: float = 1e-6,
     """
     ends = np.array([0.0, 1.0])
     D1e, D2e, D3e = interface_determinants(mp, iface, ends)
-    if np.any(D1e <= 0) or np.any(D2e <= 0):
-        raise ValueError("endpoint determinants must be positive")
+    _require_positive(iface, D1e, D2e)
     aL = LinearFunction.from_endpoints(D1e[0], D1e[1])
     aR = LinearFunction.from_endpoints(D2e[0], D2e[1])
 

@@ -5,6 +5,11 @@ Subcommands: ``project`` (one-shot projection with conformity report),
 (conformity only), ``convergence`` (h-refinement study), ``p-sweep``
 (degree sweep at fixed h), ``list-geometries``.
 
+Every projection takes one path, `_projections`, over a list of (n, p)
+levels.  ``project`` and ``check-c1`` share one command body on one level;
+``convergence`` and ``p-sweep`` share one study loop and differ only in the
+levels they visit and in whether observed orders are formed.
+
 Exit codes: 0 success, 1 tolerance/certification failure, 2 usage or
 configuration errors.  The environment variable ASG1_QUAD_NODES overrides
 the quadrature order used for projections and norms.
@@ -129,53 +134,54 @@ def resolve_geometry(name: str, n: int) -> MultiPatch:
     )
 
 
-def _study_row(level: int, mp: MultiPatch, u, p: int, k: int, cfg: StudyConfig,
-               nq, prev=None) -> dict:
-    """One CSV row: the errors of projecting ``u`` on ``mp`` and their
-    observed orders against the errors ``prev`` of the previous row."""
-    glue = recover_all(mp, cfg.tol)
-    gp = global_project(mp, glue, u, p, k, nq=nq, force=cfg.force)
-    total = combine_tables([
-        physical_error_norms(patch, u, proj.spline, nq=nq)
-        for patch, proj in zip(mp.patches, gp.patches)
-    ])
-    errors = [total.norms[t] for t in (0, 1, 2)]
-    rates = [None] * 3 if prev is None else [
-        observed_order(prev[t], errors[t]) for t in range(3)
-    ]
-    return {"level": level, "h": physical_mesh_size(mp), "p": p, "k": k,
-            "errors": errors, "rates": rates}
+def _projections(cfg: StudyConfig, levels):
+    """Validate ``cfg``, then yield the quadrature override and the projection
+    of the target at each (n, p) of ``levels``: n elements, degree p."""
+    cfg.validate()
+    u = manufactured(cfg.function)
+    nq = _quadrature_override(cfg.nq)
+    for n, p in levels:
+        mp = resolve_geometry(cfg.geometry, n)
+        glue = recover_all(mp, cfg.tol)
+        yield nq, global_project(mp, glue, u, p, cfg.resolved_smoothness(p),
+                                 nq=nq, force=cfg.force)
+
+
+def _study(cfg: StudyConfig, levels, rates: bool) -> StudyResult:
+    """One CSV row per (n, p) of ``levels``: the errors of the projection and,
+    with ``rates``, their observed orders against the previous row's."""
+    result = StudyResult(cfg)
+    prev = None
+    for level, (nq, gp) in enumerate(_projections(cfg, levels)):
+        mp = gp.multipatch
+        total = combine_tables([
+            physical_error_norms(patch, gp.field, proj.spline, nq=nq)
+            for patch, proj in zip(mp.patches, gp.patches)
+        ])
+        errors = [total.norms[t] for t in (0, 1, 2)]
+        result.rows.append({
+            "level": level, "h": physical_mesh_size(mp), "p": gp.degree,
+            "k": gp.smoothness, "errors": errors,
+            "rates": [None] * 3 if prev is None else [
+                observed_order(prev[t], errors[t]) for t in range(3)
+            ],
+        })
+        if rates:
+            prev = errors
+    return result
 
 
 def run_convergence(cfg: StudyConfig) -> StudyResult:
     """Dyadic h-refinement study; errors and observed orders per level."""
-    cfg.validate()
-    u = manufactured(cfg.function)
-    nq = _quadrature_override(cfg.nq)
-    p = cfg.degree
-    k = cfg.resolved_smoothness(p)
-    result = StudyResult(cfg)
-    prev = None
-    for level in range(cfg.levels):
-        mp = resolve_geometry(cfg.geometry, cfg.base_n * 2 ** level)
-        result.rows.append(_study_row(level, mp, u, p, k, cfg, nq, prev))
-        prev = result.rows[-1]["errors"]
-    return result
+    levels = [(cfg.base_n * 2 ** level, cfg.degree) for level in range(cfg.levels)]
+    return _study(cfg, levels, rates=True)
 
 
 def run_p_sweep(cfg: StudyConfig) -> StudyResult:
     """Errors at fixed h for a list of degrees (k = p - 2 by default)."""
     if not cfg.degrees:
         raise ConfigError("p-sweep needs a list of degrees")
-    cfg.validate()
-    u = manufactured(cfg.function)
-    nq = _quadrature_override(cfg.nq)
-    result = StudyResult(cfg)
-    for idx, p in enumerate(cfg.degrees):
-        mp = resolve_geometry(cfg.geometry, cfg.base_n)
-        result.rows.append(_study_row(idx, mp, u, p, cfg.resolved_smoothness(p),
-                                      cfg, nq))
-    return result
+    return _study(cfg, [(cfg.base_n, p) for p in cfg.degrees], rates=False)
 
 
 # -- CLI -------------------------------------------------------------------------
@@ -189,16 +195,22 @@ def _write_output(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _gluing_json(mp: MultiPatch, tol: float, fit: bool, lam_beta: float) -> dict:
+def _cmd_list_geometries(args) -> int:
+    for name in BUILTIN_GEOMETRIES:
+        print(name)
+    return 0
+
+
+def _cmd_gluing(args) -> int:
+    mp = resolve_geometry(args.geometry, args.n)
     entries = []
     certified = True
-    glue = None if fit else recover_all(mp, tol)
+    glue = None if args.fit_linear else recover_all(mp, args.tol)
     for iface in mp.interfaces:
-        if fit:
-            left, right, diag = fit_linear_gluing(mp, iface, lam_beta)
-            entry = {
-                "left": list(iface.left),
-                "right": list(iface.right),
+        entry = {"left": list(iface.left), "right": list(iface.right)}
+        if args.fit_linear:
+            left, right, diag = fit_linear_gluing(mp, iface, args.lam_beta)
+            entry |= {
                 "solver": "fit-linear",
                 "objective": diag["objective"],
                 "data_misfit": diag["data_misfit"],
@@ -208,9 +220,7 @@ def _gluing_json(mp: MultiPatch, tol: float, fit: bool, lam_beta: float) -> dict
             right = glue[iface.right]
             report = next(r for r in glue.reports if r.interface == iface)
             certified &= report.passed
-            entry = {
-                "left": list(iface.left),
-                "right": list(iface.right),
+            entry |= {
                 "solver": "recover",
                 "residual_alpha": report.residual_alpha,
                 "residual_beta": report.residual_beta,
@@ -218,105 +228,64 @@ def _gluing_json(mp: MultiPatch, tol: float, fit: bool, lam_beta: float) -> dict
                 "passed": report.passed,
                 "g1_residual": g1_compatibility_residual(mp, iface, left, right),
             }
-        entry["alpha"] = {
-            "left": list(left.alpha.endpoints()),
-            "right": list(right.alpha.endpoints()),
-        }
-        entry["beta"] = {
-            "left": list(left.beta.endpoints()),
-            "right": list(right.beta.endpoints()),
-        }
+        for name in ("alpha", "beta"):
+            entry[name] = {"left": list(getattr(left, name).endpoints()),
+                           "right": list(getattr(right, name).endpoints())}
         entries.append(entry)
-    return {"interfaces": entries, "certified": certified}
-
-
-def _cmd_list_geometries(args) -> int:
-    for name in BUILTIN_GEOMETRIES:
-        print(name)
-    return 0
-
-
-def _cmd_gluing(args) -> int:
-    mp = resolve_geometry(args.geometry, args.n)
-    data = _gluing_json(mp, args.tol, args.fit_linear, args.lam_beta)
+    data = {"interfaces": entries, "certified": certified}
     _write_output(json.dumps(data, indent=2) + "\n", args.out)
-    if not args.fit_linear and not data["certified"]:
-        return 1
-    return 0
+    return 0 if certified else 1
 
 
-def _project_common(args):
-    nq = _quadrature_override(args.nq)
-    k = args.k if args.k is not None else args.p - 2
-    cfg = StudyConfig(args.geometry, args.function, args.p, k,
-                      base_n=args.n, tol=args.tol)
-    cfg.validate()
-    mp = resolve_geometry(args.geometry, args.n)
-    u = manufactured(args.function)
-    glue = recover_all(mp, args.tol)
-    gp = global_project(mp, glue, u, args.p, k, nq=nq, force=args.force)
-    return gp
+def _config(args, **fields) -> StudyConfig:
+    """The `StudyConfig` of a projecting command's options and ``fields``."""
+    return StudyConfig(args.geometry, args.function, smoothness=args.k,
+                       base_n=args.n, tol=args.tol, nq=args.nq,
+                       force=args.force, **fields)
 
 
 def _cmd_project(args) -> int:
-    gp = _project_common(args)
+    """``project`` writes the conformity report and ``check-c1`` its maxima;
+    exit 1 unless every jump and defect is within its tolerance."""
+    _, gp = next(_projections(_config(args, degree=args.p), [(args.n, args.p)]))
     report = check_conformity(gp)
-    _write_output(json.dumps(report.to_json(), indent=2) + "\n", args.out)
-    return _conformity_exit(report, args)
-
-
-def _conformity_exit(report, args) -> int:
-    ok = all(
-        r.relative_value_jump <= args.value_tol
-        and r.relative_d_jump <= args.derivative_tol
-        for r in report.interfaces
-    ) and all(v.relative_defect <= args.vertex_tol for v in report.vertices)
+    checks = {
+        "max_value_jump_relative": (
+            [r.relative_value_jump for r in report.interfaces], args.value_tol),
+        "max_d_derivative_jump_relative": (
+            [r.relative_d_jump for r in report.interfaces], args.derivative_tol),
+        "max_vertex_c2_defect_relative": (
+            [v.relative_defect for v in report.vertices], args.vertex_tol),
+    }
+    if args.command == "project":
+        data = report.to_json()
+    else:
+        data = {key: max(values, default=0.0) for key, (values, _) in checks.items()}
+    _write_output(json.dumps(data, indent=2) + "\n", args.out)
+    # one test per record, so that a NaN fails (``max`` may skip one)
+    ok = all(v <= tol for values, tol in checks.values() for v in values)
     return 0 if ok else 1
 
 
-def _cmd_check_c1(args) -> int:
-    gp = _project_common(args)
-    report = check_conformity(gp)
-    summary = {
-        "max_value_jump_relative": max(
-            (r.relative_value_jump for r in report.interfaces), default=0.0
-        ),
-        "max_d_derivative_jump_relative": max(
-            (r.relative_d_jump for r in report.interfaces), default=0.0
-        ),
-        "max_vertex_c2_defect_relative": max(
-            (v.relative_defect for v in report.vertices), default=0.0
-        ),
-    }
-    _write_output(json.dumps(summary, indent=2) + "\n", args.out)
-    return _conformity_exit(report, args)
-
-
-def _cmd_convergence(args) -> int:
-    cfg = StudyConfig(args.geometry, args.function, args.p, args.k,
-                      levels=args.levels, base_n=args.n, tol=args.tol,
-                      nq=args.nq, force=args.force)
-    result = run_convergence(cfg)
+def _cmd_study(args) -> int:
+    """The CSV of ``convergence`` (dyadic meshes) or ``p-sweep`` (degrees)."""
+    if args.command == "convergence":
+        result = run_convergence(_config(args, degree=args.p, levels=args.levels))
+    else:
+        result = run_p_sweep(_config(args, degrees=tuple(args.p)))
     _write_output(result.to_csv(), args.out)
     return 0
 
 
-def _cmd_p_sweep(args) -> int:
-    cfg = StudyConfig(args.geometry, args.function, degrees=tuple(args.p),
-                      smoothness=args.k, base_n=args.n, tol=args.tol,
-                      nq=args.nq, force=args.force)
-    result = run_p_sweep(cfg)
-    _write_output(result.to_csv(), args.out)
-    return 0
-
-
-def _add_common(parser, with_function=True):
+def _add_common(parser, projecting=True):
     parser.add_argument("--geometry", required=True,
                         help="built-in name or geometry JSON path")
-    if with_function:
+    if projecting:
         parser.add_argument("--function", default="sinsin",
                             choices=sorted(MANUFACTURED),
                             help="manufactured target function")
+        parser.add_argument("--k", type=int, default=None,
+                            help="smoothness (default p-2 per degree)")
     parser.add_argument("--n", type=int, default=8,
                         help="elements per direction (default 8)")
     parser.add_argument("--tol", type=float, default=1e-10,
@@ -341,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_list_geometries)
 
     sp = sub.add_parser("gluing", help="interface gluing data and residuals")
-    _add_common(sp, with_function=False)
+    _add_common(sp, projecting=False)
     sp.add_argument("--fit-linear", action="store_true",
                     help="use the interpolatory fit instead of normalized "
                          "recovery")
@@ -349,33 +318,28 @@ def build_parser() -> argparse.ArgumentParser:
                     help="regularization weight of the fit")
     sp.set_defaults(func=_cmd_gluing)
 
-    for name, fn, help_text in (
-        ("project", _cmd_project, "project and emit the conformity report"),
-        ("check-c1", _cmd_check_c1, "conformity summary only"),
+    for name, help_text in (
+        ("project", "project and emit the conformity report"),
+        ("check-c1", "conformity summary only"),
     ):
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp)
         sp.add_argument("--p", type=int, default=4, help="spline degree")
-        sp.add_argument("--k", type=int, default=None,
-                        help="smoothness (default p-2)")
         sp.add_argument("--value-tol", type=float, default=1e-10)
         sp.add_argument("--derivative-tol", type=float, default=1e-9)
         sp.add_argument("--vertex-tol", type=float, default=1e-8)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=_cmd_project)
 
     sp = sub.add_parser("convergence", help="dyadic h-refinement study (CSV)")
     _add_common(sp)
     sp.add_argument("--p", type=int, default=3)
-    sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--levels", type=int, default=3)
-    sp.set_defaults(func=_cmd_convergence)
+    sp.set_defaults(func=_cmd_study)
 
     sp = sub.add_parser("p-sweep", help="degree sweep at fixed h (CSV)")
     _add_common(sp)
     sp.add_argument("--p", type=int, nargs="+", default=[3, 4, 5, 6])
-    sp.add_argument("--k", type=int, default=None,
-                    help="fixed smoothness (default p-2 per degree)")
-    sp.set_defaults(func=_cmd_p_sweep)
+    sp.set_defaults(func=_cmd_study)
     return parser
 
 

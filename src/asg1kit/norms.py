@@ -42,7 +42,8 @@ from .ritz1d import default_quadrature_nodes
 from .splines import _BLOCK_POINTS, gauss_rule
 from .tensor import TensorSpline
 
-__all__ = ["ErrorTable", "physical_error_norms", "combine_tables", "observed_order"]
+__all__ = ["ErrorTable", "physical_error_norms", "combine_tables", "observed_order",
+           "inverse_chain_rule"]
 
 _ORDERS = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((2, 0), (1, 1), (0, 2))}
 
@@ -60,19 +61,19 @@ def _add(*terms):
     return functools.reduce(operator.add, terms) if terms else None
 
 
-def _inverse_chain_rule(jet, zeros, grad, hess):
+def inverse_chain_rule(jet, zeros, det, grad, hess):
     """Physical gradient and Hessian of f o G^{-1} from parametric derivatives.
 
-    ``jet`` holds the first and second orders of G, ``grad`` d1 f and d2 f,
-    ``hess`` d11 f, d12 f and d22 f.  Components in ``zeros``
-    (``gmap.zeros``) or of absent orders are zero: the J^{-1} entries and terms
-    they form are dropped.  Geometry-only terms keep the broadcast shapes of
-    the jet.  Returns ``(gx, gy)`` and ``(hxx, hxy, hyy)``, None for a zero.
+    ``jet`` holds the first and second orders of G and ``det`` its Jacobian
+    determinant, ``grad`` d1 f and d2 f, ``hess`` d11 f, d12 f and d22 f.
+    Components in ``zeros`` (``gmap.zeros``) or of absent orders are zero: the
+    J^{-1} entries and terms they form are dropped.  Geometry-only terms keep
+    the broadcast shapes of the jet.  Returns ``(gx, gy)`` and ``(hxx, hxy, hyy)``, None for a zero.
     """
     def comp(ab, c):
         return None if ab not in jet or (ab, c) in zeros else jet[ab][c]
 
-    inv_det = 1.0 / jacobian_det(jet[1, 0], jet[0, 1])
+    inv_det = 1.0 / det
     # B = J^{-1} = adj(J) / det with J = [d1 | d2] columns
     b11, b12 = _mul(inv_det, comp((0, 1), 1)), _mul(-inv_det, comp((0, 1), 0))
     b21, b22 = _mul(-inv_det, comp((1, 0), 1)), _mul(inv_det, comp((1, 0), 0))
@@ -186,8 +187,8 @@ def _squared_errors(g_bound, zeros, u: ScalarField2D, f_bound, x1, x2, w1, w2) -
     fjet = f_bound(x1)
 
     l2 = weighted_sum(_squared(fjet.pop((0, 0)), ujet(0, 0)))
-    (gx, gy), (hxx, hxy, hyy) = _inverse_chain_rule(
-        jet, zeros, (fjet[1, 0], fjet[0, 1]), [fjet[ab] for ab in _ORDERS[2]])
+    (gx, gy), (hxx, hxy, hyy) = inverse_chain_rule(
+        jet, zeros, det, (fjet[1, 0], fjet[0, 1]), [fjet[ab] for ab in _ORDERS[2]])
     e1 = _squared(gx, ujet(1, 0))
     e1 += _squared(gy, ujet(0, 1))
     e2 = _squared(hxx, ujet(2, 0))

@@ -447,6 +447,30 @@ def test_spline_geometry_roundtrip(tmp_path):
     assert np.max(np.abs(gm.point(X, Y) - mp.patches[0].gmap.point(X, Y))) <= 1e-14
 
 
+def test_nurbs_geometry_roundtrip(tmp_path):
+    # the benchmark's nurbs_square at seed 0
+    from test_integration import single_patch_nurbs
+
+    mp = single_patch_nurbs()
+    path = tmp_path / "nurbs.json"
+    save_geometry(mp, path)
+    again = load_geometry(path)
+    gm, want = again.patches[0].gmap, mp.patches[0].gmap
+    assert isinstance(gm, NurbsMap)
+    assert np.array_equal(gm.weights, want.weights)
+    assert np.array_equal(gm.control, want.control)
+    assert (gm.space1, gm.space2) == (want.space1, want.space2)
+    assert again.patches[0].partitions == mp.patches[0].partitions
+    s = np.linspace(0.0, 1.0, 7)
+    for x1, x2 in ((s[:, None], s[None, :]), (s, s[::-1])):
+        got, ref = gm.jet(x1, x2, 2, 2), want.jet(x1, x2, 2, 2)
+        assert got.keys() == ref.keys()
+        for ab in ref:
+            assert len(got[ab]) == len(ref[ab])
+            for g, r in zip(got[ab], ref[ab]):
+                assert np.array_equal(g, r), ab
+
+
 def test_builtins_all_load_and_are_regular():
     for name in BUILTIN_GEOMETRIES:
         mp = builtin_geometry(name)

@@ -6,6 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from asg1kit.asg1 import check_conformity, global_project
+from asg1kit.fields import manufactured
+from asg1kit.geometry import builtin_geometry
+from asg1kit.gluing import recover_all
 from asg1kit.harness import (
     ConfigError,
     StudyConfig,
@@ -159,17 +163,36 @@ def test_check_c1_flags_non_asg1_geometry(tmp_path, capsys):
     assert out["max_d_derivative_jump_relative"] > 1e-9
 
 
-@pytest.mark.parametrize("command", ["project", "check-c1"])
-def test_folded_geometry_is_configuration_error(tmp_path, capsys, command):
+FOLDS = {
     # check_2regular gives -1.4: the Jacobian determinant changes sign
-    path = tmp_path / "folded.json"
-    path.write_text(json.dumps({"patches": [{
+    "one-patch": {"patches": [{
         "kind": "bilinear",
         "control_points": [[0, 0], [0, 1], [1, 1.2], [1, -0.2]],
         "partitions": [[0, 0.5, 1], [0, 0.5, 1]],
-    }]}))
-    assert main([command, "--geometry", str(path), "--n", "8"]) == 2
-    assert "non-positive Jacobian determinant" in capsys.readouterr().err
+    }]},
+    # check_2regular of patch 0 gives -0.5, and the fold reaches the
+    # interface, where the gluing recovery meets it first
+    "interface": {"patches": [
+        {"kind": "bilinear",
+         "control_points": [[0, 0], [0, 1], [1, 0], [-0.5, 1]],
+         "partitions": [[0, 0.5, 1], [0, 0.5, 1]]},
+        {"kind": "bilinear",
+         "control_points": [[1, 0], [-0.5, 1], [2, 0], [2, 1]],
+         "partitions": [[0, 0.5, 1], [0, 0.5, 1]]},
+    ], "interfaces": [{"left": [0, 2], "right": [1, 4], "reversed": False}]},
+}
+
+
+@pytest.mark.parametrize("command", ["project", "check-c1", "gluing",
+                                     "gluing --fit-linear"])
+def test_folded_geometry_is_configuration_error(tmp_path, capsys, command):
+    # a single folded patch has no interface for the gluing commands to read
+    layouts = ["interface"] if "gluing" in command else ["one-patch", "interface"]
+    for layout in layouts:
+        path = tmp_path / f"{layout}.json"
+        path.write_text(json.dumps(FOLDS[layout]))
+        assert main([*command.split(), "--geometry", str(path), "--n", "8"]) == 2
+        assert "non-positive Jacobian determinant" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("patch,field", [
@@ -179,12 +202,70 @@ def test_folded_geometry_is_configuration_error(tmp_path, capsys, command):
      "patches[0].knots[0]"),
     ({"kind": "bilinear", "control_points": [[0, 0], [0, 1], [1, 0], [1, 1]],
       "partitions": [[0, 1], [0.5]]}, "patches[0].partitions[1]"),
-], ids=["knot-multiplicity-above-p+1", "one-breakpoint"])
+    ({"kind": "nurbs", "degree": [1, 1], "knots": [[0, 0, 1, 1], [0, 0, 1, 1]],
+      "control_points": [[0, 0], [0, 1], [1, 0], [1, 1]], "weights": [1, 1, 1],
+      "partitions": [[0, 1], [0, 1]]}, "patches[0].weights"),
+    ({"kind": "nurbs", "degree": [1, 1], "knots": [[0, 0, 1, 1], [0, 0, 1, 1]],
+      "control_points": [[0, 0], [0, 1], [1, 0], [1, 1]], "weights": [1, 1, 0, 1],
+      "partitions": [[0, 1], [0, 1]]}, "patches[0].weights"),
+], ids=["knot-multiplicity-above-p+1", "one-breakpoint", "nurbs-weight-count",
+        "nurbs-weight-not-positive"])
 def test_malformed_geometry_json_exits_2(tmp_path, capsys, patch, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"patches": [patch]}))
     assert main(["gluing", "--geometry", str(path)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_cli_equals_library(tmp_path, capsys):
+    # project and check-c1 print the report of the library's projection
+    mp = builtin_geometry("three_patch_L", 8)
+    report = check_conformity(
+        global_project(mp, recover_all(mp), manufactured("sinsin"), 4, 2))
+    args = ["--geometry", "three_patch_L", "--p", "4", "--n", "8"]
+    assert main(["project", *args]) == 0
+    assert capsys.readouterr().out == json.dumps(report.to_json(), indent=2) + "\n"
+    assert main(["check-c1", *args]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "max_value_jump_relative": max(r.relative_value_jump for r in report.interfaces),
+        "max_d_derivative_jump_relative": max(r.relative_d_jump for r in report.interfaces),
+        "max_vertex_c2_defect_relative": max(v.relative_defect for v in report.vertices),
+    }
+    # convergence and p-sweep write the CSV of the library's studies
+    out = tmp_path / "study.csv"
+    assert main(["convergence", "--geometry", "two_patch_skew", "--p", "3",
+                 "--k", "1", "--levels", "2", "--n", "4", "--out", str(out)]) == 0
+    cfg = StudyConfig("two_patch_skew", "sinsin", 3, 1, levels=2, base_n=4)
+    assert out.read_text() == run_convergence(cfg).to_csv()
+    assert main(["p-sweep", "--geometry", "two_patch_square", "--function",
+                 "expxy", "--p", "4", "5", "--k", "2", "--n", "8",
+                 "--out", str(out)]) == 0
+    cfg = StudyConfig("two_patch_square", "expxy", degrees=(4, 5), smoothness=2,
+                      base_n=8)
+    assert out.read_text() == run_p_sweep(cfg).to_csv()
+
+
+@pytest.mark.parametrize("command", ["project", "check-c1"])
+@pytest.mark.parametrize("records,attr", [
+    ("interfaces", "value_jump"), ("interfaces", "d_jump"),
+    ("vertices", "c2_defect"),
+])
+def test_nan_jump_or_defect_exits_1(monkeypatch, capsys, command, records, attr):
+    import asg1kit.harness as harness
+
+    original = harness.check_conformity
+
+    def with_nan(gp):
+        report = original(gp)
+        # in the last record: max() of a list keeps a NaN only if it comes first
+        setattr(getattr(report, records)[-1], attr, float("nan"))
+        return report
+
+    args = [command, "--geometry", "three_patch_L", "--p", "4", "--n", "8"]
+    assert main(args) == 0
+    monkeypatch.setattr(harness, "check_conformity", with_nan)
+    assert main(args) == 1
+    capsys.readouterr()
 
 
 def test_check_c1_passes_at_p4(capsys):

@@ -5,6 +5,8 @@ idempotence, and the error-bound constant."""
 import numpy as np
 import pytest
 import sympy as sym
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asg1kit.asg1 import check_conformity, global_project, patch_project
 from asg1kit.fields import manufactured, pullback
@@ -111,6 +113,69 @@ def test_curved_interior_global_conformity():
         assert r.relative_d_jump <= 1e-9
     for v in rep.vertices:
         assert v.relative_defect <= 1e-8
+
+
+# -- an interior vertex of valence 4: linear alphas ---------------------------------
+
+
+def valence4_square(c=(0.55, 0.45), n=8):
+    """The unit square split at the interior point ``c`` into four bilinear
+    patches around one interior vertex.  Off c = (0.5, 0.5) the ratio D1/D2
+    varies along every interface (1 -> 1.25, 1.2 -> 1, 1 -> 0.833 and
+    0.8 -> 1 at the default c), so the recovered alphas are linear."""
+    Z = uniform_partition(n)
+
+    def patch(c00, c10, c01, c11):
+        return Patch(BilinearMap(np.array([[c00, c01], [c10, c11]], float)), (Z, Z))
+
+    return MultiPatch(
+        [patch((0, 0), (.5, 0), (0, .5), c), patch((.5, 0), (1, 0), c, (1, .5)),
+         patch((0, .5), c, (0, 1), (.5, 1)), patch(c, (1, .5), (.5, 1), (1, 1))],
+        [Interface((0, 2), (1, 4)), Interface((2, 2), (3, 4)),
+         Interface((0, 3), (2, 1)), Interface((1, 3), (3, 1))],
+    )
+
+
+def check_valence4(mp, p, k, field):
+    """Certified positive alphas and the conformity tolerances of the
+    project and check-c1 CLI; the gluing data and the report."""
+    glue = recover_all(mp)
+    assert glue.certified
+    for iface in mp.interfaces:
+        for side in (iface.left, iface.right):
+            assert min(glue[side].alpha.endpoints()) > 0.0
+    rep = check_conformity(global_project(mp, glue, manufactured(field), p, k))
+    for r in rep.interfaces:
+        assert r.relative_value_jump <= 1e-10
+        assert r.relative_d_jump <= 1e-9
+    for v in rep.vertices:
+        assert v.relative_defect <= 1e-8
+    if field == "sinsin":
+        # sinsin vanishes on the boundary of the unit square
+        for b in rep.boundaries:
+            assert b.projected_trace_sup <= 1e-11
+    return glue, rep
+
+
+@pytest.mark.parametrize("field", ["sinsin", "expxy"])
+@pytest.mark.parametrize("p,n", [(4, 8), (5, 16), (6, 32)])
+def test_valence4_linear_gluing_conformity(p, n, field):
+    mp = valence4_square(n=n)
+    glue, rep = check_valence4(mp, p, p - 2, field)
+    for iface in mp.interfaces:
+        for side in (iface.left, iface.right):
+            a0, a1 = glue[side].alpha.endpoints()
+            assert abs(a1 - a0) >= 0.05, side
+    # the interior vertex is one cluster of four corners
+    assert sorted(len(v.members) for v in rep.vertices)[-2:] == [2, 4]
+
+
+# near-degenerate centres (c ~ (0.75, 0.74), min det 0.0055) reach vertex
+# defects of 3e-9: the round-off there is an open question of its own
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(st.floats(0.4, 0.6), st.floats(0.4, 0.6))
+def test_valence4_conformity_over_centres(cx, cy):
+    check_valence4(valence4_square((cx, cy)), 4, 1, "sinsin")
 
 
 # -- reversed interface with nontrivial beta ------------------------------------------
