@@ -91,7 +91,6 @@ class EdgeCorrection:
 
 @dataclass
 class PatchProjection:
-    index: int
     spline: TensorSpline
     corrections: list[EdgeCorrection]
 
@@ -154,15 +153,14 @@ def edge_projector_P1(u: ScalarField2D, j: int, gluing: EdgeGluing, p: int,
     t1 = multiply_by_linear(w, gluing.alpha.a0, gluing.alpha.a1)
     dP0 = derivative(P0)
     t2 = multiply_by_linear(dP0, gluing.beta.a0, gluing.beta.a1)
-    sign = EDGE_PARAM_SIGN[j]
-    return UniSpline(t1.space, t1.coefficients - sign * t2.coefficients)
+    return t1 - EDGE_PARAM_SIGN[j] * t2
 
 
 # -- patch projector ------------------------------------------------------------------
 
 
 def patch_project(patch: Patch, u: ScalarField2D, gluing: dict, p: int, k: int,
-                  nq: int | None = None, index: int = 0) -> PatchProjection:
+                  nq: int | None = None) -> PatchProjection:
     """The patch-local C1 quasi-interpolant of a parametric field.
 
     ``gluing`` maps each side 1..4 to its :class:`EdgeGluing`.  Requires
@@ -196,7 +194,7 @@ def patch_project(patch: Patch, u: ScalarField2D, gluing: dict, p: int, k: int,
             ext = extend(j, sigma, f_j, patch.partitions, p, k)
             corrections.append(EdgeCorrection(j, sigma, f_j, ext))
             result = result + ext
-    return PatchProjection(index, result, corrections)
+    return PatchProjection(result, corrections)
 
 
 # -- global projector -------------------------------------------------------------------
@@ -215,12 +213,10 @@ def global_project(mp: MultiPatch, gluing: GluingData, u: ScalarField2D,
             f"geometry is not certified AS-G1 ({len(bad)} interface(s) failed); "
             "pass force=True to project anyway"
         )
-    projections = []
-    for i, patch in enumerate(mp.patches):
-        uhat = pullback(u, patch.gmap)
-        projections.append(
-            patch_project(patch, uhat, gluing.for_patch(i), p, k, nq, index=i)
-        )
+    projections = [
+        patch_project(patch, pullback(u, patch.gmap), gluing.for_patch(i), p, k, nq)
+        for i, patch in enumerate(mp.patches)
+    ]
     return GlobalProjection(mp, gluing, projections, u, p, k)
 
 
@@ -332,11 +328,12 @@ def _physical_c2_data(patch: Patch, spline: TensorSpline, corner) -> np.ndarray:
     return np.array([f[0, 0], *grad, *hess], dtype=float)
 
 
-def check_conformity(gp: GlobalProjection, samples: int = 50) -> ConformityReport:
-    """Sampled interface, vertex, and boundary conformity of a projection."""
+def check_conformity(gp: GlobalProjection) -> ConformityReport:
+    """Sampled interface, vertex, and boundary conformity of a projection:
+    50 samples per edge."""
     mp = gp.multipatch
     report = ConformityReport()
-    t = np.linspace(0.0, 1.0, samples)
+    t = np.linspace(0.0, 1.0, 50)
 
     grid = np.linspace(0.0, 1.0, 9)
 

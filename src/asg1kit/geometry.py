@@ -366,15 +366,15 @@ def jacobian_det(d1, d2):
     return d1[0] * d2[1] - d1[1] * d2[0]
 
 
-def check_2regular(gmap, samples: int = 33):
-    """Minimum Jacobian determinant over a tensor sample grid.
+def check_2regular(gmap):
+    """Minimum Jacobian determinant over a 33 x 33 tensor sample grid.
 
     Returns (min_det, (xi1, xi2) of the minimizer).  A non-positive value
     means the map folds and is not 2-regular.
     """
-    s = np.linspace(0.0, 1.0, samples)
+    s = np.linspace(0.0, 1.0, 33)
     det = np.broadcast_to(jacobian_det(*jacobian(gmap, s[:, None], s[None, :])),
-                          (samples, samples))
+                          (s.size, s.size))
     i, j = np.unravel_index(np.argmin(det), det.shape)
     return float(det[i, j]), (float(s[i]), float(s[j]))
 
@@ -462,9 +462,9 @@ class MultiPatch:
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         return float(np.linalg.norm(hi - lo))
 
-    def _validate_conformity(self, samples: int = 20):
+    def _validate_conformity(self):
         diam = self.domain_diameter()
-        t = np.linspace(0.0, 1.0, samples)
+        t = np.linspace(0.0, 1.0, 20)
         for iface in self.interfaces:
             (i, j), (ii, jj) = iface.left, iface.right
             a = self.patches[i].edge_point(j, t)

@@ -158,14 +158,13 @@ def _require_positive(iface: Interface, D1, D2):
         )
 
 
-def _chebyshev_samples(m: int = 64) -> np.ndarray:
-    k = np.arange(m)
-    return 0.5 * (1.0 - np.cos((2 * k + 1) * np.pi / (2 * m)))
+def _chebyshev_samples() -> np.ndarray:
+    k = np.arange(64)
+    return 0.5 * (1.0 - np.cos((2 * k + 1) * np.pi / 128))
 
 
-def _sup_residuals(mp, iface, alpha_l, beta_l, alpha_r_left, beta_r_left,
-                   n_dense: int = 501):
-    xi = np.linspace(0.0, 1.0, n_dense)
+def _sup_residuals(mp, iface, alpha_l, beta_l, alpha_r_left, beta_r_left):
+    xi = np.linspace(0.0, 1.0, 501)
     D1, D2, D3 = interface_determinants(mp, iface, xi)
     scale = max(float(np.max(np.abs(D1))), float(np.max(np.abs(D2))),
                 float(np.max(np.abs(D3))), 1e-300)
@@ -188,7 +187,7 @@ def recover_gluing(mp: MultiPatch, iface: Interface, tol: float = 1e-10):
     and min-normalization 1; the beta pair is the minimum-norm least-squares
     solution of the D3 constraint.  Near-constant alphas snap to constants.
     """
-    xi = _chebyshev_samples(64)
+    xi = _chebyshev_samples()
     D1, D2, D3 = interface_determinants(mp, iface, xi)
     scale = max(float(np.max(np.abs(D1))), float(np.max(np.abs(D2))),
                 float(np.max(np.abs(D3))), 1e-300)
@@ -237,8 +236,7 @@ def recover_gluing(mp: MultiPatch, iface: Interface, tol: float = 1e-10):
     return left, right, report
 
 
-def fit_linear_gluing(mp: MultiPatch, iface: Interface, lam_beta: float = 1e-6,
-                      nq: int = 32):
+def fit_linear_gluing(mp: MultiPatch, iface: Interface, lam_beta: float = 1e-6):
     """Interpolatory linear gluing data for general (non-AS-G1) interfaces.
 
     The alphas interpolate the endpoint values of D1 and D2; the betas solve
@@ -252,7 +250,7 @@ def fit_linear_gluing(mp: MultiPatch, iface: Interface, lam_beta: float = 1e-6,
     aL = LinearFunction.from_endpoints(D1e[0], D1e[1])
     aR = LinearFunction.from_endpoints(D2e[0], D2e[1])
 
-    xg, wg = np.polynomial.legendre.leggauss(nq)
+    xg, wg = np.polynomial.legendre.leggauss(32)
     xi = 0.5 * (xg + 1.0)
     w = 0.5 * wg
     D1, D2, D3 = interface_determinants(mp, iface, xi)
@@ -326,11 +324,10 @@ def crossing_direction(gluing: EdgeGluing, j: int):
 
 
 def g1_compatibility_residual(mp: MultiPatch, iface: Interface,
-                              left: EdgeGluing, right: EdgeGluing,
-                              samples: int = 50):
-    """sup |d_j . grad(G_i) + (d_J . grad(G_I)) o e| over the interface,
-    normalized by the largest Jacobian entry encountered."""
-    xi = np.linspace(0.0, 1.0, samples)
+                              left: EdgeGluing, right: EdgeGluing):
+    """sup |d_j . grad(G_i) + (d_J . grad(G_I)) o e| over 50 samples of the
+    interface, normalized by the largest Jacobian entry encountered."""
+    xi = np.linspace(0.0, 1.0, 50)
     eta = edge_parameter_map(iface, xi)
     (i, j), (ii, jj) = iface.left, iface.right
 

@@ -11,8 +11,7 @@ levels.  ``project`` and ``check-c1`` share one command body on one level;
 levels they visit and in whether observed orders are formed.
 
 Exit codes: 0 success, 1 tolerance/certification failure, 2 usage or
-configuration errors.  The environment variable ASG1_QUAD_NODES overrides
-the quadrature order used for projections and norms.
+configuration errors.
 """
 
 from __future__ import annotations
@@ -86,6 +85,8 @@ class StudyConfig:
                 bubble_breakpoints(p, uniform_partition(self.base_n))
             except ValueError as exc:
                 raise ConfigError(f"coarsest grid 1/{self.base_n}: {exc}") from None
+        if self.nq is not None and self.nq < 1:
+            raise ConfigError(f"nq must be a positive integer, got {self.nq}")
 
 
 @dataclass
@@ -104,23 +105,6 @@ class StudyResult:
         return "\n".join(lines) + "\n"
 
 
-def _quadrature_override(nq):
-    """``nq``, else ASG1_QUAD_NODES, else None (the default rule)."""
-    if nq is None:
-        env = os.environ.get("ASG1_QUAD_NODES")
-        if not env:
-            return None
-        try:
-            nq = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"ASG1_QUAD_NODES must be a positive integer, got {env!r}"
-            ) from None
-    if nq < 1:
-        raise ConfigError(f"nq must be a positive integer, got {nq}")
-    return nq
-
-
 def resolve_geometry(name: str, n: int) -> MultiPatch:
     if n < 1:
         raise ConfigError(f"element count must be >= 1, got {n}")
@@ -135,16 +119,15 @@ def resolve_geometry(name: str, n: int) -> MultiPatch:
 
 
 def _projections(cfg: StudyConfig, levels):
-    """Validate ``cfg``, then yield the quadrature override and the projection
-    of the target at each (n, p) of ``levels``: n elements, degree p."""
+    """Validate ``cfg``, then yield the projection of the target at each
+    (n, p) of ``levels``: n elements, degree p."""
     cfg.validate()
     u = manufactured(cfg.function)
-    nq = _quadrature_override(cfg.nq)
     for n, p in levels:
         mp = resolve_geometry(cfg.geometry, n)
         glue = recover_all(mp, cfg.tol)
-        yield nq, global_project(mp, glue, u, p, cfg.resolved_smoothness(p),
-                                 nq=nq, force=cfg.force)
+        yield global_project(mp, glue, u, p, cfg.resolved_smoothness(p),
+                             nq=cfg.nq, force=cfg.force)
 
 
 def _study(cfg: StudyConfig, levels, rates: bool) -> StudyResult:
@@ -152,10 +135,10 @@ def _study(cfg: StudyConfig, levels, rates: bool) -> StudyResult:
     with ``rates``, their observed orders against the previous row's."""
     result = StudyResult(cfg)
     prev = None
-    for level, (nq, gp) in enumerate(_projections(cfg, levels)):
+    for level, gp in enumerate(_projections(cfg, levels)):
         mp = gp.multipatch
         total = combine_tables([
-            physical_error_norms(patch, gp.field, proj.spline, nq=nq)
+            physical_error_norms(patch, gp.field, proj.spline, nq=cfg.nq)
             for patch, proj in zip(mp.patches, gp.patches)
         ])
         errors = [total.norms[t] for t in (0, 1, 2)]
@@ -247,7 +230,7 @@ def _config(args, **fields) -> StudyConfig:
 def _cmd_project(args) -> int:
     """``project`` writes the conformity report and ``check-c1`` its maxima;
     exit 1 unless every jump and defect is within its tolerance."""
-    _, gp = next(_projections(_config(args, degree=args.p), [(args.n, args.p)]))
+    gp = next(_projections(_config(args, degree=args.p), [(args.n, args.p)]))
     report = check_conformity(gp)
     checks = {
         "max_value_jump_relative": (
@@ -291,10 +274,11 @@ def _add_common(parser, projecting=True):
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="gluing certification tolerance")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--nq", type=int, default=None,
-                        help="quadrature nodes per element")
-    parser.add_argument("--force", action="store_true",
-                        help="project even if certification failed")
+    if projecting:
+        parser.add_argument("--nq", type=int, default=None,
+                            help="quadrature nodes per element")
+        parser.add_argument("--force", action="store_true",
+                            help="project even if certification failed")
 
 
 def build_parser() -> argparse.ArgumentParser:

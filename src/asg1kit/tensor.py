@@ -4,7 +4,7 @@ A tensor spline is evaluated like a geometry map, by one `tensor_jet`
 contraction of its coefficient grid with the basis rows of both directions;
 ``jet(x1, x2, orders)`` returns every requested order from one contraction.
 
-The tensor projector applies the univariate order-r projector in each
+The tensor projector applies the univariate order-2 Ritz projector in each
 parameter direction.  Because a univariate projection is a fixed linear map
 of point-evaluation data (see :mod:`asg1kit.ritz1d`), the tensor coefficients
 are ``C = M1 @ D @ M2.T`` where ``D`` holds the mixed derivative data of the
@@ -159,16 +159,16 @@ def data_matrix(u: ScalarField2D, f1: PointFunctionals, f2: PointFunctionals
     return D
 
 
-def tensor_project(space: TensorSplineSpace, u: ScalarField2D, r: int = 2,
+def tensor_project(space: TensorSplineSpace, u: ScalarField2D,
                    nq: int | None = None, order: str = "21") -> TensorSpline:
-    """The tensor-product order-(r, r) projection of ``u``.
+    """The tensor-product order-(2, 2) Ritz projection of ``u``.
 
     ``order`` selects which direction is applied first ("21": xi2 fibers
     first, then xi1; "12": the opposite); both orderings agree up to
     round-off, which is the commuting property of the directional projectors.
     """
-    f1 = ritz_functionals(space.space1, r, nq)
-    f2 = ritz_functionals(space.space2, r, nq)
+    f1 = ritz_functionals(space.space1, 2, nq)
+    f2 = ritz_functionals(space.space2, 2, nq)
     D = data_matrix(u, f1, f2)
     if order == "21":
         C = f1.matrix @ (D @ f2.matrix.T)
@@ -182,4 +182,4 @@ def tensor_project(space: TensorSplineSpace, u: ScalarField2D, r: int = 2,
 def tensor_project_Q(space: TensorSplineSpace, u: ScalarField2D,
                      nq: int | None = None) -> TensorSpline:
     """The order-(2,2) tensor projector used by the AS-G1 construction."""
-    return tensor_project(space, u, r=2, nq=nq)
+    return tensor_project(space, u, nq)

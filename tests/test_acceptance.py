@@ -369,7 +369,7 @@ def test_criterion_8_gluing_certification():
                 details.append(f"{name} normalization {report.normalization_min}")
         for iface in mp.interfaces:
             res = g1_compatibility_residual(
-                mp, iface, data[iface.left], data[iface.right], samples=50
+                mp, iface, data[iface.left], data[iface.right]
             )
             if res > 1e-9:
                 ok = False

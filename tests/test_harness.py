@@ -99,6 +99,9 @@ def test_config_validation():
     # h = 1/5 <= 1/(p+1), but eta_3 needs a breakpoint >= 4ph/3 = 16/15
     with pytest.raises(ConfigError, match="no breakpoint"):
         StudyConfig("unit_square", "sinsin", 4, 2, base_n=5).validate()
+    # the library path checks the quadrature order as the CLI does
+    with pytest.raises(ConfigError, match="nq must be a positive integer"):
+        StudyConfig("unit_square", "sinsin", 3, 1, nq=0).validate()
 
 
 def test_bubble_precondition_is_configuration_error(capsys):
@@ -128,9 +131,13 @@ def test_unknown_function_exit_code():
 
 
 def test_unknown_flag_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["convergence", "--geometry", "unit_square", "--frobnicate"])
-    assert exc.value.code == 2
+    # gluing projects nothing, so it has no quadrature order or force option
+    for args in (["convergence", "--geometry", "unit_square", "--frobnicate"],
+                 ["gluing", "--geometry", "two_patch_skew", "--nq", "1"],
+                 ["gluing", "--geometry", "two_patch_skew", "--force"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
 
 
 def test_project_subcommand(tmp_path, capsys):
@@ -298,17 +305,6 @@ def test_p_sweep_errors_decrease_with_p(tmp_path):
     assert res.rows[1]["errors"][2] <= res.rows[0]["errors"][2]
 
 
-def test_quadrature_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("ASG1_QUAD_NODES", "7")
-    out = tmp_path / "env.csv"
-    code = main([
-        "convergence", "--geometry", "unit_square", "--p", "3", "--k", "1",
-        "--levels", "1", "--n", "4", "--out", str(out),
-    ])
-    assert code == 0
-    assert len(out.read_text().strip().splitlines()) == 2
-
-
 def test_geometry_file_path_accepted(tmp_path, capsys):
     from asg1kit.geometry import builtin_geometry, save_geometry
 
@@ -334,25 +330,21 @@ def test_gluing_recovers_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("args,env,message", [
+@pytest.mark.parametrize("args,message", [
     (["project", "--geometry", "unit_square", "--p", "4", "--n", "8",
-      "--nq", "0"], None, "nq must be a positive integer"),
+      "--nq", "0"], "nq must be a positive integer"),
     (["p-sweep", "--geometry", "unit_square", "--p", "4", "--n", "8",
-      "--nq", "-3"], None, "nq must be a positive integer"),
-    (["project", "--geometry", "unit_square", "--p", "4", "--n", "8"], "abc",
-     "ASG1_QUAD_NODES must be a positive integer"),
+      "--nq", "-3"], "nq must be a positive integer"),
     (["project", "--geometry", "unit_square", "--p", "4", "--n", "8",
-      "--nq", "2"], None, "nq=2 Gauss nodes per element are too few"),
+      "--nq", "2"], "nq=2 Gauss nodes per element are too few"),
     # singular, but its Cholesky pivots are positive by round-off
     (["check-c1", "--geometry", "unit_square", "--p", "3", "--n", "8",
-      "--nq", "1"], None, "nq=1 Gauss nodes per element are too few"),
-    (["gluing", "--geometry", "three_patch_L", "--n", "0"], None,
+      "--nq", "1"], "nq=1 Gauss nodes per element are too few"),
+    (["gluing", "--geometry", "three_patch_L", "--n", "0"],
      "element count must be >= 1"),
-], ids=["nq-zero", "p-sweep-nq-negative", "env-not-integer", "gram-not-pd",
-        "gram-singular", "gluing-n-zero"])
-def test_usage_errors_exit_2(args, env, message, monkeypatch, capsys):
-    if env is not None:
-        monkeypatch.setenv("ASG1_QUAD_NODES", env)
+], ids=["nq-zero", "p-sweep-nq-negative", "gram-not-pd", "gram-singular",
+        "gluing-n-zero"])
+def test_usage_errors_exit_2(args, message, capsys):
     assert main(args) == 2
     assert message in capsys.readouterr().err
 
@@ -366,3 +358,16 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_python_m_asg1kit_runs_the_cli():
+    import asg1kit
+
+    src = os.path.dirname(os.path.dirname(asg1kit.__file__))
+    out = subprocess.run([sys.executable, "-m", "asg1kit", "list-geometries"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0
+    assert out.stdout.split() == ["unit_square", "two_patch_square",
+                                  "two_patch_skew", "three_patch_L"]
+    assert out.stderr == ""
