@@ -83,10 +83,11 @@ __all__ = [
 
 @dataclass
 class EdgeCorrection:
+    """Edge data of the order-``sigma`` correction of side ``side`` (`extend`)."""
+
     side: int
     sigma: int
     edge_spline: UniSpline
-    extension: TensorSpline
 
 
 @dataclass
@@ -114,7 +115,9 @@ def extend(j: int, sigma: int, g: UniSpline, partitions, p: int, k: int
 
     The result has trace ``g`` (sigma=0) or outward normal derivative ``g``
     (sigma=1) on side j, and vanishing value and normal derivative on the
-    other three sides.
+    other three sides.  The correction a patch projection stores as ``c``
+    is ``extend(c.side, c.sigma, c.edge_spline, patch.partitions, p, k)``,
+    e.g. for per-side correction magnitudes.
     """
     end = side_end(j)  # first: a ValueError for a bad side, not a KeyError
     if sigma not in (0, 1):
@@ -123,7 +126,7 @@ def extend(j: int, sigma: int, g: UniSpline, partitions, p: int, k: int
     tangential = UniSplineSpace(p, k, partitions[axis])
     normal_space = UniSplineSpace(p, k, partitions[1 - axis])
     Zn = normal_space.partition  # the bubble at 0, reflected for a side at 1
-    bub = reflected_bubble_spline(p, Zn, sigma) if end else bubble(p, Zn, sigma).spline
+    bub = reflected_bubble_spline(p, Zn, sigma) if end else bubble(p, Zn, sigma)
     gc = embed(g, tangential).coefficients
     bc = embed(bub, normal_space).coefficients
     factors = [(gc, tangential), (-bc if sigma == 1 else bc, normal_space)]
@@ -180,7 +183,7 @@ def patch_project(patch: Patch, u: ScalarField2D, gluing: dict, p: int, k: int,
         j: edge_projector_P0(u, j, p, k, patch.side_partition(j), nq)
         for j in (1, 2, 3, 4)
     }
-    result = Q
+    coefficients = Q.coefficients.copy()
     corrections = []
     for sigma in (0, 1):
         for j in (1, 2, 3, 4):
@@ -191,10 +194,9 @@ def patch_project(patch: Patch, u: ScalarField2D, gluing: dict, p: int, k: int,
                 P1 = edge_projector_P1(u, j, gluing[j], p, k,
                                        patch.side_partition(j), P0[j], nq)
                 f_j = embed(P1, side_space) - normal_derivative_trace(Q, j)
-            ext = extend(j, sigma, f_j, patch.partitions, p, k)
-            corrections.append(EdgeCorrection(j, sigma, f_j, ext))
-            result = result + ext
-    return PatchProjection(result, corrections)
+            corrections.append(EdgeCorrection(j, sigma, f_j))
+            coefficients += extend(j, sigma, f_j, patch.partitions, p, k).coefficients
+    return PatchProjection(TensorSpline(V, coefficients), corrections)
 
 
 # -- global projector -------------------------------------------------------------------
@@ -322,7 +324,7 @@ def _physical_c2_data(patch: Patch, spline: TensorSpline, corner) -> np.ndarray:
     jet = patch.gmap.jet(x1, x2, orders=_C2_ORDERS)
     f = spline.jet(x1, x2, _C2_ORDERS)
     grad, hess = inverse_chain_rule(jet, patch.gmap.zeros,
-                                    jacobian_det(jet[1, 0], jet[0, 1]),
+                                    jacobian_det(jet, patch.gmap.zeros),
                                     (f[1, 0], f[0, 1]),
                                     [f[ab] for ab in _C2_ORDERS[3:]])
     return np.array([f[0, 0], *grad, *hess], dtype=float)

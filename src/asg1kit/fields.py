@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .geometry import (EDGE_AXIS, NORMALS, TANGENTS, GeometryError, edge_coords,
 __all__ = [
     "ScalarField1D",
     "ScalarField2D",
-    "ManufacturedFunction",
     "MANUFACTURED",
     "manufactured",
     "restrict_to_edge",
@@ -101,12 +99,6 @@ def _jet_field(bind, max_order: int, kind=ScalarField2D):
     return field
 
 
-@dataclass(frozen=True)
-class ManufacturedFunction:
-    name: str
-    field: ScalarField2D
-
-
 def _sin_product():
     # d^m sin(pi z) = pi^m (-1)^(m // 2) (sin, cos)[m % 2](pi z)
     def bind(x, y, c, d):
@@ -164,16 +156,16 @@ _POLY4[4, 0] = 1.0
 _POLY4[2, 2] = 2.0
 _POLY4[0, 4] = 1.0
 
-MANUFACTURED: dict[str, ManufacturedFunction] = {
-    "sinsin": ManufacturedFunction("sinsin", _sin_product()),
-    "poly4": ManufacturedFunction("poly4", _poly2d(_POLY4)),
-    "expxy": ManufacturedFunction("expxy", _exp_xy()),
+MANUFACTURED: dict[str, ScalarField2D] = {
+    "sinsin": _sin_product(),
+    "poly4": _poly2d(_POLY4),
+    "expxy": _exp_xy(),
 }
 
 
 def manufactured(name: str) -> ScalarField2D:
     try:
-        return MANUFACTURED[name].field
+        return MANUFACTURED[name]
     except KeyError:
         raise KeyError(
             f"unknown manufactured function '{name}'; "
@@ -329,7 +321,7 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
     def bind(x1, x2, c, d):
         jet = gmap.jet(x1, x2, max(c, 1), max(d, 1))
         zeros = getattr(gmap, "zeros", ())
-        det = jacobian_det(jet[1, 0], jet[0, 1])
+        det = jacobian_det(jet, zeros)
         if np.any(det <= 0.0):
             raise GeometryError(
                 "geometry map has non-positive Jacobian determinant "

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
@@ -353,17 +354,33 @@ class NurbsMap(_TensorProductMap):
         return self._one_order(x1, x2, c, d)
 
 
-def jacobian(gmap, x1, x2) -> tuple:
-    """The Jacobian's columns (d1 G, d2 G), each a component tuple of
-    `jet`."""
-    jet = gmap.jet(x1, x2, orders=[(1, 0), (0, 1)])
-    return jet[1, 0], jet[0, 1]
+def _mul(*factors):
+    """The product of ``factors`` left to right; None (zero) if one is."""
+    if any(f is None for f in factors):
+        return None
+    return functools.reduce(operator.mul, factors)
 
 
-def jacobian_det(d1, d2):
-    """det [d1 G | d2 G] from the component tuples of the two columns, at
-    their broadcast shape."""
-    return d1[0] * d2[1] - d1[1] * d2[0]
+def _add(*terms):
+    """The sum of the ``terms`` that are not None, left to right, or None."""
+    terms = [t for t in terms if t is not None]
+    return functools.reduce(operator.add, terms) if terms else None
+
+
+def jet_component(jet, zeros, ab, c):
+    """Component ``c`` of order ``ab`` of a map jet, or None where it is an
+    exact zero: an absent order or a pair in ``zeros`` (`gmap.zeros`)."""
+    return None if ab not in jet or (ab, c) in zeros else jet[ab][c]
+
+
+def jacobian_det(jet, zeros):
+    """det [d1 G | d2 G] from a map jet of orders (1, 0) and (0, 1) and the
+    map's ``zeros``, without the products of exact zeros: det has the
+    broadcast shape of the factors it keeps (0.0 if it keeps none)."""
+    a, b, c, d = (jet_component(jet, zeros, ab, i)
+                  for ab in ((1, 0), (0, 1)) for i in (0, 1))
+    det = _add(_mul(a, d), _mul(-1.0, b, c))
+    return 0.0 if det is None else det
 
 
 def check_2regular(gmap):
@@ -373,8 +390,8 @@ def check_2regular(gmap):
     means the map folds and is not 2-regular.
     """
     s = np.linspace(0.0, 1.0, 33)
-    det = np.broadcast_to(jacobian_det(*jacobian(gmap, s[:, None], s[None, :])),
-                          (s.size, s.size))
+    jet = gmap.jet(s[:, None], s[None, :], orders=[(1, 0), (0, 1)])
+    det = np.broadcast_to(jacobian_det(jet, gmap.zeros), (s.size, s.size))
     i, j = np.unravel_index(np.argmin(det), det.shape)
     return float(det[i, j]), (float(s[i]), float(s[j]))
 

@@ -33,7 +33,6 @@ from .geometry import (
     TANGENTS,
     edge_coords,
     edge_parameter_map,
-    jacobian,
     jacobian_det,
 )
 
@@ -87,7 +86,6 @@ class EdgeGluing:
 
     alpha: LinearFunction = ONE
     beta: LinearFunction = ZERO
-    boundary: bool = False
 
 
 @dataclass
@@ -131,10 +129,10 @@ class GluingData:
 
 def _edge_cross_and_det(patch, j, t):
     """Outward cross-derivative N_j and Jacobian determinant on side j."""
-    d1, d2 = jacobian(patch.gmap, *edge_coords(j, t))
+    jet = patch.gmap.jet(*edge_coords(j, t), orders=[(1, 0), (0, 1)])
     n = NORMALS[j]
-    N = tuple(n[0] * a + n[1] * b for a, b in zip(d1, d2))
-    return N, jacobian_det(d1, d2)
+    N = tuple(n[0] * a + n[1] * b for a, b in zip(jet[1, 0], jet[0, 1]))
+    return N, jacobian_det(jet, patch.gmap.zeros)
 
 
 def interface_determinants(mp: MultiPatch, iface: Interface, xi):
@@ -144,7 +142,7 @@ def interface_determinants(mp: MultiPatch, iface: Interface, xi):
     eta = edge_parameter_map(iface, xi)
     N_left, D1 = _edge_cross_and_det(mp.patches[i], j, xi)
     N_right, D2 = _edge_cross_and_det(mp.patches[ii], jj, eta)
-    D3 = jacobian_det(N_right, N_left)
+    D3 = N_right[0] * N_left[1] - N_right[1] * N_left[0]  # det [N_J(e) | N_j]
     return D1, D2, D3
 
 
@@ -172,7 +170,7 @@ def _sup_residuals(mp, iface, alpha_l, beta_l, alpha_r_left, beta_r_left):
     res_b = float(
         np.max(np.abs(D1 * beta_r_left(xi) - D2 * beta_l(xi) - D3))
     ) / scale
-    return res_a, res_b, scale
+    return res_a, res_b
 
 
 def _to_right_parameter(fn: LinearFunction, iface: Interface) -> LinearFunction:
@@ -194,6 +192,8 @@ def recover_gluing(mp: MultiPatch, iface: Interface, tol: float = 1e-10):
     _require_positive(iface, D1, D2)
 
     phi = np.stack([1.0 - xi, xi], axis=1)
+    # the unknowns (alpha or beta)_L, _R in endpoint form: A x = D1 * _R - D2 * _L
+    A = np.hstack([-D2[:, None] * phi, D1[:, None] * phi])
 
     # alpha: D1 * alpha_R - D2 * alpha_L = 0 with linear unknowns
     ratio = D1 / D2
@@ -204,7 +204,6 @@ def recover_gluing(mp: MultiPatch, iface: Interface, tol: float = 1e-10):
         aL = LinearFunction(c / m, 0.0)
         aR = LinearFunction(1.0 / m, 0.0)
     else:
-        A = np.hstack([-D2[:, None] * phi, D1[:, None] * phi])
         _, _, Vt = np.linalg.svd(A)
         v = Vt[-1]
         if np.all(v < 0):
@@ -222,13 +221,12 @@ def recover_gluing(mp: MultiPatch, iface: Interface, tol: float = 1e-10):
         aR = LinearFunction.from_endpoints(v[2], v[3])
 
     # beta: D1 * beta_R - D2 * beta_L = D3, minimum-norm least squares
-    B = np.hstack([-D2[:, None] * phi, D1[:, None] * phi])
-    b, *_ = np.linalg.lstsq(B, D3, rcond=None)
+    b, *_ = np.linalg.lstsq(A, D3, rcond=None)
     b = np.where(np.abs(b) <= tol * scale, 0.0, b)
     bL = LinearFunction.from_endpoints(b[0], b[1])
     bR = LinearFunction.from_endpoints(b[2], b[3])
 
-    res_a, res_b, _ = _sup_residuals(mp, iface, aL, bL, aR, bR)
+    res_a, res_b = _sup_residuals(mp, iface, aL, bL, aR, bR)
     norm_min = min(min(aL.endpoints()), min(aR.endpoints()))
     report = AsG1Report(iface, res_a, res_b, alpha_positive, norm_min, tol)
     left = EdgeGluing(aL, bL)
@@ -299,7 +297,7 @@ def recover_all(mp: MultiPatch, tol: float = 1e-10) -> GluingData:
     data = GluingData()
     for i in range(len(mp.patches)):
         for j in (1, 2, 3, 4):
-            data.edges[i, j] = EdgeGluing(boundary=True)
+            data.edges[i, j] = EdgeGluing()
     for iface in mp.interfaces:
         left, right, report = recover_gluing(mp, iface, tol)
         data.edges[iface.left] = left
@@ -332,7 +330,8 @@ def g1_compatibility_residual(mp: MultiPatch, iface: Interface,
     (i, j), (ii, jj) = iface.left, iface.right
 
     def pushforward(patch, side, glue, t):
-        d1, d2 = jacobian(patch.gmap, *edge_coords(side, t))
+        jet = patch.gmap.jet(*edge_coords(side, t), orders=[(1, 0), (0, 1)])
+        d1, d2 = jet[1, 0], jet[0, 1]
         dvec = crossing_direction(glue, side)(t)
         return (np.stack([dvec[..., 0] * a + dvec[..., 1] * b
                           for a, b in zip(d1, d2)], axis=-1),

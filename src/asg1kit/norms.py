@@ -31,13 +31,13 @@ target or geometry jet, which caches share.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ScalarField2D
-from .geometry import GeometryError, Patch, jacobian_det
+from .geometry import (GeometryError, Patch, _add, _mul, jacobian_det,
+                       jet_component)
 from .ritz1d import default_quadrature_nodes
 from .splines import _BLOCK_POINTS, gauss_rule
 from .tensor import TensorSpline
@@ -46,19 +46,6 @@ __all__ = ["ErrorTable", "physical_error_norms", "combine_tables", "observed_ord
            "inverse_chain_rule"]
 
 _ORDERS = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((2, 0), (1, 1), (0, 2))}
-
-
-def _mul(*factors):
-    """The product of ``factors`` left to right; None (zero) if one is."""
-    if any(f is None for f in factors):
-        return None
-    return functools.reduce(operator.mul, factors)
-
-
-def _add(*terms):
-    """The sum of the ``terms`` that are not None, left to right, or None."""
-    terms = [t for t in terms if t is not None]
-    return functools.reduce(operator.add, terms) if terms else None
 
 
 def inverse_chain_rule(jet, zeros, det, grad, hess):
@@ -70,9 +57,7 @@ def inverse_chain_rule(jet, zeros, det, grad, hess):
     J^{-1} entries and terms they form are dropped.  Geometry-only terms keep
     the broadcast shapes of the jet.  Returns ``(gx, gy)`` and ``(hxx, hxy, hyy)``, None for a zero.
     """
-    def comp(ab, c):
-        return None if ab not in jet or (ab, c) in zeros else jet[ab][c]
-
+    comp = functools.partial(jet_component, jet, zeros)
     inv_det = 1.0 / det
     # B = J^{-1} = adj(J) / det with J = [d1 | d2] columns
     b11, b12 = _mul(inv_det, comp((0, 1), 1)), _mul(-inv_det, comp((0, 1), 0))
@@ -97,19 +82,18 @@ def inverse_chain_rule(jet, zeros, det, grad, hess):
 
 @dataclass
 class ErrorTable:
-    """Seminorms and cumulative norms of an error, orders 0..2."""
+    """Seminorms of an error, orders 0..2, and their cumulative norms."""
 
     seminorms: dict
-    norms: dict
 
-    @staticmethod
-    def from_seminorms(semi: dict) -> "ErrorTable":
-        norms = {}
-        acc = 0.0
-        for t in sorted(semi):
-            acc += semi[t] ** 2
-            norms[t] = float(np.sqrt(acc))
-        return ErrorTable({t: float(v) for t, v in semi.items()}, norms)
+    @property
+    def norms(self) -> dict:
+        """{t: the root sum of squares of the seminorms of orders <= t}."""
+        out, acc = {}, 0.0
+        for t in sorted(self.seminorms):
+            acc += self.seminorms[t] ** 2
+            out[t] = float(np.sqrt(acc))
+        return out
 
 
 def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
@@ -140,7 +124,7 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
         block = slice(start, start + rows)
         sums += _squared_errors(gjet, patch.gmap.zeros, u, fjet, x1[block], x2,
                                 w1[block], w2)
-    return ErrorTable.from_seminorms(dict(enumerate(np.sqrt(sums))))
+    return ErrorTable({t: float(v) for t, v in enumerate(np.sqrt(sums))})
 
 
 def _weighted_sum(w1, w2, det):
@@ -173,7 +157,7 @@ def _squared_errors(g_bound, zeros, u: ScalarField2D, f_bound, x1, x2, w1, w2) -
     exact-zero components."""
     # one geometry jet of the six orders on the grid; absent orders are zero
     jet = g_bound(x1)
-    det = jacobian_det(jet[1, 0], jet[0, 1])
+    det = jacobian_det(jet, zeros)
     if np.any(det <= 0.0):
         # det has the shape of the axes it depends on; locate on the grid
         det = np.broadcast_to(det, (len(x1), len(x2)))
@@ -206,7 +190,7 @@ def combine_tables(tables) -> ErrorTable:
         t: float(np.sqrt(sum(tab.seminorms[t] ** 2 for tab in tables)))
         for t in keys
     }
-    return ErrorTable.from_seminorms(semi)
+    return ErrorTable(semi)
 
 
 def observed_order(e_coarse: float, e_fine: float):

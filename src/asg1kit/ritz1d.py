@@ -41,7 +41,6 @@ __all__ = [
     "ritz_functionals",
     "constrained_l2_functionals",
     "pi_cross_functionals",
-    "BoundaryBubble",
     "bubble_breakpoints",
     "bubble",
     "pi_star_functionals",
@@ -165,15 +164,6 @@ def pi_cross_functionals(p: int, k: int, partition: Partition,
 # -- boundary bubbles ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryBubble:
-    """Spline in S_{p,p-1,Z} with d^t value delta(s,t) at 0 and zero data at 1."""
-
-    s: int
-    spline: UniSpline
-    eta: tuple[float, float, float]
-
-
 def bubble_breakpoints(p: int, partition: Partition) -> tuple[float, float, float]:
     """The breakpoints eta_1 < eta_2 < eta_3 of the degree-p bubbles at 0:
     eta_l is the first breakpoint >= 4*l*p*h/9, so eta_3 needs a breakpoint
@@ -216,8 +206,9 @@ def _truncated_power_coefficients(space: UniSplineSpace, eta) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def bubble(p: int, partition: Partition, s: int) -> BoundaryBubble:
-    """The localized boundary spline interpolating the s-th derivative at 0.
+def bubble(p: int, partition: Partition, s: int) -> UniSpline:
+    """The localized boundary spline in S_{p,p-1,Z} whose derivatives of
+    orders 0..2 are delta(s, t) at 0 and zero at 1.
 
     Built as an explicit combination of the truncated powers
     psi_eta(x) = max(0, 1 - x/eta)^p at the three `bubble_breakpoints`.
@@ -245,8 +236,7 @@ def bubble(p: int, partition: Partition, s: int) -> BoundaryBubble:
     coeffs = np.zeros(space.dim, dtype=np.longdouble)
     for wi, ei in zip(w, eta):
         coeffs += wi * _truncated_power_coefficients(space, ei)
-    spline = UniSpline(space, np.asarray(coeffs, dtype=float))
-    return BoundaryBubble(s, spline, eta)
+    return UniSpline(space, np.asarray(coeffs, dtype=float))
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,7 +244,7 @@ def reflected_bubble_spline(p: int, partition: Partition, s: int) -> UniSpline:
     """phi_{p, reverse(Z)}(1 - x) as a spline on the original partition."""
     b = bubble(p, reverse(partition), s)
     space = UniSplineSpace(p, p - 1, partition)
-    return UniSpline(space, b.spline.coefficients[::-1].copy())
+    return UniSpline(space, b.coefficients[::-1].copy())
 
 
 # -- the endpoint projector Pi* -------------------------------------------------
@@ -280,7 +270,7 @@ def pi_star_functionals(p: int, k: int, partition: Partition,
     points = base.points + (0.0, 1.0)
     m = len(base.orders)
     M = np.hstack([base.matrix, np.zeros((target.dim, 2))])
-    bub0 = embed(bubble(p, partition, 2).spline, target).coefficients
+    bub0 = embed(bubble(p, partition, 2), target).coefficients
     bub1 = embed(reflected_bubble_spline(p, partition, 2), target).coefficients
     delta0, delta1 = np.eye(m + 2)[m:]
     sigma0 = np.concatenate([base.endpoint_row(0.0, 2), [0.0, 0.0]])

@@ -83,16 +83,6 @@ class TensorSpline:
         out = self.jet(x1, x2, [(a, b)])[a, b]
         return float(out) if out.ndim == 0 else out
 
-    def __add__(self, other: "TensorSpline") -> "TensorSpline":
-        if other.space != self.space:
-            raise ValueError("tensor spline addition requires identical spaces")
-        return TensorSpline(self.space, self.coefficients + other.coefficients)
-
-    def __sub__(self, other: "TensorSpline") -> "TensorSpline":
-        if other.space != self.space:
-            raise ValueError("tensor spline subtraction requires identical spaces")
-        return TensorSpline(self.space, self.coefficients - other.coefficients)
-
 
 def _with_zeros(out: dict, orders, shape) -> dict:
     """``out`` with the absent orders above the degree filled in as zeros."""

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from asg1kit.asg1 import check_conformity, global_project, patch_project
+from asg1kit.asg1 import check_conformity, extend, global_project, patch_project
 from asg1kit.fields import ScalarField1D, ScalarField2D, manufactured, pullback
 from asg1kit.geometry import (
     BUILTIN_GEOMETRIES,
@@ -118,12 +118,12 @@ def test_criterion_2_bubble_contract():
                 b = bubble(p, Z, s)
                 for t in (0, 1, 2):
                     want = 1.0 if s == t else 0.0
-                    if abs(b.spline(0.0, t) - want) > 1e-12 \
-                            or abs(b.spline(1.0, t)) > 1e-12:
+                    if abs(b(0.0, t) - want) > 1e-12 \
+                            or abs(b(1.0, t)) > 1e-12:
                         ok = False
                         details.append(f"endpoint p={p} n={n} s={s} t={t}")
                     norms[p, n, s, t] = float(
-                        np.sqrt(np.sum(w * b.spline(x, t) ** 2))
+                        np.sqrt(np.sum(w * b(x, t) ** 2))
                     )
         for s in (0, 1, 2):
             for t in (0, 1, 2):
@@ -242,7 +242,8 @@ def test_criterion_4_patch_projector_interpolation():
                     continue
                 x, y = edge_coords(jp, t50)
                 nj = NORMALS[jp]
-                E = corr.extension
+                E = extend(corr.side, corr.sigma, corr.edge_spline,
+                           patch.partitions, p, k)
                 ndv = nj[0] * E(x, y, 1, 0) + nj[1] * E(x, y, 0, 1)
                 if np.max(np.abs(E(x, y))) > 1e-10 or np.max(np.abs(ndv)) > 1e-10:
                     ok = False

@@ -25,7 +25,7 @@ from asg1kit.splines import (
     embed,
     uniform_partition,
 )
-from asg1kit.tensor import TensorSpline, TensorSplineSpace, as_field
+from asg1kit.tensor import TensorSpline, TensorSplineSpace, as_field, tensor_project_Q
 
 
 P, K, N = 4, 1, 8
@@ -33,7 +33,7 @@ T50 = np.linspace(0.0, 1.0, 50)
 
 
 def boundary_gluing_sides():
-    return {j: EdgeGluing(boundary=True) for j in (1, 2, 3, 4)}
+    return {j: EdgeGluing() for j in (1, 2, 3, 4)}
 
 
 def generic_field():
@@ -80,8 +80,8 @@ def reproduction_sample(p, k, n, seed):
         return embed(UniSpline(space, c), target).coefficients
 
     bub = {
-        1: (bubble(p, Z, 0).spline, bubble(p, Z, 1).spline),
-        4: (bubble(p, Z, 0).spline, bubble(p, Z, 1).spline),
+        1: (bubble(p, Z, 0), bubble(p, Z, 1)),
+        4: (bubble(p, Z, 0), bubble(p, Z, 1)),
         3: (reflected_bubble_spline(p, Z, 0), reflected_bubble_spline(p, Z, 1)),
         2: (reflected_bubble_spline(p, Z, 0), reflected_bubble_spline(p, Z, 1)),
     }
@@ -179,7 +179,7 @@ def test_p1_boundary_case_is_normal_ritz_projection():
 
     u = generic_field()
     Z = uniform_partition(N)
-    glue = EdgeGluing(boundary=True)
+    glue = EdgeGluing()
     P0 = edge_projector_P0(u, 1, P, K, Z)
     P1 = edge_projector_P1(u, 1, glue, P, K, Z, P0)
     n = NORMALS[1]
@@ -311,6 +311,24 @@ def test_patch_corner_interpolation(skew_projection):
                     assert abs(got - want) <= 1e-9, (i, cx, cy, s, t)
 
 
+@pytest.mark.parametrize("name", ["two_patch_skew", "three_patch_L"])
+def test_patch_projection_is_q_plus_the_extensions_of_its_corrections(name):
+    # a correction is stored as its edge data alone: Q plus the extension of
+    # each stored correction, added in order, is the projection bit for bit
+    mp = builtin_geometry(name, N)
+    glue = recover_all(mp)
+    for i, patch in enumerate(mp.patches):
+        uhat = pullback(generic_field(), patch.gmap)
+        proj = patch_project(patch, uhat, glue.for_patch(i), P, K)
+        assert [(c.sigma, c.side) for c in proj.corrections] == [
+            (sigma, j) for sigma in (0, 1) for j in (1, 2, 3, 4)]
+        want = tensor_project_Q(proj.spline.space, uhat).coefficients
+        for c in proj.corrections:
+            want = want + extend(c.side, c.sigma, c.edge_spline, patch.partitions,
+                                 P, K).coefficients
+        assert np.array_equal(proj.spline.coefficients, want), i
+
+
 def test_patch_no_interference_of_corrections(skew_projection):
     mp, glue, projections = skew_projection
     for i, (patch, uhat, proj) in enumerate(projections):
@@ -320,7 +338,8 @@ def test_patch_no_interference_of_corrections(skew_projection):
                     continue
                 x, y = edge_coords(jp, T50)
                 n = NORMALS[jp]
-                E = corr.extension
+                E = extend(corr.side, corr.sigma, corr.edge_spline,
+                           patch.partitions, P, K)
                 assert np.max(np.abs(E(x, y))) <= 1e-10, (i, corr.side, corr.sigma, jp)
                 ndv = n[0] * E(x, y, 1, 0) + n[1] * E(x, y, 0, 1)
                 assert np.max(np.abs(ndv)) <= 1e-10

@@ -64,6 +64,12 @@ def test_degenerate_map_flagged():
     assert 0.0 <= loc[0] <= 1.0 and 0.0 <= loc[1] <= 1.0
 
 
+def test_collapsed_map_has_zero_determinant():
+    # G = (x1, 0): each product of det G has an exact-zero factor
+    g = BilinearMap(np.array([[[0, 0], [0, 0]], [[1, 0], [1, 0]]], float))
+    assert check_2regular(g)[0] == 0.0
+
+
 def test_spline_map_derivatives():
     Z = uniform_partition(2)
     S = UniSplineSpace(2, 1, Z)

@@ -186,7 +186,6 @@ def test_recover_all_boundary_defaults():
     data = recover_all(mp)
     for (i, j) in mp.boundary_edges:
         glue = data[i, j]
-        assert glue.boundary
         assert glue.alpha.endpoints() == (1.0, 1.0)
         assert glue.beta.endpoints() == (0.0, 0.0)
         d = crossing_direction(glue, j)(np.array([0.2, 0.8]))

@@ -171,8 +171,7 @@ def test_ritz_kink_insensitivity():
 
 def test_bubble_eta_snapping_example():
     # p=3, uniform n=8: thresholds l/6 snap to 0.25, 0.375, 0.5
-    b = bubble(3, uniform_partition(8), 0)
-    assert b.eta == (0.25, 0.375, 0.5)
+    assert bubble_breakpoints(3, uniform_partition(8)) == (0.25, 0.375, 0.5)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -182,16 +181,16 @@ def test_bubble_endpoint_conditions(p, s, n):
     b = bubble(p, uniform_partition(n), s)
     for t in (0, 1, 2):
         want = 1.0 if t == s else 0.0
-        assert abs(b.spline(0.0, t) - want) <= 1e-12, (p, s, n, t)
-        assert abs(b.spline(1.0, t)) <= 1e-12
+        assert abs(b(0.0, t) - want) <= 1e-12, (p, s, n, t)
+        assert abs(b(1.0, t)) <= 1e-12
 
 
 def test_bubble_membership_and_embedding():
     b = bubble(4, uniform_partition(8), 1)
-    assert b.spline.space == UniSplineSpace(4, 3, uniform_partition(8))
-    emb = embed(b.spline, UniSplineSpace(4, 1, uniform_partition(8)))
+    assert b.space == UniSplineSpace(4, 3, uniform_partition(8))
+    emb = embed(b, UniSplineSpace(4, 1, uniform_partition(8)))
     x = np.linspace(0, 1, 101)
-    assert np.max(np.abs(emb(x) - b.spline(x))) <= 1e-12
+    assert np.max(np.abs(emb(x) - b(x))) <= 1e-12
 
 
 def test_bubble_rejects_coarse_partition():
@@ -202,7 +201,7 @@ def test_bubble_rejects_coarse_partition():
 def test_bubble_breakpoints_need_room_for_eta_3():
     # eta_l is the first breakpoint >= 4*l*p*h/9; p = 6 needs n >= 8
     assert bubble_breakpoints(6, uniform_partition(8)) == (0.375, 0.75, 1.0)
-    assert bubble(6, uniform_partition(8), 0).eta == (0.375, 0.75, 1.0)
+    bubble(6, uniform_partition(8), 0)  # eta_3 = 1 is room enough
     for p, n in ((4, 5), (6, 7)):
         with pytest.raises(ValueError, match="no breakpoint"):
             bubble_breakpoints(p, uniform_partition(n))
@@ -215,7 +214,7 @@ def test_bubble_seminorm_scaling():
         Z = uniform_partition(n)
         b = bubble(3, Z, 2)
         x, w = gauss_rule(Z, 6)
-        val = np.sum(w * b.spline(x) ** 2)
+        val = np.sum(w * b(x) ** 2)
         ratios.append(val / (1.0 / n) ** 5)
     assert max(ratios) / min(ratios) <= 4.0, ratios
 
