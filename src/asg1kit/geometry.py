@@ -196,8 +196,10 @@ class _TensorProductMap:
         needs = self._present(self._homogeneous_orders(orders))
         full = tensor_jet((self.space1, self.space2), self._coef, x1, x2, needs)
         k = self._coef.shape[2]
-        return self._from_homogeneous(
-            {ab: tuple(v[..., c] for c in range(k)) for ab, v in full.items()}, orders)
+        # rebound, so that only the dict holds each order and
+        # _from_homogeneous can release it
+        full = {ab: tuple(v[..., c] for c in range(k)) for ab, v in full.items()}
+        return self._from_homogeneous(full, orders)
 
     @functools.lru_cache(maxsize=8)
     def _bound_x2(self, x2: bytes, orders: tuple):
@@ -234,16 +236,17 @@ class _TensorProductMap:
                 step2 = lambda x1, values=step2([0.0]): values  # noqa: E731
             bound.append((pairs, comps.index, step2))
 
-        def block(x1) -> dict:
+        def contracted(x1) -> dict:
             out = {ab: list(v) for ab, v in constants.items()}
             for pairs, index, step2 in bound:
                 values = step2(x1)
                 for ab, c in pairs:
                     out[ab][c] = values[ab][..., index(c)]
-            return self._from_homogeneous({ab: tuple(v) for ab, v in out.items()},
-                                          orders)
+            return {ab: tuple(v) for ab, v in out.items()}
 
-        return block
+        # only the dict that `contracted` returns holds each order, so that
+        # _from_homogeneous can release it
+        return lambda x1: self._from_homogeneous(contracted(x1), orders)
 
     def _one_order(self, x1, x2, c: int, d: int) -> np.ndarray:
         out = np.zeros(np.broadcast(x1, x2).shape + (2,))
@@ -329,9 +332,14 @@ class NurbsMap(_TensorProductMap):
                        for e in range(a + 1) for f in range(b + 1)})
 
     def _from_homogeneous(self, H: dict, orders) -> dict:
+        # each homogeneous order leaves H after the last rational order that
+        # reads it, so that, where H alone holds it, its memory is freed
+        build = self._homogeneous_orders(orders)
+        last = {ef: max(n for n, (a, b) in enumerate(build) if ef[0] <= a and ef[1] <= b)
+                for ef in H}
         w0 = H[0, 0][2]
         G: dict[tuple[int, int], tuple] = {}
-        for a, b in self._homogeneous_orders(orders):
+        for n, (a, b) in enumerate(build):
             # F^(a,b) = sum_{e<=a, f<=b} C(a,e) C(b,f) G^(e,f) w^(a-e,b-f)
             terms = [(e, f) for e, f in product(range(a + 1), range(b + 1))
                      if (e, f) != (a, b) and (a - e, b - f) in H]
@@ -347,6 +355,9 @@ class NurbsMap(_TensorProductMap):
                         g[c] -= t
                     else:
                         g[c] = g[c] - t
+                    del t  # freed before the next term's product
+            for ef in [ef for ef in H if last[ef] == n]:
+                del H[ef]
             G[a, b] = tuple(v / w0 for v in g)
         return {ab: G[ab] for ab in orders}
 

@@ -6,12 +6,16 @@ Jacobian transpose, the Hessian with the second-order geometry correction
 
     H_phys = J^{-T} (H_param - sum_c grad_phys[c] * hess(G_c)) J^{-1}.
 
-The quadrature sums run over blocks of whole x1 elements, each at most
-``_BLOCK_POINTS`` points of the tensor grid unless one element row is more.
-The x2 axis of the approximation and of the geometry is contracted once per
-call (`TensorSpline.bind_x2`, ``gmap.bind_x2``); each block takes one
-geometry jet, one bound jet of the target and the six orders of the
-approximation from the coefficient rows its x1 elements touch.  Geometry jet
+The quadrature sums run over chunks of whole x2 elements and, in each, over
+blocks of whole x1 elements, each block at most ``_BLOCK_POINTS`` points of
+the tensor grid unless one element row is more.  The x2 axis of the
+approximation and of the geometry is contracted once per chunk
+(`TensorSpline.bind_x2`, ``gmap.bind_x2``); a chunk is as wide as keeps each
+bound order of the approximation within ``_CHUNK_BLOCKS`` blocks, so coarse
+meshes bind the whole axis at once and the bindings of fine ones do not grow
+with the mesh.  Each block takes one geometry jet, one bound jet of the
+target and the six orders of the approximation from the coefficient rows
+its x1 elements touch.  Geometry jet
 components keep the broadcast shapes of the axes they depend on (see
 `geometry`), and so do the mapped points at which the target is evaluated,
 det G, 1/det and the entries of J^{-1} and of their products; only the
@@ -46,6 +50,13 @@ __all__ = ["ErrorTable", "physical_error_norms", "combine_tables", "observed_ord
            "inverse_chain_rule"]
 
 _ORDERS = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((2, 0), (1, 1), (0, 2))}
+
+# The most blocks of points that one x2-bound order of the approximation
+# spans.  With the default nodes, C^(p-2) spaces of degree up to 10 on meshes
+# of up to 64 elements per side bind their whole x2 axis at once; finer ones
+# bind it in chunks of whole elements.  Each chunk makes the x1 blocks taller
+# (more coefficient rows per block), so chunks are as few as this allows.
+_CHUNK_BLOCKS = 4
 
 
 def inverse_chain_rule(jet, zeros, det, grad, hess):
@@ -114,16 +125,23 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
         ) + 2
     x1, w1 = gauss_rule(patch.partitions[0], nq)
     x2, w2 = gauss_rule(patch.partitions[1], nq)
-    # the six orders of f_h and of the geometry, each with x2 contracted once
     orders = [ab for t in range(3) for ab in _ORDERS[t]]
-    fjet, gjet = f_h.bind_x2(x2, orders), patch.gmap.bind_x2(x2, orders)
+    # chunks of whole x2 elements, as few as keep each bound order of f_h
+    # (dim1 rows) within _CHUNK_BLOCKS blocks
+    chunks = -(-f_h.space.space1.dim * len(x2) // (_CHUNK_BLOCKS * _BLOCK_POINTS))
+    cols = nq * -(-patch.partitions[1].n_elements // chunks)
     # blocks of whole x1 elements (nq nodes each), at least one per block
-    rows = nq * max(1, _BLOCK_POINTS // (nq * len(x2)))
+    rows = nq * max(1, _BLOCK_POINTS // (nq * cols))
     sums = np.zeros(3)
-    for start in range(0, len(x1), rows):
-        block = slice(start, start + rows)
-        sums += _squared_errors(gjet, patch.gmap.zeros, u, fjet, x1[block], x2,
-                                w1[block], w2)
+    for lo in range(0, len(x2), cols):
+        chunk = slice(lo, lo + cols)
+        # the six orders of f_h and of the geometry, x2 contracted once each
+        fjet = f_h.bind_x2(x2[chunk], orders)
+        gjet = patch.gmap.bind_x2(x2[chunk], orders)
+        for start in range(0, len(x1), rows):
+            block = slice(start, start + rows)
+            sums += _squared_errors(gjet, patch.gmap.zeros, u, fjet, x1[block],
+                                    x2[chunk], w1[block], w2[chunk])
     return ErrorTable({t: float(v) for t, v in enumerate(np.sqrt(sums))})
 
 

@@ -434,9 +434,9 @@ def gauss_rule(partition: Partition, nodes_per_element: int):
     return x, w
 
 
-@functools.lru_cache(maxsize=None)
 def l2_projection_matrix(space: UniSplineSpace, nq: int) -> np.ndarray:
-    """Matrix mapping samples at the Gauss nodes to L2-projection coefficients."""
+    """Matrix mapping samples at the Gauss nodes to L2-projection coefficients.
+    Not cached: its one caller, `ritz1d.ritz_functionals`, caches its result."""
     x, w = gauss_rule(space.partition, nq)
     B = eval_operator(space, x)
     G = B.T @ (w[:, None] * B)

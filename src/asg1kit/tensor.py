@@ -9,9 +9,11 @@ parameter direction.  Because a univariate projection is a fixed linear map
 of point-evaluation data (see :mod:`asg1kit.ritz1d`), the tensor coefficients
 are ``C = M1 @ D @ M2.T`` where ``D`` holds the mixed derivative data of the
 input on the cartesian product of the two descriptor sets -- the nested
-application of the coefficient functionals of both directions.  Each order
-block of ``D`` is evaluated in cache-sized blocks of rows, at most the norm
-quadrature's ``_BLOCK_POINTS`` points each, whatever the field.
+application of the coefficient functionals of both directions.  ``D`` is
+never formed whole: `data_matrix` yields it in slabs of rows, each a few
+field calls of at most the norm quadrature's ``_BLOCK_POINTS`` points,
+whatever the field, and each slab is contracted with ``M2`` (or with its
+columns of ``M1``) as it comes, one GEMM per slab.
 """
 
 from __future__ import annotations
@@ -125,6 +127,12 @@ def normal_derivative_trace(f: TensorSpline, j: int) -> UniSpline:
 
 # -- tensor projector -----------------------------------------------------------------
 
+# The fewest rows of a slab of the Ritz data, where its row run has them.
+# Slab GEMMs with the x2 functionals run near the speed of one whole product
+# from 128 rows on; in 16-row slabs they take twice its time (N = 1026 data
+# points per axis, one BLAS thread).
+_SLAB_ROWS = 128
+
 
 def _runs(orders):
     """(order, slice) for each run of equal entries of ``orders``."""
@@ -132,21 +140,38 @@ def _runs(orders):
     return [(orders[a], slice(a, b)) for a, b in zip(cuts, cuts[1:] + [len(orders)])]
 
 
-def data_matrix(u: ScalarField2D, f1: PointFunctionals, f2: PointFunctionals
-                ) -> np.ndarray:
-    """Mixed derivative data D[a, b] = d1^{o1_a} d2^{o2_b} u(x_a, y_b), one
-    call of ``u``, written by slices, per pair of runs of equal order and
-    block of at most ``_BLOCK_POINTS`` points (one row at least)."""
+def data_matrix(u: ScalarField2D, f1: PointFunctionals, f2: PointFunctionals):
+    """The rows of the mixed derivative data D[a, b] = d1^{o1_a} d2^{o2_b}
+    u(x_a, y_b), top to bottom, in slabs (arrays of whole rows).
+
+    Per run of rows of equal order, each run of columns of equal order is
+    evaluated in calls of ``u`` of at most ``_BLOCK_POINTS`` points (one row
+    at least): a column run whose calls cover the row run is evaluated whole
+    before the first slab, the others slab by slab.  A slab is a whole number
+    of the calls of the widest of those, at least ``_SLAB_ROWS`` rows where
+    the row run has them."""
     x = np.asarray(f1.points)
     y = np.asarray(f2.points)
-    D = np.empty((len(x), len(y)))
+    cols = [(db, ib, max(1, _BLOCK_POINTS // (ib.stop - ib.start)))
+            for db, ib in _runs(f2.orders)]
     for da, ia in _runs(f1.orders):
-        for db, ib in _runs(f2.orders):
-            rows = max(1, _BLOCK_POINTS // (ib.stop - ib.start))
-            for start in range(ia.start, ia.stop, rows):
-                block = slice(start, min(start + rows, ia.stop))
-                D[block, ib] = u(x[block, None], y[None, ib], da, db)
-    return D
+        xa, n = x[ia, None], ia.stop - ia.start
+        whole = [u(xa, y[None, ib], da, db) if rows >= n else None
+                 for db, ib, rows in cols]
+        step = min([rows for (_, _, rows), w in zip(cols, whole) if w is None],
+                   default=n)
+        step *= -(-_SLAB_ROWS // step)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            D = np.empty((hi - lo, len(y)))
+            for (db, ib, rows), w in zip(cols, whole):
+                if w is not None:
+                    D[:, ib] = w[lo:hi]
+                    continue
+                for i in range(lo, hi, rows):
+                    j = min(i + rows, hi)
+                    D[i - lo:j - lo, ib] = u(xa[i:j], y[None, ib], da, db)
+            yield D
 
 
 def tensor_project(space: TensorSplineSpace, u: ScalarField2D,
@@ -156,17 +181,26 @@ def tensor_project(space: TensorSplineSpace, u: ScalarField2D,
     ``order`` selects which direction is applied first ("21": xi2 fibers
     first, then xi1; "12": the opposite); both orderings agree up to
     round-off, which is the commuting property of the directional projectors.
+    Either way each slab of the data is contracted as it comes: "21" writes
+    its rows of ``E = D @ M2.T``, "12" adds ``M1[:, slab] @ D_slab``.
     """
+    if order not in ("21", "12"):
+        raise ValueError("order must be '21' or '12'")
     f1 = ritz_functionals(space.space1, 2, nq)
     f2 = ritz_functionals(space.space2, 2, nq)
-    D = data_matrix(u, f1, f2)
-    if order == "21":
-        C = f1.matrix @ (D @ f2.matrix.T)
-    elif order == "12":
-        C = (f1.matrix @ D) @ f2.matrix.T
-    else:
-        raise ValueError("order must be '21' or '12'")
-    return TensorSpline(space, C)
+    M1, M2 = f1.matrix, f2.matrix
+    # E = D @ M2.T by rows ("21"), or F = M1 @ D by columns of M1 ("12")
+    acc = np.empty((M1.shape[1], M2.shape[0])) if order == "21" else \
+        np.zeros((M1.shape[0], M2.shape[1]))
+    start = 0
+    for D in data_matrix(u, f1, f2):
+        rows = slice(start, start + len(D))
+        start = rows.stop
+        if order == "21":
+            np.matmul(D, M2.T, out=acc[rows])
+        else:
+            acc += M1[:, rows] @ D
+    return TensorSpline(space, M1 @ acc if order == "21" else acc @ M2.T)
 
 
 def tensor_project_Q(space: TensorSplineSpace, u: ScalarField2D,

@@ -489,3 +489,33 @@ def test_unknown_builtin():
     with pytest.raises(GeometryError):
         builtin_geometry("nope")
 
+
+
+def test_nurbs_grid_jet_releases_homogeneous_orders():
+    # a norms block of six orders on 128 x 256 points: the homogeneous jet
+    # holds 6 orders x 3 components and the rational one returns 6 orders x 2
+    # components, each an array of 128 x 256 doubles.  Keeping every
+    # homogeneous order until the last rational one is built needs all 30 at
+    # once, plus the working arrays; releasing each after its last reader
+    # stays below the 30.
+    import tracemalloc
+
+    gmap = _jet_maps()["nurbs"]
+    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    x1, x2 = np.linspace(0.01, 0.99, 128), np.linspace(0.02, 0.98, 256)
+    block = gmap.bind_x2(x2, orders)
+    tracemalloc.start()
+    try:
+        jet = block(x1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    comp = x1.size * x2.size * 8
+    assert all(v.shape == (x1.size, x2.size) for ab in orders for v in jet[ab])
+    assert peak < (6 * 3 + 6 * 2) * comp, peak / comp
+    # the same orders as the scattered contraction of the same points
+    want = gmap.jet(*np.meshgrid(x1, x2, indexing="ij"), orders=orders)
+    for ab in orders:
+        for got, ref in zip(jet[ab], want[ab]):
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale, ab

@@ -14,8 +14,8 @@ from asg1kit.norms import (
     physical_error_norms,
 )
 from asg1kit import norms
-from asg1kit.splines import (UniSplineSpace, gauss_rule, greville_points,
-                             uniform_partition)
+from asg1kit.splines import (UniSplineSpace, eval_operator, gauss_rule,
+                             greville_points, uniform_partition)
 from asg1kit.tensor import (
     TensorSpline,
     TensorSplineSpace,
@@ -438,3 +438,58 @@ def test_inverse_chain_rule_drops_exact_zero_jacobian_entries(name):
             (gx, _), (hxx, _, hyy) = norms.inverse_chain_rule(
                 jet, z, det, (grad[0], nan), [hess[0], nan, hess[2]])
             assert all(np.isfinite(v).all() == finite for v in (gx, hxx, hyy))
+
+
+def test_chunked_norms_peak_below_whole_row_bindings():
+    # p = 6, k = 4 on 128 elements and nq = 10 nodes: f_h bound on the whole
+    # x2 axis takes three orders of dim x 1280 doubles (8.0 MB); in chunks of
+    # whole x2 elements the bindings and a block's arrays stay below that
+    import tracemalloc
+
+    patch = builtin_geometry("three_patch_L", 128).patches[0]
+    S = UniSplineSpace(6, 4, patch.partitions[0])
+    rng = np.random.default_rng(8)
+    f = TensorSpline(TensorSplineSpace(S, S), rng.standard_normal((S.dim, S.dim)))
+    u = manufactured("sinsin")
+    nq = 10
+    x1, w1 = gauss_rule(patch.partitions[0], nq)
+    x2, w2 = gauss_rule(patch.partitions[1], nq)
+    tracemalloc.start()
+    try:
+        got = physical_error_norms(patch, u, f, nq=nq).seminorms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * S.dim * len(x2) * 8, peak
+
+    # the unstreamed sums: the whole x2 axis bound once, blocks of whole x1
+    # elements of at most _BLOCK_POINTS points
+    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    fjet, gjet = f.bind_x2(x2, orders), patch.gmap.bind_x2(x2, orders)
+    rows = nq * max(1, norms._BLOCK_POINTS // (nq * len(x2)))
+    sums = sum(np.array(norms._squared_errors(
+        gjet, patch.gmap.zeros, u, fjet, x1[i:i + rows], x2, w1[i:i + rows], w2))
+        for i in range(0, len(x1), rows))
+    want = np.sqrt(sums)
+    # On the identity patch (area 1) every chain-rule factor is an exact 1,
+    # so the two sides differ by (a) the evaluation of f's orders, each side
+    # within gamma_(2p+2) max|c| S_a S_b of the exact value, S_d the largest
+    # sum of |B^(d)| over the basis at a node (p + 1 nonzero terms per axis),
+    # (b) the target at mapped points, each coordinate within gamma_4 of the
+    # node on each side, times |d u^(a, b)| <= pi^(t+1) per coordinate, and
+    # (c) the order of the weighted sums, within gamma_K of each square, K
+    # below 3 (len(x1) + len(x2)); the norm's triangle inequality adds them
+    u_r = np.finfo(float).eps / 2
+
+    def gamma(n):
+        return n * u_r / (1 - n * u_r)
+
+    p = S.degree
+    sums_abs = [np.abs(eval_operator(S, x1, d)).sum(axis=1).max() for d in range(3)]
+    cmax = np.abs(f.coefficients).max()
+    for t, ab in enumerate(([(0, 0)], [(1, 0), (0, 1)], [(2, 0), (1, 1), (1, 1), (0, 2)])):
+        approx = 2 * gamma(2 * p + 2) * cmax * np.sqrt(
+            sum((sums_abs[a] * sums_abs[b]) ** 2 for a, b in ab))
+        target = 2 * np.pi ** (t + 1) * 2 * gamma(4) * np.sqrt(len(ab))
+        bound = approx + target + gamma(3 * (len(x1) + len(x2))) * want[t]
+        assert abs(got[t] - want[t]) <= bound, (t, got[t], want[t], bound)

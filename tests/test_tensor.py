@@ -246,12 +246,14 @@ def test_tensor_project_reproduces_high_degree_polynomial():
 
 
 def test_commuting_identity():
-    V = tensor_space(3, 1, 5)
-    u = manufactured("expxy")
-    a = tensor_project(V, u, order="21")
-    b = tensor_project(V, u, order="12")
-    scale = np.max(np.abs(a.coefficients))
-    assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-11 * scale
+    # on 40 elements the Gauss rows of the data come in two slabs
+    for p, k, n in ((3, 1, 5), (4, 2, 40)):
+        V = tensor_space(p, k, n)
+        u = manufactured("expxy")
+        a = tensor_project(V, u, order="21")
+        b = tensor_project(V, u, order="12")
+        scale = np.max(np.abs(a.coefficients))
+        assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-11 * scale, n
 
 
 def test_corner_interpolation():
@@ -322,7 +324,11 @@ def test_data_matrix_orders_and_points():
     f1 = ritz_functionals(V.space1, 2)
     f2 = ritz_functionals(V.space2, 2)
     u = manufactured("expxy")
-    D = data_matrix(u, f1, f2)
+    slabs = list(data_matrix(u, f1, f2))
+    # the two endpoint rows, then the Gauss rows in one slab of whole rows
+    assert [D.shape for D in slabs] == [(1, len(f2.points))] * 2 + [
+        (len(f1.points) - 2, len(f2.points))]
+    D = np.concatenate(slabs)
     # entry (0, 0): value at (0, 0); entry (1, 1): d1 d2 u at (0, 0)
     assert D[0, 0] == pytest.approx(1.0, abs=1e-14)
     assert D[1, 1] == pytest.approx(2.0, abs=1e-14)
@@ -365,12 +371,15 @@ def test_data_matrix_row_blocks_match_full_grid_data(kind):
         calls.append(((a, b), x.size, np.broadcast_shapes(x.shape, y.shape)))
         return u(x, y, a, b)
 
-    D = data_matrix(ScalarField2D(recorded, max_order=u.max_order), f, f)
-    assert np.array_equal(D, _full_grid_data(u, f, f))
+    slabs = list(data_matrix(ScalarField2D(recorded, max_order=u.max_order), f, f))
+    assert np.array_equal(np.concatenate(slabs), _full_grid_data(u, f, f))
     for ab, rows, shape in calls:
         assert rows == 1 or np.prod(shape) <= _BLOCK_POINTS, (ab, shape)
     # each order block is covered once, the (2, 2) block in four row blocks
     assert [rows for ab, rows, _ in calls if ab == (2, 2)] == [102, 102, 102, 14]
+    # the endpoint rows, then the Gauss rows in slabs of whole row blocks of
+    # at least _SLAB_ROWS rows: D is never whole
+    assert [len(D) for D in slabs] == [1, 1, 204, 116]
     assert len({ab for ab, _, _ in calls}) == 9
 
 
@@ -400,7 +409,8 @@ def test_data_matrix_binds_each_geometry_row_once():
         calls.append((a, b))
         return u(x, y, a, b)
 
-    data_matrix(ScalarField2D(recorded, max_order=u.max_order), f, f)
+    for _ in data_matrix(ScalarField2D(recorded, max_order=u.max_order), f, f):
+        pass
     assert len(calls) > 9  # the (2, *) pairs take several row blocks
     # one binding per (row, orders): the order pairs (a, b) and (max(a, 1),
     # max(b, 1)) read the same jet orders
@@ -415,3 +425,36 @@ def test_data_matrix_binds_each_geometry_row_once():
     gmap.jet(np.zeros((3, 1)), rows[0][None, :], 1, 1)  # evicted: bound again
     gmap.jet(np.zeros((3, 1)), rows[-1][None, :], 1, 1)  # kept
     assert len(binds) == 21
+
+
+def test_streamed_projection_peaks_below_one_data_matrix():
+    # p = 6, k = 4 on 128 elements: N = 2 + 128 * 8 data points per axis, so
+    # one whole data matrix takes N^2 doubles (8.4 MB); the slabs, E = D M^T
+    # (N x dim) and C (dim x dim) stay far below that
+    import tracemalloc
+
+    from asg1kit.fields import pullback
+    from asg1kit.geometry import builtin_geometry
+    from asg1kit.ritz1d import ritz_functionals
+
+    patch = builtin_geometry("three_patch_L", 128).patches[0]
+    S = UniSplineSpace(6, 4, patch.partitions[0])
+    assert patch.partitions[1] == S.partition
+    f = ritz_functionals(S, 2, None)  # built and cached before the measurement
+    N, M = len(f.points), f.matrix
+    u = pullback(manufactured("sinsin"), patch.gmap)
+    tracemalloc.start()
+    try:
+        C = tensor_project_Q(TensorSplineSpace(S, S), u).coefficients
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * N * 8, peak
+    # the unstreamed C = M (D M^T) of the whole data matrix: each side's two
+    # products of N summands per entry are within 2 gamma_N |M| |D| |M|^T of
+    # the exact ones, gamma_N = N u / (1 - N u) with u = eps / 2
+    D = np.concatenate(list(data_matrix(u, f, f)))
+    u_r = np.finfo(float).eps / 2
+    gamma = N * u_r / (1 - N * u_r)
+    bound = 4 * gamma * (np.abs(M) @ (np.abs(D) @ np.abs(M).T))
+    assert np.all(np.abs(C - M @ (D @ M.T)) <= bound)
