@@ -9,15 +9,24 @@ This makes the defining properties structural: the r-th derivative of the
 projection is the L2 projection of the r-th derivative (H^r-orthogonality),
 derivatives up to r-1 are interpolated at 0, and for p >= 2r-1 also at 1.
 
-Every projector is stored as a matrix acting on a fixed data vector of point
-evaluations ``(order_m, point_m)`` of the input: the r endpoint derivatives
-at 0 followed by the r-th derivative at the Gauss nodes, read from one jet of
-the input at all the points.  This makes the later tensor-product nesting a
-pair of matrix products.
+Every projector acts on a fixed data vector of point evaluations
+``(order_m, point_m)`` of the input: the r endpoint derivatives at 0, the
+r-th derivative at the Gauss nodes, and the data of an optional endpoint
+correction, read from one jet of the input at all the points.  It is stored
+in the factored form the recursion gives, never as a matrix: the
+element-local moment blocks W B of the base space S_{p-r,k-r,Z} (element e
+touches the p-r+1 base functions from e (p-k)), the inverse of the base
+Gram matrix from its Cholesky factor, and r integrations
+(`splines.integrate`), each followed by adding an endpoint datum times the
+constant, whose coefficients are all ones.  A projector that interpolates
+more endpoint data adds a low-rank correction c + U (d - E c).  The tensor
+projector applies the same factors along each axis of its data (see
+:mod:`asg1kit.tensor`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -25,14 +34,15 @@ import numpy as np
 
 from .splines import (
     Partition,
+    QuadratureError,
     UniSpline,
     UniSplineSpace,
+    _band_at,
     embed,
     eval_operator,
     gauss_rule,
     integrate,
     knot_vector,
-    l2_projection_matrix,
     reverse,
 )
 
@@ -58,13 +68,32 @@ class PointFunctionals:
     """A linear map from point-evaluation data of a function to coefficients.
 
     ``apply(field)`` evaluates ``field(points[m], orders[m])`` and returns the
-    spline with coefficients ``matrix @ data``.
+    spline whose coefficients the factored map takes from those data: the
+    moments of the Gauss data against the base space ``base``, stored per
+    element as ``weighted[e, q, j]`` (the weight times base function
+    e (p-k) + j at node q of element e), the Gram solve by ``gram_inv``
+    (L^-T L^-1 from the Cholesky factor G = L L^T), the integrations from
+    ``base`` up to ``space`` that add the endpoint data, and ``correction``
+    = (U, E), which adds U (d - E c) for the data d after the Gauss data.
     """
 
     space: UniSplineSpace
     orders: tuple[int, ...]
     points: tuple[float, ...]
-    matrix: np.ndarray
+    base: UniSplineSpace
+    weighted: np.ndarray
+    gram_inv: np.ndarray
+    correction: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def r(self) -> int:
+        """The number of endpoint data, one integration each."""
+        return self.space.degree - self.base.degree
+
+    @property
+    def n_moments(self) -> int:
+        """The length of a moment vector: r endpoint data and dim(base)."""
+        return self.r + self.base.dim
 
     def data_vector(self, field) -> np.ndarray:
         """The data ``field(points[m], orders[m])`` from one jet of ``field``
@@ -77,19 +106,120 @@ class PointFunctionals:
             data[orders == d] = jet(d)[orders == d]
         return data
 
-    def apply(self, field) -> UniSpline:
-        return UniSpline(self.space, self.matrix @ self.data_vector(field))
+    def add_moments(self, out: np.ndarray, data: np.ndarray, start: int = 0):
+        """Add to ``out`` (last axis ``n_moments``) the moments of the data
+        entries start, start+1, ... given along the last axis of ``data``
+        (1D or 2D, like ``out``): endpoint data as they are, Gauss data as
+        their products with the weighted base functions of their elements.
+        A run of Gauss data that starts or ends inside an element is padded
+        with zeros to whole elements."""
+        if data.ndim == 1:
+            out, data = out[None], data[None]
+        r, (ne, nq, width) = self.r, self.weighted.shape
+        head = min(max(r - start, 0), data.shape[1])
+        out[:, start:start + head] += data[:, :head]
+        g, lo = data[:, head:], max(start - r, 0)
+        if not g.shape[1]:
+            return
+        e0, e1 = lo // nq, -(-(lo + g.shape[1]) // nq)
+        if g.shape[1] != (e1 - e0) * nq:
+            padded = np.zeros((len(g), (e1 - e0) * nq))
+            padded[:, lo - e0 * nq:lo - e0 * nq + g.shape[1]] = g
+            g = padded
+        # local[m, e, j] = sum_q g[m, e nq + q] weighted[e, q, j]
+        local = np.empty((len(g), e1 - e0, width))
+        np.matmul(g.reshape(len(g), e1 - e0, nq).transpose(1, 0, 2),
+                  self.weighted[e0:e1], out=local.transpose(1, 0, 2))
+        step = self.base.degree - self.base.smoothness
+        first = r + e0 * step
+        for j in range(width):
+            out[:, first + j:first + j + (e1 - e0) * step:step] += local[:, :, j]
 
-    def endpoint_row(self, x: float, d: int) -> np.ndarray:
-        """The functional row of (d-th derivative of the projection)(x)."""
-        E = eval_operator(self.space, np.array([x]), d)
-        return (E @ self.matrix)[0]
+    def moments(self, data: np.ndarray) -> np.ndarray:
+        """The moment vectors of whole data vectors along the last axis."""
+        out = np.zeros(np.shape(data)[:-1] + (self.n_moments,))
+        self.add_moments(out, data)
+        return out
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """The coefficients in ``space`` of moment vectors along the last axis
+        of ``y``: the Gram solve in the base space, then r integrations, the
+        m-th adding endpoint datum r-1-m."""
+        r, sp = self.r, self.base
+        c = y[..., r:] @ self.gram_inv.T
+        for m in range(r):
+            c = integrate(sp, c, axis=-1)
+            c += y[..., r - 1 - m, None]
+            sp = sp.antiderivative_space()
+        return c
+
+    def coefficients(self, data: np.ndarray) -> np.ndarray:
+        """The coefficients of whole data vectors along the last axis."""
+        n = self.r + self.weighted.shape[0] * self.weighted.shape[1]
+        c = self.solve(self.moments(data[..., :n]))
+        if self.correction is not None:
+            U, E = self.correction
+            c += (data[..., n:] - c @ E.T) @ U.T
+        return c
+
+    def apply(self, field) -> UniSpline:
+        return UniSpline(self.space, self.coefficients(self.data_vector(field)))
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (dim x data) matrix of the map, built on demand from the
+        factored form (the coefficients of each unit data vector); nothing
+        in the package reads it."""
+        return self.coefficients(np.eye(len(self.points))).T
+
+
+def _l2_factors(space: UniSplineSpace, nq: int):
+    """The moment blocks W B of ``space`` at ``nq`` Gauss nodes per element,
+    (elements, nq, p+1), and the inverse of its Gram matrix G, L^-T L^-1
+    from the Cholesky factor G = L L^T assembled from those blocks without a
+    dense basis matrix.
+
+    Every element's nodes share a band start, e (p-k), because the interior
+    multiplicity of the knots is uniform."""
+    x, w = gauss_rule(space.partition, nq)
+    ne, width = space.partition.n_elements, space.degree + 1
+    step = space.degree - space.smoothness
+    _, (_, rows) = _band_at(space, x, 0)
+    rows = rows.reshape(ne, nq, width)
+    weighted = w.reshape(ne, nq, 1) * rows
+    local = np.matmul(weighted.transpose(0, 2, 1), rows)
+    G = np.zeros((space.dim, space.dim))
+    for e in range(ne):
+        G[e * step:e * step + width, e * step:e * step + width] += local[e]
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        L = np.zeros_like(G)
+    # a singular G can factor with round-off pivots; the bound 1e2 n eps
+    # max|G| on the squared pivots is 30 times the largest of those seen and
+    # 1e6 times below the least of a Gram matrix of enough nodes (on meshes
+    # graded down to 1e-4)
+    if np.diag(L).min() ** 2 <= 100 * len(G) * np.finfo(float).eps * G.max():
+        raise QuadratureError(
+            f"nq={nq} Gauss nodes per element are too few: the Gram matrix of "
+            f"S_({space.degree},{space.smoothness}) is not positive definite"
+        )
+    del G  # freed before the inverse: the build stays below one dense B
+    # L^-1 row by row: row i of L has its p+1 band entries only, so it takes
+    # the p rows of L^-1 above it (an LU inverse of L took 5 times longer)
+    inv_chol = np.zeros_like(L)
+    for i in range(len(L)):
+        lo = max(0, i + 1 - width)
+        inv_chol[i, :i] = -(L[i, lo:i] @ inv_chol[lo:i, :i])
+        inv_chol[i, i] = 1.0
+        inv_chol[i, :i + 1] /= L[i, i]
+    return weighted, inv_chol.T @ inv_chol
 
 
 @functools.lru_cache(maxsize=None)
 def ritz_functionals(space: UniSplineSpace, r: int, nq: int | None = None
                      ) -> PointFunctionals:
-    """The order-r Ritz projector onto ``space`` in functional-matrix form."""
+    """The order-r Ritz projector onto ``space`` in factored form."""
     p, k = space.degree, space.smoothness
     if not 0 <= r <= k + 1:
         raise ValueError(f"need 0 <= r <= k+1, got r={r}, k={k}")
@@ -98,13 +228,10 @@ def ritz_functionals(space: UniSplineSpace, r: int, nq: int | None = None
     if nq is None:
         nq = default_quadrature_nodes(p)
     x, _ = gauss_rule(space.partition, nq)
-    matrix = l2_projection_matrix(UniSplineSpace(p - r, k - r, space.partition), nq)
-    for m in range(r):
-        sp = UniSplineSpace(p - r + m, k - r + m, space.partition)
-        matrix = np.hstack([np.ones((sp.dim + 1, 1)), integrate(sp, matrix)])
+    base = UniSplineSpace(p - r, k - r, space.partition)
     orders = tuple(range(r)) + (r,) * x.size
     points = (0.0,) * r + tuple(x)
-    return PointFunctionals(space, orders, points, matrix)
+    return PointFunctionals(space, orders, points, base, *_l2_factors(base, nq))
 
 
 # -- endpoint-constrained L2 projector -----------------------------------------
@@ -114,36 +241,30 @@ def ritz_functionals(space: UniSplineSpace, r: int, nq: int | None = None
 def constrained_l2_functionals(space: UniSplineSpace, nq: int | None = None
                                ) -> PointFunctionals:
     """L2 projection subject to Hermite data (value and first derivative) at
-    both endpoints, in functional-matrix form.
+    both endpoints, in factored form.
 
     Unlike the order-2 Ritz projector this stays L2-optimal and interpolates
     at both ends for any degree >= 2, and it commutes with reversal of the
     parameter; it serves as the crossing-derivative projector when the spline
     degree is too low for the Ritz construction's right-endpoint property.
+    The L2 projection c is corrected by the rank-4 term
+    G^-1 E^T S^-1 (h - E c), with E the endpoint rows, h their data and
+    S = E G^-1 E^T the Schur complement of the KKT system.
     """
     p = space.degree
     if p < 2 or space.smoothness < 1:
         raise ValueError("constrained projection needs p >= 2 and k >= 1")
     if nq is None:
         nq = default_quadrature_nodes(p)
-    x, w = gauss_rule(space.partition, nq)
-    B = eval_operator(space, x)
-    G = B.T @ (w[:, None] * B)
+    x, _ = gauss_rule(space.partition, nq)
+    weighted, gram_inv = _l2_factors(space, nq)
     ends = np.array([0.0, 1.0])
     E = np.vstack([eval_operator(space, ends, 0), eval_operator(space, ends, 1)])
-    m = space.dim
-    K = np.zeros((m + 4, m + 4))
-    K[:m, :m] = 2.0 * G
-    K[:m, m:] = E.T
-    K[m:, :m] = E
-    # right-hand side: 2 B^T diag(w) for the samples, identity for the data
-    R = np.zeros((m + 4, x.size + 4))
-    R[:m, :x.size] = 2.0 * B.T * w[None, :]
-    R[m:, x.size:] = np.eye(4)
-    matrix = np.linalg.solve(K, R)[:m]
+    GiEt = gram_inv @ E.T
+    U = np.linalg.solve(E @ GiEt, GiEt.T).T
     orders = (0,) * x.size + (0, 0, 1, 1)
     points = tuple(x) + (0.0, 1.0, 0.0, 1.0)
-    return PointFunctionals(space, orders, points, matrix)
+    return PointFunctionals(space, orders, points, space, weighted, gram_inv, (U, E))
 
 
 def pi_cross_functionals(p: int, k: int, partition: Partition,
@@ -266,14 +387,9 @@ def pi_star_functionals(p: int, k: int, partition: Partition,
     if p >= 5:
         return ritz_functionals(target, 3, nq)
     base = ritz_functionals(target, 2, nq)
-    orders = base.orders + (2, 2)
-    points = base.points + (0.0, 1.0)
-    m = len(base.orders)
-    M = np.hstack([base.matrix, np.zeros((target.dim, 2))])
-    bub0 = embed(bubble(p, partition, 2), target).coefficients
-    bub1 = embed(reflected_bubble_spline(p, partition, 2), target).coefficients
-    delta0, delta1 = np.eye(m + 2)[m:]
-    sigma0 = np.concatenate([base.endpoint_row(0.0, 2), [0.0, 0.0]])
-    sigma1 = np.concatenate([base.endpoint_row(1.0, 2), [0.0, 0.0]])
-    M = M + np.outer(bub0, delta0 - sigma0) + np.outer(bub1, delta1 - sigma1)
-    return PointFunctionals(target, orders, points, M)
+    U = np.stack([embed(bubble(p, partition, 2), target).coefficients,
+                  embed(reflected_bubble_spline(p, partition, 2), target).coefficients],
+                 axis=1)
+    E = eval_operator(target, np.array([0.0, 1.0]), 2)
+    return dataclasses.replace(base, orders=base.orders + (2, 2),
+                               points=base.points + (0.0, 1.0), correction=(U, E))

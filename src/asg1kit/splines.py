@@ -330,8 +330,12 @@ def integrate(space: UniSplineSpace, c: np.ndarray, axis: int = 0) -> np.ndarray
     """Coefficients along ``axis`` of ``c`` (in ``space``) of the integral
     from 0, in S_{p+1,k+1,Z}: the inverse of `differentiate` there, a
     cumulative sum of the scaled coefficients after a leading zero."""
-    scale = _difference_scale(space.antiderivative_space(), len(np.shape(c)[axis:]) - 1)
-    return np.insert(np.cumsum(c / scale, axis=axis), 0, 0.0, axis=axis)
+    c = np.asarray(c)
+    scale = _difference_scale(space.antiderivative_space(), len(c.shape[axis:]) - 1)
+    axis %= c.ndim
+    out = np.zeros(c.shape[:axis] + (c.shape[axis] + 1,) + c.shape[axis + 1:])
+    np.cumsum(c / scale, axis=axis, out=out[(slice(None),) * axis + (slice(1, None),)])
+    return out
 
 
 def derivative(f: UniSpline) -> UniSpline:
@@ -419,7 +423,7 @@ def tensor_jet(spaces, coef: np.ndarray, x1, x2, orders) -> dict:
         len(f1), width, k)).reshape(shape + comps) for a, b in orders}
 
 
-# -- quadrature and L2 machinery ----------------------------------------------
+# -- quadrature ---------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
@@ -432,30 +436,6 @@ def gauss_rule(partition: Partition, nodes_per_element: int):
     x = (0.5 * (a + b)[:, None] + half[:, None] * xg[None, :]).ravel()
     w = (half[:, None] * wg[None, :]).ravel()
     return x, w
-
-
-def l2_projection_matrix(space: UniSplineSpace, nq: int) -> np.ndarray:
-    """Matrix mapping samples at the Gauss nodes to L2-projection coefficients.
-    Not cached: its one caller, `ritz1d.ritz_functionals`, caches its result."""
-    x, w = gauss_rule(space.partition, nq)
-    B = eval_operator(space, x)
-    G = B.T @ (w[:, None] * B)
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        L = np.zeros_like(G)
-    # a singular G can factor with round-off pivots; the bound 1e2 n eps
-    # max|G| on the squared pivots is 30 times the largest of those seen and
-    # 1e6 times below the least of a Gram matrix of enough nodes (on meshes
-    # graded down to 1e-4)
-    if np.diag(L).min() ** 2 <= 100 * len(G) * np.finfo(float).eps * G.max():
-        raise QuadratureError(
-            f"nq={nq} Gauss nodes per element are too few: the Gram matrix of "
-            f"S_({space.degree},{space.smoothness}) is not positive definite"
-        )
-    # G^-1 = L^-T L^-1: two GEMMs beat two triangular solves by an LU each
-    Li = np.linalg.inv(L)
-    return Li.T @ (Li @ (B.T * w[None, :]))
 
 
 # -- collocation at Greville points -------------------------------------------

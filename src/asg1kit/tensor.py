@@ -5,15 +5,18 @@ contraction of its coefficient grid with the basis rows of both directions;
 ``jet(x1, x2, orders)`` returns every requested order from one contraction.
 
 The tensor projector applies the univariate order-2 Ritz projector in each
-parameter direction.  Because a univariate projection is a fixed linear map
-of point-evaluation data (see :mod:`asg1kit.ritz1d`), the tensor coefficients
-are ``C = M1 @ D @ M2.T`` where ``D`` holds the mixed derivative data of the
-input on the cartesian product of the two descriptor sets -- the nested
-application of the coefficient functionals of both directions.  ``D`` is
-never formed whole: `data_matrix` yields it in slabs of rows, each a few
+parameter direction.  A univariate projection is a fixed linear map of
+point-evaluation data in factored form (see :mod:`asg1kit.ritz1d`): moments
+against a base space, a Gram solve and integrations.  The tensor projection
+applies the factors of both directions to ``D``, the mixed derivative data
+of the input on the cartesian product of the two descriptor sets -- the
+nested application of the coefficient functionals of both directions.  ``D``
+is never formed whole: `data_matrix` yields it in slabs of rows, each a few
 field calls of at most the norm quadrature's ``_BLOCK_POINTS`` points,
-whatever the field, and each slab is contracted with ``M2`` (or with its
-columns of ``M1``) as it comes, one GEMM per slab.
+whatever the field, and each slab is contracted with the element-local
+moment blocks of one direction as it comes, O(p) products per data point;
+the other direction's moments, then the Gram solves and integrations of
+both, act on the dim1 x dim2 moments.
 """
 
 from __future__ import annotations
@@ -128,9 +131,9 @@ def normal_derivative_trace(f: TensorSpline, j: int) -> UniSpline:
 # -- tensor projector -----------------------------------------------------------------
 
 # The fewest rows of a slab of the Ritz data, where its row run has them.
-# Slab GEMMs with the x2 functionals run near the speed of one whole product
-# from 128 rows on; in 16-row slabs they take twice its time (N = 1026 data
-# points per axis, one BLAS thread).
+# The slab moment products take the same time within 6 % from 16 to 512
+# rows (p = 6 on 128 elements, N = 1026 data points per axis, one BLAS
+# thread); a slab of 128 rows is 1 MB there.
 _SLAB_ROWS = 128
 
 
@@ -178,29 +181,34 @@ def tensor_project(space: TensorSplineSpace, u: ScalarField2D,
                    nq: int | None = None, order: str = "21") -> TensorSpline:
     """The tensor-product order-(2, 2) Ritz projection of ``u``.
 
-    ``order`` selects which direction is applied first ("21": xi2 fibers
-    first, then xi1; "12": the opposite); both orderings agree up to
-    round-off, which is the commuting property of the directional projectors.
-    Either way each slab of the data is contracted as it comes: "21" writes
-    its rows of ``E = D @ M2.T``, "12" adds ``M1[:, slab] @ D_slab``.
+    ``order`` selects which direction's moments are taken first ("21": the
+    xi2 moments of each data row first, then the xi1 moments; "12": the
+    opposite); both orderings agree up to round-off, which is the commuting
+    property of the directional projectors.  Either way each slab of the
+    data is contracted with that direction's moment blocks as it comes,
+    into an array of one axis of data points and one of moments; then the
+    other direction's moments, the Gram solves and the integrations act on
+    the dim1 x dim2 moments (per axis, r endpoint data and the moments
+    against the base space).
     """
     if order not in ("21", "12"):
         raise ValueError("order must be '21' or '12'")
     f1 = ritz_functionals(space.space1, 2, nq)
     f2 = ritz_functionals(space.space2, 2, nq)
-    M1, M2 = f1.matrix, f2.matrix
-    # E = D @ M2.T by rows ("21"), or F = M1 @ D by columns of M1 ("12")
-    acc = np.empty((M1.shape[1], M2.shape[0])) if order == "21" else \
-        np.zeros((M1.shape[0], M2.shape[1]))
+    # the moments along the axis taken first: rows of data points by xi2
+    # moments ("21"), or xi1 moments by columns of data points ("12")
+    acc = np.zeros((len(f1.points), f2.n_moments)) if order == "21" else \
+        np.zeros((f1.n_moments, len(f2.points)))
     start = 0
     for D in data_matrix(u, f1, f2):
-        rows = slice(start, start + len(D))
-        start = rows.stop
         if order == "21":
-            np.matmul(D, M2.T, out=acc[rows])
+            f2.add_moments(acc[start:start + len(D)], D)
         else:
-            acc += M1[:, rows] @ D
-    return TensorSpline(space, M1 @ acc if order == "21" else acc @ M2.T)
+            f1.add_moments(acc.T, D.T, start)
+        start += len(D)
+    # Y^T, the (xi2, xi1) moments of the data
+    Yt = f1.moments(acc.T) if order == "21" else f2.moments(acc).T
+    return TensorSpline(space, f2.solve(f1.solve(Yt).T))
 
 
 def tensor_project_Q(space: TensorSplineSpace, u: ScalarField2D,

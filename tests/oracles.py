@@ -95,3 +95,79 @@ def dense_l2_error(fn_a, fn_b, n_cells=400, nq=6):
     w = (half[:, None] * wg[None, :]).ravel()
     d = fn_a(x) - fn_b(x)
     return float(np.sqrt(np.sum(w * d * d)))
+
+
+# -- dense projector matrices ----------------------------------------------------
+# The univariate projectors as whole (dim x data) matrices, built from the
+# library's dense basis rows, integration, embedding and bubbles (checked by
+# their own tests) by dense solves: the forms the library keeps factored.
+
+
+def l2_projection_matrix(space, nq):
+    """Samples at the Gauss nodes -> L2-projection coefficients: G^-1 B^T W
+    with the dense Gauss-node basis B and G = B^T W B."""
+    from asg1kit.splines import eval_operator, gauss_rule
+
+    x, w = gauss_rule(space.partition, nq)
+    B = eval_operator(space, x)
+    return np.linalg.solve(B.T @ (w[:, None] * B), B.T * w[None, :])
+
+
+def ritz_matrix(space, r, nq):
+    """The order-r Ritz projector: the L2 projection matrix of S_{p-r,k-r}
+    integrated r times, each time after a first column for the next endpoint
+    datum (the constant, all-ones coefficients)."""
+    from asg1kit.splines import UniSplineSpace, integrate
+
+    p, k = space.degree, space.smoothness
+    M = l2_projection_matrix(UniSplineSpace(p - r, k - r, space.partition), nq)
+    for m in range(r):
+        sp = UniSplineSpace(p - r + m, k - r + m, space.partition)
+        M = np.hstack([np.ones((sp.dim + 1, 1)), integrate(sp, M)])
+    return M
+
+
+def pi_star_bubble_matrix(p, k, partition, nq):
+    """Pi* at p in {3, 4}: the order-2 Ritz matrix of S_{p,k+1} plus the
+    outer products of the second-derivative bubbles at both ends with their
+    data minus the projection's second derivatives there."""
+    from asg1kit.ritz1d import bubble, reflected_bubble_spline
+    from asg1kit.splines import UniSplineSpace, embed, eval_operator
+
+    target = UniSplineSpace(p, k + 1, partition)
+    base = ritz_matrix(target, 2, nq)
+    m = base.shape[1]
+    M = np.hstack([base, np.zeros((target.dim, 2))])
+    sigma = eval_operator(target, np.array([0.0, 1.0]), 2) @ M
+    delta = np.eye(m + 2)[m:]
+    for end, b in enumerate((bubble(p, partition, 2),
+                             reflected_bubble_spline(p, partition, 2))):
+        M = M + np.outer(embed(b, target).coefficients, delta[end] - sigma[end])
+    return M
+
+
+def constrained_l2_kkt(space, nq):
+    """The KKT matrix of the L2 projection onto ``space`` constrained to the
+    values and first derivatives at both ends, and its right-hand side map
+    (Gauss samples, then the four endpoint data)."""
+    from asg1kit.splines import eval_operator, gauss_rule
+
+    x, w = gauss_rule(space.partition, nq)
+    B = eval_operator(space, x)
+    ends = np.array([0.0, 1.0])
+    E = np.vstack([eval_operator(space, ends, 0), eval_operator(space, ends, 1)])
+    m = space.dim
+    K = np.zeros((m + 4, m + 4))
+    K[:m, :m] = 2.0 * B.T @ (w[:, None] * B)
+    K[:m, m:] = E.T
+    K[m:, :m] = E
+    R = np.zeros((m + 4, x.size + 4))
+    R[:m, :x.size] = 2.0 * B.T * w[None, :]
+    R[m:, x.size:] = np.eye(4)
+    return K, R
+
+
+def constrained_l2_matrix(space, nq):
+    """The Hermite-constrained L2 projector by one dense KKT solve."""
+    K, R = constrained_l2_kkt(space, nq)
+    return np.linalg.solve(K, R)[:space.dim]

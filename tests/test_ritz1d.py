@@ -5,6 +5,7 @@ from asg1kit.fields import ScalarField1D
 from asg1kit.ritz1d import (
     bubble,
     bubble_breakpoints,
+    constrained_l2_functionals,
     pi_star_functionals,
     reflected_bubble_spline,
     ritz_functionals,
@@ -285,3 +286,110 @@ def test_pi_star_edge_error_decay():
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
     assert all(o >= 3.6 for o in orders), orders
     assert orders[-1] <= 4.6, orders
+
+
+# -- the factored form against the dense matrices -----------------------------------
+#
+# The library applies each projector to its N data d as moments, a Gram
+# solve and integrations; `oracles` builds the same map as one dense matrix
+# M.  To first order each side is the exact map with every product and sum
+# perturbed by a relative gamma_N = N u / (1 - N u), u = eps / 2 (no inner
+# product of either side has more than N terms), which moves c = M d by at
+# most gamma_N |M| |d|, and with the Gram matrix G of the base space
+# perturbed as much, which its solve amplifies by kappa(G), here in the max
+# norm in which the difference is measured.  A correction c + U (d' - E c)
+# carries the error of c through E, a factor 1 + || |U| |E| ||; the
+# constrained projection also solves with its Schur complement
+# S = E G^-1 E^T, kappa(G) kappa(S).  Its correction is unchanged when the
+# rows of E and their data are rescaled (the derivative rows are p/h times
+# the value rows), so kappa(S) is taken of S scaled to a unit diagonal,
+# within a small factor of its best scaling (van der Sluis).  So the two
+# results differ by at most
+#     2 gamma_N kappa (1 + || |U| |E| ||) max(|M| |d|).
+
+GRADED = Partition(tuple(float(t) for t in (np.arange(17) / 16) ** 2))
+
+
+def _gram(space, nq):
+    x, w = gauss_rule(space.partition, nq)
+    B = eval_operator(space, x)
+    return B.T @ (w[:, None] * B)
+
+
+def _assert_matches_dense(funcs, M, kappa, field):
+    data = funcs.data_vector(field)
+    rand = np.random.default_rng(len(data)).standard_normal(len(data))
+    spread = 1.0
+    if funcs.correction is not None:
+        U, E = funcs.correction
+        spread += np.max(np.abs(U) @ np.abs(E).sum(axis=1))
+    N, u = len(data), np.finfo(float).eps / 2
+    for d, got in ((data, funcs.apply(field).coefficients),
+                   (rand, funcs.coefficients(rand))):
+        bound = 2 * N * u / (1 - N * u) * kappa * spread * np.max(np.abs(M) @ np.abs(d))
+        assert np.max(np.abs(got - M @ d)) <= bound
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "graded"])
+@pytest.mark.parametrize("p", range(3, 9))
+def test_factored_projectors_match_dense_matrices(p, mesh):
+    Z = uniform_partition(16) if mesh == "uniform" else GRADED
+    u = ScalarField1D(lambda x, d: 3.0 ** d * np.sin(3.0 * x + 1.0 + d * np.pi / 2),
+                      max_order=p)
+    for k in sorted({1, p - 2}):
+        S = UniSplineSpace(p, k, Z)
+        for r in range(k + 2):
+            f = ritz_functionals(S, r)
+            kappa = np.linalg.cond(_gram(f.base, p + 2), np.inf)
+            _assert_matches_dense(f, oracles.ritz_matrix(S, r, p + 2), kappa, u)
+        # the crossing projector's constrained form on S_{p-1,k}
+        S = UniSplineSpace(p - 1, k, Z)
+        f = constrained_l2_functionals(S)
+        G = _gram(S, p + 1)
+        E = f.correction[1]
+        Schur = E @ np.linalg.solve(G, E.T)
+        scale = 1.0 / np.sqrt(np.diag(Schur))
+        kappa = np.linalg.cond(G, np.inf) * np.linalg.cond(
+            scale[:, None] * Schur * scale[None, :], np.inf)
+        _assert_matches_dense(f, oracles.constrained_l2_matrix(S, p + 1), kappa, u)
+        if p <= 4 and k + 2 <= p:  # Pi* in its bubble form
+            f = pi_star_functionals(p, k, Z)
+            kappa = np.linalg.cond(_gram(f.base, p + 2), np.inf)
+            _assert_matches_dense(f, oracles.pi_star_bubble_matrix(p, k, Z, p + 2),
+                                  kappa, u)
+
+
+def test_moments_of_split_data_add_up():
+    # data added in runs that start and end inside elements give the
+    # moments of the whole data; the moment blocks are >= 0 (Gauss weights
+    # times B-spline values), so moments(|d|) is |T| |d|, and an entry sums
+    # at most nq (p + 1) products, each run's in its own order
+    f = ritz_functionals(UniSplineSpace(4, 2, uniform_partition(8)), 2)
+    d = np.random.default_rng(7).standard_normal((3, len(f.points)))
+    whole = f.moments(d)
+    nq, width = f.weighted.shape[1:]
+    u = np.finfo(float).eps / 2
+    bound = 2 * nq * width * u / (1 - nq * width * u) * f.moments(np.abs(d))
+    for cuts in ([1, 2, 9, 20, 21, 40], [5, 13], [1]):
+        got = np.zeros_like(whole)
+        for a, b in zip([0] + cuts, cuts + [d.shape[1]]):
+            f.add_moments(got, d[:, a:b], a)
+        assert np.all(np.abs(got - whole) <= bound), cuts
+
+
+def test_cold_ritz_build_peaks_below_one_dense_functional_matrix():
+    # the order-2 functionals of S_(6,4) on 128 elements take N = 2 + 128 * 8
+    # data onto the base space S_(4,2) of dimension 259: the build must
+    # stay below one dense (259 x N) matrix of doubles, 2.1 MB
+    import tracemalloc
+
+    S = UniSplineSpace(6, 4, uniform_partition(128))
+    bound = 259 * (2 + 128 * 8) * 8
+    tracemalloc.start()
+    try:
+        f = ritz_functionals.__wrapped__(S, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
+    assert (f.base.dim, len(f.points)) == (259, 2 + 128 * 8)

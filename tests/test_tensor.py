@@ -317,6 +317,34 @@ def test_anisotropic_rate_l2():
     assert all(3.7 <= o <= 4.3 for o in orders), orders
 
 
+@pytest.mark.parametrize("order", ["21", "12"])
+@pytest.mark.parametrize("p", range(3, 9))
+def test_tensor_project_matches_dense_matrices(p, order):
+    # C against M1 D M2^T of the dense order-2 Ritz matrices (`oracles`) on
+    # 48 uniform by 16 graded elements; from p = 5 the xi1 Gauss rows come
+    # in slabs that end inside elements.  The round-off bound of
+    # `test_ritz1d.test_factored_projectors_match_dense_matrices`, one term
+    # per direction: 2 (gamma_N1 kappa(G1) + gamma_N2 kappa(G2))
+    # max(|M1| |D| |M2|^T), with G the base Gram matrices
+    from asg1kit.ritz1d import ritz_functionals
+    from asg1kit.splines import Partition
+    from test_ritz1d import _gram
+
+    Z2 = Partition(tuple(float(t) for t in (np.arange(17) / 16) ** 2))
+    S1 = UniSplineSpace(p, p - 2, uniform_partition(48))
+    S2 = UniSplineSpace(p, 1, Z2)
+    f1, f2 = ritz_functionals(S1, 2), ritz_functionals(S2, 2)
+    M1, M2 = oracles.ritz_matrix(S1, 2, p + 2), oracles.ritz_matrix(S2, 2, p + 2)
+    u = manufactured("expxy")
+    D = np.concatenate(list(data_matrix(u, f1, f2)))
+    C = tensor_project(TensorSplineSpace(S1, S2), u, order=order).coefficients
+    eps = np.finfo(float).eps / 2
+    bound = 2 * sum(len(f.points) * eps / (1 - len(f.points) * eps)
+                    * np.linalg.cond(_gram(f.base, p + 2), np.inf) for f in (f1, f2))
+    bound *= np.max(np.abs(M1) @ np.abs(D) @ np.abs(M2).T)
+    assert np.max(np.abs(C - M1 @ D @ M2.T)) <= bound
+
+
 def test_data_matrix_orders_and_points():
     V = tensor_space(3, 1, 2)
     from asg1kit.ritz1d import ritz_functionals
