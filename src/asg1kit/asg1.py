@@ -8,10 +8,12 @@ normal derivative on that side by dedicated edge projections:
     normal:  P1 = alpha * proj(crossing derivative) - beta * (tangential P0)'
              with proj the crossing-derivative projector onto S_{p-1,k}
 
-Each correction is transported into the patch interior by a boundary-bubble
-extension that leaves the data on the other three sides untouched.  Gluing
-the per-patch projections of the pullbacks then yields a globally C1 function
-whenever the gluing data certifies the geometry.
+The data of P0 and of the crossing projection on the two sides along an
+edge axis come from one jet of the pullback (`fields.EdgeJet`), so a patch
+binds two edge jets.  Each correction is transported into the patch interior
+by a boundary-bubble extension that leaves the data on the other three sides
+untouched.  Gluing the per-patch projections of the pullbacks then yields a
+globally C1 function whenever the gluing data certifies the geometry.
 
 Sign convention: the order-1 extensions carry a negated bubble factor so
 that the *outward* normal derivative of the extension restricted to its own
@@ -20,12 +22,14 @@ side is exactly the extended data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import (
     _crossing_orders,
+    EdgeJet,
     ScalarField2D,
     directional_edge_field,
     pullback,
@@ -45,6 +49,7 @@ from .geometry import (
 from .gluing import EdgeGluing, GluingData, crossing_direction
 from .norms import inverse_chain_rule
 from .ritz1d import (
+    PointFunctionals,
     bubble,
     bubble_breakpoints,
     pi_cross_functionals,
@@ -125,38 +130,81 @@ def extend(j: int, sigma: int, g: UniSpline, partitions, p: int, k: int
     axis = EDGE_AXIS[j]
     tangential = UniSplineSpace(p, k, partitions[axis])
     normal_space = UniSplineSpace(p, k, partitions[1 - axis])
-    Zn = normal_space.partition  # the bubble at 0, reflected for a side at 1
-    bub = reflected_bubble_spline(p, Zn, sigma) if end else bubble(p, Zn, sigma)
     gc = embed(g, tangential).coefficients
-    bc = embed(bub, normal_space).coefficients
-    factors = [(gc, tangential), (-bc if sigma == 1 else bc, normal_space)]
+    factors = [(gc, tangential), (_bubble_factor(normal_space, sigma, end), normal_space)]
     (c1, s1), (c2, s2) = factors if axis == 0 else factors[::-1]
     return TensorSpline(TensorSplineSpace(s1, s2), np.outer(c1, c2))
+
+
+@functools.lru_cache(maxsize=None)
+def _bubble_factor(space: UniSplineSpace, sigma: int, end: int) -> np.ndarray:
+    """The coefficients in ``space`` of the normal factor of an order-sigma
+    extension from a side at ``end``: the bubble at 0, reflected for a side
+    at 1, negated for sigma = 1 (read-only; every side of a patch shares
+    it)."""
+    p, Zn = space.degree, space.partition
+    bub = reflected_bubble_spline(p, Zn, sigma) if end else bubble(p, Zn, sigma)
+    bc = embed(bub, space).coefficients
+    bc = -bc if sigma == 1 else bc
+    bc.flags.writeable = False
+    return bc
 
 
 # -- edge projectors ---------------------------------------------------------------
 
 
-def edge_projector_P0(u: ScalarField2D, j: int, p: int, k: int, partition,
-                      nq: int | None = None) -> UniSpline:
-    """Endpoint-interpolating projection of the side-j trace, in S_{p,k+1}."""
-    return pi_star_functionals(p, k, partition, nq).apply(restrict_to_edge(u, j))
+def edge_projector_P0(f: PointFunctionals, c: np.ndarray) -> UniSpline:
+    """The endpoint-interpolating projection of one side's trace, in
+    S_{p,k+1}: the spline of its coefficients ``c`` under the Pi* functionals
+    ``f`` (`pi_star_functionals`)."""
+    return UniSpline(f.space, c)
 
 
-def edge_projector_P1(u: ScalarField2D, j: int, gluing: EdgeGluing, p: int,
-                      k: int, partition, P0: UniSpline,
-                      nq: int | None = None) -> UniSpline:
-    """Normal-derivative edge projection in S_{p,k}.
+def edge_projector_P1(f: PointFunctionals, c: np.ndarray, j: int,
+                      gluing: EdgeGluing, P0: UniSpline) -> UniSpline:
+    """Normal-derivative edge projection of side ``j`` in S_{p,k}.
 
-    alpha * Ritz_2(crossing derivative of u) minus beta times the tangential
-    derivative of P0, with the tangential orientation sign of the side.
+    alpha * w minus beta times the tangential derivative of P0, with the
+    tangential orientation sign of the side, for w the projection of the
+    crossing derivative: the spline of its coefficients ``c`` under the
+    crossing functionals ``f`` (`pi_cross_functionals`).
     """
-    crossing = directional_edge_field(u, j, gluing.alpha, gluing.beta)
-    w = pi_cross_functionals(p, k, partition, nq).apply(crossing)
-    t1 = multiply_by_linear(w, gluing.alpha.a0, gluing.alpha.a1)
+    t1 = multiply_by_linear(UniSpline(f.space, c), gluing.alpha.a0, gluing.alpha.a1)
     dP0 = derivative(P0)
     t2 = multiply_by_linear(dP0, gluing.beta.a0, gluing.beta.a1)
     return t1 - EDGE_PARAM_SIGN[j] * t2
+
+
+def _edge_projections(u: ScalarField2D, partitions, gluing: dict, p: int,
+                      k: int, nq: int | None) -> tuple[dict, dict]:
+    """P0 and P1 of every side, as ``{side: spline}`` dicts.
+
+    The data of both projections on both sides along an axis come from one
+    `EdgeJet` of ``u`` at the union of the points of the axis's Pi* and
+    crossing functionals, each order read at its own points.  The data of
+    all sides that share a functional object go through one 2D
+    `PointFunctionals.coefficients` call.
+    """
+    funcs, data = {}, {}  # (sigma, side) -> functionals, data vector
+    for axis, sides in ((0, (1, 3)), (1, (4, 2))):
+        f0 = pi_star_functionals(p, k, partitions[axis], nq)
+        f1 = pi_cross_functionals(p, k, partitions[axis], nq)
+        edges = EdgeJet(u, axis, f0.points + f1.points,
+                        max(max(f0.orders), max(f1.orders) + 1))
+        for j in sides:
+            g = gluing[j]
+            funcs[0, j] = f0
+            data[0, j] = f0.data_vector(restrict_to_edge(edges, j))
+            funcs[1, j] = f1
+            data[1, j] = f1.data_vector(directional_edge_field(edges, j, g.alpha, g.beta))
+    rows = {}
+    for f in {id(f): f for f in funcs.values()}.values():
+        keys = [key for key in funcs if funcs[key] is f]
+        rows.update(zip(keys, f.coefficients(np.array([data[key] for key in keys]))))
+    P0 = {j: edge_projector_P0(funcs[0, j], rows[0, j]) for j in (1, 2, 3, 4)}
+    P1 = {j: edge_projector_P1(funcs[1, j], rows[1, j], j, gluing[j], P0[j])
+          for j in (1, 2, 3, 4)}
+    return P0, P1
 
 
 # -- patch projector ------------------------------------------------------------------
@@ -166,6 +214,8 @@ def patch_project(patch: Patch, u: ScalarField2D, gluing: dict, p: int, k: int,
                   nq: int | None = None) -> PatchProjection:
     """The patch-local C1 quasi-interpolant of a parametric field.
 
+    Q is the tensor projection of ``u``; P0 and P1 of the four sides read
+    their data from one jet of ``u`` per edge axis (`_edge_projections`).
     ``gluing`` maps each side 1..4 to its :class:`EdgeGluing`.  Requires
     3 <= k+2 <= p and partitions with room for the boundary bubbles at both
     ends (`bubble_breakpoints`).
@@ -178,22 +228,12 @@ def patch_project(patch: Patch, u: ScalarField2D, gluing: dict, p: int, k: int,
         bubble_breakpoints(p, reverse(Z))
     V = TensorSplineSpace(UniSplineSpace(p, k, Z1), UniSplineSpace(p, k, Z2))
     Q = tensor_project_Q(V, u, nq)
-
-    P0 = {
-        j: edge_projector_P0(u, j, p, k, patch.side_partition(j), nq)
-        for j in (1, 2, 3, 4)
-    }
+    P0, P1 = _edge_projections(u, patch.partitions, gluing, p, k, nq)
     coefficients = Q.coefficients.copy()
     corrections = []
-    for sigma in (0, 1):
+    for sigma, edge, of_Q in ((0, P0, trace), (1, P1, normal_derivative_trace)):
         for j in (1, 2, 3, 4):
-            side_space = V.side_space(j)
-            if sigma == 0:
-                f_j = embed(P0[j], side_space) - trace(Q, j)
-            else:
-                P1 = edge_projector_P1(u, j, gluing[j], p, k,
-                                       patch.side_partition(j), P0[j], nq)
-                f_j = embed(P1, side_space) - normal_derivative_trace(Q, j)
+            f_j = embed(edge[j], V.side_space(j)) - of_Q(Q, j)
             corrections.append(EdgeCorrection(j, sigma, f_j))
             coefficients += extend(j, sigma, f_j, patch.partitions, p, k).coefficients
     return PatchProjection(TensorSpline(V, coefficients), corrections)

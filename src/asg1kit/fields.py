@@ -3,10 +3,14 @@
 Fields of both kinds share one jet protocol: ``ScalarField2D.jet(x, y, c, d)``
 returns ``(m, n) -> d1^m d2^n u`` at the points for m <= c, n <= d, and
 ``ScalarField1D.jet(x, top)`` returns ``d -> f^(d)(x)`` for d <= top.  Work
-the orders share (the sines and cosines of ``sinsin``, the one jet of u that
-an edge field binds on its side) is done once per jet; each order is built on
-request and not kept.  A call is a one-order jet; a field given by an
-evaluator alone calls it once per order asked for.
+the orders share (the sines and cosines of ``sinsin``) is done once per jet;
+each order is built on request and not kept.  A call is a one-order jet; a
+field given by an evaluator alone calls it once per order asked for.
+
+An `EdgeJet` is one jet of u on the two sides along an edge axis at fixed
+edge parameters, each order evaluated once for both sides and kept while it
+lives; the edge traces and crossing-derivative fields read one side of it at
+some of their points.
 
 ``pullback`` composes a physical field with a geometry map by a term-wise
 chain rule (term lists cached per derivative order).  A pullback jet takes
@@ -28,14 +32,15 @@ from collections import defaultdict
 
 import numpy as np
 
-from .geometry import (EDGE_AXIS, NORMALS, TANGENTS, GeometryError, edge_coords,
-                       jacobian_det, side_end)
+from .geometry import (EDGE_AXIS, NORMALS, TANGENTS, GeometryError, jacobian_det,
+                       side_end)
 
 __all__ = [
     "ScalarField1D",
     "ScalarField2D",
     "MANUFACTURED",
     "manufactured",
+    "EdgeJet",
     "restrict_to_edge",
     "directional_edge_field",
     "pullback",
@@ -181,66 +186,100 @@ def _along(axis: int, tangential: int, normal: int) -> tuple[int, int]:
     return (tangential, normal) if axis == 0 else (normal, tangential)
 
 
-def restrict_to_edge(u: ScalarField2D, j: int) -> ScalarField1D:
-    """Trace of ``u`` on side ``j`` in the side's intrinsic parameter; its
-    jet up to ``top`` is one jet of ``u`` up to ``top`` along the side."""
-    side_end(j)  # a ValueError for a bad side now, not at the first call
-    axis = EDGE_AXIS[j]
+class EdgeJet:
+    """One jet of ``u`` on both sides along ``axis`` (sides 1 and 3 along
+    xi1, sides 4 and 2 along xi2) at the edge parameters ``t``: tangential
+    orders up to ``top`` and normal orders up to 1.  Each (x1, x2) order is
+    evaluated once, at every point of both sides, when it is first read, and
+    kept while the jet lives; `side` reads the orders of one side at some of
+    the points."""
+
+    def __init__(self, u: ScalarField2D, axis: int, t, top: int):
+        self.axis, self.top = axis, top
+        t = np.sort(np.asarray(t, dtype=float))
+        self.t = t[np.append(True, t[1:] != t[:-1])]  # as np.unique, no numpy.ma
+        ends = np.array([0.0, 1.0])
+        points = (self.t[:, None], ends[None, :]) if axis == 0 else \
+            (ends[:, None], self.t[None, :])
+        jet = u.jet(*points, *_along(axis, top, 1))
+        shape = _along(axis, self.t.size, 2)  # a field's value may broadcast
+        self._order = functools.cache(lambda m, n: np.broadcast_to(jet(m, n), shape))
+
+    def side(self, j: int, t):
+        """``(m, n) -> d1^m d2^n u`` at the points ``t`` of side ``j``, each
+        one of the jet's points."""
+        at = np.searchsorted(self.t, t)
+        if np.any(self.t.take(at, mode="clip") != t):
+            raise ValueError("edge points outside the points of the edge jet")
+        key = (at, side_end(j)) if self.axis == 0 else (side_end(j), at)
+        return lambda m, n: self._order(m, n)[key]
+
+
+def _check_side(edges: EdgeJet, j: int):
+    """A ValueError for a bad side, or one that does not run along the axis
+    of ``edges``."""
+    side_end(j)
+    if EDGE_AXIS[j] != edges.axis:
+        raise ValueError(f"side {j} does not run along axis {edges.axis}")
+
+
+def restrict_to_edge(edges: EdgeJet, j: int) -> ScalarField1D:
+    """Trace on side ``j``, in the side's intrinsic parameter, of the field
+    of ``edges``, at the jet's points; order d reads tangential order d."""
+    _check_side(edges, j)
 
     def bind(t, top):
-        jet = u.jet(*edge_coords(j, t), *_along(axis, top, 0))
-        return lambda d: jet(*_along(axis, d, 0))
+        jet = edges.side(j, t)
+        return lambda d: jet(*_along(edges.axis, d, 0))
 
-    return _jet_field(bind, u.max_order, ScalarField1D)
+    return _jet_field(bind, edges.top, ScalarField1D)
 
 
-def directional_edge_field(u: ScalarField2D, j: int, alpha, beta) -> ScalarField1D:
+def directional_edge_field(edges: EdgeJet, j: int, alpha, beta) -> ScalarField1D:
     """The crossing-direction derivative (n_j + beta t_j) . grad(u) / alpha
-    along side ``j``, with tangential derivatives up to order 2; its jet up to
-    ``top`` is one jet of ``u`` up to ``top + 1`` along the side and 1 across.
+    along side ``j`` of the field of ``edges``, at the jet's points; order d
+    reads tangential orders up to d + 1 and normal order 1 up to d.
 
     ``alpha`` and ``beta`` are linear functions of the edge parameter exposing
     ``__call__`` and a constant ``slope``; alpha must be positive on [0, 1].
     """
     if alpha(0.0) <= 0.0 or alpha(1.0) <= 0.0:
         raise ValueError("alpha must be strictly positive on [0, 1]")
-    axis = EDGE_AXIS[j]
+    _check_side(edges, j)
 
     def bind(t, top):
-        jet = u.jet(*edge_coords(j, t), *_along(axis, top + 1, 1))
-        return _crossing_orders(jet, j, t, alpha, beta)
+        return _crossing_orders(edges.side(j, t), j, t, alpha, beta)
 
-    return _jet_field(bind, 2, ScalarField1D)
+    return _jet_field(bind, min(edges.top - 1, 2), ScalarField1D)
 
 
 def _crossing_orders(jet, j: int, t, alpha, beta):
     """``d -> d``-th tangential derivative of the crossing-direction
     derivative of `directional_edge_field` at the points ``t`` of side ``j``,
     from ``jet``, a jet of u there up to order d + 1 along the side and 1
-    across."""
+    across.  n_j and t_j are signed unit vectors across and along the side,
+    so each of their products with grad(u) reads one order of the jet."""
     axis = EDGE_AXIS[j]
-    n, tj = NORMALS[j], TANGENTS[j]
+    s_n, s_t = NORMALS[j][1 - axis], TANGENTS[j][axis]
     a, da = alpha(t), alpha.slope
+    b, db = beta(t), beta.slope
 
     @functools.cache
     def grad(m):
-        """m-th tangential derivatives of u along and across the edge."""
-        return jet(*_along(axis, m + 1, 0)), jet(*_along(axis, m, 1))
-
-    def partial(m, direction):
-        """m-th tangential derivative of direction . grad(u) on the edge."""
-        along, across = grad(m)
-        return direction[axis] * along + direction[1 - axis] * across
+        """m-th tangential derivatives of n_j . grad(u) and t_j . grad(u)."""
+        return s_n * jet(*_along(axis, m, 1)), s_t * jet(*_along(axis, m + 1, 0))
 
     def order(d):
-        N0 = partial(0, n) + beta(t) * partial(0, tj)
+        n0, t0 = grad(0)
+        N0 = n0 + b * t0
         if d == 0:
             return N0 / a
-        N1 = partial(1, n) + beta.slope * partial(0, tj) + beta(t) * partial(1, tj)
+        n1, t1 = grad(1)
+        N1 = n1 + db * t0 + b * t1
         if d == 1:
             return N1 / a - N0 * da / a ** 2
-        N2 = partial(2, n) + 2.0 * beta.slope * partial(1, tj) \
-            + beta(t) * partial(2, tj)
+        n2, t2 = grad(2)
+        N2 = n2 + 2.0 * db * t1 + b * t2
         return N2 / a - 2.0 * N1 * da / a ** 2 + 2.0 * N0 * da ** 2 / a ** 3
 
     return order

@@ -12,7 +12,8 @@ derivatives up to r-1 are interpolated at 0, and for p >= 2r-1 also at 1.
 Every projector acts on a fixed data vector of point evaluations
 ``(order_m, point_m)`` of the input: the r endpoint derivatives at 0, the
 r-th derivative at the Gauss nodes, and the data of an optional endpoint
-correction, read from one jet of the input at all the points.  It is stored
+correction, read by one call of the input per order at that order's points
+only.  It is stored
 in the factored form the recursion gives, never as a matrix: the
 element-local moment blocks W B of the base space S_{p-r,k-r,Z} (element e
 touches the p-r+1 base functions from e (p-k)), the inverse of the base
@@ -21,7 +22,8 @@ Gram matrix from its Cholesky factor, and r integrations
 constant, whose coefficients are all ones.  A projector that interpolates
 more endpoint data adds a low-rank correction c + U (d - E c).  The tensor
 projector applies the same factors along each axis of its data (see
-:mod:`asg1kit.tensor`).
+:mod:`asg1kit.tensor`); `PointFunctionals.coefficients` maps a stack of data
+vectors, e.g. those of the sides of a patch, in one call.
 """
 
 from __future__ import annotations
@@ -95,15 +97,20 @@ class PointFunctionals:
         """The length of a moment vector: r endpoint data and dim(base)."""
         return self.r + self.base.dim
 
+    @functools.cached_property
+    def by_order(self) -> tuple:
+        """``(d, mask, points)`` for each order d in ascending order: the
+        data entries of order d and their points."""
+        orders, points = np.asarray(self.orders), np.asarray(self.points)
+        return tuple((d, orders == d, points[orders == d])
+                     for d in sorted(set(self.orders)))
+
     def data_vector(self, field) -> np.ndarray:
-        """The data ``field(points[m], orders[m])`` from one jet of ``field``
-        at all the points, each order read at its own points; a field given
-        by its evaluator alone is called with all the points once per order."""
-        orders = np.asarray(self.orders)
-        jet = field.jet(np.asarray(self.points), max(self.orders))
-        data = np.empty(len(orders))
-        for d in sorted(set(self.orders)):
-            data[orders == d] = jet(d)[orders == d]
+        """The data ``field(points[m], orders[m])``: one call of ``field``
+        per order, at the points of that order only."""
+        data = np.empty(len(self.orders))
+        for d, mask, points in self.by_order:
+            data[mask] = field(points, d)
         return data
 
     def add_moments(self, out: np.ndarray, data: np.ndarray, start: int = 0):
@@ -315,14 +322,11 @@ def _truncated_power_coefficients(space: UniSplineSpace, eta) -> np.ndarray:
     extended precision so the huge endpoint-derivative cancellations survive
     the final rounding.
     """
-    p = space.degree
     t = np.asarray(knot_vector(space), dtype=np.longdouble)
     eta = np.longdouble(eta)
-    c = np.zeros(space.dim, dtype=np.longdouble)
-    for j in range(space.dim):
-        window = t[j + 1:j + p + 1]
-        if window[0] < eta - np.longdouble(1e-14):
-            c[j] = np.prod(1.0 - window / eta)
+    windows = np.lib.stride_tricks.sliding_window_view(t[1:], space.degree)
+    c = np.prod(1.0 - windows[:space.dim] / eta, axis=1)
+    c[windows[:space.dim, 0] >= eta - np.longdouble(1e-14)] = 0.0
     return c
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .fields import ScalarField2D
 from .geometry import EDGE_AXIS, side_end
 from .ritz1d import PointFunctionals, ritz_functionals
-from .splines import (_BLOCK_POINTS, UniSpline, UniSplineSpace, differentiate,
+from .splines import (_BLOCK_POINTS, UniSpline, UniSplineSpace, _difference_scale,
                       tensor_bind_x2, tensor_jet)
 
 __all__ = [
@@ -121,11 +121,14 @@ def trace(f: TensorSpline, j: int) -> UniSpline:
 
 def normal_derivative_trace(f: TensorSpline, j: int) -> UniSpline:
     """(n_j . grad f) restricted to side ``j``, in the side's tangential space:
-    the trace of the difference along the normal axis, negated at its start."""
+    the trace of the difference along the normal axis, negated at its start;
+    only the two coefficient rows next to the side are differenced."""
     end = side_end(j)
     axis = 1 - EDGE_AXIS[j]
-    dc = differentiate((f.space.space1, f.space.space2)[axis], f.coefficients, axis)
-    return UniSpline(f.space.side_space(j), (2 * end - 1) * _side_row(dc, j))
+    rows = np.take(f.coefficients, [-2, -1] if end else [0, 1], axis=axis)
+    space = (f.space.space1, f.space.space2)[axis]
+    dc = np.diff(rows, axis=axis) * _difference_scale(space, 0)[-end]
+    return UniSpline(f.space.side_space(j), (2 * end - 1) * dc.reshape(-1))
 
 
 # -- tensor projector -----------------------------------------------------------------

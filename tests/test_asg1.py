@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 from asg1kit.asg1 import (
+    _edge_projections,
     check_conformity,
-    edge_projector_P0,
-    edge_projector_P1,
     extend,
     global_project,
     patch_project,
 )
 from asg1kit.fields import (
     ScalarField2D,
-    directional_edge_field,
     manufactured,
     pullback,
-    restrict_to_edge,
 )
 from asg1kit.geometry import NORMALS, builtin_geometry, edge_coords
 from asg1kit.gluing import EdgeGluing, LinearFunction, crossing_direction, recover_all
@@ -26,6 +23,7 @@ from asg1kit.splines import (
     uniform_partition,
 )
 from asg1kit.tensor import TensorSpline, TensorSplineSpace, as_field, tensor_project_Q
+from oracles import directional_edge_field, restrict_to_edge
 
 
 P, K, N = 4, 1, 8
@@ -34,6 +32,13 @@ T50 = np.linspace(0.0, 1.0, 50)
 
 def boundary_gluing_sides():
     return {j: EdgeGluing() for j in (1, 2, 3, 4)}
+
+
+def edge_projections(u, j, glue, Z):
+    """P0 and P1 of side ``j`` from the edge pass of a patch with partitions
+    (Z, Z) whose four sides are glued by ``glue``."""
+    P0, P1 = _edge_projections(u, (Z, Z), {s: glue for s in (1, 2, 3, 4)}, P, K, None)
+    return P0[j], P1[j]
 
 
 def generic_field():
@@ -159,14 +164,14 @@ def test_p0_reproduces_compatible_trace():
     g = UniSpline(S, rng.standard_normal(S.dim))
     u = ScalarField2D(lambda x, y, a, b: g(x, a) * (1.0 if b == 0 else 0.0),
                       max_order=3)
-    P0 = edge_projector_P0(u, 1, P, K, Z)
+    P0, _ = edge_projections(u, 1, EdgeGluing(), Z)
     assert np.max(np.abs(P0.coefficients - g.coefficients)) <= 1e-11
 
 
 def test_p0_interpolates_trace_endpoints():
     u = generic_field()
     Z = uniform_partition(N)
-    P0 = edge_projector_P0(u, 1, P, K, Z)
+    P0, _ = edge_projections(u, 1, EdgeGluing(), Z)
     tr = restrict_to_edge(u, 1)
     for s in (0, 1, 2):
         assert abs(P0(0.0, s) - float(tr(np.asarray(0.0), s))) <= 1e-10
@@ -179,9 +184,7 @@ def test_p1_boundary_case_is_normal_ritz_projection():
 
     u = generic_field()
     Z = uniform_partition(N)
-    glue = EdgeGluing()
-    P0 = edge_projector_P0(u, 1, P, K, Z)
-    P1 = edge_projector_P1(u, 1, glue, P, K, Z, P0)
+    _, P1 = edge_projections(u, 1, EdgeGluing(), Z)
     n = NORMALS[1]
     ndu = ScalarField1D(
         lambda x, d: n[1] * u(x, np.zeros_like(x), d, 1), max_order=3
@@ -199,8 +202,7 @@ def test_p1_constant_field_is_zero():
         max_order=8,
     )
     glue = EdgeGluing(LinearFunction(1.0, 0.5), LinearFunction(0.2, -0.1))
-    P0 = edge_projector_P0(u, 2, P, K, Z)
-    P1 = edge_projector_P1(u, 2, glue, P, K, Z, P0)
+    _, P1 = edge_projections(u, 2, glue, Z)
     assert np.max(np.abs(P1(T50))) <= 1e-12
 
 
@@ -224,12 +226,141 @@ def test_p1_recovers_normal_derivative_for_compatible_fields():
     i, j = 0, 2
     patch = mp.patches[i]
     uhat = pullback(u, patch.gmap)
-    P0 = edge_projector_P0(uhat, j, P, K, patch.side_partition(j))
-    P1 = edge_projector_P1(uhat, j, glue[i, j], P, K, patch.side_partition(j), P0)
+    P1 = _edge_projections(uhat, patch.partitions, glue.for_patch(i), P, K, None)[1][j]
     x, y = edge_coords(j, T50)
     n = NORMALS[j]
     want = n[0] * uhat(x, y, 1, 0) + n[1] * uhat(x, y, 0, 1)
     assert np.max(np.abs(P1(T50) - want)) <= 1e-11
+
+
+# -- the edge pass: one jet per edge axis ----------------------------------------------
+
+
+def reversed_near_degenerate(n):
+    """A convex two-patch layout whose right patch runs its interface side
+    the other way (Interface((0, 2), (1, 2), True)); det G is 0.021 at the
+    shared corner (0.41, 0.85)."""
+    from asg1kit.geometry import multipatch_from_json
+
+    Z = list(uniform_partition(n).breakpoints)
+    corners = ([[0.03, -0.07], [0.12, 1.15], [1.22, -0.06], [0.41, 0.85]],
+               [[2.21, 1.16], [1.98, -0.22], [0.41, 0.85], [1.22, -0.06]])
+    return multipatch_from_json({
+        "patches": [{"kind": "bilinear", "control_points": c, "partitions": [Z, Z]}
+                    for c in corners],
+        "interfaces": [{"left": [0, 2], "right": [1, 2], "reversed": True}],
+    })
+
+
+def _edge_pass_layouts():
+    from test_integration import curved_interior_two_patch, single_patch_nurbs
+
+    from asg1kit.geometry import BUILTIN_GEOMETRIES
+
+    layouts = {name: (lambda n, name=name: builtin_geometry(name, n))
+               for name in BUILTIN_GEOMETRIES}
+    layouts.update(curved=curved_interior_two_patch, nurbs=single_patch_nurbs,
+                   reversed=reversed_near_degenerate)
+    return layouts
+
+
+EDGE_PASS_LAYOUTS = _edge_pass_layouts()
+
+
+def _record_edge_projections(monkeypatch):
+    """The functionals and coefficients with which patch_project calls the
+    per-side edge projectors: {"P0": [(f, c), ...], "P1": [(j, f, c), ...]}."""
+    from asg1kit import asg1
+
+    seen = {}
+    P0, P1 = asg1.edge_projector_P0, asg1.edge_projector_P1
+
+    def p0(f, c):
+        seen.setdefault("P0", []).append((f, np.array(c)))
+        return P0(f, c)
+
+    def p1(f, c, j, gluing, P0_j):
+        seen.setdefault("P1", []).append((j, f, np.array(c)))
+        return P1(f, c, j, gluing, P0_j)
+
+    monkeypatch.setattr(asg1, "edge_projector_P0", p0)
+    monkeypatch.setattr(asg1, "edge_projector_P1", p1)
+    return seen
+
+
+def _within_roundoff(funcs, got, data):
+    """|got - M d| <= 1e3 eps |M| d_max, with d_max[m] the largest |d| of the
+    data of the order of datum m: the per-side coefficients differ from the
+    shared-jet ones only by the round-off of evaluating the same chain-rule
+    terms at other array shapes and of a 2D product for 1D ones."""
+    dmax = np.empty(len(data))
+    for _, mask, _ in funcs.by_order:
+        dmax[mask] = np.max(np.abs(data[mask]))
+    bound = 1e3 * np.finfo(float).eps * (np.abs(funcs.matrix) @ dmax)
+    return bool(np.all(np.abs(got - funcs.coefficients(data)) <= bound))
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (4, 2), (6, 2)])
+@pytest.mark.parametrize("name", sorted(EDGE_PASS_LAYOUTS))
+def test_shared_edge_jets_match_the_per_side_oracle(monkeypatch, name, p, k):
+    # p = 3: the constrained-L2 crossing projector; p = 4: Pi* with bubble
+    # corrections; p = 6: order-3 Pi* and order-2 crossing Ritz projections
+    from asg1kit.ritz1d import pi_cross_functionals
+
+    mp = EDGE_PASS_LAYOUTS[name](8)
+    glue = recover_all(mp)
+    u = generic_field()
+    seen = _record_edge_projections(monkeypatch)
+    for i, patch in enumerate(mp.patches):
+        seen.clear()
+        uhat = pullback(u, patch.gmap)
+        patch_project(patch, uhat, glue.for_patch(i), p, k)
+        assert [j for j, _, _ in seen["P1"]] == [1, 2, 3, 4]
+        for (f0, c0), (j, f1, c1) in zip(seen["P0"], seen["P1"]):
+            Z = patch.side_partition(j)
+            assert f0 is pi_star_functionals(p, k, Z, None)
+            assert f1 is pi_cross_functionals(p, k, Z, None)
+            d0 = f0.data_vector(restrict_to_edge(uhat, j))
+            d1 = f1.data_vector(directional_edge_field(uhat, j, glue[i, j].alpha,
+                                                       glue[i, j].beta))
+            assert _within_roundoff(f0, c0, d0), (i, j, "P0")
+            assert _within_roundoff(f1, c1, d1), (i, j, "P1")
+
+
+class _CountingField(ScalarField2D):
+    """A field that counts the jets bound of the field it wraps."""
+
+    def __init__(self, u):
+        super().__init__(None, u.max_order)
+        self.u, self.binds = u, 0
+
+    def jet(self, *args):
+        self.binds += 1
+        return self.u.jet(*args)
+
+
+@pytest.mark.parametrize("name", ["three_patch_L", "two_patch_skew", "curved"])
+def test_patch_project_binds_one_edge_jet_per_axis(monkeypatch, name):
+    # the eight edge data vectors of a patch come from two jets of u, one per
+    # edge axis; every other jet a patch projection binds is the tensor
+    # projection's
+    from asg1kit import asg1
+
+    mp = EDGE_PASS_LAYOUTS[name](8)
+    glue = recover_all(mp)
+    fields = []
+
+    def counted(u, gmap):
+        fields.append(_CountingField(pullback(u, gmap)))
+        return fields[-1]
+
+    monkeypatch.setattr(asg1, "pullback", counted)
+    gp = global_project(mp, glue, generic_field(), P, K)
+    assert len(fields) == len(mp.patches)
+    for f, proj in zip(fields, gp.patches):
+        tensor_only = _CountingField(f.u)
+        tensor_project_Q(proj.spline.space, tensor_only)
+        assert f.binds - tensor_only.binds == 2
 
 
 # -- patch projector ------------------------------------------------------------------
@@ -272,10 +403,10 @@ def skew_projection():
 def test_patch_edge_interpolation(skew_projection):
     mp, glue, projections = skew_projection
     for i, (patch, uhat, proj) in enumerate(projections):
+        P0s, P1s = _edge_projections(uhat, patch.partitions, glue.for_patch(i), P, K,
+                                     None)
         for j in (1, 2, 3, 4):
-            P0 = edge_projector_P0(uhat, j, P, K, patch.side_partition(j))
-            P1 = edge_projector_P1(uhat, j, glue[i, j], P, K,
-                                   patch.side_partition(j), P0)
+            P0, P1 = P0s[j], P1s[j]
             x, y = edge_coords(j, T50)
             n = NORMALS[j]
             f = proj.spline

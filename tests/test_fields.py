@@ -4,6 +4,7 @@ import sympy as sym
 
 from asg1kit.fields import (
     MANUFACTURED,
+    EdgeJet,
     ScalarField1D,
     ScalarField2D,
     directional_edge_field,
@@ -11,7 +12,7 @@ from asg1kit.fields import (
     pullback,
     restrict_to_edge,
 )
-from asg1kit.geometry import BilinearMap, NurbsMap, SplineMap, builtin_geometry
+from asg1kit.geometry import EDGE_AXIS, BilinearMap, NurbsMap, SplineMap, builtin_geometry
 from asg1kit.gluing import LinearFunction
 from asg1kit.ritz1d import pi_cross_functionals, pi_star_functionals
 from asg1kit.splines import UniSpline, UniSplineSpace, uniform_partition
@@ -72,26 +73,31 @@ def test_symmetric_mixed_partials():
 
 # -- edge restriction -------------------------------------------------------------
 
+def edge_jet(u, j, t, top=3):
+    """The `EdgeJet` of ``u`` along the axis of side ``j`` at the points ``t``."""
+    return EdgeJet(u, EDGE_AXIS[j], t, top)
+
+
 def test_restrict_to_edge_zero_on_side1():
     x, y = sym.symbols("x y")
     u = sympy_field(y, x, y)
-    tr = restrict_to_edge(u, 1)
     t = np.linspace(0, 1, 11)
+    tr = restrict_to_edge(edge_jet(u, 1, t), 1)
     assert np.max(np.abs(tr(t))) == 0.0
 
 
 def test_restrict_to_edge_derivative():
     x, y = sym.symbols("x y")
     u = sympy_field(x ** 2, x, y)
-    tr = restrict_to_edge(u, 1)
+    tr = restrict_to_edge(edge_jet(u, 1, [0.5]), 1)
     assert tr(np.array(0.5), 1) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_restrict_side3_second_derivative():
     x, y = sym.symbols("x y")
     u = sympy_field(sym.sin(x) * sym.cos(y), x, y)
-    tr = restrict_to_edge(u, 3)
     t = np.linspace(0, 1, 17)
+    tr = restrict_to_edge(edge_jet(u, 3, t), 3)
     want = -np.sin(t) * np.cos(1.0)
     assert np.max(np.abs(tr(t, 2) - want)) <= 1e-12
 
@@ -99,15 +105,22 @@ def test_restrict_side3_second_derivative():
 def test_restrict_invalid_side():
     u = manufactured("sinsin")
     with pytest.raises(ValueError):
-        restrict_to_edge(u, 5)
+        restrict_to_edge(edge_jet(u, 1, [0.5]), 5)
+    # a side along the other axis, and points the jet was not bound at
+    with pytest.raises(ValueError):
+        restrict_to_edge(edge_jet(u, 1, [0.5]), 2)
+    with pytest.raises(ValueError):
+        restrict_to_edge(edge_jet(u, 1, [0.5]), 1)(np.array([0.25]))
 
 
 def test_edge_restriction_commutes_with_tangential_derivative():
     u = manufactured("expxy")
+    h = 1e-5
+    inner = np.linspace(0.1, 0.9, 21)
     for j in (1, 2, 3, 4):
-        tr = restrict_to_edge(u, j)
+        tr = restrict_to_edge(edge_jet(u, j, np.concatenate([inner, inner + h, inner - h])),
+                              j)
         t = np.linspace(0, 1, 21)
-        h = 1e-5
         fd = (tr(t + h) - tr(t - h)) / (2 * h) if np.all(t + h <= 1) else None
         t = np.linspace(0.1, 0.9, 21)
         fd = (tr(t + h) - tr(t - h)) / (2 * h)
@@ -119,8 +132,9 @@ def test_edge_restriction_commutes_with_tangential_derivative():
 def test_directional_edge_field_boundary_case():
     # alpha = 1, beta = 0 on side 1: the field is n_1 . grad(u) = -d2 u.
     u = manufactured("sinsin")
-    g = directional_edge_field(u, 1, LinearFunction(1.0, 0.0), LinearFunction(0.0, 0.0))
     t = np.linspace(0, 1, 13)
+    g = directional_edge_field(edge_jet(u, 1, t), 1, LinearFunction(1.0, 0.0),
+                               LinearFunction(0.0, 0.0))
     x = t
     want = -np.pi * np.sin(np.pi * x) * np.cos(0.0)
     assert np.max(np.abs(g(t) + want * 0 - (-u(x, np.zeros_like(x), 0, 1)))) <= 1e-13
@@ -129,8 +143,9 @@ def test_directional_edge_field_boundary_case():
 def test_directional_edge_field_constant_alpha():
     x, y = sym.symbols("x y")
     u = sympy_field(3 * y, x, y)  # d2 u = 3
-    g = directional_edge_field(u, 1, LinearFunction(2.0, 0.0), LinearFunction(0.0, 0.0))
     t = np.linspace(0, 1, 9)
+    g = directional_edge_field(edge_jet(u, 1, t), 1, LinearFunction(2.0, 0.0),
+                               LinearFunction(0.0, 0.0))
     assert np.max(np.abs(g(t) - (-1.5))) <= 1e-13
 
 
@@ -146,8 +161,9 @@ def test_directional_edge_field_against_sympy():
     refs = [sym.lambdify(s, sym.diff(gexpr, s, d), "numpy") for d in range(3)]
 
     u = sympy_field(expr, x, y)
-    g = directional_edge_field(u, 1, LinearFunction(1.0, 1.0), LinearFunction(0.0, 1.0))
     t = np.linspace(0, 1, 33)
+    g = directional_edge_field(edge_jet(u, 1, t), 1, LinearFunction(1.0, 1.0),
+                               LinearFunction(0.0, 1.0))
     for d in range(3):
         want = np.asarray(refs[d](t), dtype=float) * np.ones_like(t)
         assert np.max(np.abs(g(t, d) - want)) <= 1e-12, d
@@ -156,7 +172,8 @@ def test_directional_edge_field_against_sympy():
 def test_directional_edge_field_rejects_zero_alpha():
     u = manufactured("sinsin")
     with pytest.raises(ValueError):
-        directional_edge_field(u, 1, LinearFunction(1.0, -1.0), LinearFunction(0.0, 0.0))
+        directional_edge_field(edge_jet(u, 1, [0.5]), 1, LinearFunction(1.0, -1.0),
+                               LinearFunction(0.0, 0.0))
 
 
 # -- pullback ---------------------------------------------------------------------
@@ -392,7 +409,8 @@ def test_jet_rejects_orders_outside_its_bounds():
     with pytest.raises(ValueError):
         u.jet(np.zeros(3), np.zeros(3), 9, 0)
     # fields of one variable: a jet field and an evaluator-only one
-    for f in (restrict_to_edge(u, 2), ScalarField1D(lambda x, d: np.exp(x), 2)):
+    for f in (restrict_to_edge(edge_jet(u, 2, [0.0]), 2),
+              ScalarField1D(lambda x, d: np.exp(x), 2)):
         for top in (-1, f.max_order + 1):
             with pytest.raises(ValueError):
                 f.jet(np.zeros(3), top)
@@ -418,7 +436,9 @@ def test_evaluator_only_1d_field_is_called_once_per_order_asked_for():
     calls.clear()
     funcs = pi_star_functionals(4, 1, uniform_partition(6))
     funcs.data_vector(f)
-    assert calls == [(d, len(funcs.points)) for d in (0, 1, 2)]
+    # one call per order, at the points of that order only
+    orders = np.asarray(funcs.orders)
+    assert calls == [(d, int(np.sum(orders == d))) for d in (0, 1, 2)]
 
 
 def _geometry_maps():
@@ -505,8 +525,8 @@ def _count_spline_map_calls(monkeypatch):
     return calls
 
 
-def _crossing_field(u, j):
-    return directional_edge_field(u, j, LinearFunction(1.0, 0.5),
+def _crossing_field(edges, j):
+    return directional_edge_field(edges, j, LinearFunction(1.0, 0.5),
                                   LinearFunction(0.2, -0.3))
 
 
@@ -514,8 +534,10 @@ def _crossing_field(u, j):
 def test_directional_edge_field_takes_one_jet(monkeypatch, j):
     gmap = _geometry_maps()["spline"]
     calls = _count_spline_map_calls(monkeypatch)
-    g = _crossing_field(pullback(manufactured("expxy"), gmap), j)
-    g(np.linspace(0.0, 1.0, 9), 2)
+    t = np.linspace(0.0, 1.0, 9)
+    g = _crossing_field(edge_jet(pullback(manufactured("expxy"), gmap), j, t), j)
+    for d in (2, 1, 0):
+        g(t, d)
     assert calls == {"jet": 1, "derivative": 0, "point": 0}
 
 
@@ -535,8 +557,9 @@ _EDGE_APPLICATIONS = {
 def test_edge_functionals_take_one_map_jet_per_application(monkeypatch, case, j):
     functionals, edge_field = _EDGE_APPLICATIONS[case]
     funcs = functionals(uniform_partition(8))
-    field = edge_field(pullback(manufactured("sinsin"), _geometry_maps()["spline"]), j)
+    u = pullback(manufactured("sinsin"), _geometry_maps()["spline"])
     calls = _count_spline_map_calls(monkeypatch)
+    field = edge_field(edge_jet(u, j, funcs.points), j)
     funcs.apply(field)
     assert calls == {"jet": 1, "derivative": 0, "point": 0}
     # each order's data are its one-order evaluations at its own points

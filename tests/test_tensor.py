@@ -271,7 +271,8 @@ def test_corner_interpolation():
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_edge_commuting(j):
-    from asg1kit.fields import ScalarField1D, restrict_to_edge
+    from asg1kit.fields import ScalarField1D
+    from oracles import restrict_to_edge
     from asg1kit.geometry import NORMALS, edge_coords
 
     V = tensor_space(3, 1, 4)
