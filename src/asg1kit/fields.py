@@ -4,8 +4,11 @@ Fields of both kinds share one jet protocol: ``ScalarField2D.jet(x, y, c, d)``
 returns ``(m, n) -> d1^m d2^n u`` at the points for m <= c, n <= d, and
 ``ScalarField1D.jet(x, top)`` returns ``d -> f^(d)(x)`` for d <= top.  Work
 the orders share (the sines and cosines of ``sinsin``) is done once per jet;
-each order is built on request and not kept.  A call is a one-order jet; a
-field given by an evaluator alone calls it once per order asked for.
+each order is built on request and not kept.  Where a separable order's
+factors are a column (N1, 1) and a row (1, N2), as at the mapped points of an
+axis-aligned patch, it is one contiguous column-by-row kernel (`_product`).
+A call is a one-order jet; a field given by an evaluator alone calls it once
+per order asked for.
 
 An `EdgeJet` is one jet of u on the two sides along an edge axis at fixed
 edge parameters, each order evaluated once for both sides and kept while it
@@ -32,8 +35,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from .geometry import (EDGE_AXIS, NORMALS, TANGENTS, GeometryError, jacobian_det,
-                       side_end)
+from .geometry import (EDGE_AXIS, NORMALS, TANGENTS, GeometryError, _fold,
+                       jacobian_det, side_end)
 
 __all__ = [
     "ScalarField1D",
@@ -104,6 +107,16 @@ def _jet_field(bind, max_order: int, kind=ScalarField2D):
     return field
 
 
+def _product(a, b):
+    """a * b for the factors of a separable field's order.  Where a column
+    (N1, 1) meets a row (1, N2) this is one contiguous column-by-row kernel,
+    faster than the ufunc's broadcast and equal to it but for the sign of an
+    exact zero."""
+    if np.ndim(a) == np.ndim(b) == 2 and a.shape[1] == 1 and b.shape[0] == 1:
+        return np.einsum("i,j->ij", a[:, 0], b[0])
+    return a * b
+
+
 def _sin_product():
     # d^m sin(pi z) = pi^m (-1)^(m // 2) (sin, cos)[m % 2](pi z)
     def bind(x, y, c, d):
@@ -114,7 +127,7 @@ def _sin_product():
 
         def order(m, n):
             scale = (-1.0) ** (m // 2 + n // 2) * np.pi ** (m + n)
-            return scale * trig(0, m % 2) * trig(1, n % 2)
+            return _product(scale * trig(0, m % 2), trig(1, n % 2))
 
         return order
 
@@ -139,7 +152,7 @@ def _poly2d(coeffs):
             D = derivative(m, n)
             out = np.zeros(shape)
             for i, j in zip(*np.nonzero(D)):
-                out += D[i, j] * power(0, i) * power(1, j)
+                out += _product(D[i, j] * power(0, i), power(1, j))
             return out
 
         return order
@@ -301,18 +314,6 @@ def _crossing_orders(jet, j: int, t, alpha, beta):
 # Only a term's first multiply, (coef * f_0), allocates, and later ones where
 # broadcasting grows the product: the other multiplies, the group sums and
 # the product with the u-order run in place, never in a jet's array.
-
-
-_OUT_OF_PLACE = {operator.imul: operator.mul, operator.iadd: operator.add}
-
-
-def _fold(iop, acc, x):
-    """``iop(acc, x)`` for ``iop`` imul or iadd: in place in ``acc`` (a
-    number or an array this module allocated) unless broadcasting grows it."""
-    try:
-        return iop(acc, x)
-    except ValueError:  # numpy checks the output shape before it writes
-        return _OUT_OF_PLACE[iop](acc, x)
 
 
 @functools.lru_cache(maxsize=None)

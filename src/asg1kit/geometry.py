@@ -378,6 +378,19 @@ def _add(*terms):
     return functools.reduce(operator.add, terms) if terms else None
 
 
+_OUT_OF_PLACE = {operator.imul: operator.mul, operator.iadd: operator.add,
+                 operator.isub: operator.sub}
+
+
+def _fold(iop, acc, x):
+    """``iop(acc, x)`` for ``iop`` imul, iadd or isub: in place in ``acc`` (a
+    number or an array its caller owns) unless broadcasting grows it."""
+    try:
+        return iop(acc, x)
+    except ValueError:  # numpy checks the output shape before it writes
+        return _OUT_OF_PLACE[iop](acc, x)
+
+
 def jet_component(jet, zeros, ab, c):
     """Component ``c`` of order ``ab`` of a map jet, or None where it is an
     exact zero: an absent order or a pair in ``zeros`` (`gmap.zeros`)."""

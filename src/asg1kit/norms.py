@@ -13,34 +13,42 @@ approximation and of the geometry is contracted once per chunk
 (`TensorSpline.bind_x2`, ``gmap.bind_x2``); a chunk is as wide as keeps each
 bound order of the approximation within ``_CHUNK_BLOCKS`` blocks, so coarse
 meshes bind the whole axis at once and the bindings of fine ones do not grow
-with the mesh.  Each block takes one geometry jet, one bound jet of the
-target and the six orders of the approximation from the coefficient rows
-its x1 elements touch.  Geometry jet
-components keep the broadcast shapes of the axes they depend on (see
-`geometry`), and so do the mapped points at which the target is evaluated,
-det G, 1/det and the entries of J^{-1} and of their products; only the
-integrands that meet the approximation span the block's grid.
+with the mesh, and one chunk's bindings are released before the next binds.
+Each block takes one geometry jet, one bound jet of the target and the six
+orders of the approximation from the coefficient rows its x1 elements touch.
+Geometry jet components keep the broadcast shapes of the axes they depend on
+(see `geometry`), and so do the mapped points at which the target is
+evaluated, det G, 1/det and the entries of J^{-1} and of their products;
+only the integrands that meet the approximation span the block's grid.
 
 The weights stay separable: no weight grid is built.  det G is folded into
 the x2 weights where it depends on x2 at most (every axis-aligned or affine
 patch) and into the x1 weights where it depends on x1 alone, so each sum is
 w1 @ (E @ w2), one GEMV over the squared error E; only where det depends on
 both axes (curved spline and NURBS patches) is w1 w2 det formed, once per
-block.  Each error is formed in place, one subtraction and one square per
-order, in the block's own array of that order of the approximation (a fresh
-GEMM output, a zero array or a chain-rule product), never in an array of a
-target or geometry jet, which caches share.
+block.
+
+The block owns the six orders of the approximation (fresh GEMM outputs or
+zero arrays), and the chain rule writes each physical derivative in place
+into the array of the first order it reads, unless a later derivative reads
+that order too (`_chain_rule`): on an axis-aligned patch each order feeds
+one derivative and the chain rule forms no full-grid array; only where one
+feeds two (a patch whose Jacobian has no exact zero) is a fresh one formed.
+Each error is then formed in place, one subtraction and one square per
+order, in that array, never in an array of a target or geometry jet, which
+caches share.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ScalarField2D
-from .geometry import (GeometryError, Patch, _add, _mul, jacobian_det,
+from .geometry import (GeometryError, Patch, _add, _fold, _mul, jacobian_det,
                        jet_component)
 from .ritz1d import default_quadrature_nodes
 from .splines import _BLOCK_POINTS, gauss_rule
@@ -66,29 +74,62 @@ def inverse_chain_rule(jet, zeros, det, grad, hess):
     determinant, ``grad`` d1 f and d2 f, ``hess`` d11 f, d12 f and d22 f.
     Components in ``zeros`` (``gmap.zeros``) or of absent orders are zero: the
     J^{-1} entries and terms they form are dropped.  Geometry-only terms keep
-    the broadcast shapes of the jet.  Returns ``(gx, gy)`` and ``(hxx, hxy, hyy)``, None for a zero.
+    the broadcast shapes of the jet.  Returns ``(gx, gy)`` and ``(hxx, hxy,
+    hyy)``, None for a zero; writes none of its arguments (`_chain_rule` of
+    copies of ``grad`` and ``hess``).
     """
+    return _chain_rule(jet, zeros, det, *([np.array(v, dtype=float) for v in vs]
+                                          for vs in (grad, hess)))
+
+
+def _chain_rule(jet, zeros, det, grad, hess):
+    """`inverse_chain_rule` written into the arrays of ``grad`` and ``hess``,
+    which the caller owns: each physical derivative goes into the array of
+    the first parametric order it reads unless a later one reads that order
+    too (`_forms`), so on an axis-aligned patch every derivative is written
+    in place."""
     comp = functools.partial(jet_component, jet, zeros)
     inv_det = 1.0 / det
     # B = J^{-1} = adj(J) / det with J = [d1 | d2] columns
     b11, b12 = _mul(inv_det, comp((0, 1), 1)), _mul(-inv_det, comp((0, 1), 0))
     b21, b22 = _mul(-inv_det, comp((1, 0), 1)), _mul(inv_det, comp((1, 0), 0))
-    g1, g2 = grad
     # the physical gradient is B^T times the parametric one
-    gx = _add(_mul(b11, g1), _mul(b21, g2))
-    gy = _add(_mul(b12, g1), _mul(b22, g2))
-    a11, a12, a22 = (h if s is None else h - s for h, s in zip(hess, (
-        _add(_mul(gx, comp(ab, 0)), _mul(gy, comp(ab, 1))) for ab in _ORDERS[2])))
+    gx, gy = _forms([[[(b11,)], [(b21,)]], [[(b12,)], [(b22,)]]], grad)
+    a = [h if s is None else _fold(operator.isub, h, s) for h, s in zip(hess, (
+        _add(_mul(gx, comp(ab, 0)), _mul(gy, comp(ab, 1))) for ab in _ORDERS[2]))]
     # H_phys = B^T A B, each entry a form in (a11, a12, a22) whose
-    # coefficients are products of B entries
-    hxx = _add(_mul(a11, _mul(b11, b11)), _mul(a12, _mul(2.0, b11, b21)),
-               _mul(a22, _mul(b21, b21)))
-    hxy = _add(_mul(a11, _mul(b11, b12)),
-               _mul(a12, _add(_mul(b11, b22), _mul(b21, b12))),
-               _mul(a22, _mul(b21, b22)))
-    hyy = _add(_mul(a11, _mul(b12, b12)), _mul(a12, _mul(2.0, b12, b22)),
-               _mul(a22, _mul(b22, b22)))
-    return (gx, gy), (hxx, hxy, hyy)
+    # coefficients are sums of products of B entries
+    return (gx, gy), _forms([
+        [[(b11, b11)], [(2.0, b11, b21)], [(b21, b21)]],
+        [[(b11, b12)], [(b11, b22), (b21, b12)], [(b21, b22)]],
+        [[(b12, b12)], [(2.0, b12, b22)], [(b22, b22)]]], a)
+
+
+def _forms(coefs, xs):
+    """``sum_j coefs[k][j] xs[j]`` for each row k of ``coefs``, left to
+    right, each coefficient a list of products (tuples of factors) summed.
+    Products with a None (zero) factor are dropped, and the terms of
+    coefficients left with none; a form without terms is None.  Each
+    coefficient is formed when its term is, and a form is written in place
+    into its first term's input where no later form reads that input, into a
+    fresh array otherwise."""
+    coefs = [[[p for p in c if all(f is not None for f in p)] for c in row]
+             for row in coefs]
+    out = []
+    for k, row in enumerate(coefs):
+        acc = None
+        for j, c in enumerate(row):
+            if not c:
+                continue
+            c = functools.reduce(operator.add, [functools.reduce(operator.mul, p)
+                                                for p in c])
+            if acc is None:
+                shared = any(later[j] for later in coefs[k + 1:])
+                acc = xs[j] * c if shared else _fold(operator.imul, xs[j], c)
+            else:
+                acc = _fold(operator.iadd, acc, xs[j] * c)
+        out.append(acc)
+    return tuple(out)
 
 
 @dataclass
@@ -142,6 +183,7 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
             block = slice(start, start + rows)
             sums += _squared_errors(gjet, patch.gmap.zeros, u, fjet, x1[block],
                                     x2[chunk], w1[block], w2[chunk])
+        del fjet, gjet  # so that two chunks' bindings are never alive at once
     return ErrorTable({t: float(v) for t, v in enumerate(np.sqrt(sums))})
 
 
@@ -189,7 +231,8 @@ def _squared_errors(g_bound, zeros, u: ScalarField2D, f_bound, x1, x2, w1, w2) -
     fjet = f_bound(x1)
 
     l2 = weighted_sum(_squared(fjet.pop((0, 0)), ujet(0, 0)))
-    (gx, gy), (hxx, hxy, hyy) = inverse_chain_rule(
+    # the block owns f_h's orders: the chain rule writes into them
+    (gx, gy), (hxx, hxy, hyy) = _chain_rule(
         jet, zeros, det, (fjet[1, 0], fjet[0, 1]), [fjet[ab] for ab in _ORDERS[2]])
     e1 = _squared(gx, ujet(1, 0))
     e1 += _squared(gy, ujet(0, 1))

@@ -7,11 +7,12 @@ open knot vector with boundary multiplicity ``p+1`` and interior multiplicity
 ``p-k``.  Basis values and derivatives of every order come from one
 evaluator, de Boor's recursion over each point's knot span in numpy alone,
 as bands (each point's first nonzero index and p+1 values) memoised by point
-set; dense rows (`eval_operator`) are made from them only for a matrix or a
-BLAS product.  Every tensor-product object (the geometry maps and tensor
-splines) is evaluated by one contraction of two bases, `tensor_jet`, which
-contracts the x2 bands first and the x1 bands second; on grids the dense x2
-rows in one GEMM per order (`tensor_bind_x2`), then a block's x1 bands over
+set; dense rows (`eval_operator`) are made from them only where a whole
+matrix is needed (collocation, endpoint rows).  Every tensor-product object
+(the geometry maps and tensor splines) is evaluated by one contraction of two
+bases, `tensor_jet`, which contracts the x2 bands first and the x1 bands
+second; on grids (`tensor_bind_x2`) one small product per run of x2 points
+that share a band start, then one GEMM per order of a block's x1 bands over
 only the columns they span.
 Differentiation and antidifferentiation are exact coefficient maps along any
 axis of a coefficient array, `differentiate` (scaled differences) and
@@ -31,6 +32,8 @@ from __future__ import annotations
 import functools
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -354,15 +357,22 @@ def _dense(first: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
 
 def eval_operator(space: UniSplineSpace, x: np.ndarray, d: int = 0) -> np.ndarray:
     """Dense matrix E with (E c)_i = (d-th derivative of the spline)(x_i),
-    a fresh array each call; the bands of recent point sets are memoised."""
+    a fresh array each call; the bands of recent point sets are memoised.
+    Only whole matrices (collocation, endpoint rows) use it: evaluations
+    contract the bands themselves (`eval_spline`, `tensor_jet`)."""
     shape, (first, rows) = _band_at(space, x, d)
     return _dense(first, rows, space.dim).reshape(shape + (space.dim,))
 
 
 def tensor_bind_x2(spaces, coef: np.ndarray, x2, orders):
-    """Step 1 of `tensor_jet`: ``coef`` times the dense x2 basis rows, one
-    GEMM per x2 order, each bound order a (dim1, k N2) array for k
-    components, a coefficient row i holding its k x2 rows side by side.
+    """Step 1 of `tensor_jet`: ``coef`` times the x2 bands, each bound order
+    a (dim1, k N2) array for k components, a coefficient row i holding its
+    k x2 rows side by side.  Each run of points that share a band start (the
+    Gauss points of one element) is one product of the p2+1 coefficient
+    columns of that band with the run's band values; consecutive runs of one
+    length are one batched matmul over their gathered columns, for every x2
+    order and component, so each component takes the same BLAS call as when
+    bound alone.  No dense (N2, dim2) basis rows are built.
     Returns step 2, ``x1 -> {(a, b): d1^a d2^b}`` on the grid x1 (x) x2 for
     the orders within the degrees: one GEMM per order of the x1 bands, as
     rows over only columns min(first)..max(first)+p, with the contiguous
@@ -374,10 +384,32 @@ def tensor_bind_x2(spaces, coef: np.ndarray, x2, orders):
     orders = [(a, b) for a, b in orders
               if a <= space1.degree and b <= space2.degree]
     x2, comps, k = np.ravel(x2), coef.shape[2:], coef[0, 0].size
-    # bound[b][i, c N2 + n] = sum_j coef[i, j, c] B2^(b)[n, j]
-    ct = np.swapaxes(coef.reshape(coef.shape[:2] + (k,)), 1, 2).reshape(-1, space2.dim)
-    bound = {b: (ct @ eval_operator(space2, x2, b).T).reshape(space1.dim, k * len(x2))
-             for b in {b for _, b in orders}}
+    # bound[b][i, c N2 + n] = sum_r coef[i, f[n] + r, c] B2^(b)[n, f[n] + r]
+    ck = np.ascontiguousarray(coef.reshape(coef.shape[:2] + (k,)).transpose(2, 0, 1))
+    dim1, xb, w = space1.dim, sorted({b for _, b in orders}), space2.degree + 1
+    bands = [_band_at(space2, x2, b)[1] for b in xb]
+    # rows[o, r, n]: value r of the band of order xb[o] at point n
+    rows = np.stack([r.T for _, r in bands]) if bands else np.zeros((0, w, 0))
+    bound = np.empty((len(xb), dim1, k, len(x2)))
+    # runs of points that share a band start, as (start, length), and
+    # stretches of consecutive runs of one length (the elements of a Gauss
+    # rule), each stretch one batched product with the gathered columns of
+    # its runs
+    first = bands[0][0] if bands else np.zeros(0, int)
+    cuts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), len(first)]
+    runs = [(first[lo], hi - lo) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    lo = 0
+    for L, stretch in groupby(runs, key=itemgetter(1)):
+        columns = np.array([f for f, _ in stretch])[:, None] + np.arange(w)
+        m, hi = len(columns), lo + len(columns) * L
+        # one (dim1, p2+1) @ (p2+1, L) product per order, component and run
+        np.matmul(ck[:, :, columns].transpose(0, 2, 1, 3),
+                  rows[:, None, :, lo:hi].reshape(len(xb), 1, w, m, L)
+                  .transpose(0, 1, 3, 2, 4),
+                  out=bound[..., lo:hi].reshape(len(xb), dim1, k, m, L)
+                  .transpose(0, 2, 3, 1, 4))
+        lo = hi
+    bound = {b: v.reshape(dim1, k * len(x2)) for b, v in zip(xb, bound)}
 
     def block(x1) -> dict:
         out = {}

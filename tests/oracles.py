@@ -97,6 +97,14 @@ def dense_l2_error(fn_a, fn_b, n_cells=400, nq=6):
     return float(np.sqrt(np.sum(w * d * d)))
 
 
+def dense_tensor_grid(E1, coef, E2):
+    """sum_ij E1[n, i] coef[i, j, ...] E2[m, j] from dense basis rows E1
+    (N1, dim1) and E2 (N2, dim2): ``coef`` times the whole x2 rows first,
+    then the x1 rows, shape (N1, N2) + the trailing axes of ``coef``."""
+    bound = np.einsum("ij...,mj->im...", coef, E2)
+    return np.einsum("ni,im...->nm...", E1, bound)
+
+
 # -- dense projector matrices ----------------------------------------------------
 # The univariate projectors as whole (dim x data) matrices, built from the
 # library's dense basis rows, integration, embedding and bubbles (checked by

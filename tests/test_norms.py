@@ -298,19 +298,21 @@ def _det_shape_maps():
 
     return {
         # kind: (map, the shape of det G on a grid of N1 x N2 points)
+        "axis_aligned": (BilinearMap([[[0, 0], [0, 1.5]], [[2, 0], [2, 1.5]]]), "11"),
         "affine": (BilinearMap([[[0, 0], [0, 1]], [[2, 0.5], [2, 1.5]]]), "11"),
         "stretch_x1": (_stretched_map(0), "N1"),
         "stretch_x2": (_stretched_map(1), "1N"),
         # a bilinear d1 G depends on x2 and d2 G on x1, but d2 G_x is an
         # exact zero of this trapezoid, so det = d1 G_x d2 G_y varies along x1
         "trapezoid": (BilinearMap([[[0, 0], [0, 1]], [[1, -0.25], [1, 1.25]]]), "N1"),
+        "skew": (builtin_geometry("two_patch_skew").patches[1].gmap, "N1"),
         "spline": (curved_interior_two_patch().patches[0].gmap, "NN"),
         "nurbs": (single_patch_nurbs().patches[0].gmap, "NN"),
     }
 
 
-@pytest.mark.parametrize("kind", ["affine", "stretch_x1", "stretch_x2", "trapezoid",
-                                  "spline", "nurbs"])
+@pytest.mark.parametrize("kind", ["axis_aligned", "affine", "stretch_x1", "stretch_x2",
+                                  "trapezoid", "skew", "spline", "nurbs"])
 def test_blocked_norms_fold_det_for_each_of_its_shapes(kind):
     # det G enters the weights along the axes it depends on; blocked norms
     # over three blocks equal the quadrature with outer(w1, w2) * det on the
@@ -438,6 +440,73 @@ def test_inverse_chain_rule_drops_exact_zero_jacobian_entries(name):
             (gx, _), (hxx, _, hyy) = norms.inverse_chain_rule(
                 jet, z, det, (grad[0], nan), [hess[0], nan, hess[2]])
             assert all(np.isfinite(v).all() == finite for v in (gx, hxx, hyy))
+
+
+@pytest.mark.parametrize("kind", ["axis_aligned", "skew", "spline", "nurbs"])
+def test_chain_rule_writes_no_jet_or_caller_array(kind):
+    # the norms' chain rule writes its derivatives into the block's own
+    # orders of f_h; the public rule runs it on copies, so it leaves every
+    # argument as it was (a cached geometry jet included) and gives the same
+    # bits.  On an axis-aligned patch each order feeds one derivative, so
+    # every derivative is written into the order it comes from
+    from test_tensor import random_tensor_spline
+
+    gmap = _det_shape_maps()[kind][0]
+    Z = uniform_partition(4)
+    s = np.linspace(0.05, 0.95, 6)
+    x1, x2 = s[:, None], s[None, :]
+    jet = gmap.jet(x1, x2, 2, 2)
+    det = jacobian_det(jet, gmap.zeros)
+    orders = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    S = UniSplineSpace(4, 2, Z)
+    f = random_tensor_spline(TensorSplineSpace(S, S)).jet(x1, x2, orders)
+    grad, hess = (f[1, 0], f[0, 1]), [f[ab] for ab in orders[2:]]
+
+    def arrays():
+        return [v for comps in jet.values() for v in comps] + list(grad) + hess
+
+    before = [v.copy() for v in arrays()]
+    got = norms.inverse_chain_rule(jet, gmap.zeros, det, grad, hess)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(), before))
+    owned = [v.copy() for v in grad], [v.copy() for v in hess]
+    inplace = norms._chain_rule(jet, gmap.zeros, det, *owned)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(), before))
+    for g, w in zip(got[0] + got[1], inplace[0] + inplace[1]):
+        assert np.array_equal(g, w)
+    if kind == "axis_aligned":
+        assert all(any(v is o for o in owned[0] + owned[1])
+                   for v in inplace[0] + inplace[1])
+
+
+def test_chunk_binding_allocates_no_dense_x2_rows():
+    # one chunk of the norms of p = 6, k = 4 on 128 elements with nq = 10:
+    # m = 43 x2 elements, N2 = 430 points.  Binding it keeps three x2 orders
+    # of f_h, dim x N2 doubles each, and makes per order the bands of the
+    # points (p + 1 values, the band start and the memo's key per point) and
+    # their transposed copy (p + 1 values per point), and once the p + 1
+    # coefficient columns of each element (dim x m x (p + 1)); with 64 KB for
+    # Python objects that bounds the peak below what one dense (N2 x dim)
+    # array of basis rows, with the bands, would add to the kept orders
+    import tracemalloc
+
+    patch = builtin_geometry("three_patch_L", 128).patches[0]
+    S = UniSplineSpace(6, 4, patch.partitions[0])
+    rng = np.random.default_rng(8)
+    f = TensorSpline(TensorSplineSpace(S, S), rng.standard_normal((S.dim, S.dim)))
+    x2 = gauss_rule(patch.partitions[1], 10)[0][:430]
+    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    tracemalloc.start()
+    try:
+        f.bind_x2(x2, orders)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    p, N2, m = S.degree, len(x2), 43
+    kept = 3 * S.dim * N2 * 8
+    bands = 3 * N2 * (p + 3) * 8
+    made = bands + 3 * N2 * (p + 1) * 8 + S.dim * m * (p + 1) * 8 + 65536
+    assert peak <= kept + made, (peak, kept)
+    assert made < bands + N2 * S.dim * 8
 
 
 def test_chunked_norms_peak_below_whole_row_bindings():

@@ -67,5 +67,7 @@ def test_traced_norms_and_conformity_match_untraced():
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {"norms.physical_error_norms", "asg1.check_conformity",
-            "splines.eval_operator", "fields.pullback_eval"} <= names
+            "fields.pullback_eval"} <= names
+    # grid bindings contract the x2 bands: no dense basis rows
+    assert "splines.eval_operator" not in names
     assert got == want

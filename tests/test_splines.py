@@ -13,6 +13,7 @@ from asg1kit.splines import (
     embed,
     eval_operator,
     eval_spline,
+    gauss_rule,
     greville_points,
     integrate,
     interpolate_at_greville,
@@ -428,6 +429,44 @@ def test_bind_x2_layout_matches_scattered_contraction(k):
             for c in range(k):
                 assert got[ab][..., c].strides[1] == got[ab].itemsize, (ab, c)
                 assert np.array_equal(got[ab][..., c], alone[c](x1[lo:hi])[ab]), (ab, c)
+
+
+@pytest.mark.parametrize("p,k,comps", [
+    (p, k, comps) for p in range(3, 9) for k in sorted({1, p - 2})
+    for comps in ((), (3,))])
+def test_band_exact_bind_x2_matches_dense_product(p, k, comps):
+    # the x2 step contracts each run of points sharing a band start with its
+    # p+1 coefficient columns; the dense oracle multiplies the whole rows.
+    # Both sum the same nonzero products (zeros add exactly), p2+1 of them
+    # over x2 and p1+1 over x1, so each value is within 2 gamma_(p1+p2+2)
+    # of |E1| |coef| |E2|^T of the exact one
+    Z = Partition((0.0, 0.1, 0.25, 0.6, 0.7, 1.0))
+    S1, S2 = UniSplineSpace(p, k, uniform_partition(3)), UniSplineSpace(p, k, Z)
+    rng = np.random.default_rng(100 * p + k)
+    coef = rng.standard_normal((S1.dim, S2.dim) + comps)
+    x1 = np.sort(np.concatenate(((0.0, 0.5, 1.0), rng.random(9))))
+    z = Z.as_array()
+    point_sets = {
+        "gauss": gauss_rule(Z, 4)[0],
+        "unsorted": rng.permutation(np.concatenate((rng.random(12), z))),
+        "repeated": np.repeat(rng.random(4), 3),
+        "breakpoints": z,
+        "start row": np.array([0.0]),
+        "end row": np.array([1.0]),
+    }
+    u = np.finfo(float).eps / 2
+    n = 2 * p + 2
+    gamma = n * u / (1 - n * u)
+    orders = [(a, b) for a in range(3) for b in range(p + 1)]
+    for label, x2 in point_sets.items():
+        got = tensor_bind_x2((S1, S2), coef, x2, orders)(x1)
+        for a, b in orders:
+            E1, E2 = eval_operator(S1, x1, a), eval_operator(S2, x2, b)
+            want = oracles.dense_tensor_grid(E1, coef, E2)
+            bound = 2 * gamma * oracles.dense_tensor_grid(np.abs(E1), np.abs(coef),
+                                                          np.abs(E2))
+            assert got[a, b].shape == want.shape, (label, a, b)
+            assert np.all(np.abs(got[a, b] - want) <= bound), (label, a, b)
 
 
 def test_greville_points_cover_endpoints():
