@@ -22,7 +22,6 @@ side is exactly the extended data.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,26 +127,14 @@ def extend(j: int, sigma: int, g: UniSpline, partitions, p: int, k: int
     if sigma not in (0, 1):
         raise ValueError("sigma must be 0 or 1")
     axis = EDGE_AXIS[j]
-    tangential = UniSplineSpace(p, k, partitions[axis])
-    normal_space = UniSplineSpace(p, k, partitions[1 - axis])
-    gc = embed(g, tangential).coefficients
-    factors = [(gc, tangential), (_bubble_factor(normal_space, sigma, end), normal_space)]
+    Zt, Zn = partitions[axis], partitions[1 - axis]
+    tangential, normal_space = UniSplineSpace(p, k, Zt), UniSplineSpace(p, k, Zn)
+    bub = reflected_bubble_spline(p, Zn, sigma) if end else bubble(p, Zn, sigma)
+    bc = embed(bub, normal_space).coefficients
+    factors = [(embed(g, tangential).coefficients, tangential),
+               (-bc if sigma else bc, normal_space)]
     (c1, s1), (c2, s2) = factors if axis == 0 else factors[::-1]
     return TensorSpline(TensorSplineSpace(s1, s2), np.outer(c1, c2))
-
-
-@functools.lru_cache(maxsize=None)
-def _bubble_factor(space: UniSplineSpace, sigma: int, end: int) -> np.ndarray:
-    """The coefficients in ``space`` of the normal factor of an order-sigma
-    extension from a side at ``end``: the bubble at 0, reflected for a side
-    at 1, negated for sigma = 1 (read-only; every side of a patch shares
-    it)."""
-    p, Zn = space.degree, space.partition
-    bub = reflected_bubble_spline(p, Zn, sigma) if end else bubble(p, Zn, sigma)
-    bc = embed(bub, space).coefficients
-    bc = -bc if sigma == 1 else bc
-    bc.flags.writeable = False
-    return bc
 
 
 # -- edge projectors ---------------------------------------------------------------

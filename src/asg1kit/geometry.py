@@ -567,15 +567,46 @@ def physical_mesh_size(mp: MultiPatch) -> float:
 
 
 def _require(entry: dict, key: str, where: str):
+    if not isinstance(entry, dict):
+        raise GeometryError(f"{where}: expected an object, got {entry!r}")
     if key not in entry:
         raise GeometryError(f"{where}: missing field '{key}'")
     return entry[key]
 
 
+def _list(value, where: str, length: int | None = None) -> list:
+    """``value`` if it is a JSON list (of ``length`` items), else a
+    GeometryError naming the field."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        items = "a list" if length is None else f"a list of {length}"
+        raise GeometryError(f"{where}: expected {items}, got {value!r}")
+    return value
+
+
+def _integers(entry: dict, key: str, where: str) -> tuple[int, int]:
+    """Field ``key`` of ``entry``: a pair of integers."""
+    pair = tuple(_list(_require(entry, key, where), f"{where}.{key}", 2))
+    if not all(type(v) is int for v in pair):
+        raise GeometryError(f"{where}.{key}: expected two integers, got {list(pair)}")
+    return pair
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    """``value`` as an array of finite floats, else a GeometryError naming
+    the field."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"{where}: expected numbers ({exc})") from None
+    if not np.all(np.isfinite(arr)):
+        raise GeometryError(f"{where}: expected finite numbers")
+    return arr
+
+
 def _space_from_knots(degree: int, knots, where: str) -> UniSplineSpace:
-    t = np.asarray(knots, dtype=float)
+    t = _numbers(knots, where)
     breaks = np.unique(t)
-    if breaks[0] != 0.0 or breaks[-1] != 1.0:
+    if t.ndim != 1 or not t.size or breaks[0] != 0.0 or breaks[-1] != 1.0:
         raise GeometryError(f"{where}: knots must span [0, 1]")
     interior_mult = {int(np.sum(np.isclose(t, z))) for z in breaks[1:-1]}
     if len(interior_mult) > 1:
@@ -591,16 +622,14 @@ def _space_from_knots(degree: int, knots, where: str) -> UniSplineSpace:
 def _patch_from_json(entry: dict, idx: int) -> Patch:
     where = f"patches[{idx}]"
     kind = _require(entry, "kind", where)
-    parts = _require(entry, "partitions", where)
-    if len(parts) != 2:
-        raise GeometryError(f"{where}.partitions: need two breakpoint lists")
+    parts = _list(_require(entry, "partitions", where), f"{where}.partitions", 2)
     partitions = []
     for m, zs in enumerate(parts):
         try:
             partitions.append(Partition(tuple(float(z) for z in zs)))
         except (TypeError, ValueError) as exc:
             raise GeometryError(f"{where}.partitions[{m}]: {exc}") from exc
-    cps = np.asarray(_require(entry, "control_points", where), dtype=float)
+    cps = _numbers(_require(entry, "control_points", where), f"{where}.control_points")
     if kind == "bilinear":
         if cps.shape != (4, 2):
             raise GeometryError(
@@ -608,8 +637,8 @@ def _patch_from_json(entry: dict, idx: int) -> Patch:
             )
         gmap = BilinearMap(cps.reshape(2, 2, 2))
     elif kind in ("spline", "nurbs"):
-        degree = _require(entry, "degree", where)
-        knots = _require(entry, "knots", where)
+        degree = _integers(entry, "degree", where)
+        knots = _list(_require(entry, "knots", where), f"{where}.knots", 2)
         s1 = _space_from_knots(degree[0], knots[0], f"{where}.knots[0]")
         s2 = _space_from_knots(degree[1], knots[1], f"{where}.knots[1]")
         if cps.shape != (s1.dim * s2.dim, 2):
@@ -620,7 +649,7 @@ def _patch_from_json(entry: dict, idx: int) -> Patch:
         if kind == "spline":
             gmap = SplineMap(s1, s2, grid)
         else:
-            w = np.asarray(_require(entry, "weights", where), dtype=float)
+            w = _numbers(_require(entry, "weights", where), f"{where}.weights")
             if w.shape != (s1.dim * s2.dim,):
                 raise GeometryError(f"{where}.weights: expected {s1.dim * s2.dim}")
             try:
@@ -660,14 +689,16 @@ def load_geometry(path) -> MultiPatch:
 
 
 def multipatch_from_json(data: dict) -> MultiPatch:
-    patches_raw = _require(data, "patches", "geometry")
+    patches_raw = _list(_require(data, "patches", "geometry"), "patches")
     patches = [_patch_from_json(e, i) for i, e in enumerate(patches_raw)]
     interfaces = []
-    for m, entry in enumerate(data.get("interfaces", [])):
+    for m, entry in enumerate(_list(data.get("interfaces", []), "interfaces")):
         where = f"interfaces[{m}]"
-        left = tuple(_require(entry, "left", where))
-        right = tuple(_require(entry, "right", where))
-        interfaces.append(Interface(left, right, bool(entry.get("reversed", False))))
+        left, right = _integers(entry, "left", where), _integers(entry, "right", where)
+        rev = entry.get("reversed", False)
+        if not isinstance(rev, bool):
+            raise GeometryError(f"{where}.reversed: expected true or false, got {rev!r}")
+        interfaces.append(Interface(left, right, rev))
     return MultiPatch(patches, interfaces)
 
 

@@ -8,7 +8,7 @@ open knot vector with boundary multiplicity ``p+1`` and interior multiplicity
 evaluator, de Boor's recursion over each point's knot span in numpy alone,
 as bands (each point's first nonzero index and p+1 values) memoised by point
 set; dense rows (`eval_operator`) are made from them only where a whole
-matrix is needed (collocation, endpoint rows).  Every tensor-product object
+matrix is needed (endpoint rows).  Every tensor-product object
 (the geometry maps and tensor splines) is evaluated by one contraction of two
 bases, `tensor_jet`, which contracts the x2 bands first and the x1 bands
 second; on grids (`tensor_bind_x2`) one small product per run of x2 points
@@ -18,9 +18,8 @@ Differentiation and antidifferentiation are exact coefficient maps along any
 axis of a coefficient array, `differentiate` (scaled differences) and
 `integrate` (its cumulative-sum inverse), and have no other form.  Every
 other map between spline spaces (multiplication by a linear polynomial,
-embedding into a superspace) is one collocation at the Greville abscissae of
-the target space: the image lies in the target, where Greville collocation is
-unisolvent, so the collocated coefficients are exact up to round-off.
+embedding into a superspace) is exact and banded, one cached band of
+blossoms per pair of spaces (`_refinement`), and builds no dense matrix.
 
 Conventions: evaluation at an interior breakpoint returns the limit from the
 right whenever the requested derivative order exceeds the smoothness; at
@@ -243,25 +242,31 @@ def _clip_domain(x) -> np.ndarray:
 def _band(space: UniSplineSpace, x: np.ndarray, d: int):
     """The nonzero basis values of order ``d`` at the points ``x``:
     ``(first, rows)`` with ``rows[n, r]`` the value of basis function
-    ``first[n] + r`` at the n-th point, r = 0..p.
-
-    De Boor's recursion over the knot span of each point, vectorised over the
-    points: p-d levels raise the degree of the values, the last d levels
-    differentiate.  Spans are half-open to the right except the last, so
-    breakpoints take right limits and x = 1 the left limit; an order above
-    p gives zeros.
+    ``first[n] + r`` at the n-th point, r = 0..p (`_de_boor`); breakpoints
+    take right limits and x = 1 the left limit; an order above p gives
+    zeros.
     """
     x = _clip_domain(x).ravel()
-    p = space.degree
-    t = knot_vector(space)
-    ell = np.clip(np.searchsorted(t, x, side="right") - 1, p, space.dim - 1)
-    h = np.zeros((x.size, p + 1))
+    u = np.broadcast_to(x[:, None], (x.size, space.degree))
+    first, h = _de_boor(knot_vector(space), x, u, d)
+    first.flags.writeable = h.flags.writeable = False
+    return first, h
+
+
+def _de_boor(t: np.ndarray, x: np.ndarray, u: np.ndarray, d: int = 0):
+    """`_band` by de Boor's recursion of degree p on the knots ``t`` at the
+    span that holds each point ``x`` (half-open to the right but the last):
+    level j = 1..p takes the argument ``u[:, j-1]`` (u is (n, p)), p-d
+    levels raise the degree and the last d differentiate.  Given arguments
+    other than x, the rows are the weights of the blossom (Ramshaw)."""
+    p = u.shape[1]
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, p, len(t) - p - 2)
+    h = np.zeros((len(ell), p + 1))
     if d <= p:
         h[:, 0] = 1.0
         knots = t[ell[:, None] + np.arange(1 - p, p + 1)]  # t[ell+1-p .. ell+p]
-        xc = x[:, None]
         for j in range(1, p + 1):
-            xa, xb = knots[:, p - j:p], knots[:, p:p + j]
+            xa, xb, xc = knots[:, p - j:p], knots[:, p:p + j], u[:, j - 1:j]
             if j <= p - d:
                 w = h[:, :j] / (xb - xa)
                 h[:, :j] = w * (xb - xc)
@@ -272,9 +277,7 @@ def _band(space: UniSplineSpace, x: np.ndarray, d: int):
                 h[:, :j] = -w
                 h[:, j] = 0.0
                 h[:, 1:j + 1] += w
-    first = ell - p
-    first.flags.writeable = h.flags.writeable = False
-    return first, h
+    return ell - p, h
 
 
 # Bands by (space, order, shape, bytes of the points), least recently used
@@ -358,8 +361,9 @@ def _dense(first: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
 def eval_operator(space: UniSplineSpace, x: np.ndarray, d: int = 0) -> np.ndarray:
     """Dense matrix E with (E c)_i = (d-th derivative of the spline)(x_i),
     a fresh array each call; the bands of recent point sets are memoised.
-    Only whole matrices (collocation, endpoint rows) use it: evaluations
-    contract the bands themselves (`eval_spline`, `tensor_jet`)."""
+    Only whole matrices (endpoint rows) use it: evaluations contract the
+    bands themselves (`eval_spline`, `tensor_jet`), and maps between spaces
+    are bands of blossoms (`_refinement`)."""
     shape, (first, rows) = _band_at(space, x, d)
     return _dense(first, rows, space.dim).reshape(shape + (space.dim,))
 
@@ -470,34 +474,37 @@ def gauss_rule(partition: Partition, nodes_per_element: int):
     return x, w
 
 
-# -- collocation at Greville points -------------------------------------------
+# -- exact maps between spline spaces -------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
-def _collocation_inverse(space: UniSplineSpace) -> np.ndarray:
-    if space.smoothness < 0:
-        raise ValueError("Greville collocation requires a continuous space")
-    return np.linalg.inv(eval_operator(space, greville_points(space)))
-
-
-def interpolate_at_greville(space: UniSplineSpace, values: np.ndarray) -> UniSpline:
-    """The unique spline matching the given values at the Greville abscissae."""
-    return UniSpline(space, _collocation_inverse(space) @ np.asarray(values, float))
-
-
-@functools.lru_cache(maxsize=None)
-def _greville_operator(source: UniSplineSpace, target: UniSplineSpace) -> np.ndarray:
-    """Values of the ``source`` basis at the Greville abscissae of ``target``."""
-    return eval_operator(source, greville_points(target))
+def _refinement(source: UniSplineSpace, target: UniSplineSpace):
+    """The exact map of coefficients c of f in ``source`` (degree p) into a
+    superspace ``target`` of degree q = p or p+1: ``(index, W1, Wx)``, the
+    row sums of W1 * c[index] are the coefficients of f and those of
+    Wx * c[index] of x f (Wx is None for q = p).  Coefficient j is the
+    blossom of f at tau_{j+1..j+q} on the source span that holds tau_j (up
+    to the breakpoint tolerance), by `_de_boor` with the arguments in
+    increasing order, so each step is convex (the Oslo algorithm); for
+    q = p+1, (1/q) sum_i l(u_i) F(u without u_i), l = 1 and l = x (Morken)."""
+    p, q, m = source.degree, target.degree, target.dim
+    t, tau = knot_vector(source), knot_vector(target)
+    x, u = tau[:m] + _BREAKPOINT_TOL, tau[np.arange(m)[:, None] + np.arange(1, q + 1)]
+    if q == p:
+        first, W = _de_boor(t, x, u)
+        return first[:, None] + np.arange(p + 1), W, None
+    drops = [_de_boor(t, x, np.delete(u, i, axis=1)) for i in range(q)]
+    return (drops[0][0][:, None] + np.arange(p + 1), sum(w for _, w in drops) / q,
+            sum(u[:, i, None] * w for i, (_, w) in enumerate(drops)) / q)
 
 
 def multiply_by_linear(f: UniSpline, a: float, b: float) -> UniSpline:
-    """Exact product (a + b*xi) * f(xi) as an element of S_{p+1,k,Z}."""
+    """Exact product (a + b*xi) * f(xi) as an element of S_{p+1,k,Z}: one
+    band of p+1 weights per coefficient (`_refinement`)."""
     target = UniSplineSpace(f.space.degree + 1, f.space.smoothness,
                             f.space.partition)
-    g = greville_points(target)
-    vals = (a + b * g) * (_greville_operator(f.space, target) @ f.coefficients)
-    return interpolate_at_greville(target, vals)
+    index, W1, Wx = _refinement(f.space, target)
+    return UniSpline(target, np.einsum("ij,ij->i", a * W1 + b * Wx, f.coefficients[index]))
 
 
 # -- embedding into superspaces -------------------------------------------------
@@ -506,15 +513,17 @@ def multiply_by_linear(f: UniSpline, a: float, b: float) -> UniSpline:
 def is_subspace(source: UniSplineSpace, target: UniSplineSpace) -> bool:
     if target.degree < source.degree or target.smoothness > source.smoothness:
         return False
-    zs = source.partition.as_array()
-    zt = target.partition.as_array()
-    pos = np.searchsorted(zt, zs)
-    pos = np.clip(pos, 0, len(zt) - 1)
+    if source.partition == target.partition:
+        return True
+    zs, zt = source.partition.as_array(), target.partition.as_array()
+    pos = np.clip(np.searchsorted(zt, zs), 0, len(zt) - 1)
     return bool(np.all(np.abs(zt[pos] - zs) <= _BREAKPOINT_TOL))
 
 
 def embed(f: UniSpline, target: UniSplineSpace) -> UniSpline:
-    """Re-express ``f`` in a superspace (pointwise identical function)."""
+    """Re-express ``f`` in a superspace (pointwise identical function): its
+    degree raised one at a time by the exact product with 1, then the
+    same-degree map onto the knots of ``target`` (`_refinement`)."""
     if f.space == target:
         return UniSpline(target, f.coefficients.copy())
     if not is_subspace(f.space, target):
@@ -522,5 +531,9 @@ def embed(f: UniSpline, target: UniSplineSpace) -> UniSpline:
             f"S_({f.space.degree},{f.space.smoothness}) does not embed into "
             f"S_({target.degree},{target.smoothness}) on the given partitions"
         )
-    vals = _greville_operator(f.space, target) @ f.coefficients
-    return interpolate_at_greville(target, vals)
+    while f.space.degree < target.degree:
+        f = multiply_by_linear(f, 1.0, 0.0)
+    if f.space == target:
+        return f
+    index, W, _ = _refinement(f.space, target)
+    return UniSpline(target, np.einsum("ij,ij->i", W, f.coefficients[index]))

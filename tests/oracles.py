@@ -105,6 +105,35 @@ def dense_tensor_grid(E1, coef, E2):
     return np.einsum("ni,im...->nm...", E1, bound)
 
 
+# -- Greville collocation ----------------------------------------------------------
+# Maps between spline spaces by collocation at the Greville abscissae of a
+# continuous target space with one dense solve: exact up to the round-off of
+# the collocation matrix, where the library maps coefficients by blossoming.
+
+
+def greville_interpolant(space, fn):
+    """The spline of ``space`` (k >= 0) that matches the callable ``fn`` at
+    the Greville abscissae of ``space``."""
+    from asg1kit.splines import UniSpline, eval_operator, greville_points
+
+    g = greville_points(space)
+    return UniSpline(space, np.linalg.solve(eval_operator(space, g), fn(g)))
+
+
+def collocation_embed(f, target):
+    """``f`` in the superspace ``target`` by Greville collocation."""
+    return greville_interpolant(target, f)
+
+
+def collocation_multiply(f, a, b):
+    """(a + b x) f in S_{p+1,k,Z} by Greville collocation."""
+    from asg1kit.splines import UniSplineSpace
+
+    s = f.space
+    target = UniSplineSpace(s.degree + 1, s.smoothness, s.partition)
+    return greville_interpolant(target, lambda x: (a + b * x) * f(x))
+
+
 # -- dense projector matrices ----------------------------------------------------
 # The univariate projectors as whole (dim x data) matrices, built from the
 # library's dense basis rows, integration, embedding and bubbles (checked by

@@ -139,6 +139,41 @@ def test_extend_vanishes_on_opposite_side(j):
         assert np.max(np.abs(n[0] * E(x, y, 1, 0) + n[1] * E(x, y, 0, 1))) <= 1e-12
 
 
+def test_bubbles_and_extensions_are_exact_zeros_off_the_bubble_support():
+    # the embedded bubble's coefficients of every basis function outside its
+    # support are exact zeros (each is a blossom of the zero piece), so an
+    # extension's coefficient rows beyond the bubble support are exact
+    # zeros, and so are its trace and normal derivative on the opposite side
+    from asg1kit.geometry import EDGE_AXIS, side_end
+    from asg1kit.ritz1d import bubble, bubble_breakpoints, reflected_bubble_spline
+    from asg1kit.splines import knot_vector
+    from asg1kit.tensor import normal_derivative_trace, trace
+
+    Z = uniform_partition(16)
+    opposite = {1: 3, 3: 1, 2: 4, 4: 2}
+    rng = np.random.default_rng(4)
+    for p in range(4, 9):
+        for k in sorted({1, p - 2}):
+            S = UniSplineSpace(p, k, Z)
+            tau, eta = knot_vector(S), bubble_breakpoints(p, Z)[2]
+            outside = [tau[:S.dim] >= eta, tau[p + 1:] <= 1.0 - eta]
+            for end, make in enumerate((bubble, reflected_bubble_spline)):
+                for sigma in (0, 1, 2):
+                    c = embed(make(p, Z, sigma), S).coefficients
+                    assert outside[end].any() and np.any(c != 0.0)
+                    assert np.all(c[outside[end]] == 0.0), (p, k, end, sigma)
+            for j in (1, 2, 3, 4):
+                g = UniSpline(S, rng.standard_normal(S.dim))
+                for sigma in (0, 1):
+                    E = extend(j, sigma, g, (Z, Z), p, k).coefficients
+                    rows = np.take(E, np.flatnonzero(outside[side_end(j)]),
+                                   axis=1 - EDGE_AXIS[j])
+                    assert np.all(rows == 0.0), (p, k, j, sigma)
+                    E = TensorSpline(TensorSplineSpace(S, S), E)
+                    for of in (trace, normal_derivative_trace):
+                        assert np.all(of(E, opposite[j]).coefficients == 0.0)
+
+
 def test_extend_rejects_a_bad_side():
     Z = uniform_partition(N)
     S = UniSplineSpace(P, K, Z)

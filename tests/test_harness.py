@@ -202,24 +202,49 @@ def test_folded_geometry_is_configuration_error(tmp_path, capsys, command):
         assert "non-positive Jacobian determinant" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("patch,field", [
-    ({"kind": "spline", "degree": [2, 1],
-      "knots": [[0, 0, 0, .5, .5, .5, .5, 1, 1, 1], [0, 0, 1, 1]],
-      "control_points": [[0, 0]] * 14, "partitions": [[0, .5, 1], [0, 1]]},
+BILINEAR = {"kind": "bilinear", "control_points": [[0, 0], [0, 1], [1, 0], [1, 1]],
+            "partitions": [[0, 1], [0, 1]]}
+SPLINE = {"kind": "spline", "degree": [1, 1], "knots": [[0, 0, 1, 1], [0, 0, 1, 1]],
+          "control_points": [[0, 0], [0, 1], [1, 0], [1, 1]],
+          "partitions": [[0, 1], [0, 1]]}
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"patches": [{"kind": "spline", "degree": [2, 1],
+                   "knots": [[0, 0, 0, .5, .5, .5, .5, 1, 1, 1], [0, 0, 1, 1]],
+                   "control_points": [[0, 0]] * 14,
+                   "partitions": [[0, .5, 1], [0, 1]]}]},
      "patches[0].knots[0]"),
-    ({"kind": "bilinear", "control_points": [[0, 0], [0, 1], [1, 0], [1, 1]],
-      "partitions": [[0, 1], [0.5]]}, "patches[0].partitions[1]"),
-    ({"kind": "nurbs", "degree": [1, 1], "knots": [[0, 0, 1, 1], [0, 0, 1, 1]],
-      "control_points": [[0, 0], [0, 1], [1, 0], [1, 1]], "weights": [1, 1, 1],
-      "partitions": [[0, 1], [0, 1]]}, "patches[0].weights"),
-    ({"kind": "nurbs", "degree": [1, 1], "knots": [[0, 0, 1, 1], [0, 0, 1, 1]],
-      "control_points": [[0, 0], [0, 1], [1, 0], [1, 1]], "weights": [1, 1, 0, 1],
-      "partitions": [[0, 1], [0, 1]]}, "patches[0].weights"),
+    ({"patches": [{**BILINEAR, "partitions": [[0, 1], [0.5]]}]},
+     "patches[0].partitions[1]"),
+    ({"patches": [{**SPLINE, "kind": "nurbs", "weights": [1, 1, 1]}]},
+     "patches[0].weights"),
+    ({"patches": [{**SPLINE, "kind": "nurbs", "weights": [1, 1, 0, 1]}]},
+     "patches[0].weights"),
+    ({"patches": [BILINEAR], "interfaces": [{"left": [0], "right": [0, 4]}]},
+     "interfaces[0].left"),
+    ({"patches": [BILINEAR], "interfaces": [{"left": "ab", "right": [0, 4]}]},
+     "interfaces[0].left"),
+    ({"patches": [BILINEAR], "interfaces": [{"left": [0, 2], "right": [0, 4],
+                                              "reversed": "no"}]},
+     "interfaces[0].reversed"),
+    ({"patches": [BILINEAR], "interfaces": 5}, "interfaces"),
+    ({"patches": [{**SPLINE, "degree": 2}]}, "patches[0].degree"),
+    ({"patches": [{**SPLINE, "knots": [[0, 0, 1, 1], []]}]}, "patches[0].knots[1]"),
+    ({"patches": 5}, "patches"),
+    ({"patches": [5]}, "patches[0]"),
+    ({"patches": [{**BILINEAR, "control_points": [["a", 0], [0, 1], [1, 0], [1, 1]]}]},
+     "patches[0].control_points"),
+    ({"patches": [{**BILINEAR, "control_points": [[0, 0], [0, 1], [1, 0], [1]]}]},
+     "patches[0].control_points"),
 ], ids=["knot-multiplicity-above-p+1", "one-breakpoint", "nurbs-weight-count",
-        "nurbs-weight-not-positive"])
-def test_malformed_geometry_json_exits_2(tmp_path, capsys, patch, field):
+        "nurbs-weight-not-positive", "interface-side-one-entry", "interface-side-string",
+        "interface-reversed-string", "interfaces-not-a-list", "scalar-degree",
+        "empty-knots", "patches-not-a-list", "patch-not-an-object",
+        "non-numeric-control-points", "ragged-control-points"])
+def test_malformed_geometry_json_exits_2(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"patches": [patch]}))
+    path.write_text(json.dumps(doc))
     assert main(["gluing", "--geometry", str(path)]) == 2
     assert field in capsys.readouterr().err
 

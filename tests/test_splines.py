@@ -16,7 +16,6 @@ from asg1kit.splines import (
     gauss_rule,
     greville_points,
     integrate,
-    interpolate_at_greville,
     multiply_by_linear,
     reverse,
     tensor_bind_x2,
@@ -32,8 +31,40 @@ def random_spline(space, seed=0, scale=1.0):
     return UniSpline(space, scale * rng.standard_normal(space.dim))
 
 
-def interpolate(space, fn):
-    return interpolate_at_greville(space, fn(greville_points(space)))
+interpolate = oracles.greville_interpolant
+EPS = np.finfo(float).eps
+
+
+def blossom_bound(degrees, scale):
+    """Round-off bound of a chain of blossom maps into spaces of the given
+    degrees q, for coefficients weighted at most ``scale``.  A map from
+    degree p runs p levels of de Boor's recursion, each step a convex
+    combination (five roundings), sums the p+1 products of a band (p+1
+    more) and, raising the degree, averages q = p+1 rows and forms
+    a W1 + b Wx (q+4 more): at most 7q + 1 roundings of u = eps/2 relative
+    to the weighted coefficients.  Its weights are convex (a W1 + b Wx sums
+    at most |a| + |b| per row), so no map of the chain grows them, and each
+    adds its own round-off."""
+    return sum(7 * q + 1 for q in degrees) * EPS / 2 * scale
+
+
+def assert_exact_map(g, fn, degrees, scale, oracle):
+    """``g``, of degree q and made by blossom maps into spaces of ``degrees``
+    from coefficients weighted at most ``scale``, agrees with the callable
+    ``fn`` and, in a continuous space, with the collocation ``oracle()``.
+    Evaluating g or fn costs (6q + 1) u scale each (de Boor's convex
+    recursion and a band sum) plus two roundings for a linear factor.  The
+    collocation G c = v is off by kappa(G) (|dv| + 3 dim rho u |G| |c|)
+    with |G| = 1 (partition of unity), rho <= 2 the growth factor and
+    |dv| <= (6q + 3) u scale."""
+    q, space = g.space.degree, g.space
+    bound = blossom_bound(degrees, scale)
+    x = np.concatenate((np.linspace(0.0, 1.0, 101), space.partition.as_array()))
+    assert np.max(np.abs(g(x) - fn(x))) <= bound + (12 * q + 4) * EPS / 2 * scale
+    if space.smoothness >= 0:
+        kappa = np.linalg.cond(eval_operator(space, greville_points(space)), np.inf)
+        tol = bound + kappa * (6 * q + 3 + 6 * space.dim) * EPS / 2 * scale
+        assert np.max(np.abs(g.coefficients - oracle().coefficients)) <= tol
 
 
 # -- partitions ----------------------------------------------------------------
@@ -240,7 +271,7 @@ def test_multiply_constant():
 
 def test_multiply_x_by_x():
     S = UniSplineSpace(3, 1, uniform_partition(4))
-    f = interpolate(S, lambda x: x)
+    f = UniSpline(S, greville_points(S))  # x, by Marsden's identity
     g = multiply_by_linear(f, 0.0, 1.0)
     x = np.linspace(0, 1, 40)
     assert np.max(np.abs(g(x) - x * x)) <= 1e-13
@@ -251,20 +282,33 @@ NONUNIFORM = Partition((0.0, 0.05, 0.12, 0.2, 0.31, 0.4, 0.47, 0.55, 0.66,
                         0.74, 0.83, 0.9, 1.0))
 
 
+PARTITIONS = [("", uniform_partition(5)), ("-nonuniform", NONUNIFORM),
+              ("-reversed", reverse(NONUNIFORM))]
+
+
+def smoothness_range(p):
+    return sorted({k for k in (-1, 0, p - 2, p - 1) if k >= -1})
+
+
+def refined(Z):
+    """``Z`` with the midpoint of every element inserted."""
+    z = Z.as_array()
+    return Partition(tuple(np.sort(np.concatenate((z, 0.5 * (z[1:] + z[:-1]))))))
+
+
 @pytest.mark.parametrize("p,k,Z", [
     pytest.param(p, k, Z, id=f"{p}-{k}{label}")
-    for p, k in [(2, 1), (3, 1), (4, 2), (5, 3), (7, 5)]
-    for label, Z in [("", uniform_partition(5)),
-                     ("-nonuniform", NONUNIFORM),
-                     ("-reversed", reverse(NONUNIFORM))]
+    for p in range(1, 13) for k in smoothness_range(p)
+    for label, Z in PARTITIONS
 ])
 def test_multiply_random_pointwise(p, k, Z):
     S = UniSplineSpace(p, k, Z)
     f = random_spline(S, seed=11)
     g = multiply_by_linear(f, -0.7, 1.9)
     assert g.space == UniSplineSpace(p + 1, k, Z)
-    x = np.concatenate((np.linspace(0, 1, 100), Z.as_array()))
-    assert np.max(np.abs(g(x) - (-0.7 + 1.9 * x) * f(x))) <= 1e-12
+    assert_exact_map(g, lambda x: (-0.7 + 1.9 * x) * f(x), [p + 1],
+                     2.6 * np.max(np.abs(f.coefficients)),
+                     lambda: oracles.collocation_multiply(f, -0.7, 1.9))
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (4, 2), (6, 4)])
@@ -360,12 +404,30 @@ def test_eval_operator_memo_stays_within_its_bound():
 
 # -- embedding ---------------------------------------------------------------------
 
+def assert_embeds(f, target):
+    """`embed` of ``f`` into ``target``: the degree raised by one map per
+    degree, then one same-degree map unless the raise reached ``target``."""
+    g = embed(f, target)
+    assert g.space == target
+    p, q = f.space.degree, target.degree
+    raised = UniSplineSpace(q, f.space.smoothness, f.space.partition)
+    degrees = list(range(p + 1, q + 1)) + ([q] if raised != target else [])
+    assert_exact_map(g, f, degrees, np.max(np.abs(f.coefficients)),
+                     lambda: oracles.collocation_embed(f, target))
+
+
 def test_embed_smoothness_drop():
     Z = uniform_partition(4)
     f = random_spline(UniSplineSpace(3, 2, Z), seed=5)
     g = embed(f, UniSplineSpace(3, 1, Z))
     x = np.linspace(0, 1, 100)
     assert np.max(np.abs(g(x) - f(x))) <= 1e-12
+    for p in range(1, 13):
+        for k in smoothness_range(p):
+            for label, Z in PARTITIONS:
+                f = random_spline(UniSplineSpace(p, k, Z), seed=p + k)
+                for drop in sorted({-1, k - 1} - {-2}):
+                    assert_embeds(f, UniSplineSpace(p, drop, Z))
 
 
 def test_embed_degree_raise():
@@ -374,6 +436,12 @@ def test_embed_degree_raise():
     g = embed(f, UniSplineSpace(4, 1, Z))
     x = np.linspace(0, 1, 100)
     assert np.max(np.abs(g(x) - f(x))) <= 1e-12
+    for p in range(1, 13):
+        for k in smoothness_range(p):
+            for label, Z in PARTITIONS:
+                f = random_spline(UniSplineSpace(p, k, Z), seed=p + k)
+                for r in (1, 2, 3):
+                    assert_embeds(f, UniSplineSpace(p + r, k, Z))
 
 
 def test_embed_transitivity():
@@ -400,6 +468,41 @@ def test_embed_into_refined_partition():
     g = embed(f, UniSplineSpace(3, 1, Partition((0.0, 0.25, 0.5, 0.75, 1.0))))
     x = np.linspace(0, 1, 100)
     assert np.max(np.abs(g(x) - f(x))) <= 1e-12
+    for p in range(1, 13):
+        for k in smoothness_range(p):
+            for label, Z in PARTITIONS:
+                f = random_spline(UniSplineSpace(p, k, Z), seed=p + k)
+                for r in (0, 1, 2, 3):
+                    for kk in sorted({k, -1}):
+                        assert_embeds(f, UniSplineSpace(p + r, kk, refined(Z)))
+
+
+def test_cold_maps_allocate_no_dense_matrix():
+    # a cold embedding of the degree-6 bubble and a cold product into
+    # S_(6,4) on 128 elements (dim 261) stay banded.  The product, the larger
+    # of the two, keeps six (261, 6) weight rows, one per blossom argument
+    # left out, and makes per row its arguments, knot windows and a few
+    # recursion temporaries (each at most 261 x 10 doubles), then W1, Wx,
+    # their combination and the gathered coefficients (261 x 6 each): about
+    # 0.2 MB, below one dense 261 x 261 array of doubles (545 KB)
+    import tracemalloc
+
+    from asg1kit import splines
+    from asg1kit.ritz1d import bubble
+
+    Z = uniform_partition(128)
+    target = UniSplineSpace(6, 4, Z)
+    b = bubble(6, Z, 0)
+    f = random_spline(UniSplineSpace(5, 4, Z), seed=3)
+    splines._refinement.cache_clear()
+    tracemalloc.start()
+    try:
+        embed(b, target)
+        multiply_by_linear(f, 0.3, -1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < target.dim ** 2 * 8, peak
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -41,10 +41,10 @@ def test_eval_mixed_derivative_of_bilinear():
     V = tensor_space(2, 1, 2)
     # coefficients of xi1 * xi2: outer product of the 1D coefficient vectors
     S = V.space1
-    from asg1kit.splines import greville_points, interpolate_at_greville
+    from asg1kit.splines import greville_points
 
-    lin = interpolate_at_greville(S, greville_points(S))
-    f = TensorSpline(V, np.outer(lin.coefficients, lin.coefficients))
+    lin = greville_points(S)  # the coefficients of xi, by Marsden's identity
+    f = TensorSpline(V, np.outer(lin, lin))
     X, Y = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
     assert np.max(np.abs(f(X, Y, 1, 1) - 1.0)) <= 1e-12
     assert np.max(np.abs(f(X, Y) - X * Y)) <= 1e-13
@@ -166,16 +166,16 @@ def test_band_contraction_keeps_empty_and_zero_dimensional_shapes():
 def test_trace_extracts_boundary_rows():
     V = tensor_space(3, 1, 3)
     S = V.space1
-    from asg1kit.splines import greville_points, interpolate_at_greville
+    from asg1kit.splines import greville_points
 
-    lin = interpolate_at_greville(S, greville_points(S))
+    lin = greville_points(S)  # the coefficients of xi, by Marsden's identity
     # f = xi2: zero trace on side 1, one on side 3
-    f = TensorSpline(V, np.outer(np.ones(S.dim), lin.coefficients))
+    f = TensorSpline(V, np.outer(np.ones(S.dim), lin))
     assert np.max(np.abs(trace(f, 1).coefficients)) <= 1e-13
     x = np.linspace(0, 1, 21)
     assert np.max(np.abs(trace(f, 3)(x) - 1.0)) <= 1e-13
     # f = xi1: side 2 trace is the constant 1
-    g = TensorSpline(V, np.outer(lin.coefficients, np.ones(S.dim)))
+    g = TensorSpline(V, np.outer(lin, np.ones(S.dim)))
     assert np.max(np.abs(trace(g, 2)(x) - 1.0)) <= 1e-13
 
 
@@ -193,13 +193,13 @@ def test_trace_matches_eval(j):
 def test_normal_derivative_trace_examples():
     V = tensor_space(3, 1, 3)
     S = V.space1
-    from asg1kit.splines import greville_points, interpolate_at_greville
+    from asg1kit.splines import greville_points
 
-    lin = interpolate_at_greville(S, greville_points(S))
-    f = TensorSpline(V, np.outer(np.ones(S.dim), lin.coefficients))  # xi2
+    lin = greville_points(S)  # the coefficients of xi, by Marsden's identity
+    f = TensorSpline(V, np.outer(np.ones(S.dim), lin))  # xi2
     x = np.linspace(0, 1, 21)
     assert np.max(np.abs(normal_derivative_trace(f, 1)(x) + 1.0)) <= 1e-13
-    quad = interpolate_at_greville(S, greville_points(S) ** 2)
+    quad = oracles.greville_interpolant(S, lambda x: x ** 2)
     g = TensorSpline(V, np.outer(np.ones(S.dim), quad.coefficients))  # xi2^2
     assert np.max(np.abs(normal_derivative_trace(g, 3)(x) - 2.0)) <= 1e-12
 
