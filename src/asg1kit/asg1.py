@@ -8,12 +8,15 @@ normal derivative on that side by dedicated edge projections:
     normal:  P1 = alpha * proj(crossing derivative) - beta * (tangential P0)'
              with proj the crossing-derivative projector onto S_{p-1,k}
 
-The data of P0 and of the crossing projection on the two sides along an
-edge axis come from one jet of the pullback (`fields.EdgeJet`), so a patch
-binds two edge jets.  Each correction is transported into the patch interior
-by a boundary-bubble extension that leaves the data on the other three sides
-untouched.  Gluing the per-patch projections of the pullbacks then yields a
-globally C1 function whenever the gluing data certifies the geometry.
+The crossing derivative d_j . grad, d_j = (n_j + beta t_j) / alpha, is
+formed by `fields._crossing_orders` alone, for P1's data and in
+`check_conformity`.  The data of P0 and of the crossing projection on the
+two sides along an edge axis come from one jet of the pullback
+(`fields.EdgeJet`), so a patch binds two edge jets.  Each correction is
+transported into the patch interior by a boundary-bubble extension that
+leaves the data on the other three sides untouched.  Gluing the per-patch
+projections of the pullbacks then yields a globally C1 function whenever
+the gluing data certifies the geometry.
 
 Sign convention: the order-1 extensions carry a negated bubble factor so
 that the *outward* normal derivative of the extension restricted to its own
@@ -37,7 +40,7 @@ from .fields import (
 from .geometry import (
     CORNERS,
     EDGE_AXIS,
-    EDGE_PARAM_SIGN,
+    TANGENTS,
     MultiPatch,
     Patch,
     edge_coords,
@@ -45,7 +48,7 @@ from .geometry import (
     jacobian_det,
     side_end,
 )
-from .gluing import EdgeGluing, GluingData, crossing_direction
+from .gluing import EdgeGluing, GluingData
 from .norms import inverse_chain_rule
 from .ritz1d import (
     PointFunctionals,
@@ -152,14 +155,14 @@ def edge_projector_P1(f: PointFunctionals, c: np.ndarray, j: int,
     """Normal-derivative edge projection of side ``j`` in S_{p,k}.
 
     alpha * w minus beta times the tangential derivative of P0, with the
-    tangential orientation sign of the side, for w the projection of the
-    crossing derivative: the spline of its coefficients ``c`` under the
-    crossing functionals ``f`` (`pi_cross_functionals`).
+    sign of t_j along the edge parameter (`TANGENTS`), for w the projection
+    of the crossing derivative: the spline of its coefficients ``c`` under
+    the crossing functionals ``f`` (`pi_cross_functionals`).
     """
     t1 = multiply_by_linear(UniSpline(f.space, c), gluing.alpha.a0, gluing.alpha.a1)
     dP0 = derivative(P0)
     t2 = multiply_by_linear(dP0, gluing.beta.a0, gluing.beta.a1)
-    return t1 - EDGE_PARAM_SIGN[j] * t2
+    return t1 - TANGENTS[j][EDGE_AXIS[j]] * t2
 
 
 def _edge_projections(u: ScalarField2D, partitions, gluing: dict, p: int,
@@ -336,11 +339,11 @@ _C2_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def _edge_sample(proj: TensorSpline, glue: EdgeGluing, j: int, t):
-    """The trace and the crossing derivative of ``proj`` at the points ``t``
-    of side ``j``, from one jet."""
-    d = crossing_direction(glue, j)(t)
+    """The trace and the crossing derivative (`_crossing_orders`) of
+    ``proj`` at the points ``t`` of side ``j``, from one jet."""
     f = proj.jet(*edge_coords(j, t), _C2_ORDERS[:3])
-    return f[0, 0], d[..., 0] * f[1, 0] + d[..., 1] * f[0, 1]
+    d = _crossing_orders(lambda m, n: f[m, n], j, t, glue.alpha, glue.beta)(0)
+    return f[0, 0], d
 
 
 def _physical_c2_data(patch: Patch, spline: TensorSpline, corner) -> np.ndarray:

@@ -253,11 +253,10 @@ def directional_edge_field(edges: EdgeJet, j: int, alpha, beta) -> ScalarField1D
     along side ``j`` of the field of ``edges``, at the jet's points; order d
     reads tangential orders up to d + 1 and normal order 1 up to d.
 
-    ``alpha`` and ``beta`` are linear functions of the edge parameter exposing
-    ``__call__`` and a constant ``slope``; alpha must be positive on [0, 1].
+    ``alpha`` and ``beta`` are linear functions a0 + a1 x of the edge
+    parameter (`gluing.LinearFunction`); alpha must be positive on [0, 1].
     """
-    if alpha(0.0) <= 0.0 or alpha(1.0) <= 0.0:
-        raise ValueError("alpha must be strictly positive on [0, 1]")
+    _require_positive_alpha(alpha)
     _check_side(edges, j)
 
     def bind(t, top):
@@ -266,16 +265,24 @@ def directional_edge_field(edges: EdgeJet, j: int, alpha, beta) -> ScalarField1D
     return _jet_field(bind, min(edges.top - 1, 2), ScalarField1D)
 
 
+def _require_positive_alpha(alpha):
+    """A ValueError unless the linear ``alpha`` is positive on [0, 1]."""
+    if alpha(0.0) <= 0.0 or alpha(1.0) <= 0.0:
+        raise ValueError("alpha must be strictly positive on [0, 1]")
+
+
 def _crossing_orders(jet, j: int, t, alpha, beta):
-    """``d -> d``-th tangential derivative of the crossing-direction
-    derivative of `directional_edge_field` at the points ``t`` of side ``j``,
-    from ``jet``, a jet of u there up to order d + 1 along the side and 1
-    across.  n_j and t_j are signed unit vectors across and along the side,
-    so each of their products with grad(u) reads one order of the jet."""
+    """``d -> d``-th tangential derivative of (n_j + beta t_j) . grad(u) /
+    alpha at the points ``t`` of side ``j``, from ``jet``, ``(m, n) -> d1^m
+    d2^n u`` there up to order d + 1 along the side and 1 across; the one
+    form of the crossing derivative in the package.  n_j and t_j are signed
+    unit vectors across and along the side (`NORMALS`, `TANGENTS`), so each
+    of their products with grad(u) reads one order of the jet."""
+    _require_positive_alpha(alpha)
     axis = EDGE_AXIS[j]
     s_n, s_t = NORMALS[j][1 - axis], TANGENTS[j][axis]
-    a, da = alpha(t), alpha.slope
-    b, db = beta(t), beta.slope
+    a, da = alpha(t), alpha.a1
+    b, db = beta(t), beta.a1
 
     @functools.cache
     def grad(m):

@@ -68,7 +68,6 @@ __all__ = [
     "EDGE_AXIS",
     "SIDE_END",
     "side_end",
-    "EDGE_PARAM_SIGN",
     "edge_coords",
     "edge_parameter_map",
     "check_2regular",
@@ -89,14 +88,10 @@ class GeometryError(ValueError):
 NORMALS = {1: (0.0, -1.0), 2: (1.0, 0.0), 3: (0.0, 1.0), 4: (-1.0, 0.0)}
 TANGENTS = {j: (n[1], -n[0]) for j, n in NORMALS.items()}
 
-# Axis carrying the intrinsic edge parameter (0 = xi1, 1 = xi2), the value
-# (0 or 1) at which side j fixes the other coordinate, and the sign relating
-# t_j to the direction of increasing edge parameter.
+# Axis carrying the intrinsic edge parameter (0 = xi1, 1 = xi2) and the
+# value (0 or 1) at which side j fixes the other coordinate.
 EDGE_AXIS = {1: 0, 2: 1, 3: 0, 4: 1}
 SIDE_END = {1: 0, 2: 1, 3: 1, 4: 0}
-EDGE_PARAM_SIGN = {
-    j: float(np.sign(TANGENTS[j][EDGE_AXIS[j]])) for j in (1, 2, 3, 4)
-}
 
 # Corners x_1..x_4 of the parameter square; side j runs from corner j to j+1.
 CORNERS = {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (1.0, 1.0), 4: (0.0, 1.0)}

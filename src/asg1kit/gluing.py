@@ -16,7 +16,9 @@ alpha > 0 and beta, one pair per side, with
 
 These are the constraints induced by requiring the crossing directions
 d = (n + beta t) / alpha to push forward to opposite vectors on the two
-sides; boundary edges carry alpha = 1, beta = 0.
+sides (`g1_compatibility_residual` applies `fields._crossing_orders`, the
+one form of d . grad, to each component of G); boundary edges carry
+alpha = 1, beta = 0.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import _crossing_orders
 from .geometry import (
     GeometryError,
     Interface,
     MultiPatch,
     NORMALS,
-    TANGENTS,
     edge_coords,
     edge_parameter_map,
     jacobian_det,
@@ -45,7 +47,6 @@ __all__ = [
     "recover_gluing",
     "fit_linear_gluing",
     "recover_all",
-    "crossing_direction",
     "g1_compatibility_residual",
 ]
 
@@ -59,10 +60,6 @@ class LinearFunction:
 
     def __call__(self, x):
         return self.a0 + self.a1 * np.asarray(x, dtype=float)
-
-    @property
-    def slope(self) -> float:
-        return self.a1
 
     @staticmethod
     def from_endpoints(v0: float, v1: float) -> "LinearFunction":
@@ -306,21 +303,6 @@ def recover_all(mp: MultiPatch, tol: float = 1e-10) -> GluingData:
     return data
 
 
-def crossing_direction(gluing: EdgeGluing, j: int):
-    """The parameter-domain direction d_j(xi) = (n_j + beta t_j) / alpha."""
-    n = np.array(NORMALS[j])
-    t = np.array(TANGENTS[j])
-
-    def d(xi):
-        xi = np.asarray(xi, dtype=float)
-        a = gluing.alpha(xi)
-        if np.any(a <= 0):
-            raise ValueError("alpha must be positive on [0, 1]")
-        return (n[..., :] + gluing.beta(xi)[..., None] * t[..., :]) / a[..., None]
-
-    return d
-
-
 def g1_compatibility_residual(mp: MultiPatch, iface: Interface,
                               left: EdgeGluing, right: EdgeGluing):
     """sup |d_j . grad(G_i) + (d_J . grad(G_I)) o e| over 50 samples of the
@@ -332,9 +314,9 @@ def g1_compatibility_residual(mp: MultiPatch, iface: Interface,
     def pushforward(patch, side, glue, t):
         jet = patch.gmap.jet(*edge_coords(side, t), orders=[(1, 0), (0, 1)])
         d1, d2 = jet[1, 0], jet[0, 1]
-        dvec = crossing_direction(glue, side)(t)
-        return (np.stack([dvec[..., 0] * a + dvec[..., 1] * b
-                          for a, b in zip(d1, d2)], axis=-1),
+        return (np.stack([_crossing_orders(lambda m, n: jet[m, n][c], side, t,
+                                           glue.alpha, glue.beta)(0)
+                          for c in range(len(d1))], axis=-1),
                 max(float(np.max(np.abs(v))) for v in d1 + d2))
 
     vl, s1 = pushforward(mp.patches[i], j, left, xi)

@@ -256,27 +256,28 @@ def _band(space: UniSplineSpace, x: np.ndarray, d: int):
 def _de_boor(t: np.ndarray, x: np.ndarray, u: np.ndarray, d: int = 0):
     """`_band` by de Boor's recursion of degree p on the knots ``t`` at the
     span that holds each point ``x`` (half-open to the right but the last):
-    level j = 1..p takes the argument ``u[:, j-1]`` (u is (n, p)), p-d
-    levels raise the degree and the last d differentiate.  Given arguments
-    other than x, the rows are the weights of the blossom (Ramshaw)."""
-    p = u.shape[1]
+    level j = 1..p takes the argument ``u[..., :, j-1]`` (u is (..., n, p),
+    its leading axes broadcast), p-d levels raise the degree and the last d
+    differentiate.  Given arguments other than x, the rows are the weights
+    of the blossom (Ramshaw)."""
+    p = u.shape[-1]
     ell = np.clip(np.searchsorted(t, x, side="right") - 1, p, len(t) - p - 2)
-    h = np.zeros((len(ell), p + 1))
+    h = np.zeros(u.shape[:-2] + (len(ell), p + 1))
     if d <= p:
-        h[:, 0] = 1.0
+        h[..., 0] = 1.0
         knots = t[ell[:, None] + np.arange(1 - p, p + 1)]  # t[ell+1-p .. ell+p]
         for j in range(1, p + 1):
-            xa, xb, xc = knots[:, p - j:p], knots[:, p:p + j], u[:, j - 1:j]
+            xa, xb, xc = knots[:, p - j:p], knots[:, p:p + j], u[..., j - 1:j]
             if j <= p - d:
-                w = h[:, :j] / (xb - xa)
-                h[:, :j] = w * (xb - xc)
-                h[:, j] = 0.0
-                h[:, 1:j + 1] += w * (xc - xa)
+                w = h[..., :j] / (xb - xa)
+                h[..., :j] = w * (xb - xc)
+                h[..., j] = 0.0
+                h[..., 1:j + 1] += w * (xc - xa)
             else:
-                w = j * h[:, :j] / (xb - xa)
-                h[:, :j] = -w
-                h[:, j] = 0.0
-                h[:, 1:j + 1] += w
+                w = j * h[..., :j] / (xb - xa)
+                h[..., :j] = -w
+                h[..., j] = 0.0
+                h[..., 1:j + 1] += w
     return ell - p, h
 
 
@@ -493,9 +494,11 @@ def _refinement(source: UniSplineSpace, target: UniSplineSpace):
     if q == p:
         first, W = _de_boor(t, x, u)
         return first[:, None] + np.arange(p + 1), W, None
-    drops = [_de_boor(t, x, np.delete(u, i, axis=1)) for i in range(q)]
-    return (drops[0][0][:, None] + np.arange(p + 1), sum(w for _, w in drops) / q,
-            sum(u[:, i, None] * w for i, (_, w) in enumerate(drops)) / q)
+    # the q argument lists with one left out, as one (q, m, p) stack
+    keep = np.array([np.delete(np.arange(q), i) for i in range(q)])
+    first, W = _de_boor(t, x, np.moveaxis(u[:, keep], 1, 0))
+    return (first[:, None] + np.arange(p + 1), W.sum(axis=0) / q,
+            (u.T[..., None] * W).sum(axis=0) / q)
 
 
 def multiply_by_linear(f: UniSpline, a: float, b: float) -> UniSpline:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField2D
-from .geometry import EDGE_AXIS, side_end
+from .geometry import EDGE_AXIS, NORMALS, side_end
 from .ritz1d import PointFunctionals, ritz_functionals
 from .splines import (_BLOCK_POINTS, UniSpline, UniSplineSpace, _difference_scale,
                       tensor_bind_x2, tensor_jet)
@@ -121,14 +121,15 @@ def trace(f: TensorSpline, j: int) -> UniSpline:
 
 def normal_derivative_trace(f: TensorSpline, j: int) -> UniSpline:
     """(n_j . grad f) restricted to side ``j``, in the side's tangential space:
-    the trace of the difference along the normal axis, negated at its start;
-    only the two coefficient rows next to the side are differenced."""
+    the trace of the difference along the normal axis, times the sign of n_j
+    (`NORMALS`); only the two coefficient rows next to the side are
+    differenced."""
     end = side_end(j)
     axis = 1 - EDGE_AXIS[j]
     rows = np.take(f.coefficients, [-2, -1] if end else [0, 1], axis=axis)
     space = (f.space.space1, f.space.space2)[axis]
     dc = np.diff(rows, axis=axis) * _difference_scale(space, 0)[-end]
-    return UniSpline(f.space.side_space(j), (2 * end - 1) * dc.reshape(-1))
+    return UniSpline(f.space.side_space(j), NORMALS[j][axis] * dc.reshape(-1))
 
 
 # -- tensor projector -----------------------------------------------------------------

@@ -232,6 +232,24 @@ def restrict_to_edge(u, j):
     return _jet_field(bind, u.max_order, ScalarField1D)
 
 
+def crossing_direction(gluing, j):
+    """The parameter-domain direction d_j(xi) = (n_j + beta t_j) / alpha of
+    the `EdgeGluing` ``gluing`` of side ``j``, as an (..., 2) array."""
+    from asg1kit.geometry import NORMALS, TANGENTS
+
+    n = np.array(NORMALS[j])
+    t = np.array(TANGENTS[j])
+
+    def d(xi):
+        xi = np.asarray(xi, dtype=float)
+        a = gluing.alpha(xi)
+        if np.any(a <= 0):
+            raise ValueError("alpha must be positive on [0, 1]")
+        return (n[..., :] + gluing.beta(xi)[..., None] * t[..., :]) / a[..., None]
+
+    return d
+
+
 def directional_edge_field(u, j, alpha, beta):
     """The crossing-direction derivative of ``u`` along side ``j``, at any
     points; its jet up to ``top`` is one jet of ``u`` up to ``top + 1`` along

@@ -198,8 +198,7 @@ def test_criterion_4_patch_projector_interpolation():
     mp = builtin_geometry("two_patch_skew", n)
     glue = recover_all(mp)
     u = manufactured("sinsin")
-    from oracles import edge_projector_P0, edge_projector_P1
-    from asg1kit.gluing import crossing_direction
+    from oracles import crossing_direction, edge_projector_P0, edge_projector_P1
 
     for i, patch in enumerate(mp.patches):
         uhat = pullback(u, patch.gmap)

@@ -14,7 +14,7 @@ from asg1kit.fields import (
     pullback,
 )
 from asg1kit.geometry import NORMALS, builtin_geometry, edge_coords
-from asg1kit.gluing import EdgeGluing, LinearFunction, crossing_direction, recover_all
+from asg1kit.gluing import EdgeGluing, GluingData, LinearFunction, recover_all
 from asg1kit.ritz1d import pi_star_functionals, ritz_functionals
 from asg1kit.splines import (
     UniSpline,
@@ -23,7 +23,7 @@ from asg1kit.splines import (
     uniform_partition,
 )
 from asg1kit.tensor import TensorSpline, TensorSplineSpace, as_field, tensor_project_Q
-from oracles import directional_edge_field, restrict_to_edge
+from oracles import crossing_direction, directional_edge_field, restrict_to_edge
 
 
 P, K, N = 4, 1, 8
@@ -677,6 +677,19 @@ def test_global_refuses_uncertified_geometry():
         global_project(mp, glue, manufactured("sinsin"), P, K)
     gp = global_project(mp, glue, manufactured("sinsin"), P, K, force=True)
     assert len(gp.patches) == 2
+
+
+def test_check_conformity_rejects_nonpositive_alpha():
+    # hand-built gluing with alpha(1) = 0 on an interface side: the crossing
+    # derivative there is undefined, and checking it raises
+    mp = builtin_geometry("two_patch_skew", N)
+    gp = global_project(mp, recover_all(mp), manufactured("sinsin"), P, K)
+    side = mp.interfaces[0].right
+    edges = dict(gp.gluing.edges)
+    edges[side] = EdgeGluing(LinearFunction(1.0, -1.0), edges[side].beta)
+    gp.gluing = GluingData(edges, gp.gluing.reports)
+    with pytest.raises(ValueError, match="alpha must be strictly positive"):
+        check_conformity(gp)
 
 
 def test_conformity_report_json_roundtrip():

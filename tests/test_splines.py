@@ -311,6 +311,27 @@ def test_multiply_random_pointwise(p, k, Z):
                      lambda: oracles.collocation_multiply(f, -0.7, 1.9))
 
 
+def test_product_weights_equal_the_blossoms_taken_one_at_a_time():
+    # the q blossoms with one argument left out, taken by one broadcast
+    # _de_boor call and summed over that axis, are those taken one at a time
+    # and summed in order, bit for bit
+    from asg1kit.splines import _BREAKPOINT_TOL, _de_boor, _refinement, knot_vector
+
+    for Z in (uniform_partition(7), uniform_partition(128), NONUNIFORM):
+        for p in range(1, 13):
+            for k in range(-1, p):
+                source, target = UniSplineSpace(p, k, Z), UniSplineSpace(p + 1, k, Z)
+                t, tau, m, q = knot_vector(source), knot_vector(target), target.dim, p + 1
+                x = tau[:m] + _BREAKPOINT_TOL
+                u = tau[np.arange(m)[:, None] + np.arange(1, q + 1)]
+                drops = [_de_boor(t, x, np.delete(u, i, axis=1)) for i in range(q)]
+                index, W1, Wx = _refinement(source, target)
+                assert np.array_equal(index, drops[0][0][:, None] + np.arange(p + 1))
+                assert np.array_equal(W1, sum(w for _, w in drops) / q), (p, k)
+                assert np.array_equal(
+                    Wx, sum(u[:, i, None] * w for i, (_, w) in enumerate(drops)) / q)
+
+
 @pytest.mark.parametrize("p,k", [(3, 1), (4, 2), (6, 4)])
 def test_eval_operator_matches_eval_spline(p, k):
     # every derivative order up to p+1, including the orders beyond k+1 whose
@@ -480,11 +501,11 @@ def test_embed_into_refined_partition():
 def test_cold_maps_allocate_no_dense_matrix():
     # a cold embedding of the degree-6 bubble and a cold product into
     # S_(6,4) on 128 elements (dim 261) stay banded.  The product, the larger
-    # of the two, keeps six (261, 6) weight rows, one per blossom argument
-    # left out, and makes per row its arguments, knot windows and a few
-    # recursion temporaries (each at most 261 x 10 doubles), then W1, Wx,
+    # of the two, runs its six recursions (one per blossom argument left out)
+    # as one: a (6, 261, 5) stack of arguments, (6, 261, 6) weights and a few
+    # recursion temporaries of at most (6, 261, 5) doubles, then W1, Wx,
     # their combination and the gathered coefficients (261 x 6 each): about
-    # 0.2 MB, below one dense 261 x 261 array of doubles (545 KB)
+    # 0.4 MB, below one dense 261 x 261 array of doubles (545 KB)
     import tracemalloc
 
     from asg1kit import splines
