@@ -25,6 +25,7 @@ side is exactly the extended data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -338,31 +339,20 @@ class ConformityReport:
 _C2_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _edge_sample(proj: TensorSpline, glue: EdgeGluing, j: int, t):
-    """The trace and the crossing derivative (`_crossing_orders`) of
-    ``proj`` at the points ``t`` of side ``j``, from one jet."""
-    f = proj.jet(*edge_coords(j, t), _C2_ORDERS[:3])
-    d = _crossing_orders(lambda m, n: f[m, n], j, t, glue.alpha, glue.beta)(0)
-    return f[0, 0], d
-
-
-def _physical_c2_data(patch: Patch, spline: TensorSpline, corner) -> np.ndarray:
-    """Value, physical gradient and physical Hessian (hxx, hxy, hyy) of
-    ``spline`` o G^{-1} at a parametric corner."""
-    x1 = np.asarray(corner[0])
-    x2 = np.asarray(corner[1])
-    jet = patch.gmap.jet(x1, x2, orders=_C2_ORDERS)
-    f = spline.jet(x1, x2, _C2_ORDERS)
-    grad, hess = inverse_chain_rule(jet, patch.gmap.zeros,
-                                    jacobian_det(jet, patch.gmap.zeros),
-                                    (f[1, 0], f[0, 1]),
-                                    [f[ab] for ab in _C2_ORDERS[3:]])
-    return np.array([f[0, 0], *grad, *hess], dtype=float)
-
-
 def check_conformity(gp: GlobalProjection) -> ConformityReport:
     """Sampled interface, vertex, and boundary conformity of a projection:
-    50 samples per edge."""
+    50 samples per side, from one pass per patch.
+
+    A patch's projection is read from one jet of orders `_C2_ORDERS` at the
+    samples of its four sides (edge parameter t on a left or boundary side,
+    `edge_parameter_map` of t on a right side) and at its four corners.  One
+    jet of the map at the corners gives the corner locations, by which the
+    vertices cluster, and with one `inverse_chain_rule` the physical C2 data
+    there.  The input on the patch's boundary sides comes from one pullback
+    jet up to (1, 1).  Each crossing derivative is `_crossing_orders` of the
+    rows of one side of a jet.  Scales come from one 9 x 9 grid jet per
+    patch on an interface.
+    """
     mp = gp.multipatch
     report = ConformityReport()
     t = np.linspace(0.0, 1.0, 50)
@@ -378,11 +368,40 @@ def check_conformity(gp: GlobalProjection) -> ConformityReport:
                 for side in (iface.left, iface.right)}
     scales = {i: patch_scales(gp.patches[i].spline) for i in involved}
 
+    boundary = mp.boundary_edges
+    params = dict.fromkeys(boundary, t)  # the samples of each side
+    for iface in mp.interfaces:
+        params[iface.left], params[iface.right] = t, edge_parameter_map(iface, t)
+
+    def points(i, sides, *extra):
+        """The samples of ``sides`` of patch i, then ``extra``, as (x1, x2)."""
+        return (np.concatenate(z) for z in zip(
+            *(edge_coords(j, params[i, j]) for j in sides), *extra))
+
+    def sample(jet, r, i, j):
+        """Trace and crossing derivative on side j of patch i, rows r of the
+        samples of a jet ``(m, n) -> values``."""
+        glue, rows = gp.gluing[i, j], slice(r * t.size, (r + 1) * t.size)
+        side = lambda m, n: jet(m, n)[rows]  # noqa: E731
+        return side(0, 0), _crossing_orders(side, j, params[i, j], glue.alpha,
+                                            glue.beta)(0)
+
+    corners = [np.array(x) for x in zip(*CORNERS.values())]
+    projected, entries = {}, []  # entries: (patch, corner, location, C2 data)
+    for i, patch in enumerate(mp.patches):
+        f = gp.patches[i].spline.jet(*points(i, (1, 2, 3, 4), corners), _C2_ORDERS)
+        for j in (1, 2, 3, 4):
+            projected[i, j] = sample(lambda m, n: f[m, n], j - 1, i, j)
+        fc = [f[ab][-len(CORNERS):] for ab in _C2_ORDERS]
+        g, zeros = patch.gmap.jet(*corners, orders=_C2_ORDERS), patch.gmap.zeros
+        grad, hess = inverse_chain_rule(g, zeros, jacobian_det(g, zeros), fc[1:3], fc[3:])
+        data = np.array([fc[0], *grad, *hess], dtype=float).T
+        for c, ell in enumerate(CORNERS):
+            entries.append((i, ell, tuple(float(x[c]) for x in g[0, 0]), data[c]))
+
     for iface in mp.interfaces:
         (i, j), (ii, jj) = iface.left, iface.right
-        s = edge_parameter_map(iface, t)
-        vl, dl = _edge_sample(gp.patches[i].spline, gp.gluing[i, j], j, t)
-        vr, dr = _edge_sample(gp.patches[ii].spline, gp.gluing[ii, jj], jj, s)
+        (vl, dl), (vr, dr) = projected[i, j], projected[ii, jj]
         value_jump = float(np.max(np.abs(vl - vr)))
         d_jump = float(np.max(np.abs(dl + dr)))
         vsl, gsl = scales[i]
@@ -393,13 +412,7 @@ def check_conformity(gp: GlobalProjection) -> ConformityReport:
         )
 
     # vertices: cluster patch corners by physical location
-    diam = mp.domain_diameter()
-    tol = 1e-7 * max(diam, 1e-300)
-    entries = []
-    for i, patch in enumerate(mp.patches):
-        for ell, corner in CORNERS.items():
-            pt = patch.gmap.point(np.asarray(corner[0]), np.asarray(corner[1]))
-            entries.append((i, ell, tuple(float(v) for v in np.asarray(pt))))
+    tol = 1e-7 * max(mp.domain_diameter(), 1e-300)
     clusters: list[list] = []
     for entry in entries:
         for cluster in clusters:
@@ -412,10 +425,7 @@ def check_conformity(gp: GlobalProjection) -> ConformityReport:
     for members in clusters:
         if len(members) < 2:
             continue
-        datas = np.array([
-            _physical_c2_data(mp.patches[i], gp.patches[i].spline, CORNERS[ell])
-            for i, ell, _ in members
-        ])
+        datas = np.array([m[3] for m in members])
         defect = float(np.max(np.abs(datas - datas[0])))
         scale = max(1.0, float(np.max(np.abs(datas))))
         report.vertices.append(
@@ -424,13 +434,15 @@ def check_conformity(gp: GlobalProjection) -> ConformityReport:
         )
 
     # boundary edges: record input and projected trace magnitudes; the input
-    # trace and crossing derivative come from one pullback jet up to (1, 1)
-    for (i, j) in mp.boundary_edges:
-        glue = gp.gluing[i, j]
-        ujet = pullback(gp.field, mp.patches[i].gmap).jet(*edge_coords(j, t), 1, 1)
-        value, d = _edge_sample(gp.patches[i].spline, glue, j, t)
-        sups = (ujet(0, 0), value,
-                _crossing_orders(ujet, j, t, glue.alpha, glue.beta)(0), d)
-        report.boundaries.append(
-            BoundaryConformity((i, j), *(float(np.max(np.abs(v))) for v in sups)))
+    # on all boundary sides of a patch comes from one pullback jet
+    for i, patch in enumerate(mp.patches):
+        sides = [j for j in (1, 2, 3, 4) if (i, j) in boundary]
+        if not sides:
+            continue
+        # cached: each order is evaluated once for all the patch's sides
+        ujet = functools.cache(pullback(gp.field, patch.gmap).jet(*points(i, sides), 1, 1))
+        for r, j in enumerate(sides):
+            (value, d), (pvalue, pd) = sample(ujet, r, i, j), projected[i, j]
+            report.boundaries.append(BoundaryConformity(
+                (i, j), *(float(np.max(np.abs(v))) for v in (value, pvalue, d, pd))))
     return report

@@ -457,6 +457,7 @@ class MultiPatch:
 
     def __post_init__(self):
         self._validate_topology()
+        self._diameter = self._measure_diameter()
         self._validate_conformity()
 
     # -- topology ------------------------------------------------------------
@@ -489,6 +490,11 @@ class MultiPatch:
     # -- geometric conformity ---------------------------------------------------
 
     def domain_diameter(self) -> float:
+        """The diagonal of the bounding box of a 5 x 5 parameter grid on
+        every patch, measured once, at construction."""
+        return self._diameter
+
+    def _measure_diameter(self) -> float:
         pts = []
         s = np.linspace(0.0, 1.0, 5)
         for patch in self.patches:

@@ -2,7 +2,10 @@
 
 Everything here is implemented from first principles (repeated knot
 insertion, de Casteljau evaluation, dense quadrature) so the checks do not
-share code paths with the library under test.
+share code paths with the library under test.  The exception is
+`check_conformity_per_side`, the conformity report evaluated side by side
+and corner by corner from the library's jets: it pins the points and the
+arithmetic of the report, not its evaluation.
 """
 
 import numpy as np
@@ -283,3 +286,104 @@ def edge_projector_P1(u, j, gluing, p, k, partition, P0, nq=None):
     f = pi_cross_functionals(p, k, partition, nq)
     data = f.data_vector(directional_edge_field(u, j, gluing.alpha, gluing.beta))
     return asg1.edge_projector_P1(f, f.coefficients(data), j, gluing, P0)
+
+
+# -- the conformity report, side by side --------------------------------------------
+
+_C2_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _edge_sample(proj, glue, j, t):
+    """The trace and the crossing derivative of ``proj`` at the points ``t``
+    of side ``j``, from one jet of the side."""
+    from asg1kit.fields import _crossing_orders
+    from asg1kit.geometry import edge_coords
+
+    f = proj.jet(*edge_coords(j, t), _C2_ORDERS[:3])
+    d = _crossing_orders(lambda m, n: f[m, n], j, t, glue.alpha, glue.beta)(0)
+    return f[0, 0], d
+
+
+def _physical_c2_data(patch, spline, corner):
+    """Value, physical gradient and physical Hessian (hxx, hxy, hyy) of
+    ``spline`` o G^{-1} at one parametric corner, from jets at that corner."""
+    from asg1kit.geometry import jacobian_det
+    from asg1kit.norms import inverse_chain_rule
+
+    x1, x2 = np.asarray(corner[0]), np.asarray(corner[1])
+    jet = patch.gmap.jet(x1, x2, orders=_C2_ORDERS)
+    f = spline.jet(x1, x2, _C2_ORDERS)
+    grad, hess = inverse_chain_rule(jet, patch.gmap.zeros,
+                                    jacobian_det(jet, patch.gmap.zeros),
+                                    (f[1, 0], f[0, 1]),
+                                    [f[ab] for ab in _C2_ORDERS[3:]])
+    return np.array([f[0, 0], *grad, *hess], dtype=float)
+
+
+def check_conformity_per_side(gp):
+    """The conformity report of ``gp`` side by side and corner by corner: a
+    projection jet per side sample, a map point and C2 data per corner, and
+    a pullback jet per boundary side.  `asg1.check_conformity` reads the
+    same points in one pass per patch and must give the same report."""
+    from asg1kit.asg1 import (BoundaryConformity, ConformityReport,
+                              InterfaceConformity, VertexConformity)
+    from asg1kit.fields import _crossing_orders, pullback
+    from asg1kit.geometry import CORNERS, edge_coords, edge_parameter_map
+
+    mp = gp.multipatch
+    report = ConformityReport()
+    t = np.linspace(0.0, 1.0, 50)
+    grid = np.linspace(0.0, 1.0, 9)
+
+    def patch_scales(f):
+        jet = f.jet(grid[:, None], grid[None, :], _C2_ORDERS[:3])
+        value, d1, d2 = (np.max(np.abs(v)) for v in jet.values())
+        return float(value), float(max(d1, d2))
+
+    involved = {side[0] for iface in mp.interfaces
+                for side in (iface.left, iface.right)}
+    scales = {i: patch_scales(gp.patches[i].spline) for i in involved}
+    for iface in mp.interfaces:
+        (i, j), (ii, jj) = iface.left, iface.right
+        s = edge_parameter_map(iface, t)
+        vl, dl = _edge_sample(gp.patches[i].spline, gp.gluing[i, j], j, t)
+        vr, dr = _edge_sample(gp.patches[ii].spline, gp.gluing[ii, jj], jj, s)
+        report.interfaces.append(InterfaceConformity(
+            (i, j), (ii, jj), float(np.max(np.abs(vl - vr))),
+            max(scales[i][0], scales[ii][0]), float(np.max(np.abs(dl + dr))),
+            max(scales[i][1], scales[ii][1])))
+
+    tol = 1e-7 * max(mp.domain_diameter(), 1e-300)
+    clusters = []
+    for i, patch in enumerate(mp.patches):
+        for ell, corner in CORNERS.items():
+            pt = patch.gmap.point(np.asarray(corner[0]), np.asarray(corner[1]))
+            entry = (i, ell, tuple(float(v) for v in np.asarray(pt)))
+            for cluster in clusters:
+                ref = cluster[0][2]
+                if np.hypot(entry[2][0] - ref[0], entry[2][1] - ref[1]) <= tol:
+                    cluster.append(entry)
+                    break
+            else:
+                clusters.append([entry])
+    for members in clusters:
+        if len(members) < 2:
+            continue
+        datas = np.array([
+            _physical_c2_data(mp.patches[i], gp.patches[i].spline, CORNERS[ell])
+            for i, ell, _ in members
+        ])
+        report.vertices.append(VertexConformity(
+            members[0][2], [(m[0], m[1]) for m in members],
+            float(np.max(np.abs(datas - datas[0]))),
+            max(1.0, float(np.max(np.abs(datas))))))
+
+    for (i, j) in mp.boundary_edges:
+        glue = gp.gluing[i, j]
+        ujet = pullback(gp.field, mp.patches[i].gmap).jet(*edge_coords(j, t), 1, 1)
+        value, d = _edge_sample(gp.patches[i].spline, glue, j, t)
+        sups = (ujet(0, 0), value,
+                _crossing_orders(ujet, j, t, glue.alpha, glue.beta)(0), d)
+        report.boundaries.append(
+            BoundaryConformity((i, j), *(float(np.max(np.abs(v))) for v in sups)))
+    return report

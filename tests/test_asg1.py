@@ -711,3 +711,98 @@ def test_conformity_single_patch_has_no_interfaces():
     rep = check_conformity(gp)
     assert rep.interfaces == []
     assert len(rep.boundaries) == 4
+
+
+def _conformity_layouts():
+    from perfbench.workloads import curved_two_patch, nurbs_square
+    from test_integration import valence4_square
+
+    from asg1kit.geometry import BUILTIN_GEOMETRIES
+
+    layouts = {name: (lambda name=name: builtin_geometry(name, 8))
+               for name in BUILTIN_GEOMETRIES}
+    for seed in (0, 1):
+        layouts[f"nurbs_square{seed}"] = lambda seed=seed: nurbs_square(8, seed)
+        layouts[f"curved_two_patch{seed}"] = lambda seed=seed: curved_two_patch(8, seed)
+    layouts.update(valence4=valence4_square,
+                   reversed=lambda: reversed_near_degenerate(8))
+    return layouts
+
+
+CONFORMITY_LAYOUTS = _conformity_layouts()
+
+
+@pytest.mark.parametrize("field", ["sinsin", "expxy"])
+@pytest.mark.parametrize("name", sorted(CONFORMITY_LAYOUTS))
+def test_conformity_pass_equals_per_side_oracle(name, field):
+    # the per-patch pass reads the same points as the side-by-side report
+    # and gives the same report, float for float (json.dumps writes each
+    # float's shortest round trip, so -0.0, nan and every last bit count)
+    import json
+
+    import oracles
+
+    mp = CONFORMITY_LAYOUTS[name]()
+    gp = global_project(mp, recover_all(mp), manufactured(field), 4, 2)
+    assert (json.dumps(check_conformity(gp).to_json())
+            == json.dumps(oracles.check_conformity_per_side(gp).to_json()))
+
+
+def test_check_conformity_evaluates_each_patch_once(monkeypatch):
+    # per patch one scattered projection jet (every side sample and corner)
+    # and one grid jet (the scales), one map jet (the corners) and, with a
+    # boundary side, one pullback bind; the domain diameter is measured once
+    # per multi-patch, when it is built
+    from collections import Counter
+
+    from asg1kit import asg1, fields
+    from asg1kit.geometry import MultiPatch, _TensorProductMap
+
+    calls, measured, binding = Counter(), Counter(), []
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key(*args)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    measure = MultiPatch._measure_diameter
+    monkeypatch.setattr(MultiPatch, "_measure_diameter",
+                        lambda mp: measured.update([id(mp)]) or measure(mp))
+    mp = builtin_geometry("three_patch_L", 8)
+    gp = global_project(mp, recover_all(mp), manufactured("sinsin"), 4, 2)
+
+    def counted_pullback(u, gmap):
+        out = fields.pullback(u, gmap)
+        bind = out._bind
+
+        def counted_bind(*args):
+            calls["pullback bind"] += 1
+            binding.append(True)
+            try:
+                return bind(*args)
+            finally:
+                binding.pop()
+
+        out._bind = counted_bind
+        return out
+
+    counted(TensorSpline, "jet", lambda f, x1, x2, orders: (
+        "grid jet" if np.ndim(x1) == 2 and np.shape(x1)[1] == 1 else "scattered jet"))
+    counted(_TensorProductMap, "jet",
+            lambda *args: "pullback map jet" if binding else "map jet")
+    monkeypatch.setattr(asg1, "pullback", counted_pullback)
+    check_conformity(gp)
+    with_boundary = {i for i, _ in mp.boundary_edges}
+    patches = len(mp.patches)
+    assert calls["scattered jet"] <= patches
+    assert calls["grid jet"] <= patches
+    assert calls["map jet"] <= patches
+    assert calls["pullback bind"] <= len(with_boundary)
+    assert calls["pullback map jet"] <= calls["pullback bind"]
+    assert set(calls) <= {"scattered jet", "grid jet", "map jet",
+                          "pullback bind", "pullback map jet"}
+    assert measured[id(mp)] == 1 and max(measured.values()) == 1
