@@ -16,7 +16,7 @@ from .geometry import (
     physical_mesh_size,
     save_geometry,
 )
-from .gluing import GluingData, fit_linear_gluing, recover_all, recover_gluing
+from .gluing import GluingData, recover_all, recover_gluing
 from .harness import StudyConfig, main, run_convergence, run_p_sweep
 from .norms import combine_tables, observed_order, physical_error_norms
 from .splines import Partition, UniSpline, UniSplineSpace, uniform_partition

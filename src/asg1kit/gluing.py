@@ -45,7 +45,6 @@ __all__ = [
     "GluingData",
     "interface_determinants",
     "recover_gluing",
-    "fit_linear_gluing",
     "recover_all",
     "g1_compatibility_residual",
 ]
@@ -229,64 +228,6 @@ def recover_gluing(mp: MultiPatch, iface: Interface, tol: float = 1e-10):
     left = EdgeGluing(aL, bL)
     right = EdgeGluing(_to_right_parameter(aR, iface), _to_right_parameter(bR, iface))
     return left, right, report
-
-
-def fit_linear_gluing(mp: MultiPatch, iface: Interface, lam_beta: float = 1e-6):
-    """Interpolatory linear gluing data for general (non-AS-G1) interfaces.
-
-    The alphas interpolate the endpoint values of D1 and D2; the betas solve
-    the regularized least-squares problem for the D3 constraint with its two
-    endpoint values imposed exactly.  This construction does not reproduce
-    normalized gluing data when the interface happens to be AS-G1.
-    """
-    ends = np.array([0.0, 1.0])
-    D1e, D2e, D3e = interface_determinants(mp, iface, ends)
-    _require_positive(iface, D1e, D2e)
-    aL = LinearFunction.from_endpoints(D1e[0], D1e[1])
-    aR = LinearFunction.from_endpoints(D2e[0], D2e[1])
-
-    xg, wg = np.polynomial.legendre.leggauss(32)
-    xi = 0.5 * (xg + 1.0)
-    w = 0.5 * wg
-    D1, D2, D3 = interface_determinants(mp, iface, xi)
-    phi = np.stack([1.0 - xi, xi], axis=1)
-    # combined function q = alpha_L * beta_R + alpha_R * beta_L, unknowns
-    # x = (bL0, bL1, bR0, bR1) in endpoint form
-    Psi = np.hstack([aR(xi)[:, None] * phi, aL(xi)[:, None] * phi])
-    H = Psi.T @ (w[:, None] * Psi)
-    g = Psi.T @ (w * D3)
-    gram_phi = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
-    R = np.zeros((4, 4))
-    R[:2, :2] = gram_phi
-    R[2:, 2:] = gram_phi
-    # constraints q(0) = D3(0), q(1) = D3(1)
-    C = np.array([
-        [aR(0.0), 0.0, aL(0.0), 0.0],
-        [0.0, aR(1.0), 0.0, aL(1.0)],
-    ])
-    d = np.array([D3e[0], D3e[1]])
-    kkt = np.zeros((6, 6))
-    kkt[:4, :4] = 2.0 * (H + lam_beta * R)
-    kkt[:4, 4:] = C.T
-    kkt[4:, :4] = C
-    rhs = np.concatenate([2.0 * g, d])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "constrained gluing fit is singular (degenerate determinants)"
-        ) from exc
-    bL_fit = sol[:2]
-    bR_fit = sol[2:4]
-    obj_data = float(np.sum(w * (Psi @ sol[:4] - D3) ** 2))
-    obj = obj_data + lam_beta * float(sol[:4] @ (R @ sol[:4]))
-    # The combined constraint orients beta_R with +D3 and beta_L with -D3
-    # (the same convention as recover_gluing), so the left side flips sign.
-    bL = LinearFunction.from_endpoints(-bL_fit[0], -bL_fit[1])
-    bR = LinearFunction.from_endpoints(bR_fit[0], bR_fit[1])
-    left = EdgeGluing(aL, bL)
-    right = EdgeGluing(_to_right_parameter(aR, iface), _to_right_parameter(bR, iface))
-    return left, right, {"objective": obj, "data_misfit": obj_data}
 
 
 def recover_all(mp: MultiPatch, tol: float = 1e-10) -> GluingData:

@@ -32,7 +32,7 @@ from .geometry import (
     load_geometry,
     physical_mesh_size,
 )
-from .gluing import fit_linear_gluing, g1_compatibility_residual, recover_all
+from .gluing import g1_compatibility_residual, recover_all
 from .norms import combine_tables, observed_order, physical_error_norms
 from .ritz1d import bubble_breakpoints
 from .splines import QuadratureError, uniform_partition
@@ -135,10 +135,12 @@ def _study(cfg: StudyConfig, levels, rates: bool) -> StudyResult:
     with ``rates``, their observed orders against the previous row's."""
     result = StudyResult(cfg)
     prev = None
+    # the norms take two nodes more than the projector's rule, as by default
+    nq = None if cfg.nq is None else cfg.nq + 2
     for level, gp in enumerate(_projections(cfg, levels)):
         mp = gp.multipatch
         total = combine_tables([
-            physical_error_norms(patch, gp.field, proj.spline, nq=cfg.nq)
+            physical_error_norms(patch, gp.field, proj.spline, nq=nq)
             for patch, proj in zip(mp.patches, gp.patches)
         ])
         errors = [total.norms[t] for t in (0, 1, 2)]
@@ -187,37 +189,27 @@ def _cmd_list_geometries(args) -> int:
 def _cmd_gluing(args) -> int:
     mp = resolve_geometry(args.geometry, args.n)
     entries = []
-    certified = True
-    glue = None if args.fit_linear else recover_all(mp, args.tol)
+    glue = recover_all(mp, args.tol)
     for iface in mp.interfaces:
-        entry = {"left": list(iface.left), "right": list(iface.right)}
-        if args.fit_linear:
-            left, right, diag = fit_linear_gluing(mp, iface, args.lam_beta)
-            entry |= {
-                "solver": "fit-linear",
-                "objective": diag["objective"],
-                "data_misfit": diag["data_misfit"],
-            }
-        else:
-            left = glue[iface.left]
-            right = glue[iface.right]
-            report = next(r for r in glue.reports if r.interface == iface)
-            certified &= report.passed
-            entry |= {
-                "solver": "recover",
-                "residual_alpha": report.residual_alpha,
-                "residual_beta": report.residual_beta,
-                "normalization_min": report.normalization_min,
-                "passed": report.passed,
-                "g1_residual": g1_compatibility_residual(mp, iface, left, right),
-            }
+        left = glue[iface.left]
+        right = glue[iface.right]
+        report = next(r for r in glue.reports if r.interface == iface)
+        entry = {
+            "left": list(iface.left), "right": list(iface.right),
+            "solver": "recover",
+            "residual_alpha": report.residual_alpha,
+            "residual_beta": report.residual_beta,
+            "normalization_min": report.normalization_min,
+            "passed": report.passed,
+            "g1_residual": g1_compatibility_residual(mp, iface, left, right),
+        }
         for name in ("alpha", "beta"):
             entry[name] = {"left": list(getattr(left, name).endpoints()),
                            "right": list(getattr(right, name).endpoints())}
         entries.append(entry)
-    data = {"interfaces": entries, "certified": certified}
+    data = {"interfaces": entries, "certified": glue.certified}
     _write_output(json.dumps(data, indent=2) + "\n", args.out)
-    return 0 if certified else 1
+    return 0 if glue.certified else 1
 
 
 def _config(args, **fields) -> StudyConfig:
@@ -295,11 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gluing", help="interface gluing data and residuals")
     _add_common(sp, projecting=False)
-    sp.add_argument("--fit-linear", action="store_true",
-                    help="use the interpolatory fit instead of normalized "
-                         "recovery")
-    sp.add_argument("--lam-beta", type=float, default=1e-6,
-                    help="regularization weight of the fit")
     sp.set_defaults(func=_cmd_gluing)
 
     for name, help_text in (

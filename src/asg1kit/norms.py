@@ -9,33 +9,43 @@ Jacobian transpose, the Hessian with the second-order geometry correction
 The quadrature sums run over chunks of whole x2 elements and, in each, over
 blocks of whole x1 elements, each block at most ``_BLOCK_POINTS`` points of
 the tensor grid unless one element row is more.  The x2 axis of the
-approximation and of the geometry is contracted once per chunk
-(`TensorSpline.bind_x2`, ``gmap.bind_x2``); a chunk is as wide as keeps each
-bound order of the approximation within ``_CHUNK_BLOCKS`` blocks, so coarse
-meshes bind the whole axis at once and the bindings of fine ones do not grow
-with the mesh, and one chunk's bindings are released before the next binds.
-Each block takes one geometry jet, one bound jet of the target and the six
-orders of the approximation from the coefficient rows its x1 elements touch.
-Geometry jet components keep the broadcast shapes of the axes they depend on
-(see `geometry`), and so do the mapped points at which the target is
-evaluated, det G, 1/det and the entries of J^{-1} and of their products;
-only the integrands that meet the approximation span the block's grid.
+approximation (`splines.tensor_bind_x2_products`) and of the geometry is
+contracted once per chunk; a chunk is as wide as keeps each bound order of
+the approximation within ``_CHUNK_BLOCKS`` blocks, so coarse meshes bind the
+whole axis at once and the bindings of fine ones do not grow with the mesh,
+and one chunk's bindings are released before the next binds.  The x1 rows of
+each block (`band_rows`, orders 0..2) are made once per patch and serve
+every chunk; dense over the columns a block spans, they take about
+6 (p - k)^2 n^2 bytes on a chunked n x n mesh, three quarters of the
+approximation's coefficient array.  Each block forms one GEMM per order of
+the approximation.  The weights stay separable: no weight grid is built.
 
-The weights stay separable: no weight grid is built.  det G is folded into
-the x2 weights where it depends on x2 at most (every axis-aligned or affine
-patch) and into the x1 weights where it depends on x1 alone, so each sum is
-w1 @ (E @ w2), one GEMV over the squared error E; only where det depends on
-both axes (curved spline and NURBS patches) is w1 w2 det formed, once per
-block.
+An affine map (a bilinear parallelogram: every built-in patch but the right
+one of ``two_patch_skew``, `_affine_jet`) has constant first orders and zero
+second ones, so det G and J^{-1} are numbers of the patch and hess G drops
+out.  det G <= 0 is one comparison, det joins the x2 weights once, and the
+chain rule's coefficients (`_chain_forms`) are formed once, so a block
+evaluates the map only at its points (order (0, 0)) and the target there,
+and forms the physical derivatives of each order t from the parametric
+ones, in place where no other derivative reads them (on an axis-aligned
+patch each is its parametric order, scaled unless the scale is 1), before
+it forms those of order t + 1.  The results are those of the per-point path
+bit for bit: it folds a constant det into the x2 weights and forms the same
+coefficients.
 
-The block owns the six orders of the approximation (fresh GEMM outputs or
-zero arrays), and the chain rule writes each physical derivative in place
-into the array of the first order it reads, unless a later derivative reads
-that order too (`_chain_rule`): on an axis-aligned patch each order feeds
-one derivative and the chain rule forms no full-grid array; only where one
-feeds two (a patch whose Jacobian has no exact zero) is a fresh one formed.
-Each error is then formed in place, one subtraction and one square per
-order, in that array, never in an array of a target or geometry jet, which
+Other maps (bilinear non-parallelograms, spline and NURBS patches) take the
+per-point path (`_squared_errors`): per block one geometry jet of the six
+orders and one target jet.  Jet components keep the broadcast shapes of the
+axes they depend on (see `geometry`), and so do the mapped points, det G,
+1/det and the entries of J^{-1} and of their products; only the integrands
+that meet the approximation span the block's grid.  det G is folded into
+the weights of the axes it depends on, so where it depends on one axis or
+none each sum is one GEMV over the squared error.  The chain rule
+(`_chain_rule`) writes each physical derivative in place into the block's
+array of the first parametric order it reads, unless a later derivative
+reads that order too, where it forms a fresh one.  On both paths each error
+is formed in place, one subtraction and one square per derivative, in the
+block's own array, never in an array of a target or geometry jet, which
 caches share.
 """
 
@@ -48,16 +58,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField2D
-from .geometry import (GeometryError, Patch, _add, _fold, _mul, jacobian_det,
-                       jet_component)
+from .geometry import (GeometryError, NurbsMap, Patch, _add, _fold, _mul,
+                       jacobian_det, jet_component)
 from .ritz1d import default_quadrature_nodes
-from .splines import _BLOCK_POINTS, gauss_rule
+from .splines import _BLOCK_POINTS, band_rows, gauss_rule, tensor_bind_x2_products
 from .tensor import TensorSpline
 
 __all__ = ["ErrorTable", "physical_error_norms", "combine_tables", "observed_order",
            "inverse_chain_rule"]
 
 _ORDERS = {0: ((0, 0),), 1: ((1, 0), (0, 1)), 2: ((2, 0), (1, 1), (0, 2))}
+# the six orders of a jet up to total degree 2, by t
+_JET = tuple(ab for t in range(3) for ab in _ORDERS[t])
 
 # The most blocks of points that one x2-bound order of the approximation
 # spans.  With the default nodes, C^(p-2) spaces of degree up to 10 on meshes
@@ -89,20 +101,26 @@ def _chain_rule(jet, zeros, det, grad, hess):
     too (`_forms`), so on an axis-aligned patch every derivative is written
     in place."""
     comp = functools.partial(jet_component, jet, zeros)
-    inv_det = 1.0 / det
-    # B = J^{-1} = adj(J) / det with J = [d1 | d2] columns
-    b11, b12 = _mul(inv_det, comp((0, 1), 1)), _mul(-inv_det, comp((0, 1), 0))
-    b21, b22 = _mul(-inv_det, comp((1, 0), 1)), _mul(inv_det, comp((1, 0), 0))
-    # the physical gradient is B^T times the parametric one
-    gx, gy = _forms([[[(b11,)], [(b21,)]], [[(b12,)], [(b22,)]]], grad)
+    grad_forms, hess_forms = _chain_forms(comp, det)
+    gx, gy = _forms(grad_forms, grad)
     a = [h if s is None else _fold(operator.isub, h, s) for h, s in zip(hess, (
         _add(_mul(gx, comp(ab, 0)), _mul(gy, comp(ab, 1))) for ab in _ORDERS[2]))]
-    # H_phys = B^T A B, each entry a form in (a11, a12, a22) whose
-    # coefficients are sums of products of B entries
-    return (gx, gy), _forms([
-        [[(b11, b11)], [(2.0, b11, b21)], [(b21, b21)]],
-        [[(b11, b12)], [(b11, b22), (b21, b12)], [(b21, b22)]],
-        [[(b12, b12)], [(2.0, b12, b22)], [(b22, b22)]]], a)
+    return (gx, gy), _forms(hess_forms, a)
+
+
+def _chain_forms(comp, det):
+    """The coefficients of the physical gradient, B^T times the parametric
+    one, as forms in (d1 f, d2 f), and of the physical Hessian B^T A B as
+    forms in (a11, a12, a22) (`_forms`), with B = J^{-1} = adj(J) / det and
+    J = [d1 G | d2 G]; ``comp(ab, c)`` is a component of the map jet, None
+    for a zero."""
+    inv_det = 1.0 / det
+    b11, b12 = _mul(inv_det, comp((0, 1), 1)), _mul(-inv_det, comp((0, 1), 0))
+    b21, b22 = _mul(-inv_det, comp((1, 0), 1)), _mul(inv_det, comp((1, 0), 0))
+    return ([[[(b11,)], [(b21,)]], [[(b12,)], [(b22,)]]],
+            [[[(b11, b11)], [(2.0, b11, b21)], [(b21, b21)]],
+             [[(b11, b12)], [(b11, b22), (b21, b12)], [(b21, b22)]],
+             [[(b12, b12)], [(2.0, b12, b22)], [(b22, b22)]]])
 
 
 def _forms(coefs, xs):
@@ -112,24 +130,55 @@ def _forms(coefs, xs):
     coefficients left with none; a form without terms is None.  Each
     coefficient is formed when its term is, and a form is written in place
     into its first term's input where no later form reads that input, into a
-    fresh array otherwise."""
-    coefs = [[[p for p in c if all(f is not None for f in p)] for c in row]
-             for row in coefs]
+    fresh array otherwise (`_formed` of the `_terms`)."""
+    return _formed(_terms(coefs), xs)
+
+
+def _terms(coefs):
+    """The terms of the forms ``coefs`` (`_forms`), row by row, as ``(j,
+    products, shared)``: the products of coefficient j without a None factor
+    (a term has one at least), and whether a later row reads input j."""
+    kept = [[[p for p in c if all(f is not None for f in p)] for c in row]
+            for row in coefs]
+    return [[(j, c, any(later[j] for later in kept[k + 1:]))
+             for j, c in enumerate(row) if c] for k, row in enumerate(kept)]
+
+
+def _formed(terms, xs):
+    """The forms of ``terms`` (`_terms`) in the inputs ``xs``, as `_forms`
+    writes them; a first term whose coefficient is the number 1.0 (on an
+    affine map, `_affine_jet`) leaves its input as it is."""
     out = []
-    for k, row in enumerate(coefs):
+    for row in terms:
         acc = None
-        for j, c in enumerate(row):
-            if not c:
-                continue
+        for j, products, shared in row:
             c = functools.reduce(operator.add, [functools.reduce(operator.mul, p)
-                                                for p in c])
-            if acc is None:
-                shared = any(later[j] for later in coefs[k + 1:])
-                acc = xs[j] * c if shared else _fold(operator.imul, xs[j], c)
-            else:
+                                                for p in products])
+            if acc is not None:
                 acc = _fold(operator.iadd, acc, xs[j] * c)
+            elif shared:
+                acc = xs[j] * c
+            elif isinstance(c, float) and c == 1.0:
+                acc = xs[j]
+            else:
+                acc = _fold(operator.imul, xs[j], c)
         out.append(acc)
     return tuple(out)
+
+
+def _affine_jet(gmap):
+    """The orders (1, 0) and (0, 1) of G, one number per component, where G
+    is affine, else None.  G is affine when both orders are constant in both
+    components and no order of total degree 2 is nonzero (`_dependence`); a
+    rational map's dependence describes its homogeneous coefficients, so it
+    never counts."""
+    if isinstance(gmap, NurbsMap):
+        return None
+    deps = gmap._dependence
+    if any(v is None for ab in _ORDERS[1] for _, _, v in deps[ab]) or any(
+            v != 0.0 for ab in _ORDERS[2] for _, _, v in deps.get(ab, ())):
+        return None
+    return {ab: tuple(v for _, _, v in deps[ab]) for ab in _ORDERS[1]}
 
 
 @dataclass
@@ -166,25 +215,53 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
         ) + 2
     x1, w1 = gauss_rule(patch.partitions[0], nq)
     x2, w2 = gauss_rule(patch.partitions[1], nq)
-    orders = [ab for t in range(3) for ab in _ORDERS[t]]
+    spaces = (f_h.space.space1, f_h.space.space2)
+    gmap = patch.gmap
     # chunks of whole x2 elements, as few as keep each bound order of f_h
     # (dim1 rows) within _CHUNK_BLOCKS blocks
-    chunks = -(-f_h.space.space1.dim * len(x2) // (_CHUNK_BLOCKS * _BLOCK_POINTS))
+    chunks = -(-spaces[0].dim * len(x2) // (_CHUNK_BLOCKS * _BLOCK_POINTS))
     cols = nq * -(-patch.partitions[1].n_elements // chunks)
-    # blocks of whole x1 elements (nq nodes each), at least one per block
+    affine = _affine_jet(gmap)
+    if affine is not None:
+        # det G and the chain rule's coefficients are numbers of the patch;
+        # det joins the x2 weights, where the per-point path folds a constant
+        det = jacobian_det(affine, gmap.zeros)
+        if det <= 0.0:
+            raise _folded(det, x1[0], x2[0])
+        w2 = w2 * det
+        terms = [_terms(forms) for forms in _chain_forms(
+            functools.partial(jet_component, affine, gmap.zeros), det)]
+    # blocks of whole x1 elements (nq nodes each), at least one per block,
+    # each with the x1 rows of f_h's orders 0..2, made once for every chunk
     rows = nq * max(1, _BLOCK_POINTS // (nq * cols))
+    blocks = [(slice(i, i + rows), [band_rows(spaces[0], x1[i:i + rows], a)
+                                    for a in range(3)])
+              for i in range(0, len(x1), rows)]
     sums = np.zeros(3)
     for lo in range(0, len(x2), cols):
         chunk = slice(lo, lo + cols)
-        # the six orders of f_h and of the geometry, x2 contracted once each
-        fjet = f_h.bind_x2(x2[chunk], orders)
-        gjet = patch.gmap.bind_x2(x2[chunk], orders)
-        for start in range(0, len(x1), rows):
-            block = slice(start, start + rows)
-            sums += _squared_errors(gjet, patch.gmap.zeros, u, fjet, x1[block],
-                                    x2[chunk], w1[block], w2[chunk])
-        del fjet, gjet  # so that two chunks' bindings are never alive at once
+        # f_h's x2 orders 0..2, contracted once each, and the map's
+        product = tensor_bind_x2_products(spaces, f_h.coefficients, x2[chunk], range(3))
+        gjet = gmap.bind_x2(x2[chunk], _JET if affine is None else [(0, 0)])
+        for block, x1_rows in blocks:
+            def fjet(ab, x1_rows=x1_rows):  # f_h's order ab, an array the block owns
+                return product(ab[1], x1_rows[ab[0]])
+
+            if affine is None:
+                sums += _squared_errors(gjet, gmap.zeros, u, {ab: fjet(ab) for ab in _JET},
+                                        x1[block], x2[chunk], w1[block], w2[chunk])
+            else:
+                sums += _affine_squared_errors(terms, u, fjet, gjet(x1[block])[0, 0],
+                                               w1[block], w2[chunk])
+        del product, gjet  # so that two chunks' bindings are never alive at once
     return ErrorTable({t: float(v) for t, v in enumerate(np.sqrt(sums))})
+
+
+def _folded(det, x, y) -> GeometryError:
+    return GeometryError(
+        f"non-positive Jacobian determinant {det:.3e} at quadrature "
+        f"point ({x:.6f}, {y:.6f})"
+    )
 
 
 def _weighted_sum(w1, w2, det):
@@ -210,11 +287,29 @@ def _squared(approx, target):
     return approx
 
 
-def _squared_errors(g_bound, zeros, u: ScalarField2D, f_bound, x1, x2, w1, w2) -> tuple:
+def _affine_squared_errors(terms, u: ScalarField2D, fjet, points, w1, w2) -> tuple:
+    """The sums of w1 w2 |d^t error|^2 for t = 0, 1, 2 on a block of an
+    affine patch, det G folded into ``w2``: f_h's orders ``fjet(ab)`` are
+    formed, and the physical ones from them by the chain rule's constant
+    ``terms`` (`_terms` of `_chain_forms`), one order t at a time; the target
+    is evaluated at the mapped ``points``."""
+    ujet = u.jet(*points, 2, 2)
+
+    def weighted_sum(E):
+        return w1 @ (E @ w2)
+
+    l2 = weighted_sum(_squared(fjet((0, 0)), ujet(0, 0)))
+    grad = _formed(terms[0], [fjet(ab) for ab in _ORDERS[1]])
+    h1 = _gradient_sum(grad, ujet, weighted_sum)
+    hess = _formed(terms[1], [fjet(ab) for ab in _ORDERS[2]])
+    return l2, h1, _hessian_sum(hess, ujet, weighted_sum)
+
+
+def _squared_errors(g_bound, zeros, u: ScalarField2D, fjet, x1, x2, w1, w2) -> tuple:
     """The sums of w1 w2 det |d^t error|^2 for t = 0, 1, 2 on the tensor grid
-    x1 (x) x2 with weights w1 (x) w2; ``g_bound`` and ``f_bound`` are the
-    geometry and the approximation with x2 bound, ``zeros`` the geometry's
-    exact-zero components."""
+    x1 (x) x2 with weights w1 (x) w2; ``g_bound`` is the geometry with x2
+    bound, ``zeros`` its exact-zero components and ``fjet`` the six orders
+    of f_h on the grid, arrays the block owns."""
     # one geometry jet of the six orders on the grid; absent orders are zero
     jet = g_bound(x1)
     det = jacobian_det(jet, zeros)
@@ -222,26 +317,38 @@ def _squared_errors(g_bound, zeros, u: ScalarField2D, f_bound, x1, x2, w1, w2) -
         # det has the shape of the axes it depends on; locate on the grid
         det = np.broadcast_to(det, (len(x1), len(x2)))
         i, j = np.unravel_index(np.argmin(det), det.shape)
-        raise GeometryError(
-            f"non-positive Jacobian determinant {det[i, j]:.3e} at quadrature "
-            f"point ({x1[i]:.6f}, {x2[j]:.6f})"
-        )
+        raise _folded(det[i, j], x1[i], x2[j])
     weighted_sum = _weighted_sum(w1, w2, det)
     ujet = u.jet(*jet[0, 0], 2, 2)
-    fjet = f_bound(x1)
 
     l2 = weighted_sum(_squared(fjet.pop((0, 0)), ujet(0, 0)))
     # the block owns f_h's orders: the chain rule writes into them
-    (gx, gy), (hxx, hxy, hyy) = _chain_rule(
+    grad, hess = _chain_rule(
         jet, zeros, det, (fjet[1, 0], fjet[0, 1]), [fjet[ab] for ab in _ORDERS[2]])
+    return (l2, _gradient_sum(grad, ujet, weighted_sum),
+            _hessian_sum(hess, ujet, weighted_sum))
+
+
+def _gradient_sum(grad, ujet, weighted_sum):
+    """The weighted sum of |d^1 error|^2 from the physical gradient of f_h,
+    arrays the block owns, which it overwrites."""
+    gx, gy = grad
     e1 = _squared(gx, ujet(1, 0))
     e1 += _squared(gy, ujet(0, 1))
+    return weighted_sum(e1)
+
+
+def _hessian_sum(hess, ujet, weighted_sum):
+    """The weighted sum of |d^2 error|^2 from the physical Hessian of f_h,
+    arrays the block owns, which it overwrites; the mixed entry counts
+    twice."""
+    hxx, hxy, hyy = hess
     e2 = _squared(hxx, ujet(2, 0))
     exy = _squared(hxy, ujet(1, 1))
     exy *= 2.0
     e2 += exy
     e2 += _squared(hyy, ujet(0, 2))
-    return l2, weighted_sum(e1), weighted_sum(e2)
+    return weighted_sum(e2)
 
 
 def combine_tables(tables) -> ErrorTable:

@@ -13,7 +13,8 @@ matrix is needed (endpoint rows).  Every tensor-product object
 bases, `tensor_jet`, which contracts the x2 bands first and the x1 bands
 second; on grids (`tensor_bind_x2`) one small product per run of x2 points
 that share a band start, then one GEMM per order of a block's x1 bands over
-only the columns they span.
+only the columns they span (`band_rows`); `tensor_bind_x2_products` takes a
+caller's own x1 rows, so that a caller can keep them for several x2 rows.
 Differentiation and antidifferentiation are exact coefficient maps along any
 axis of a coefficient array, `differentiate` (scaled differences) and
 `integrate` (its cumulative-sum inverse), and have no other form.  Every
@@ -53,7 +54,9 @@ __all__ = [
     "gauss_rule",
     "eval_operator",
     "QuadratureError",
+    "band_rows",
     "tensor_bind_x2",
+    "tensor_bind_x2_products",
     "tensor_jet",
 ]
 
@@ -369,29 +372,52 @@ def eval_operator(space: UniSplineSpace, x: np.ndarray, d: int = 0) -> np.ndarra
     return _dense(first, rows, space.dim).reshape(shape + (space.dim,))
 
 
+def band_rows(space: UniSplineSpace, x, d: int):
+    """``(lo, B)``: the basis rows of order ``d`` at the points ``x`` over
+    only the columns that their bands span, B[n, j] the value of basis
+    function lo + j at the n-th point (zeros above the degree)."""
+    _, (first, rows) = _band_at(space, np.ravel(x), d)
+    lo, hi = (first.min(), first.max() + rows.shape[1]) if first.size else (0, 0)
+    return lo, _dense(first - lo, rows, hi - lo)
+
+
 def tensor_bind_x2(spaces, coef: np.ndarray, x2, orders):
-    """Step 1 of `tensor_jet`: ``coef`` times the x2 bands, each bound order
-    a (dim1, k N2) array for k components, a coefficient row i holding its
-    k x2 rows side by side.  Each run of points that share a band start (the
-    Gauss points of one element) is one product of the p2+1 coefficient
-    columns of that band with the run's band values; consecutive runs of one
-    length are one batched matmul over their gathered columns, for every x2
-    order and component, so each component takes the same BLAS call as when
-    bound alone.  No dense (N2, dim2) basis rows are built.
-    Returns step 2, ``x1 -> {(a, b): d1^a d2^b}`` on the grid x1 (x) x2 for
-    the orders within the degrees: one GEMM per order of the x1 bands, as
-    rows over only columns min(first)..max(first)+p, with the contiguous
-    slab of bound rows they span.  Each result, shape (len(x1), len(x2)) +
-    components, is a transposed view of that GEMM's output whose component
-    slices are contiguous along x2.
-    """
+    """Both steps of `tensor_jet` on grids: `tensor_bind_x2_products` of
+    ``x2`` for the orders within the degrees, then step 2, ``x1 -> {(a, b):
+    d1^a d2^b}`` on the grid x1 (x) x2: one GEMM per order of the x1 bands,
+    as `band_rows`, with the contiguous slab of bound rows they span."""
     space1, space2 = spaces
     orders = [(a, b) for a, b in orders
               if a <= space1.degree and b <= space2.degree]
+    products = tensor_bind_x2_products(spaces, coef, x2, {b for _, b in orders})
+
+    def block(x1) -> dict:
+        rows = {a: band_rows(space1, x1, a) for a in sorted({a for a, _ in orders})}
+        return {(a, b): products(b, rows[a]) for a, b in orders}
+
+    return block
+
+
+def tensor_bind_x2_products(spaces, coef: np.ndarray, x2, x2_orders):
+    """Step 1 of `tensor_jet`: ``coef`` times the x2 bands of each order in
+    ``x2_orders``, each bound order a (dim1, k N2) array for k components, a
+    coefficient row i holding its k x2 rows side by side.  Each run of
+    points that share a band start (the Gauss points of one element) is one
+    product of the p2+1 coefficient columns of that band with the run's band
+    values; consecutive runs of one length are one batched matmul over their
+    gathered columns, for every x2 order and component, so each component
+    takes the same BLAS call as when bound alone.  No dense (N2, dim2) basis
+    rows are built.
+    Returns ``(b, (lo, B)) -> B @ bound[b][lo:lo + width]`` for x1 rows
+    ``(lo, B)`` of `band_rows`: one GEMM, whose output, shape (len(B),
+    len(x2)) + components, is a transposed view with each component slice
+    contiguous along x2.
+    """
+    space1, space2 = spaces
     x2, comps, k = np.ravel(x2), coef.shape[2:], coef[0, 0].size
     # bound[b][i, c N2 + n] = sum_r coef[i, f[n] + r, c] B2^(b)[n, f[n] + r]
     ck = np.ascontiguousarray(coef.reshape(coef.shape[:2] + (k,)).transpose(2, 0, 1))
-    dim1, xb, w = space1.dim, sorted({b for _, b in orders}), space2.degree + 1
+    dim1, xb, w = space1.dim, sorted(x2_orders), space2.degree + 1
     bands = [_band_at(space2, x2, b)[1] for b in xb]
     # rows[o, r, n]: value r of the band of order xb[o] at point n
     rows = np.stack([r.T for _, r in bands]) if bands else np.zeros((0, w, 0))
@@ -416,18 +442,13 @@ def tensor_bind_x2(spaces, coef: np.ndarray, x2, orders):
         lo = hi
     bound = {b: v.reshape(dim1, k * len(x2)) for b, v in zip(xb, bound)}
 
-    def block(x1) -> dict:
-        out = {}
-        for a in sorted({a for a, _ in orders}):
-            _, (first, rows) = _band_at(space1, np.ravel(x1), a)
-            lo, hi = (first.min(), first.max() + rows.shape[1]) if first.size else (0, 0)
-            B = _dense(first - lo, rows, hi - lo)
-            for b in (b for aa, b in orders if aa == a):
-                v = (B @ bound[b][lo:hi]).reshape(len(B), k, len(x2))
-                out[a, b] = v.transpose(0, 2, 1).reshape((len(B), len(x2)) + comps)
-        return out
+    def products(b, x1_rows) -> np.ndarray:
+        lo, B = x1_rows
+        v = B @ bound[b][lo:lo + B.shape[1]]
+        return v.reshape(len(B), k, len(x2)).transpose(0, 2, 1).reshape(
+            (len(B), len(x2)) + comps)
 
-    return block
+    return products
 
 
 def tensor_jet(spaces, coef: np.ndarray, x1, x2, orders) -> dict:

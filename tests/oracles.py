@@ -5,7 +5,12 @@ insertion, de Casteljau evaluation, dense quadrature) so the checks do not
 share code paths with the library under test.  The exception is
 `check_conformity_per_side`, the conformity report evaluated side by side
 and corner by corner from the library's jets: it pins the points and the
-arithmetic of the report, not its evaluation.
+arithmetic of the report, not its evaluation.  `full_grid_norms` likewise
+evaluates the approximation and the map through the library, on the whole
+quadrature grid, but forms the physical derivatives, the weights and the
+sums on its own.  `per_point_norms` is the blocked loop of the error norms
+with every map on the per-point path: it pins the bits of the affine path
+and of the reuse of x1 rows, not the chain rule.
 """
 
 import numpy as np
@@ -387,3 +392,67 @@ def check_conformity_per_side(gp):
         report.boundaries.append(
             BoundaryConformity((i, j), *(float(np.max(np.abs(v))) for v in sups)))
     return report
+
+
+def full_grid_norms(patch, u, f, nq):
+    """The H^0..H^2 error seminorms from integrands on the whole quadrature
+    grid, with the inverse chain rule through explicit 2 x 2 inverses."""
+    from asg1kit.splines import gauss_rule
+    from asg1kit.tensor import eval_tensor_grid
+
+    x1, w1 = gauss_rule(patch.partitions[0], nq)
+    x2, w2 = gauss_rule(patch.partitions[1], nq)
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+
+    def fh(a=0, b=0):
+        return eval_tensor_grid(f, x1, x2, a, b)
+
+    g = patch.gmap
+    P = g.derivative(X1, X2)
+    J = np.stack([g.derivative(X1, X2, 1, 0), g.derivative(X1, X2, 0, 1)], axis=-1)
+    Jinv = np.linalg.inv(J)
+    W = np.outer(w1, w2) * np.linalg.det(J)
+    # physical gradient J^{-T} grad_param
+    grad = np.einsum("...ji,...j->...i", Jinv,
+                     np.stack([fh(1, 0), fh(0, 1)], axis=-1))
+    # physical Hessian J^{-T} (H_param - sum_c grad_c hess(G_c)) J^{-1}
+    G = {ab: g.derivative(X1, X2, *ab) for ab in ((2, 0), (1, 1), (0, 2))}
+    A = np.empty(X1.shape + (2, 2))
+    for (i, j), ab in (((0, 0), (2, 0)), ((0, 1), (1, 1)), ((1, 1), (0, 2))):
+        A[..., i, j] = fh(*ab) - np.einsum("...c,...c->...", grad, G[ab])
+    A[..., 1, 0] = A[..., 0, 1]
+    hess = np.einsum("...ki,...kl,...lj->...ij", Jinv, A, Jinv)
+    X, Y = P[..., 0], P[..., 1]
+    e0 = u(X, Y) - fh()
+    e1 = np.stack([u(X, Y, 1, 0), u(X, Y, 0, 1)], axis=-1) - grad
+    H = np.stack([u(X, Y, 2, 0), u(X, Y, 1, 1), u(X, Y, 1, 1), u(X, Y, 0, 2)],
+                 axis=-1).reshape(X.shape + (2, 2))
+    e2 = H - hess
+    return [float(np.sqrt(np.sum(W * np.sum(e.reshape(X.shape + (-1,)) ** 2, axis=-1))))
+            for e in (e0[..., None], e1, e2)]
+
+
+def per_point_norms(patch, u, f, nq):
+    """The error seminorms of `norms.physical_error_norms` by its chunks and
+    blocks, each block taking f_h's six orders from `TensorSpline.bind_x2`
+    and the map's six orders, det G and the chain rule per point
+    (`norms._squared_errors`), whatever the map."""
+    from asg1kit import norms
+    from asg1kit.splines import gauss_rule
+
+    x1, w1 = gauss_rule(patch.partitions[0], nq)
+    x2, w2 = gauss_rule(patch.partitions[1], nq)
+    orders = norms._JET
+    chunks = -(-f.space.space1.dim * len(x2) // (norms._CHUNK_BLOCKS * norms._BLOCK_POINTS))
+    cols = nq * -(-patch.partitions[1].n_elements // chunks)
+    rows = nq * max(1, norms._BLOCK_POINTS // (nq * cols))
+    sums = np.zeros(3)
+    for lo in range(0, len(x2), cols):
+        chunk = slice(lo, lo + cols)
+        fjet = f.bind_x2(x2[chunk], orders)
+        gjet = patch.gmap.bind_x2(x2[chunk], orders)
+        for start in range(0, len(x1), rows):
+            block = slice(start, start + rows)
+            sums += norms._squared_errors(gjet, patch.gmap.zeros, u, fjet(x1[block]),
+                                          x1[block], x2[chunk], w1[block], w2[chunk])
+    return [float(v) for v in np.sqrt(sums)]

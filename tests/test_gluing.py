@@ -10,9 +10,7 @@ from asg1kit.geometry import (
     builtin_geometry,
 )
 from asg1kit.gluing import (
-    EdgeGluing,
     LinearFunction,
-    fit_linear_gluing,
     g1_compatibility_residual,
     interface_determinants,
     recover_all,
@@ -35,19 +33,6 @@ def ratio_two_geometry():
     )
     right = Patch(
         BilinearMap(np.array([[[1, 0], [1, 1]], [[2, 0], [2, 1]]], float)),
-        (uniform_partition(4),) * 2,
-    )
-    return MultiPatch([left, right], [Interface((0, 2), (1, 4))])
-
-
-def constant_d3_geometry(c=0.4):
-    """D1 = D2 = 1 with constant D3 = c along the interface."""
-    left = Patch(
-        BilinearMap(np.array([[[0, 0], [0, 1]], [[1, 0], [1, 1]]], float)),
-        (uniform_partition(4),) * 2,
-    )
-    right = Patch(
-        BilinearMap(np.array([[[1, 0], [1, 1]], [[2, c], [2, 1 + c]]], float)),
         (uniform_partition(4),) * 2,
     )
     return MultiPatch([left, right], [Interface((0, 2), (1, 4))])
@@ -209,41 +194,3 @@ def test_scaling_covariance_of_normalization():
     assert renorm[0].endpoints() == pytest.approx(left.alpha.endpoints())
     assert renorm[1].endpoints() == pytest.approx(right.alpha.endpoints())
 
-
-# -- interpolatory fit -----------------------------------------------------------------
-
-def test_fit_axis_aligned_beta_zero():
-    mp = two_square_patches()
-    for lam in (1e-2, 1e-6, 1e-10):
-        left, right, diag = fit_linear_gluing(mp, mp.interfaces[0], lam)
-        assert left.alpha.endpoints() == pytest.approx((1.0, 1.0))
-        assert right.alpha.endpoints() == pytest.approx((1.0, 1.0))
-        assert np.max(np.abs(left.beta(np.linspace(0, 1, 5)))) <= 1e-12
-        assert np.max(np.abs(right.beta(np.linspace(0, 1, 5)))) <= 1e-12
-
-
-def test_fit_constant_d3_splits_evenly():
-    c = 0.4
-    mp = constant_d3_geometry(c)
-    left, right, diag = fit_linear_gluing(mp, mp.interfaces[0], 1e-8)
-    # definition-convention betas: left carries -c/2, right +c/2
-    np.testing.assert_allclose(left.beta(np.linspace(0, 1, 5)), -c / 2, atol=1e-9)
-    np.testing.assert_allclose(right.beta(np.linspace(0, 1, 5)), c / 2, atol=1e-9)
-
-
-def test_fit_objective_monotone_in_lambda():
-    mp = non_asg1_geometry()
-    misfits = []
-    for lam in (1e-1, 1e-3, 1e-6):
-        _, _, diag = fit_linear_gluing(mp, mp.interfaces[0], lam)
-        misfits.append(diag["data_misfit"])
-    assert misfits[0] >= misfits[1] >= misfits[2] - 1e-15
-
-
-def test_fit_does_not_reproduce_normalized_gluing():
-    # the interpolatory construction is a different solver by design
-    mp = builtin_geometry("two_patch_skew")
-    rec_left, _, _ = recover_gluing(mp, mp.interfaces[0])
-    fit_left, _, _ = fit_linear_gluing(mp, mp.interfaces[0], 1e-6)
-    assert isinstance(fit_left, EdgeGluing)
-    assert rec_left.alpha.endpoints() == pytest.approx((1.0, 1.0))

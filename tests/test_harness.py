@@ -36,12 +36,6 @@ def test_gluing_subcommand(capsys):
     assert entry["residual_beta"] <= 1e-12
 
 
-def test_gluing_fit_linear(capsys):
-    assert main(["gluing", "--geometry", "two_patch_skew", "--fit-linear"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["interfaces"][0]["solver"] == "fit-linear"
-
-
 def test_convergence_csv_shape(tmp_path):
     out = tmp_path / "r.csv"
     code = main([
@@ -190,8 +184,7 @@ FOLDS = {
 }
 
 
-@pytest.mark.parametrize("command", ["project", "check-c1", "gluing",
-                                     "gluing --fit-linear"])
+@pytest.mark.parametrize("command", ["project", "check-c1", "gluing"])
 def test_folded_geometry_is_configuration_error(tmp_path, capsys, command):
     # a single folded patch has no interface for the gluing commands to read
     layouts = ["interface"] if "gluing" in command else ["one-patch", "interface"]
@@ -396,3 +389,17 @@ def test_python_m_asg1kit_runs_the_cli():
     assert out.stdout.split() == ["unit_square", "two_patch_square",
                                   "two_patch_skew", "three_patch_L"]
     assert out.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["convergence --levels 1", "p-sweep"])
+def test_explicit_default_nq_leaves_the_study_csv_unchanged(capsys, command):
+    # --nq sets the projector's rule and the norms take two nodes more, as
+    # they do by default, so naming the default rule changes no digit
+    from asg1kit.ritz1d import default_quadrature_nodes
+
+    args = [*command.split(), "--geometry", "three_patch_L", "--function", "expxy",
+            "--p", "6", "--k", "4", "--n", "16"]
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    assert main([*args, "--nq", str(default_quadrature_nodes(6))]) == 0
+    assert capsys.readouterr().out == default

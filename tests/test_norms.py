@@ -5,8 +5,8 @@ import pytest
 import sympy as sym
 
 from asg1kit.fields import ScalarField2D, manufactured, pullback
-from asg1kit.geometry import (BilinearMap, GeometryError, Patch, SplineMap,
-                              builtin_geometry, jacobian_det)
+from asg1kit.geometry import (BUILTIN_GEOMETRIES, BilinearMap, GeometryError, Patch,
+                              SplineMap, builtin_geometry, jacobian_det)
 from asg1kit.norms import (
     ErrorTable,
     combine_tables,
@@ -16,12 +16,7 @@ from asg1kit.norms import (
 from asg1kit import norms
 from asg1kit.splines import (UniSplineSpace, eval_operator, gauss_rule,
                              greville_points, uniform_partition)
-from asg1kit.tensor import (
-    TensorSpline,
-    TensorSplineSpace,
-    eval_tensor_grid,
-    tensor_project_Q,
-)
+from asg1kit.tensor import TensorSpline, TensorSplineSpace, tensor_project_Q
 
 import oracles
 
@@ -227,41 +222,6 @@ def test_norms_reject_folded_geometry():
         physical_error_norms(patch, u, zero)
 
 
-def _full_grid_norms(patch, u, f, nq):
-    """The H^0..H^2 error seminorms from integrands on the whole quadrature
-    grid, with the inverse chain rule through explicit 2 x 2 inverses."""
-    x1, w1 = gauss_rule(patch.partitions[0], nq)
-    x2, w2 = gauss_rule(patch.partitions[1], nq)
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-
-    def fh(a=0, b=0):
-        return eval_tensor_grid(f, x1, x2, a, b)
-
-    g = patch.gmap
-    P = g.derivative(X1, X2)
-    J = np.stack([g.derivative(X1, X2, 1, 0), g.derivative(X1, X2, 0, 1)], axis=-1)
-    Jinv = np.linalg.inv(J)
-    W = np.outer(w1, w2) * np.linalg.det(J)
-    # physical gradient J^{-T} grad_param
-    grad = np.einsum("...ji,...j->...i", Jinv,
-                     np.stack([fh(1, 0), fh(0, 1)], axis=-1))
-    # physical Hessian J^{-T} (H_param - sum_c grad_c hess(G_c)) J^{-1}
-    G = {ab: g.derivative(X1, X2, *ab) for ab in ((2, 0), (1, 1), (0, 2))}
-    A = np.empty(X1.shape + (2, 2))
-    for (i, j), ab in (((0, 0), (2, 0)), ((0, 1), (1, 1)), ((1, 1), (0, 2))):
-        A[..., i, j] = fh(*ab) - np.einsum("...c,...c->...", grad, G[ab])
-    A[..., 1, 0] = A[..., 0, 1]
-    hess = np.einsum("...ki,...kl,...lj->...ij", Jinv, A, Jinv)
-    X, Y = P[..., 0], P[..., 1]
-    e0 = u(X, Y) - fh()
-    e1 = np.stack([u(X, Y, 1, 0), u(X, Y, 0, 1)], axis=-1) - grad
-    H = np.stack([u(X, Y, 2, 0), u(X, Y, 1, 1), u(X, Y, 1, 1), u(X, Y, 0, 2)],
-                 axis=-1).reshape(X.shape + (2, 2))
-    e2 = H - hess
-    return [float(np.sqrt(np.sum(W * np.sum(e.reshape(X.shape + (-1,)) ** 2, axis=-1))))
-            for e in (e0[..., None], e1, e2)]
-
-
 def test_row_blocks_match_full_grid_quadrature():
     from test_integration import curved_interior_two_patch
 
@@ -276,7 +236,7 @@ def test_row_blocks_match_full_grid_quadrature():
         f = TensorSpline(TensorSplineSpace(S, S), rng.standard_normal((S.dim, S.dim)))
         u = manufactured("sinsin")
         table = physical_error_norms(patch, u, f, nq=nq)
-        want = _full_grid_norms(patch, u, f, nq)
+        want = oracles.full_grid_norms(patch, u, f, nq)
         for t in (0, 1, 2):
             assert table.seminorms[t] == pytest.approx(want[t], rel=1e-12), t
 
@@ -334,9 +294,114 @@ def test_blocked_norms_fold_det_for_each_of_its_shapes(kind):
     f = TensorSpline(TensorSplineSpace(S, S), rng.standard_normal((S.dim, S.dim)))
     u = manufactured("sinsin")
     table = physical_error_norms(patch, u, f, nq=nq)
-    want = _full_grid_norms(patch, u, f, nq)
+    want = oracles.full_grid_norms(patch, u, f, nq)
     for t in (0, 1, 2):
         assert table.seminorms[t] == pytest.approx(want[t], rel=1e-12), t
+
+
+# affine maps with exactly representable corners, c11 = c10 + c01 - c00
+_AFFINE = {
+    "axis_aligned": [[[0, 0], [0, 1.5]], [[2, 0], [2, 1.5]]],
+    "sheared": [[[0, 0], [0.25, 1]], [[2, 0.5], [2.25, 1.5]]],
+    "rotated": [[[0, 0], [-0.5, 0.75]], [[0.75, 0.5], [0.25, 1.25]]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_AFFINE))
+def test_affine_norms_over_several_chunks_match_full_grid_quadrature(kind):
+    # on an affine map the chain rule's coefficients and det G are numbers
+    # of the patch; each block's x1 rows serve both x2 chunks
+    gmap = BilinearMap(_AFFINE[kind])
+    assert norms._affine_jet(gmap) is not None
+    nq = 8
+    Z1, Z2 = uniform_partition(64), uniform_partition(48)
+    patch = Patch(gmap, (Z1, Z2))
+    S1, S2 = UniSplineSpace(6, 0, Z1), UniSplineSpace(6, 0, Z2)
+    x2, _ = gauss_rule(Z2, nq)
+    assert S1.dim * len(x2) > norms._CHUNK_BLOCKS * norms._BLOCK_POINTS
+    rng = np.random.default_rng(14)
+    f = TensorSpline(TensorSplineSpace(S1, S2), rng.standard_normal((S1.dim, S2.dim)))
+    u = manufactured("sinsin")
+    table = physical_error_norms(patch, u, f, nq=nq)
+    want = oracles.full_grid_norms(patch, u, f, nq)
+    for t in (0, 1, 2):
+        assert table.seminorms[t] == pytest.approx(want[t], rel=1e-12), t
+
+
+@pytest.mark.parametrize("kind,affine", [
+    ("axis_aligned", True), ("sheared", True), ("rotated", True),
+    ("three_patch_L", True), ("two_patch_skew", True),  # their patch 0
+    ("skew", False), ("trapezoid", False), ("spline", False), ("nurbs", False)])
+def test_affine_blocks_take_no_map_jet_of_order_one_or_chain_rule(kind, affine,
+                                                                  monkeypatch):
+    # an affine block evaluates the map at its points alone: J^-1 and det G
+    # are constants of the patch; every other block takes a jet of the six
+    # orders and runs the per-point chain rule
+    if kind in _AFFINE:
+        gmap = BilinearMap(_AFFINE[kind])
+    elif kind in BUILTIN_GEOMETRIES:
+        gmap = builtin_geometry(kind).patches[0].gmap
+    else:
+        gmap = _det_shape_maps()[kind][0]
+    assert (norms._affine_jet(gmap) is not None) == affine
+    Z = uniform_partition(64)
+    patch = Patch(gmap, (Z, Z))
+    S = UniSplineSpace(4, 2, Z)
+    rng = np.random.default_rng(15)
+    f = TensorSpline(TensorSplineSpace(S, S), rng.standard_normal((S.dim, S.dim)))
+    jets, rules = [], []
+    bind, rule = gmap.bind_x2, norms._chain_rule
+
+    def counting_bind(x2, orders):
+        block = bind(x2, orders)
+
+        def jet(x1):
+            jets.append(tuple(orders))
+            return block(x1)
+
+        return jet
+
+    def counting_rule(*args):
+        rules.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(gmap, "bind_x2", counting_bind)
+    monkeypatch.setattr(norms, "_chain_rule", counting_rule)
+    physical_error_norms(patch, manufactured("sinsin"), f)
+    assert len(jets) > 1  # several blocks
+    if affine:
+        assert all(orders == ((0, 0),) for orders in jets)
+        assert not rules
+    else:
+        assert all(set(orders) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
+                   for orders in jets)
+        assert len(rules) == len(jets)
+
+
+@pytest.mark.parametrize("kind", ["axis_aligned", "sheared", "rotated", "three_patch_L",
+                                  "skew", "trapezoid", "spline", "nurbs"])
+def test_norms_equal_the_per_point_loop_bit_for_bit(kind):
+    # f_h of p = 6, k = 4 on 128 x 128 elements, three x2 chunks: the affine
+    # path folds the same constant det into the x2 weights and forms the
+    # same chain-rule coefficients as the per-point path, and reused x1 rows
+    # give the GEMMs of rows made per block
+    if kind in _AFFINE:
+        gmap = BilinearMap(_AFFINE[kind])
+    elif kind == "three_patch_L":
+        gmap = builtin_geometry(kind).patches[0].gmap
+    else:
+        gmap = _det_shape_maps()[kind][0]
+    assert (norms._affine_jet(gmap) is None) == (kind in ("skew", "trapezoid", "spline", "nurbs"))
+    Z = uniform_partition(128)
+    patch = Patch(gmap, (Z, Z))
+    S = UniSplineSpace(6, 4, Z)
+    rng = np.random.default_rng(21)
+    f = TensorSpline(TensorSplineSpace(S, S), rng.standard_normal((S.dim, S.dim)))
+    for field in ("sinsin", "expxy"):
+        u = manufactured(field)
+        got = physical_error_norms(patch, u, f, nq=10).seminorms
+        assert [v.hex() for v in got.values()] == \
+            [v.hex() for v in oracles.per_point_norms(patch, u, f, 10)], field
 
 
 @pytest.mark.parametrize("kind", ["three_patch_L", "spline", "nurbs"])
@@ -394,7 +459,7 @@ def test_element_row_above_block_size_matches_full_grid_quadrature():
     f = TensorSpline(TensorSplineSpace(S1, S2), rng.standard_normal((S1.dim, S2.dim)))
     u = manufactured("sinsin")
     table = physical_error_norms(patch, u, f, nq=nq)
-    want = _full_grid_norms(patch, u, f, nq)
+    want = oracles.full_grid_norms(patch, u, f, nq)
     for t in (0, 1, 2):
         assert table.seminorms[t] == pytest.approx(want[t], rel=1e-12), t
 
@@ -537,7 +602,8 @@ def test_chunked_norms_peak_below_whole_row_bindings():
     fjet, gjet = f.bind_x2(x2, orders), patch.gmap.bind_x2(x2, orders)
     rows = nq * max(1, norms._BLOCK_POINTS // (nq * len(x2)))
     sums = sum(np.array(norms._squared_errors(
-        gjet, patch.gmap.zeros, u, fjet, x1[i:i + rows], x2, w1[i:i + rows], w2))
+        gjet, patch.gmap.zeros, u, fjet(x1[i:i + rows]), x1[i:i + rows], x2,
+        w1[i:i + rows], w2))
         for i in range(0, len(x1), rows))
     want = np.sqrt(sums)
     # On the identity patch (area 1) every chain-rule factor is an exact 1,
