@@ -345,13 +345,14 @@ def check_conformity(gp: GlobalProjection) -> ConformityReport:
 
     A patch's projection is read from one jet of orders `_C2_ORDERS` at the
     samples of its four sides (edge parameter t on a left or boundary side,
-    `edge_parameter_map` of t on a right side) and at its four corners.  One
-    jet of the map at the corners gives the corner locations, by which the
-    vertices cluster, and with one `inverse_chain_rule` the physical C2 data
-    there.  The input on the patch's boundary sides comes from one pullback
-    jet up to (1, 1).  Each crossing derivative is `_crossing_orders` of the
-    rows of one side of a jet.  Scales come from one 9 x 9 grid jet per
-    patch on an interface.
+    `edge_parameter_map` of t on a right side) and at its four corners.  The
+    map's order (0, 0) at the corners gives the corner locations, by which
+    the vertices cluster; then, on a patch with a corner that another patch
+    shares, one jet of the map's orders `_C2_ORDERS` at the corners and one
+    `inverse_chain_rule` give the physical C2 data.  The input on the
+    patch's boundary sides comes from one pullback jet up to (1, 1).  Each
+    crossing derivative is `_crossing_orders` of the rows of one side of a
+    jet.  Scales come from one 9 x 9 grid jet per patch on an interface.
     """
     mp = gp.multipatch
     report = ConformityReport()
@@ -387,17 +388,15 @@ def check_conformity(gp: GlobalProjection) -> ConformityReport:
                                             glue.beta)(0)
 
     corners = [np.array(x) for x in zip(*CORNERS.values())]
-    projected, entries = {}, []  # entries: (patch, corner, location, C2 data)
+    projected, at_corners, entries = {}, {}, []  # entries: (patch, corner, location)
     for i, patch in enumerate(mp.patches):
         f = gp.patches[i].spline.jet(*points(i, (1, 2, 3, 4), corners), _C2_ORDERS)
         for j in (1, 2, 3, 4):
             projected[i, j] = sample(lambda m, n: f[m, n], j - 1, i, j)
-        fc = [f[ab][-len(CORNERS):] for ab in _C2_ORDERS]
-        g, zeros = patch.gmap.jet(*corners, orders=_C2_ORDERS), patch.gmap.zeros
-        grad, hess = inverse_chain_rule(g, zeros, jacobian_det(g, zeros), fc[1:3], fc[3:])
-        data = np.array([fc[0], *grad, *hess], dtype=float).T
+        at_corners[i] = [f[ab][-len(CORNERS):] for ab in _C2_ORDERS]
+        g = patch.gmap.jet(*corners, orders=[(0, 0)])
         for c, ell in enumerate(CORNERS):
-            entries.append((i, ell, tuple(float(x[c]) for x in g[0, 0]), data[c]))
+            entries.append((i, ell, tuple(float(x[c]) for x in g[0, 0])))
 
     for iface in mp.interfaces:
         (i, j), (ii, jj) = iface.left, iface.right
@@ -422,14 +421,24 @@ def check_conformity(gp: GlobalProjection) -> ConformityReport:
                 break
         else:
             clusters.append([entry])
-    for members in clusters:
-        if len(members) < 2:
-            continue
-        datas = np.array([m[3] for m in members])
+    shared = [members for members in clusters if len(members) > 1]
+    # the physical C2 data at the corners of each patch that shares one, from
+    # one map jet and one chain rule at its four corners (the points of every
+    # patch's jet, whose bands the memo of `splines` keeps)
+    data = {}
+    for i in sorted({i for members in shared for i, _, _ in members}):
+        gmap, fc = mp.patches[i].gmap, at_corners[i]
+        g = gmap.jet(*corners, orders=_C2_ORDERS)
+        grad, hess = inverse_chain_rule(g, gmap.zeros, jacobian_det(g, gmap.zeros),
+                                        fc[1:3], fc[3:])
+        data.update(zip(((i, ell) for ell in CORNERS),
+                        np.array([fc[0], *grad, *hess], dtype=float).T))
+    for members in shared:
+        datas = np.array([data[i, ell] for i, ell, _ in members])
         defect = float(np.max(np.abs(datas - datas[0])))
         scale = max(1.0, float(np.max(np.abs(datas))))
         report.vertices.append(
-            VertexConformity(members[0][2], [(m[0], m[1]) for m in members],
+            VertexConformity(members[0][2], [(i, ell) for i, ell, _ in members],
                              defect, scale)
         )
 

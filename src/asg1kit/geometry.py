@@ -45,6 +45,7 @@ from math import comb
 import numpy as np
 
 from .splines import (
+    _BLOCK_POINTS,
     Partition,
     UniSplineSpace,
     differentiate,
@@ -413,6 +414,23 @@ def check_2regular(gmap):
     det = np.broadcast_to(jacobian_det(jet, gmap.zeros), (s.size, s.size))
     i, j = np.unravel_index(np.argmin(det), det.shape)
     return float(det[i, j]), (float(s[i]), float(s[j]))
+
+
+def block_points(gmap, curved: int) -> int:
+    """The most grid points of one block of a blocked loop over ``gmap``
+    (the norm quadrature, the data calls of a pullback): ``curved`` where a
+    derivative of G of order up to (2, 2), other than G itself, depends on
+    both axes (`_dependence`), as on spline and NURBS patches with curved
+    interiors, where each such order and every term the chain rule forms
+    from it spans the block; `splines._BLOCK_POINTS` on other maps (whose
+    first and second orders depend on one axis at most, as on every
+    bilinear map) and on maps without a dependence table."""
+    deps = getattr(gmap, "_dependence", None)
+    if deps is not None and any(on1 and on2 for (a, b), comps in deps.items()
+                                if 0 < a + b and max(a, b) <= 2
+                                for on1, on2, _ in comps):
+        return curved
+    return _BLOCK_POINTS
 
 
 # -- patches and topology ----------------------------------------------------------

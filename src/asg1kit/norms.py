@@ -7,16 +7,21 @@ Jacobian transpose, the Hessian with the second-order geometry correction
     H_phys = J^{-T} (H_param - sum_c grad_phys[c] * hess(G_c)) J^{-1}.
 
 The quadrature sums run over chunks of whole x2 elements and, in each, over
-blocks of whole x1 elements, each block at most ``_BLOCK_POINTS`` points of
-the tensor grid unless one element row is more.  The x2 axis of the
+blocks of whole x1 elements (`_block_layout`), each block at most
+`geometry.block_points` of the map unless one element row is more:
+``_BLOCK_POINTS`` (2^15) points of the tensor grid on maps whose first and
+second orders depend on one axis at most (every bilinear map, affine or
+not), ``_CURVED_BLOCK_POINTS`` (2^14) on curved spline and NURBS maps, whose
+per-point blocks keep more arrays of their points.  The x2 axis of the
 approximation (`splines.tensor_bind_x2_products`) and of the geometry is
 contracted once per chunk; a chunk is as wide as keeps each bound order of
-the approximation within ``_CHUNK_BLOCKS`` blocks, so coarse meshes bind the
-whole axis at once and the bindings of fine ones do not grow with the mesh,
-and one chunk's bindings are released before the next binds.  The x1 rows of
-each block (`band_rows`, orders 0..2) are made once per patch and serve
-every chunk; dense over the columns a block spans, they take about
-6 (p - k)^2 n^2 bytes on a chunked n x n mesh, three quarters of the
+the approximation within ``_CHUNK_BLOCKS`` blocks of 2^15 points, so coarse
+meshes bind the whole axis at once and the bindings of fine ones do not
+grow with the mesh, and one chunk's bindings are released before the next
+binds.  The x1 rows of each block (orders 0..2) are sliced from one band of
+the whole x1 axis per order (`splines.band_blocks`), made once per patch,
+and serve every chunk; dense over the columns a block spans, they take
+about 6 (p - k)^2 n^2 bytes on a chunked n x n mesh, three quarters of the
 approximation's coefficient array.  Each block forms one GEMM per order of
 the approximation.  The weights stay separable: no weight grid is built.
 
@@ -59,9 +64,9 @@ import numpy as np
 
 from .fields import ScalarField2D
 from .geometry import (GeometryError, NurbsMap, Patch, _add, _fold, _mul,
-                       jacobian_det, jet_component)
+                       block_points, jacobian_det, jet_component)
 from .ritz1d import default_quadrature_nodes
-from .splines import _BLOCK_POINTS, band_rows, gauss_rule, tensor_bind_x2_products
+from .splines import _BLOCK_POINTS, band_blocks, gauss_rule, tensor_bind_x2_products
 from .tensor import TensorSpline
 
 __all__ = ["ErrorTable", "physical_error_norms", "combine_tables", "observed_order",
@@ -77,6 +82,15 @@ _JET = tuple(ab for t in range(3) for ab in _ORDERS[t])
 # bind it in chunks of whole elements.  Each chunk makes the x1 blocks taller
 # (more coefficient rows per block), so chunks are as few as this allows.
 _CHUNK_BLOCKS = 4
+
+# The most points of a block on a curved map (`geometry.block_points`), whose
+# per-point blocks keep the map's six orders, det G, the chain rule's terms
+# and the approximation's orders, each spanning the block.  Traced peaks of
+# the warm norms at p = 4 on 32 elements with blocks of 2^15, 2^14 and 2^13
+# points: 9.2, 4.9 and 2.7 MB on a NURBS patch, 9.1, 4.8 and 2.7 MB on two
+# spline patches; 2^14 took 5-10 % less time than 2^15, and 2^13 5-18 % more
+# than 2^14.
+_CURVED_BLOCK_POINTS = 1 << 14
 
 
 def inverse_chain_rule(jet, zeros, det, grad, hess):
@@ -217,10 +231,7 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
     x2, w2 = gauss_rule(patch.partitions[1], nq)
     spaces = (f_h.space.space1, f_h.space.space2)
     gmap = patch.gmap
-    # chunks of whole x2 elements, as few as keep each bound order of f_h
-    # (dim1 rows) within _CHUNK_BLOCKS blocks
-    chunks = -(-spaces[0].dim * len(x2) // (_CHUNK_BLOCKS * _BLOCK_POINTS))
-    cols = nq * -(-patch.partitions[1].n_elements // chunks)
+    cols, rows = _block_layout(patch, spaces[0].dim, nq)
     affine = _affine_jet(gmap)
     if affine is not None:
         # det G and the chain rule's coefficients are numbers of the patch;
@@ -231,12 +242,10 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
         w2 = w2 * det
         terms = [_terms(forms) for forms in _chain_forms(
             functools.partial(jet_component, affine, gmap.zeros), det)]
-    # blocks of whole x1 elements (nq nodes each), at least one per block,
-    # each with the x1 rows of f_h's orders 0..2, made once for every chunk
-    rows = nq * max(1, _BLOCK_POINTS // (nq * cols))
-    blocks = [(slice(i, i + rows), [band_rows(spaces[0], x1[i:i + rows], a)
-                                    for a in range(3)])
-              for i in range(0, len(x1), rows)]
+    # each block with the x1 rows of f_h's orders 0..2, sliced from one band
+    # of the whole axis per order and made once for every chunk
+    blocks = list(zip((slice(i, i + rows) for i in range(0, len(x1), rows)),
+                      zip(*(band_blocks(spaces[0], x1, a, rows) for a in range(3)))))
     sums = np.zeros(3)
     for lo in range(0, len(x2), cols):
         chunk = slice(lo, lo + cols)
@@ -255,6 +264,21 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
                                                w1[block], w2[chunk])
         del product, gjet  # so that two chunks' bindings are never alive at once
     return ErrorTable({t: float(v) for t, v in enumerate(np.sqrt(sums))})
+
+
+def _block_layout(patch: Patch, dim1: int, nq: int) -> tuple[int, int]:
+    """``(cols, rows)``: the x2 points of a chunk and the x1 points of a
+    block of `physical_error_norms` on ``patch`` with ``nq`` nodes per
+    element, for an approximation of ``dim1`` functions along x1.  Chunks
+    are whole x2 elements, as few as keep each bound order of f_h (dim1
+    rows) within ``_CHUNK_BLOCKS`` blocks of ``_BLOCK_POINTS`` points;
+    blocks are whole x1 elements, one at least, of at most the map's
+    `block_points` of the grid."""
+    elements = patch.partitions[1].n_elements
+    chunks = -(-dim1 * nq * elements // (_CHUNK_BLOCKS * _BLOCK_POINTS))
+    cols = nq * -(-elements // chunks)
+    points = block_points(patch.gmap, _CURVED_BLOCK_POINTS)
+    return cols, nq * max(1, points // (nq * cols))
 
 
 def _folded(det, x, y) -> GeometryError:

@@ -14,7 +14,8 @@ bases, `tensor_jet`, which contracts the x2 bands first and the x1 bands
 second; on grids (`tensor_bind_x2`) one small product per run of x2 points
 that share a band start, then one GEMM per order of a block's x1 bands over
 only the columns they span (`band_rows`); `tensor_bind_x2_products` takes a
-caller's own x1 rows, so that a caller can keep them for several x2 rows.
+caller's own x1 rows, so that a caller can keep them for several x2 rows,
+and `band_blocks` makes the rows of every block of an axis from one band.
 Differentiation and antidifferentiation are exact coefficient maps along any
 axis of a coefficient array, `differentiate` (scaled differences) and
 `integrate` (its cumulative-sum inverse), and have no other form.  Every
@@ -55,6 +56,7 @@ __all__ = [
     "eval_operator",
     "QuadratureError",
     "band_rows",
+    "band_blocks",
     "tensor_bind_x2",
     "tensor_bind_x2_products",
     "tensor_jet",
@@ -64,9 +66,12 @@ _BREAKPOINT_TOL = 1e-12
 
 # The most grid points whose arrays are alive at once in the blocked loops of
 # the norm quadrature and of the tensor projector's data (unless one element
-# row, or one data row, is more).  A block costs little beyond its points,
-# and 2^15 keeps its arrays near the L2 cache, where the elementwise passes
-# run fastest.
+# row, or one data row, is more), on maps whose derivatives each depend on
+# one axis at most: bilinear maps, affine or not.  There a block holds few
+# arrays of its points (an affine norm block at p = 6 on 128 elements peaks
+# at 4.8 MB), and 2^15 points keep them near the L2 cache, where the
+# elementwise passes run fastest; at 2^14 the affine norms took 18-23 %
+# longer.  Curved maps take fewer points per block (`geometry.block_points`).
 _BLOCK_POINTS = 32768
 
 # glibc maps a request above its mmap threshold (128 KB at start) and raises
@@ -376,7 +381,20 @@ def band_rows(space: UniSplineSpace, x, d: int):
     """``(lo, B)``: the basis rows of order ``d`` at the points ``x`` over
     only the columns that their bands span, B[n, j] the value of basis
     function lo + j at the n-th point (zeros above the degree)."""
+    return _span_rows(*_band_at(space, np.ravel(x), d)[1])
+
+
+def band_blocks(space: UniSplineSpace, x, d: int, size: int) -> list:
+    """`band_rows` of each run of ``size`` points of ``x`` in turn, sliced
+    from one band of all of ``x``: one memoised de Boor pass for the axis,
+    and the same rows as `band_rows` of each run."""
     _, (first, rows) = _band_at(space, np.ravel(x), d)
+    return [_span_rows(first[i:i + size], rows[i:i + size])
+            for i in range(0, len(first), size)]
+
+
+def _span_rows(first: np.ndarray, rows: np.ndarray):
+    """`band_rows` of the band ``(first, rows)`` (`_band`)."""
     lo, hi = (first.min(), first.max() + rows.shape[1]) if first.size else (0, 0)
     return lo, _dense(first - lo, rows, hi - lo)
 

@@ -12,8 +12,9 @@ applies the factors of both directions to ``D``, the mixed derivative data
 of the input on the cartesian product of the two descriptor sets -- the
 nested application of the coefficient functionals of both directions.  ``D``
 is never formed whole: `data_matrix` yields it in slabs of rows, each a few
-field calls of at most the norm quadrature's ``_BLOCK_POINTS`` points,
-whatever the field, and each slab is contracted with the element-local
+field calls of at most the field's ``block_points`` points (2^15 unless the
+field is a pullback by a curved map, whose calls take 2^13: see
+`fields.pullback`), and each slab is contracted with the element-local
 moment blocks of one direction as it comes, O(p) products per data point;
 the other direction's moments, then the Gram solves and integrations of
 both, act on the dim1 x dim2 moments.
@@ -28,8 +29,8 @@ import numpy as np
 from .fields import ScalarField2D
 from .geometry import EDGE_AXIS, NORMALS, side_end
 from .ritz1d import PointFunctionals, ritz_functionals
-from .splines import (_BLOCK_POINTS, UniSpline, UniSplineSpace, _difference_scale,
-                      tensor_bind_x2, tensor_jet)
+from .splines import (UniSpline, UniSplineSpace, _difference_scale, tensor_bind_x2,
+                      tensor_jet)
 
 __all__ = [
     "TensorSplineSpace",
@@ -152,14 +153,14 @@ def data_matrix(u: ScalarField2D, f1: PointFunctionals, f2: PointFunctionals):
     u(x_a, y_b), top to bottom, in slabs (arrays of whole rows).
 
     Per run of rows of equal order, each run of columns of equal order is
-    evaluated in calls of ``u`` of at most ``_BLOCK_POINTS`` points (one row
-    at least): a column run whose calls cover the row run is evaluated whole
-    before the first slab, the others slab by slab.  A slab is a whole number
-    of the calls of the widest of those, at least ``_SLAB_ROWS`` rows where
-    the row run has them."""
+    evaluated in calls of ``u`` of at most ``u.block_points`` points (one
+    row at least): a column run whose calls cover the row run is evaluated
+    whole before the first slab, the others slab by slab.  A slab is a whole
+    number of the calls of the widest of those, at least ``_SLAB_ROWS`` rows
+    where the row run has them."""
     x = np.asarray(f1.points)
     y = np.asarray(f2.points)
-    cols = [(db, ib, max(1, _BLOCK_POINTS // (ib.stop - ib.start)))
+    cols = [(db, ib, max(1, u.block_points // (ib.stop - ib.start)))
             for db, ib in _runs(f2.orders)]
     for da, ia in _runs(f1.orders):
         xa, n = x[ia, None], ia.stop - ia.start

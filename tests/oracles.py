@@ -434,18 +434,16 @@ def full_grid_norms(patch, u, f, nq):
 
 def per_point_norms(patch, u, f, nq):
     """The error seminorms of `norms.physical_error_norms` by its chunks and
-    blocks, each block taking f_h's six orders from `TensorSpline.bind_x2`
-    and the map's six orders, det G and the chain rule per point
-    (`norms._squared_errors`), whatever the map."""
+    blocks (`norms._block_layout`), each block taking f_h's six orders from
+    `TensorSpline.bind_x2` and the map's six orders, det G and the chain
+    rule per point (`norms._squared_errors`), whatever the map."""
     from asg1kit import norms
     from asg1kit.splines import gauss_rule
 
     x1, w1 = gauss_rule(patch.partitions[0], nq)
     x2, w2 = gauss_rule(patch.partitions[1], nq)
     orders = norms._JET
-    chunks = -(-f.space.space1.dim * len(x2) // (norms._CHUNK_BLOCKS * norms._BLOCK_POINTS))
-    cols = nq * -(-patch.partitions[1].n_elements // chunks)
-    rows = nq * max(1, norms._BLOCK_POINTS // (nq * cols))
+    cols, rows = norms._block_layout(patch, f.space.space1.dim, nq)
     sums = np.zeros(3)
     for lo in range(0, len(x2), cols):
         chunk = slice(lo, lo + cols)

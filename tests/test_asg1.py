@@ -750,9 +750,12 @@ def test_conformity_pass_equals_per_side_oracle(name, field):
 
 def test_check_conformity_evaluates_each_patch_once(monkeypatch):
     # per patch one scattered projection jet (every side sample and corner)
-    # and one grid jet (the scales), one map jet (the corners) and, with a
-    # boundary side, one pullback bind; the domain diameter is measured once
-    # per multi-patch, when it is built
+    # and one grid jet (the scales), one map jet of order (0, 0) (the corner
+    # locations) and, with a boundary side, one pullback bind; one map jet
+    # of the C2 orders and one chain rule per patch with a corner that
+    # another patch shares (all three of three_patch_L, none on the single
+    # NURBS patch); the domain diameter is measured once per multi-patch,
+    # when it is built
     from collections import Counter
 
     from asg1kit import asg1, fields
@@ -764,16 +767,23 @@ def test_check_conformity_evaluates_each_patch_once(monkeypatch):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[key(*args)] += 1
+            calls[key(*args, **kwargs)] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
+    def map_jet(gmap, x1, x2, *args, orders=None):
+        if binding:
+            return "pullback map jet"
+        return "corner map jet" if orders == [(0, 0)] else "C2 map jet"
+
     measure = MultiPatch._measure_diameter
     monkeypatch.setattr(MultiPatch, "_measure_diameter",
                         lambda mp: measured.update([id(mp)]) or measure(mp))
-    mp = builtin_geometry("three_patch_L", 8)
-    gp = global_project(mp, recover_all(mp), manufactured("sinsin"), 4, 2)
+    sharing = {"three_patch_L": 3, "nurbs_square0": 0}
+    layouts = {name: CONFORMITY_LAYOUTS[name]() for name in sharing}
+    projections = {name: global_project(mp, recover_all(mp), manufactured("sinsin"), 4, 2)
+                   for name, mp in layouts.items()}
 
     def counted_pullback(u, gmap):
         out = fields.pullback(u, gmap)
@@ -792,17 +802,56 @@ def test_check_conformity_evaluates_each_patch_once(monkeypatch):
 
     counted(TensorSpline, "jet", lambda f, x1, x2, orders: (
         "grid jet" if np.ndim(x1) == 2 and np.shape(x1)[1] == 1 else "scattered jet"))
-    counted(_TensorProductMap, "jet",
-            lambda *args: "pullback map jet" if binding else "map jet")
+    counted(_TensorProductMap, "jet", map_jet)
+    counted(asg1, "inverse_chain_rule", lambda *args: "chain rule")
     monkeypatch.setattr(asg1, "pullback", counted_pullback)
-    check_conformity(gp)
-    with_boundary = {i for i, _ in mp.boundary_edges}
-    patches = len(mp.patches)
-    assert calls["scattered jet"] <= patches
-    assert calls["grid jet"] <= patches
-    assert calls["map jet"] <= patches
-    assert calls["pullback bind"] <= len(with_boundary)
-    assert calls["pullback map jet"] <= calls["pullback bind"]
-    assert set(calls) <= {"scattered jet", "grid jet", "map jet",
-                          "pullback bind", "pullback map jet"}
-    assert measured[id(mp)] == 1 and max(measured.values()) == 1
+    for name, mp in layouts.items():
+        calls.clear()
+        check_conformity(projections[name])
+        with_boundary = {i for i, _ in mp.boundary_edges}
+        patches = len(mp.patches)
+        assert calls["scattered jet"] <= patches
+        assert calls["grid jet"] <= patches
+        assert calls["corner map jet"] == patches
+        assert calls["C2 map jet"] == calls["chain rule"] == sharing[name]
+        assert calls["pullback bind"] <= len(with_boundary)
+        assert calls["pullback map jet"] <= calls["pullback bind"]
+        assert set(calls) <= {"scattered jet", "grid jet", "corner map jet", "C2 map jet",
+                              "chain rule", "pullback bind", "pullback map jet"}
+        assert measured[id(mp)] == 1
+    assert max(measured.values()) == 1
+
+
+@pytest.mark.parametrize("name", ["nurbs_square", "curved_two_patch"])
+def test_curved_patches_project_and_measure_in_small_blocks(name):
+    # the curved maps of the benchmark at p = 4, k = 2 on 32 elements: their
+    # pullback's data calls and the per-point norm blocks hold many arrays
+    # of the block's points (map jets, target orders, chain-rule terms), so
+    # they take fewer points than affine blocks, whose norm block at p = 6
+    # on 128 elements peaks at 4.8 MB; with 2^15-point blocks the traced
+    # peaks on nurbs_square were 12.7 MB (projection) and 9.2 MB (norms)
+    import tracemalloc
+
+    from perfbench.workloads import curved_two_patch, nurbs_square
+
+    from asg1kit.norms import physical_error_norms
+
+    mp = {"nurbs_square": nurbs_square, "curved_two_patch": curved_two_patch}[name](32, 0)
+    glue, u = recover_all(mp), manufactured("sinsin")
+
+    def norms(gp):
+        return [physical_error_norms(patch, u, proj.spline)
+                for patch, proj in zip(mp.patches, gp.patches)]
+
+    norms(global_project(mp, glue, u, 4, 2))  # fills the caches of spaces and rules
+    tracemalloc.start()
+    try:
+        gp = global_project(mp, glue, u, 4, 2)
+        project_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        norms(gp)
+        norms_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert project_peak <= 5e6, project_peak
+    assert norms_peak <= 6e6, norms_peak

@@ -6,7 +6,7 @@ import sympy as sym
 
 from asg1kit.fields import ScalarField2D, manufactured, pullback
 from asg1kit.geometry import (BUILTIN_GEOMETRIES, BilinearMap, GeometryError, Patch,
-                              SplineMap, builtin_geometry, jacobian_det)
+                              SplineMap, block_points, builtin_geometry, jacobian_det)
 from asg1kit.norms import (
     ErrorTable,
     combine_tables,
@@ -75,8 +75,9 @@ def test_folded_norms_name_a_quadrature_point_of_non_positive_determinant(corner
     assert det == pytest.approx(grid.min(), rel=1e-3)
 
 
-def test_norms_evaluate_each_basis_order_once_per_block(monkeypatch):
-    # one contraction per block: basis rows of orders 0..2 on each axis
+def test_norms_evaluate_each_basis_order_once_per_patch(monkeypatch):
+    # one band per order and axis for the patch: basis rows of orders 0..2
+    # on each axis
     from asg1kit import splines
 
     _, f = spline_exact_pair()
@@ -93,7 +94,8 @@ def test_norms_evaluate_each_basis_order_once_per_block(monkeypatch):
         [0, 0, 1, 1, 2, 2]
 
     # a patch of several blocks: the x2 rows once per order per call, the x1
-    # rows once per order per block of whole elements
+    # rows once per order per patch, on the whole axis, sliced into blocks of
+    # whole elements
     Z1, Z2 = uniform_partition(32), uniform_partition(64)
     patch = Patch(BilinearMap([[[0, 0], [0, 1]], [[1, 0], [1, 1]]]), (Z1, Z2))
     S1, S2 = UniSplineSpace(3, 1, Z1), UniSplineSpace(3, 1, Z2)
@@ -105,16 +107,11 @@ def test_norms_evaluate_each_basis_order_once_per_block(monkeypatch):
     physical_error_norms(patch, manufactured("sinsin"), f, nq=nq)
     assert sorted(d for space, d, _ in calls if space == S2) == [0, 1, 2]
     assert all(np.array_equal(x, x2) for space, _, x in calls if space == S2)
-    blocks = {d: [x for space, dd, x in calls if space == S1 and dd == d]
-              for d in range(3)}
-    assert len(blocks[0]) > 1
-    for d in (1, 2):
-        assert len(blocks[d]) == len(blocks[0])
-        assert all(np.array_equal(x, y) for x, y in zip(blocks[d], blocks[0]))
-    assert np.array_equal(np.concatenate(blocks[0]), x1)
-    for x in blocks[0]:
-        assert len(x) % nq == 0
-        assert len(x) * len(x2) <= norms._BLOCK_POINTS
+    assert sorted(d for space, d, _ in calls if space == S1) == [0, 1, 2]
+    assert all(np.array_equal(x, x1) for space, _, x in calls if space == S1)
+    cols, rows = norms._block_layout(patch, S1.dim, nq)
+    assert cols == len(x2) and rows < len(x1)  # one chunk, several blocks
+    assert rows % nq == 0 and rows * len(x2) <= norms._BLOCK_POINTS
 
 
 def test_identity_geometry_matches_parametric_norms():
@@ -230,9 +227,8 @@ def test_row_blocks_match_full_grid_quadrature():
     rng = np.random.default_rng(2)
     for patch in curved_interior_two_patch(64).patches:
         x1, _ = gauss_rule(patch.partitions[0], nq)
-        x2, _ = gauss_rule(patch.partitions[1], nq)
-        assert len(x1) * len(x2) > norms._BLOCK_POINTS
         S = UniSplineSpace(p, k, patch.partitions[0])
+        assert norms._block_layout(patch, S.dim, nq)[1] < len(x1)
         f = TensorSpline(TensorSplineSpace(S, S), rng.standard_normal((S.dim, S.dim)))
         u = manufactured("sinsin")
         table = physical_error_norms(patch, u, f, nq=nq)
@@ -283,13 +279,13 @@ def test_blocked_norms_fold_det_for_each_of_its_shapes(kind):
     patch = Patch(gmap, (Z, Z))
     x1, _ = gauss_rule(Z, nq)
     x2, _ = gauss_rule(Z, nq)
-    assert len(x1) * len(x2) > 2 * norms._BLOCK_POINTS
     det = det_on(gmap, x1[:, None], x2[None, :])
     N1, N2 = len(x1), len(x2)
     assert det.shape == {"11": (1, 1), "N1": (N1, 1), "1N": (1, N2),
                          "NN": (N1, N2)}[shape]
     assert np.max(np.abs(det - 1.0)) > 1e-3  # a norm without det differs
     S = UniSplineSpace(p, k, Z)
+    assert len(x1) > 2 * norms._block_layout(patch, S.dim, nq)[1]
     rng = np.random.default_rng(12)
     f = TensorSpline(TensorSplineSpace(S, S), rng.standard_normal((S.dim, S.dim)))
     u = manufactured("sinsin")
@@ -297,6 +293,34 @@ def test_blocked_norms_fold_det_for_each_of_its_shapes(kind):
     want = oracles.full_grid_norms(patch, u, f, nq)
     for t in (0, 1, 2):
         assert table.seminorms[t] == pytest.approx(want[t], rel=1e-12), t
+
+
+@pytest.mark.parametrize("kind", ["three_patch_L", "skew", "trapezoid", "stretch_x1",
+                                  "spline", "nurbs"])
+def test_curved_maps_alone_take_smaller_blocks(kind):
+    # bilinear maps, affine or not (every patch of three_patch_L, the right
+    # patch of two_patch_skew, a trapezoid), and a spline map whose orders
+    # each depend on one axis keep blocks of _BLOCK_POINTS points in the
+    # norms and the data calls of their pullbacks; spline and NURBS maps
+    # whose first orders depend on both axes take fewer
+    from asg1kit.fields import _CURVED_CALL_POINTS
+    from asg1kit.splines import _BLOCK_POINTS
+
+    if kind == "three_patch_L":
+        gmaps = [patch.gmap for patch in builtin_geometry(kind).patches]
+    else:
+        gmaps = [_det_shape_maps()[kind][0]]
+    curved = kind in ("spline", "nurbs")
+    nq, Z = 7, uniform_partition(32)
+    S = UniSplineSpace(4, 2, Z)
+    for gmap in gmaps:
+        norm_points = norms._CURVED_BLOCK_POINTS if curved else _BLOCK_POINTS
+        assert pullback(manufactured("sinsin"), gmap).block_points == \
+            (_CURVED_CALL_POINTS if curved else _BLOCK_POINTS)
+        cols, rows = norms._block_layout(Patch(gmap, (Z, Z)), S.dim, nq)
+        assert cols == nq * 32 and rows == nq * (norm_points // (nq * cols))
+    # a map without a dependence table keeps the full blocks
+    assert block_points(object(), 1) == _BLOCK_POINTS
 
 
 # affine maps with exactly representable corners, c11 = c10 + c01 - c00
@@ -453,8 +477,9 @@ def test_element_row_above_block_size_matches_full_grid_quadrature():
     Z1, Z2 = uniform_partition(2), uniform_partition(256)
     patch = Patch(curved_interior_two_patch().patches[0].gmap, (Z1, Z2))
     x2, _ = gauss_rule(Z2, nq)
-    assert nq * len(x2) > norms._BLOCK_POINTS
     S1, S2 = UniSplineSpace(4, 2, Z1), UniSplineSpace(4, 2, Z2)
+    assert norms._block_layout(patch, S1.dim, nq) == (len(x2), nq)
+    assert nq * len(x2) > block_points(patch.gmap, norms._CURVED_BLOCK_POINTS)
     rng = np.random.default_rng(4)
     f = TensorSpline(TensorSplineSpace(S1, S2), rng.standard_normal((S1.dim, S2.dim)))
     u = manufactured("sinsin")

@@ -377,38 +377,51 @@ def _full_grid_data(u, f1, f2):
 
 @pytest.mark.parametrize("kind", ["bilinear", "spline", "nurbs", "tensor_spline"])
 def test_data_matrix_row_blocks_match_full_grid_data(kind):
-    from asg1kit.fields import pullback
+    from asg1kit.fields import _CURVED_CALL_POINTS, pullback
     from asg1kit.ritz1d import ritz_functionals
     from asg1kit.splines import _BLOCK_POINTS, Partition
+    from asg1kit.tensor import _SLAB_ROWS
     from test_geometry import _jet_maps
 
     # 40 graded elements, 8 Gauss nodes each: the (2, 2) block is 320 x 320
-    # points, more than three blocks of 102 rows and a remainder of 14
+    # points, more than three blocks of the field's calls and a remainder:
+    # blocks of 102 rows and one of 14 at 2^15 points (the bilinear map and
+    # the tensor spline), of 25 rows and one of 20 at 2^13 (the pullbacks by
+    # the curved spline and NURBS maps)
     Z = Partition(tuple(float(t) for t in (np.arange(41) / 40) ** 1.5))
     S = UniSplineSpace(4, 2, Z)
     f = ritz_functionals(S, 2, 8)
     gauss = f.orders.count(2)
-    assert gauss ** 2 > 3 * _BLOCK_POINTS and gauss % (_BLOCK_POINTS // gauss)
     if kind == "tensor_spline":
         space = TensorSplineSpace(S, S)
         u = as_field(TensorSpline(space, random_tensor_spline(space).coefficients))
     else:
         u = pullback(manufactured("sinsin"), _jet_maps()[kind])
+    points = u.block_points
+    assert points == (_CURVED_CALL_POINTS if kind in ("spline", "nurbs") else _BLOCK_POINTS)
+    per_call = points // gauss
+    assert gauss ** 2 > 3 * points and gauss % per_call
     calls = []
 
     def recorded(x, y, a, b):
         calls.append(((a, b), x.size, np.broadcast_shapes(x.shape, y.shape)))
         return u(x, y, a, b)
 
-    slabs = list(data_matrix(ScalarField2D(recorded, max_order=u.max_order), f, f))
+    field = ScalarField2D(recorded, max_order=u.max_order)
+    field.block_points = points
+    slabs = list(data_matrix(field, f, f))
     assert np.array_equal(np.concatenate(slabs), _full_grid_data(u, f, f))
     for ab, rows, shape in calls:
-        assert rows == 1 or np.prod(shape) <= _BLOCK_POINTS, (ab, shape)
-    # each order block is covered once, the (2, 2) block in four row blocks
-    assert [rows for ab, rows, _ in calls if ab == (2, 2)] == [102, 102, 102, 14]
+        assert rows == 1 or np.prod(shape) <= points, (ab, shape)
+    # each order block is covered once, the (2, 2) block in row blocks of
+    # the field's calls
+    assert [rows for ab, rows, _ in calls if ab == (2, 2)] == \
+        [per_call] * (gauss // per_call) + [gauss % per_call]
     # the endpoint rows, then the Gauss rows in slabs of whole row blocks of
     # at least _SLAB_ROWS rows: D is never whole
-    assert [len(D) for D in slabs] == [1, 1, 204, 116]
+    step = per_call * -(-_SLAB_ROWS // per_call)
+    assert [len(D) for D in slabs] == \
+        [1, 1] + [min(step, gauss - lo) for lo in range(0, gauss, step)]
     assert len({ab for ab, _, _ in calls}) == 9
 
 
