@@ -346,11 +346,12 @@ def check_conformity(gp: GlobalProjection) -> ConformityReport:
     A patch's projection is read from one jet of orders `_C2_ORDERS` at the
     samples of its four sides (edge parameter t on a left or boundary side,
     `edge_parameter_map` of t on a right side) and at its four corners.  The
-    map's order (0, 0) at the corners gives the corner locations, by which
-    the vertices cluster; then, on a patch with a corner that another patch
-    shares, one jet of the map's orders `_C2_ORDERS` at the corners and one
-    `inverse_chain_rule` give the physical C2 data.  The input on the
-    patch's boundary sides comes from one pullback jet up to (1, 1).  Each
+    map's corner coefficients (`corner_points`, no map jet) give the corner
+    locations, by which the vertices cluster; then, on a patch with a corner
+    that another patch shares, one jet of the map's orders `_C2_ORDERS` at
+    the corners and one `inverse_chain_rule` give the physical C2 data.  The
+    input on the patch's boundary sides comes from one pullback jet up to
+    (1, 1), which on an affine patch takes no map jet either.  Each
     crossing derivative is `_crossing_orders` of the rows of one side of a
     jet.  Scales come from one 9 x 9 grid jet per patch on an interface.
     """
@@ -394,9 +395,9 @@ def check_conformity(gp: GlobalProjection) -> ConformityReport:
         for j in (1, 2, 3, 4):
             projected[i, j] = sample(lambda m, n: f[m, n], j - 1, i, j)
         at_corners[i] = [f[ab][-len(CORNERS):] for ab in _C2_ORDERS]
-        g = patch.gmap.jet(*corners, orders=[(0, 0)])
+        g = patch.gmap.corner_points()
         for c, ell in enumerate(CORNERS):
-            entries.append((i, ell, tuple(float(x[c]) for x in g[0, 0])))
+            entries.append((i, ell, tuple(float(x[c]) for x in g)))
 
     for iface in mp.interfaces:
         (i, j), (ii, jj) = iface.left, iface.right

@@ -244,6 +244,15 @@ class _TensorProductMap:
         # _from_homogeneous can release it
         return lambda x1: self._from_homogeneous(contracted(x1), orders)
 
+    def corner_points(self) -> tuple:
+        """(G_x, G_y) at the parameter corners x_1..x_4 (`CORNERS`), without
+        a jet: the corner coefficients of the grid (the knot vectors are
+        open), through `_from_homogeneous` as the jet's order (0, 0), so a
+        rational map divides w P by w there.  Plus 0.0, as the contraction
+        sums from 0.0: a coefficient -0.0 reads 0.0 there too."""
+        corners = tuple((self._coef[[0, -1, -1, 0], [0, 0, -1, -1]] + 0.0).T)
+        return self._from_homogeneous({(0, 0): corners}, [(0, 0)])[0, 0]
+
     def _one_order(self, x1, x2, c: int, d: int) -> np.ndarray:
         out = np.zeros(np.broadcast(x1, x2).shape + (2,))
         for k, v in enumerate(self.jet(x1, x2, orders=[(c, d)]).get((c, d), ())):
@@ -414,6 +423,23 @@ def check_2regular(gmap):
     det = np.broadcast_to(jacobian_det(jet, gmap.zeros), (s.size, s.size))
     i, j = np.unravel_index(np.argmin(det), det.shape)
     return float(det[i, j]), (float(s[i]), float(s[j]))
+
+
+def _affine_jet(gmap):
+    """The orders (1, 0) and (0, 1) of G, one number per component, where G
+    is affine, else None: the one affine test of the package (`norms`,
+    `fields.pullback`).  G is affine when both orders are constant in both
+    components and no order of total degree 2 is nonzero (`_dependence`); a
+    rational map's dependence describes its homogeneous coefficients, so it
+    never counts, and neither does a map without a dependence table."""
+    deps = getattr(gmap, "_dependence", None)
+    if deps is None or isinstance(gmap, NurbsMap):
+        return None
+    first, second = ((1, 0), (0, 1)), ((2, 0), (1, 1), (0, 2))
+    if any(v is None for ab in first for _, _, v in deps[ab]) or any(
+            v != 0.0 for ab in second for _, _, v in deps.get(ab, ())):
+        return None
+    return {ab: tuple(v for _, _, v in deps[ab]) for ab in first}
 
 
 def block_points(gmap, curved: int) -> int:

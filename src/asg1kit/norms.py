@@ -26,11 +26,12 @@ approximation's coefficient array.  Each block forms one GEMM per order of
 the approximation.  The weights stay separable: no weight grid is built.
 
 An affine map (a bilinear parallelogram: every built-in patch but the right
-one of ``two_patch_skew``, `_affine_jet`) has constant first orders and zero
-second ones, so det G and J^{-1} are numbers of the patch and hess G drops
-out.  det G <= 0 is one comparison, det joins the x2 weights once, and the
-chain rule's coefficients (`_chain_forms`) are formed once, so a block
-evaluates the map only at its points (order (0, 0)) and the target there,
+one of ``two_patch_skew``; the test is `geometry._affine_jet`, which
+`fields.pullback` shares) has constant first orders and zero second ones,
+so det G and J^{-1} are numbers of the patch and hess G drops out.  det G
+<= 0 is one comparison, det joins the x2 weights once, and the chain rule's
+coefficients (`_chain_forms`) are formed once, so a block evaluates the map
+only at its points (order (0, 0)) and the target there,
 and forms the physical derivatives of each order t from the parametric
 ones, in place where no other derivative reads them (on an axis-aligned
 patch each is its parametric order, scaled unless the scale is 1), before
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField2D
-from .geometry import (GeometryError, NurbsMap, Patch, _add, _fold, _mul,
+from .geometry import (GeometryError, Patch, _add, _affine_jet, _fold, _mul,
                        block_points, jacobian_det, jet_component)
 from .ritz1d import default_quadrature_nodes
 from .splines import _BLOCK_POINTS, band_blocks, gauss_rule, tensor_bind_x2_products
@@ -161,7 +162,7 @@ def _terms(coefs):
 def _formed(terms, xs):
     """The forms of ``terms`` (`_terms`) in the inputs ``xs``, as `_forms`
     writes them; a first term whose coefficient is the number 1.0 (on an
-    affine map, `_affine_jet`) leaves its input as it is."""
+    affine map, `geometry._affine_jet`) leaves its input as it is."""
     out = []
     for row in terms:
         acc = None
@@ -178,21 +179,6 @@ def _formed(terms, xs):
                 acc = _fold(operator.imul, xs[j], c)
         out.append(acc)
     return tuple(out)
-
-
-def _affine_jet(gmap):
-    """The orders (1, 0) and (0, 1) of G, one number per component, where G
-    is affine, else None.  G is affine when both orders are constant in both
-    components and no order of total degree 2 is nonzero (`_dependence`); a
-    rational map's dependence describes its homogeneous coefficients, so it
-    never counts."""
-    if isinstance(gmap, NurbsMap):
-        return None
-    deps = gmap._dependence
-    if any(v is None for ab in _ORDERS[1] for _, _, v in deps[ab]) or any(
-            v != 0.0 for ab in _ORDERS[2] for _, _, v in deps.get(ab, ())):
-        return None
-    return {ab: tuple(v for _, _, v in deps[ab]) for ab in _ORDERS[1]}
 
 
 @dataclass

@@ -9,11 +9,12 @@ from asg1kit.asg1 import (
     patch_project,
 )
 from asg1kit.fields import (
+    MANUFACTURED,
     ScalarField2D,
     manufactured,
     pullback,
 )
-from asg1kit.geometry import NORMALS, builtin_geometry, edge_coords
+from asg1kit.geometry import BUILTIN_GEOMETRIES, NORMALS, builtin_geometry, edge_coords
 from asg1kit.gluing import EdgeGluing, GluingData, LinearFunction, recover_all
 from asg1kit.ritz1d import pi_star_functionals, ritz_functionals
 from asg1kit.splines import (
@@ -750,12 +751,12 @@ def test_conformity_pass_equals_per_side_oracle(name, field):
 
 def test_check_conformity_evaluates_each_patch_once(monkeypatch):
     # per patch one scattered projection jet (every side sample and corner)
-    # and one grid jet (the scales), one map jet of order (0, 0) (the corner
-    # locations) and, with a boundary side, one pullback bind; one map jet
-    # of the C2 orders and one chain rule per patch with a corner that
-    # another patch shares (all three of three_patch_L, none on the single
-    # NURBS patch); the domain diameter is measured once per multi-patch,
-    # when it is built
+    # and one grid jet (the scales), no map jet for the corner locations
+    # (the corner coefficients give them) and, with a boundary side, one
+    # pullback bind; one map jet of the C2 orders and one chain rule per
+    # patch with a corner that another patch shares (all three of
+    # three_patch_L, none on the single NURBS patch); the domain diameter is
+    # measured once per multi-patch, when it is built
     from collections import Counter
 
     from asg1kit import asg1, fields
@@ -812,7 +813,7 @@ def test_check_conformity_evaluates_each_patch_once(monkeypatch):
         patches = len(mp.patches)
         assert calls["scattered jet"] <= patches
         assert calls["grid jet"] <= patches
-        assert calls["corner map jet"] == patches
+        assert calls["corner map jet"] == 0
         assert calls["C2 map jet"] == calls["chain rule"] == sharing[name]
         assert calls["pullback bind"] <= len(with_boundary)
         assert calls["pullback map jet"] <= calls["pullback bind"]
@@ -855,3 +856,51 @@ def test_curved_patches_project_and_measure_in_small_blocks(name):
         tracemalloc.stop()
     assert project_peak <= 5e6, project_peak
     assert norms_peak <= 6e6, norms_peak
+
+
+def test_affine_patch_projects_without_a_map_jet(monkeypatch):
+    # the pullback by an affine patch maps its points as G(0, 0) + J xi
+    # and combines orders of u with constants: neither the tensor
+    # projection's data calls nor the edge jets evaluate the map
+    from asg1kit.geometry import BilinearMap
+
+    mp = builtin_geometry("three_patch_L", 8)
+    patch, glue = mp.patches[1], recover_all(mp).for_patch(1)
+    calls = []
+    jet = BilinearMap.jet
+    monkeypatch.setattr(BilinearMap, "jet", lambda *a, **k: calls.append(1) or jet(*a, **k))
+    u = pullback(manufactured("sinsin"), patch.gmap)
+    p, k = 4, 2
+    V = TensorSplineSpace(UniSplineSpace(p, k, patch.partitions[0]),
+                          UniSplineSpace(p, k, patch.partitions[1]))
+    tensor_project_Q(V, u)
+    _edge_projections(u, patch.partitions, glue, p, k, None)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GEOMETRIES))
+def test_affine_pullbacks_keep_every_bit_of_the_generic_path(monkeypatch, name):
+    # global_project's coefficients and check_conformity's report with every
+    # field, then again with every pullback on the generic path (a map jet
+    # and the chain rule term by term), by sha1
+    import hashlib
+    import json
+
+    from asg1kit import fields
+
+    mp = builtin_geometry(name, 8)
+    glue = recover_all(mp)
+
+    def digests():
+        out = []
+        for f in sorted(MANUFACTURED):
+            gp = global_project(mp, glue, manufactured(f), 4, 2)
+            coefficients = b"".join(q.spline.coefficients.tobytes() for q in gp.patches)
+            report = json.dumps(check_conformity(gp).to_json()).encode()
+            out.append((hashlib.sha1(coefficients).hexdigest(),
+                        hashlib.sha1(report).hexdigest()))
+        return out
+
+    affine = digests()
+    monkeypatch.setattr(fields, "_affine_jet", lambda gmap: None)
+    assert digests() == affine

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy as sym
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from asg1kit.fields import (
     MANUFACTURED,
@@ -607,3 +609,99 @@ def test_axis_aligned_pullback_reads_one_order_of_u(points):
             want = h1 ** a * h2 ** b * u(X, Y, a, b)
             assert got.shape == np.broadcast_shapes(x1.shape, x2.shape)
             assert np.array_equal(got, np.broadcast_to(want, got.shape)), (a, b)
+
+
+# c00, e1 = d1 G and e2 = d2 G of a skewed parallelogram: every chain-rule
+# factor of its pullback is a nonzero number, so each order reads every
+# order of u of its total degree
+_PARALLELOGRAM = ((0.1, -0.375), (1.125, 0.25), (-0.25, 0.875))
+
+
+def _parallelogram(c00, e1, e2):
+    c00, e1, e2 = (np.asarray(v, dtype=float) for v in (c00, e1, e2))
+    return BilinearMap([[c00, c00 + e2], [c00 + e1, c00 + e1 + e2]])
+
+
+def _assert_affine_path_matches_generic(gmap, name, points, terms_scale=False):
+    # the wrapper has no dependence table, so its pullback takes a map jet
+    # and the chain rule term by term.  The bound is 1e-13 of the order's
+    # largest value, or with ``terms_scale`` of the largest sum of the sizes
+    # of its terms, |e1|_1^a |e2|_1^b max |d^uo u| over the uo of degree
+    # a + b, which bounds it: where the terms cancel, the round-off of the
+    # mapped points (G(0, 0) + J xi against the map's contraction) is
+    # amplified by as much as the terms exceed the value
+    from asg1kit.geometry import _affine_jet
+
+    jacobian = _affine_jet(gmap)
+    assert jacobian is not None
+    u = manufactured(name)
+    affine = pullback(u, gmap).jet(*points, 3, 3)
+    generic = pullback(u, _ReadOnlyJets(gmap)).jet(*points, 3, 3)
+    G = gmap.point(*points)
+    norm1, norm2 = (sum(map(abs, jacobian[ab])) for ab in ((1, 0), (0, 1)))
+    for a in range(4):
+        for b in range(4):
+            got, want = affine(a, b), generic(a, b)
+            assert got.shape == want.shape == np.broadcast_shapes(*map(np.shape, points))
+            scale = np.max(np.abs(want))
+            if terms_scale:
+                scale = norm1 ** a * norm2 ** b * max(
+                    np.max(np.abs(u(G[..., 0], G[..., 1], m, a + b - m)))
+                    for m in range(a + b + 1))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (a, b)
+
+
+@pytest.mark.parametrize("points", ["grid", "scattered"])
+@pytest.mark.parametrize("name", sorted(MANUFACTURED))
+def test_affine_pullback_matches_the_generic_path(name, points):
+    scattered, grid = _jet_points()
+    _assert_affine_path_matches_generic(_parallelogram(*_PARALLELOGRAM), name,
+                                        grid if points == "grid" else scattered)
+
+
+_dyadic = st.integers(-16, 16).map(lambda k: k / 8.0)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.tuples(*[_dyadic] * 6), st.sampled_from(sorted(MANUFACTURED)),
+       st.sampled_from(["grid", "scattered"]))
+def test_affine_pullback_matches_the_generic_path_on_dyadic_parallelograms(
+        entries, name, points):
+    # bounded by the size of the terms: expxy is constant along (2, -1), so
+    # on a side near that direction its orders cancel to round-off
+    e1, e2 = entries[2:4], entries[4:]
+    assume(e1[0] * e2[1] - e1[1] * e2[0] > 0.0)
+    scattered, grid = _jet_points()
+    _assert_affine_path_matches_generic(_parallelogram(entries[:2], e1, e2), name,
+                                        grid if points == "grid" else scattered,
+                                        terms_scale=True)
+
+
+def test_affine_pullback_maps_points_at_the_shapes_of_their_axes():
+    # G(0, 0) + J xi: on an axis-aligned patch x depends on x1 alone and y
+    # on x2 alone, a column and a row of the grid; a skewed one spans it
+    seen = []
+
+    def ev(x, y, m, n):
+        seen.append((np.shape(x), np.shape(y)))
+        return manufactured("sinsin")(x, y, m, n)
+
+    u = ScalarField2D(ev, max_order=8)
+    x1, x2 = np.linspace(0.0, 1.0, 7)[:, None], np.linspace(0.0, 1.0, 5)[None, :]
+    aligned = BilinearMap([[(-1.0, 0.25), (-1.0, 0.75)], [(1.0, 0.25), (1.0, 0.75)]])
+    for gmap, shapes in ((aligned, ((7, 1), (1, 5))),
+                         (_parallelogram(*_PARALLELOGRAM), ((7, 5), (7, 5)))):
+        seen.clear()
+        pullback(u, gmap)(x1, x2, 1, 1)
+        assert set(seen) == {shapes}
+
+
+def test_mirrored_affine_pullback_raises():
+    # det G = -1 everywhere: one comparison per evaluation finds it
+    from asg1kit.geometry import GeometryError
+
+    mirrored = BilinearMap([[(1.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (0.0, 1.0)]])
+    v = pullback(manufactured("sinsin"), mirrored)
+    for x1, x2 in _jet_points():
+        with pytest.raises(GeometryError, match="non-positive Jacobian determinant"):
+            v(x1, x2)

@@ -519,3 +519,25 @@ def test_nurbs_grid_jet_releases_homogeneous_orders():
         for got, ref in zip(jet[ab], want[ab]):
             scale = max(1.0, float(np.max(np.abs(ref))))
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale, ab
+
+
+def test_corner_points_equal_the_jet_at_the_corners():
+    # the corner coefficients (w P / w on a NURBS map) are the jet's order
+    # (0, 0) at the parameter corners bit for bit, the sign of a zero
+    # included: a coefficient -0.0 reads 0.0 in both
+    from asg1kit.geometry import CORNERS
+
+    rng = np.random.default_rng(11)
+    S = UniSplineSpace(3, 1, uniform_partition(3))
+    control = rng.normal(size=(S.dim, S.dim, 2))
+    control[0, 0, 0] = control[-1, 0, 1] = control[-1, -1, 0] = -0.0
+    square = np.array([[[-0.0, 0.0], [0.0, 1.0]], [[1.0, -0.0], [1.0, 1.0]]])
+    maps = [*_jet_maps().values(), BilinearMap(square), SplineMap(S, S, control),
+            NurbsMap(S, S, control, rng.uniform(0.5, 2.0, (S.dim, S.dim)))]
+    maps += [patch.gmap for name in BUILTIN_GEOMETRIES
+             for patch in builtin_geometry(name).patches]
+    corners = [np.array(x) for x in zip(*CORNERS.values())]
+    for gmap in maps:
+        want = gmap.jet(*corners, orders=[(0, 0)])[0, 0]
+        got = gmap.corner_points()
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]

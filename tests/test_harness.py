@@ -195,6 +195,16 @@ def test_folded_geometry_is_configuration_error(tmp_path, capsys, command):
         assert "non-positive Jacobian determinant" in capsys.readouterr().err
 
 
+def test_mirrored_affine_patch_is_configuration_error(tmp_path, capsys):
+    # det G = -1 everywhere: the pullback's one comparison refuses it
+    path = tmp_path / "mirrored.json"
+    path.write_text(json.dumps({"patches": [{
+        "kind": "bilinear", "control_points": [[1, 0], [1, 1], [0, 0], [0, 1]],
+        "partitions": [[0, 0.5, 1], [0, 0.5, 1]]}]}))
+    assert main(["project", "--geometry", str(path), "--n", "8"]) == 2
+    assert "non-positive Jacobian determinant" in capsys.readouterr().err
+
+
 BILINEAR = {"kind": "bilinear", "control_points": [[0, 0], [0, 1], [1, 0], [1, 1]],
             "partitions": [[0, 1], [0, 1]]}
 SPLINE = {"kind": "spline", "degree": [1, 1], "knots": [[0, 0, 1, 1], [0, 0, 1, 1]],

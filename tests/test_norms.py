@@ -6,7 +6,8 @@ import sympy as sym
 
 from asg1kit.fields import ScalarField2D, manufactured, pullback
 from asg1kit.geometry import (BUILTIN_GEOMETRIES, BilinearMap, GeometryError, Patch,
-                              SplineMap, block_points, builtin_geometry, jacobian_det)
+                              SplineMap, _affine_jet, block_points, builtin_geometry,
+                              jacobian_det)
 from asg1kit.norms import (
     ErrorTable,
     combine_tables,
@@ -336,7 +337,7 @@ def test_affine_norms_over_several_chunks_match_full_grid_quadrature(kind):
     # on an affine map the chain rule's coefficients and det G are numbers
     # of the patch; each block's x1 rows serve both x2 chunks
     gmap = BilinearMap(_AFFINE[kind])
-    assert norms._affine_jet(gmap) is not None
+    assert _affine_jet(gmap) is not None
     nq = 8
     Z1, Z2 = uniform_partition(64), uniform_partition(48)
     patch = Patch(gmap, (Z1, Z2))
@@ -367,7 +368,7 @@ def test_affine_blocks_take_no_map_jet_of_order_one_or_chain_rule(kind, affine,
         gmap = builtin_geometry(kind).patches[0].gmap
     else:
         gmap = _det_shape_maps()[kind][0]
-    assert (norms._affine_jet(gmap) is not None) == affine
+    assert (_affine_jet(gmap) is not None) == affine
     Z = uniform_partition(64)
     patch = Patch(gmap, (Z, Z))
     S = UniSplineSpace(4, 2, Z)
@@ -415,7 +416,7 @@ def test_norms_equal_the_per_point_loop_bit_for_bit(kind):
         gmap = builtin_geometry(kind).patches[0].gmap
     else:
         gmap = _det_shape_maps()[kind][0]
-    assert (norms._affine_jet(gmap) is None) == (kind in ("skew", "trapezoid", "spline", "nurbs"))
+    assert (_affine_jet(gmap) is None) == (kind in ("skew", "trapezoid", "spline", "nurbs"))
     Z = uniform_partition(128)
     patch = Patch(gmap, (Z, Z))
     S = UniSplineSpace(6, 4, Z)
