@@ -16,32 +16,29 @@ lives; the edge traces and crossing-derivative fields read one side of it at
 some of their points.
 
 ``pullback`` composes a physical field with a geometry map by the chain
-rule (term lists cached per derivative order), on one of two paths decided
-once per map.  On an affine map (`geometry._affine_jet`: a bilinear
-parallelogram, such as every built-in patch but the right one of
-``two_patch_skew``) the mapped points are G(0, 0) + J xi, each coordinate
-at the broadcast shape of the axes it depends on (a column and a row on an
-axis-aligned patch), and each order is a combination of orders of u with
-constants cached by the Jacobian's numbers, so a pullback jet takes no map
-jet and det G <= 0 is one comparison.  On any other map a pullback jet takes
-one geometry jet (see `geometry`), which supplies the mapped points, the
+rule (term lists cached per derivative order) in one order loop; what is
+decided once per map is where a call's map jet comes from.  On an affine map
+(`geometry._affine_jet`: a bilinear parallelogram, such as every built-in
+patch but the right one of ``two_patch_skew``) it is G(0, 0) + J xi, each
+coordinate at the broadcast shape of the axes it depends on (a column and a
+row on an axis-aligned patch), with the numbers of J as its orders (1, 0)
+and (0, 1), and det G is formed once per map, so a pullback call takes no
+geometry jet and det G <= 0 is one comparison.  On any other map it is one
+geometry jet (see `geometry`), which supplies the mapped points, the
 Jacobian determinant and every chain-rule factor, each at the broadcast
-shape of the axes it depends on, and one jet of the physical field at the
-mapped points.  Terms with a factor that is identically zero for the map
-(absent from its jet, or in ``gmap.zeros``) are dropped once per order, jet
-orders and zeros, with the orders of u only they read; terms are summed by
-their order of u, so one order array of u is alive at a time.  Both paths
-sum the same products in the same order, and a pullback value has the
-broadcast shape of its points.
+shape of the axes it depends on.  Either way a call takes one jet of the
+physical field at the mapped points.  Terms with a factor that is
+identically zero for the map (absent from its jet, or in ``gmap.zeros``)
+are dropped once per order, jet orders and zeros, with the orders of u only
+they read; terms are summed by their order of u, so one order array of u is
+alive at a time, and a pullback value has the broadcast shape of its points.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from collections import defaultdict
-from itertools import product
 
 import numpy as np
 
@@ -328,14 +325,13 @@ def _crossing_orders(jet, j: int, t, alpha, beta):
 # the order (m, n) of u; every factor order is at most (a, b), so one
 # geometry jet up to (a, b) holds all of them.  Terms with a factor that is
 # zero for the map (absent from the jet, or in ``gmap.zeros``) are dropped
-# once per order, jet orders and zeros (`_kept_terms`).  On an affine map
-# every factor is a number, so each u-order's terms sum to one constant
-# (`_affine_chain`).  On other maps each factor is a jet component at the
-# broadcast shape of the axes it depends on, so a u-order's products and
-# their sum stay at those small shapes and meet the u-order, which spans
-# the grid, in one multiply; only a term's first multiply, (coef * f_0),
-# allocates, and later ones where broadcasting grows the product: the rest
-# run in place, never in a jet's array.
+# once per order, jet orders and zeros (`_kept_terms`).  Each factor is a
+# jet component at the broadcast shape of the axes it depends on (a number
+# on an affine map, whose jet holds J's numbers and no higher order), so a
+# u-order's products and their sum stay at those small shapes and meet the
+# u-order, which spans the grid, in one multiply; only a term's first
+# multiply, (coef * f_0), allocates, and later ones where broadcasting
+# grows the product: the rest run in place, never in a jet's array.
 
 
 @functools.lru_cache(maxsize=None)
@@ -386,27 +382,6 @@ def _kept_terms(a: int, b: int, present: frozenset, zeros: frozenset):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=1024)
-def _affine_chain(c: int, d: int, jacobian: tuple):
-    """``({(a, b): ((uo, c_uo), ...)}, tops)`` for u o G on an affine G whose
-    orders (1, 0) and (0, 1) are the numbers ``jacobian``: for each (a, b)
-    <= (c, d) the constant c_uo of each order uo of u, the sum of the
-    products of its `_kept_terms` in the order the generic path sums them
-    (so the values are that path's), zeros left out, and the top orders of
-    u they read."""
-    J = dict(zip(((1, 0), (0, 1)), jacobian))
-    zeros = frozenset((od, i) for od, v in J.items() for i in (0, 1) if v[i] == 0.0)
-    orders = {}
-    for ab in product(range(c + 1), range(d + 1)):
-        sums = ((uo, functools.reduce(operator.add, [
-            math.prod([coef, *(J[od][comp] for comp, od in factors)])
-            for coef, factors in terms]))
-            for uo, terms in _kept_terms(*ab, frozenset(J), zeros))
-        orders[ab] = tuple((uo, total) for uo, total in sums if total != 0.0)
-    tops = tuple(max(uo[i] for row in orders.values() for uo, _ in row) for i in (0, 1))
-    return orders, tops
-
-
 # The most points of one blocked call of a pullback on a curved map
 # (`geometry.block_points`).  A call of order (2, 2) on a NURBS patch keeps
 # about 48 arrays of its points alive (the homogeneous and rational map jets,
@@ -431,60 +406,54 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
     parameter square.  Requires the Jacobian determinant of ``G`` to be
     positive wherever evaluated (2-regularity); a `GeometryError` is raised
     otherwise.  Its ``block_points`` are `geometry.block_points` of the map.
+    Every map runs one order loop (`_bind`); only the source of its map
+    jets (`_map_jets`) depends on whether the map is affine.
     """
-    affine = _affine_jet(gmap)
-    field = _jet_field(_generic_bind(u, gmap) if affine is None else
-                       _affine_bind(u, gmap, affine), max_order=3)
+    zeros = frozenset(getattr(gmap, "zeros", ()))
+    field = _jet_field(_bind(u, _map_jets(gmap, zeros), zeros), max_order=3)
     field.block_points = block_points(gmap, _CURVED_CALL_POINTS)
     return field
 
 
-def _affine_bind(u: ScalarField2D, gmap, affine):
-    """The order functions of u o G on an affine G (`_affine_jet` gives
-    ``affine``): the mapped points G(0, 0) + J xi, each coordinate at the
-    broadcast shape of the axes it depends on, one jet of u there, and each
-    order the constant combination of orders of u of `_affine_chain`, an
-    array the caller owns."""
-    det = jacobian_det(affine, gmap.zeros)
+def _map_jets(gmap, zeros):
+    """The map jets of a pullback: ``(x1, x2, c, d) ->`` a jet of G up to
+    (max(c, 1), max(d, 1)) at the points, or a `GeometryError` where det G
+    <= 0 there.  On an affine G (`_affine_jet`) the jet is G(0, 0) + J xi,
+    each coordinate at the broadcast shape of the axes it depends on, with
+    J's numbers, and det G is formed once; on any other map it is one
+    geometry jet, whose det G is formed per call."""
+    affine = _affine_jet(gmap)
+    if affine is None:
+        def map_jet(x1, x2, c, d):
+            jet = gmap.jet(x1, x2, max(c, 1), max(d, 1))
+            det = jacobian_det(jet, zeros)
+            if np.any(det <= 0.0):
+                raise _folded(det)
+            return jet
+
+        return map_jet
+    det = jacobian_det(affine, zeros)
     corner = [v[0] for v in gmap.corner_points()]  # G(0, 0)
     jacobian = (affine[1, 0], affine[0, 1])
     # coordinate i: its corner value plus a term per axis it depends on
     axes = [[(k, v[i]) for k, v in enumerate(jacobian) if v[i] != 0.0] for i in (0, 1)]
 
-    def bind(x1, x2, c, d):
+    def affine_jet(x1, x2, c, d):
         if det <= 0.0:
             raise _folded(det)
-        orders, tops = _affine_chain(c, d, jacobian)
         points = [functools.reduce(operator.add, [(x1, x2)[k] * v for k, v in terms],
                                    corner[i]) for i, terms in enumerate(axes)]
-        ujet = u.jet(*points, *(min(top, u.max_order) for top in tops))
-        shape = np.broadcast(x1, x2).shape
+        return {(0, 0): points, **affine}
 
-        def order(a, b):
-            out = None
-            for uo, coef in orders[a, b]:
-                value = ujet(*uo)
-                if out is not None:
-                    out = _fold(operator.iadd, out, coef * value)
-                else:
-                    out = np.array(value, dtype=float) if coef == 1.0 else coef * value
-            return out if np.shape(out) == shape else np.broadcast_to(out, shape).copy()
-
-        return order
-
-    return bind
+    return affine_jet
 
 
-def _generic_bind(u: ScalarField2D, gmap):
-    """The order functions of u o G from one map jet per call and the
-    chain-rule terms that are not zero for the map (`_kept_terms`)."""
-    zeros = frozenset(getattr(gmap, "zeros", ()))
+def _bind(u: ScalarField2D, map_jets, zeros):
+    """The order functions of u o G from one map jet per call (``map_jets``)
+    and the chain-rule terms that are not zero for the map (`_kept_terms`)."""
 
     def bind(x1, x2, c, d):
-        jet = gmap.jet(x1, x2, max(c, 1), max(d, 1))
-        det = jacobian_det(jet, zeros)
-        if np.any(det <= 0.0):
-            raise _folded(det)
+        jet = map_jets(x1, x2, c, d)
         # an order (a, b) <= (c, d) reads orders m + n <= c + d of u
         top = min(c + d, u.max_order)
         ujet = u.jet(*jet[0, 0], top, top)

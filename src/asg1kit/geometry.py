@@ -650,16 +650,18 @@ def _numbers(value, where: str) -> np.ndarray:
 
 def _space_from_knots(degree: int, knots, where: str) -> UniSplineSpace:
     t = _numbers(knots, where)
-    breaks = np.unique(t)
-    if t.ndim != 1 or not t.size or breaks[0] != 0.0 or breaks[-1] != 1.0:
+    if t.ndim == 1 and np.any(t[1:] < t[:-1]):
+        raise GeometryError(f"{where}: knots must be non-decreasing")
+    if t.ndim != 1 or not t.size or t[0] != 0.0 or t[-1] != 1.0:
         raise GeometryError(f"{where}: knots must span [0, 1]")
-    interior_mult = {int(np.sum(np.isclose(t, z))) for z in breaks[1:-1]}
+    breaks, mults = np.unique(t, return_counts=True)  # exact: one rule for both
+    interior_mult = set(mults[1:-1].tolist())
     if len(interior_mult) > 1:
         raise GeometryError(f"{where}: non-uniform interior knot multiplicity")
     mult = interior_mult.pop() if interior_mult else 1
     if mult > degree + 1:
         raise GeometryError(f"{where}: interior knot multiplicity {mult} > degree + 1")
-    if np.sum(np.isclose(t, 0.0)) != degree + 1 or np.sum(np.isclose(t, 1.0)) != degree + 1:
+    if mults[0] != degree + 1 or mults[-1] != degree + 1:
         raise GeometryError(f"{where}: knot vector must be open")
     return UniSplineSpace(degree, degree - mult, Partition(tuple(float(z) for z in breaks)))
 

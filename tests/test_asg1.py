@@ -878,6 +878,31 @@ def test_affine_patch_projects_without_a_map_jet(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name, affine", [("three_patch_L", True), ("two_patch_skew", False)])
+def test_affine_pullback_forms_det_once(monkeypatch, name, affine):
+    # det G of an affine patch is one number, formed once per pullback and
+    # compared at every evaluation; the skew patch forms it from each map jet
+    from asg1kit import fields
+    from asg1kit.geometry import _affine_jet
+
+    mp = builtin_geometry(name, 8)
+    patch, glue = mp.patches[1], recover_all(mp).for_patch(1)
+    assert (_affine_jet(patch.gmap) is not None) == affine
+    dets, evaluations = [], []
+    det = fields.jacobian_det
+    monkeypatch.setattr(fields, "jacobian_det", lambda *a: dets.append(1) or det(*a))
+    u = pullback(manufactured("sinsin"), patch.gmap)
+    bind = u._bind
+    u._bind = lambda *a: evaluations.append(1) or bind(*a)
+    p, k = 4, 2
+    V = TensorSplineSpace(UniSplineSpace(p, k, patch.partitions[0]),
+                          UniSplineSpace(p, k, patch.partitions[1]))
+    tensor_project_Q(V, u)
+    _edge_projections(u, patch.partitions, glue, p, k, None)
+    assert len(evaluations) > 1
+    assert len(dets) == (1 if affine else len(evaluations))
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_GEOMETRIES))
 def test_affine_pullbacks_keep_every_bit_of_the_generic_path(monkeypatch, name):
     # global_project's coefficients and check_conformity's report with every

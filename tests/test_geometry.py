@@ -405,6 +405,25 @@ def test_json_roundtrip_builtin(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("name", [*BUILTIN_GEOMETRIES, "nurbs_square/0", "nurbs_square/1",
+                                  "curved_two_patch/0", "curved_two_patch/1"])
+def test_json_roundtrip_keeps_the_spaces(tmp_path, name):
+    # each patch reads back as the same kind of map over the same spline
+    # spaces (breakpoints and knot multiplicities) and partitions
+    from perfbench import workloads
+
+    builder, _, seed = name.partition("/")
+    mp = getattr(workloads, builder)(8, int(seed)) if seed else builtin_geometry(name)
+    path = tmp_path / "geom.json"
+    save_geometry(mp, path)
+    again = load_geometry(path)
+    assert len(again.patches) == len(mp.patches)
+    for patch, want in zip(again.patches, mp.patches):
+        assert type(patch.gmap) is type(want.gmap)
+        assert (patch.gmap.space1, patch.gmap.space2) == (want.gmap.space1, want.gmap.space2)
+        assert patch.partitions == want.partitions
+
+
 def test_json_missing_corner_reports_field(tmp_path):
     data = multipatch_to_json(builtin_geometry("unit_square"))
     data["patches"][0]["control_points"] = data["patches"][0]["control_points"][:3]

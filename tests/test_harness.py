@@ -8,7 +8,7 @@ import pytest
 
 from asg1kit.asg1 import check_conformity, global_project
 from asg1kit.fields import manufactured
-from asg1kit.geometry import builtin_geometry
+from asg1kit.geometry import builtin_geometry, load_geometry
 from asg1kit.gluing import recover_all
 from asg1kit.harness import (
     ConfigError,
@@ -250,6 +250,36 @@ def test_malformed_geometry_json_exits_2(tmp_path, capsys, doc, field):
     path.write_text(json.dumps(doc))
     assert main(["gluing", "--geometry", str(path)]) == 2
     assert field in capsys.readouterr().err
+
+
+def _quadratic_patch(knots):
+    # a degree-2 spline patch over ``knots`` in both directions, its control
+    # points the uniform grid of as many points as the knots imply
+    s = np.linspace(0.0, 1.0, len(knots) - 3)
+    return {"patches": [{"kind": "spline", "degree": [2, 2], "knots": [knots, knots],
+                         "control_points": [[x, y] for x in s for y in s],
+                         "partitions": [[0, 0.25, 0.5, 0.75, 1]] * 2}]}
+
+
+def test_decreasing_knots_exit_2(tmp_path, capsys):
+    # knots out of order are an error in the file, not a vector to sort
+    path = tmp_path / "decreasing.json"
+    path.write_text(json.dumps(_quadratic_patch([0, 0, 0, 0.7, 0.3, 1, 1, 1])))
+    assert main(["check-c1", "--geometry", str(path), "--p", "4", "--n", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "patches[0].knots[0]" in err and "non-decreasing" in err
+
+
+def test_close_knots_count_as_distinct(tmp_path, capsys):
+    # multiplicities are counted exactly: 0.5 and 0.5 + 1e-9 are two simple
+    # knots, so the 5 x 5 control points fit
+    knots = [0, 0, 0, 0.5, 0.5 + 1e-9, 1, 1, 1]
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps(_quadratic_patch(knots)))
+    assert main(["check-c1", "--geometry", str(path), "--p", "4", "--n", "8"]) == 0
+    space = load_geometry(path).patches[0].gmap.space1
+    assert (space.degree, space.smoothness) == (2, 1)
+    assert space.partition.breakpoints == (0.0, 0.5, 0.5 + 1e-9, 1.0)
 
 
 def test_cli_equals_library(tmp_path, capsys):
