@@ -12,11 +12,11 @@ The crossing derivative d_j . grad, d_j = (n_j + beta t_j) / alpha, is
 formed by `fields._crossing_orders` alone, for P1's data and in
 `check_conformity`.  The data of P0 and of the crossing projection on the
 two sides along an edge axis come from one jet of the pullback
-(`fields.EdgeJet`), so a patch binds two edge jets.  Each correction is
-transported into the patch interior by a boundary-bubble extension that
-leaves the data on the other three sides untouched.  Gluing the per-patch
-projections of the pullbacks then yields a globally C1 function whenever
-the gluing data certifies the geometry.
+(`fields.edge_jet`), read by index arrays into its points, so a patch binds
+two edge jets.  Each correction is transported into the patch interior by a
+boundary-bubble extension that leaves the data on the other three sides
+untouched.  Gluing the per-patch projections of the pullbacks then yields a
+globally C1 function whenever the gluing data certifies the geometry.
 
 Sign convention: the order-1 extensions carry a negated bubble factor so
 that the *outward* normal derivative of the extension restricted to its own
@@ -30,14 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (
-    _crossing_orders,
-    EdgeJet,
-    ScalarField2D,
-    directional_edge_field,
-    pullback,
-    restrict_to_edge,
-)
+from .fields import _along, _crossing_orders, ScalarField2D, edge_jet, pullback
 from .geometry import (
     CORNERS,
     EDGE_AXIS,
@@ -171,23 +164,30 @@ def _edge_projections(u: ScalarField2D, partitions, gluing: dict, p: int,
     """P0 and P1 of every side, as ``{side: spline}`` dicts.
 
     The data of both projections on both sides along an axis come from one
-    `EdgeJet` of ``u`` at the union of the points of the axis's Pi* and
-    crossing functionals, each order read at its own points.  The data of
-    all sides that share a functional object go through one 2D
-    `PointFunctionals.coefficients` call.
+    `edge_jet` of ``u`` at the union of the points of the axis's Pi* and
+    crossing functionals, which gives each datum its index into the jet's
+    points: the P0 data of both sides are one index per order, and each
+    side's crossing data are one `_crossing_orders` of its rows, each order
+    read at its own points.  The data of all sides that share a functional
+    object go through one 2D `PointFunctionals.coefficients` call.
     """
     funcs, data = {}, {}  # (sigma, side) -> functionals, data vector
-    for axis, sides in ((0, (1, 3)), (1, (4, 2))):
+    for axis, sides in ((0, (1, 3)), (1, (4, 2))):  # by end (`side_end`)
         f0 = pi_star_functionals(p, k, partitions[axis], nq)
         f1 = pi_cross_functionals(p, k, partitions[axis], nq)
-        edges = EdgeJet(u, axis, f0.points + f1.points,
-                        max(max(f0.orders), max(f1.orders) + 1))
-        for j in sides:
-            g = gluing[j]
-            funcs[0, j] = f0
-            data[0, j] = f0.data_vector(restrict_to_edge(edges, j))
-            funcs[1, j] = f1
-            data[1, j] = f1.data_vector(directional_edge_field(edges, j, g.alpha, g.beta))
+        t, at = np.unique(f0.points + f1.points, return_inverse=True)
+        at0, at1 = at[:len(f0.points)], at[len(f0.points):]
+        jet = edge_jet(u, axis, t, max(max(f0.orders), max(f1.orders) + 1))
+        trace = np.empty((2, len(f0.orders)))
+        for d, mask, _ in f0.by_order:
+            trace[:, mask] = jet(*_along(axis, d, 0))[:, at0[mask]]
+        for r, j in enumerate(sides):
+            side = lambda m, n: jet(m, n)[r, at1]  # noqa: E731
+            crossing = _crossing_orders(side, j, t[at1], gluing[j].alpha, gluing[j].beta)
+            funcs[0, j], funcs[1, j] = f0, f1
+            data[0, j], data[1, j] = trace[r], np.empty(len(f1.orders))
+            for d, mask, _ in f1.by_order:
+                data[1, j][mask] = crossing(d)[mask]
     rows = {}
     for f in {id(f): f for f in funcs.values()}.values():
         keys = [key for key in funcs if funcs[key] is f]

@@ -10,10 +10,11 @@ axis-aligned patch, it is one contiguous column-by-row kernel (`_product`).
 A call is a one-order jet; a field given by an evaluator alone calls it once
 per order asked for.
 
-An `EdgeJet` is one jet of u on the two sides along an edge axis at fixed
+An `edge_jet` is one jet of u on the two sides along an edge axis at fixed
 edge parameters, each order evaluated once for both sides and kept while it
-lives; the edge traces and crossing-derivative fields read one side of it at
-some of their points.
+lives, as an array with a row per side; the edge pass (`asg1`) reads its
+data from it by index arrays, the crossing derivative through
+`_crossing_orders`, the one form of it in the package.
 
 ``pullback`` composes a physical field with a geometry map by the chain
 rule (term lists cached per derivative order) in one order loop; what is
@@ -43,7 +44,7 @@ from collections import defaultdict
 import numpy as np
 
 from .geometry import (EDGE_AXIS, NORMALS, TANGENTS, GeometryError, _affine_jet,
-                       _fold, block_points, jacobian_det, side_end)
+                       _fold, block_points, jacobian_det)
 from .splines import _BLOCK_POINTS
 
 __all__ = [
@@ -51,9 +52,7 @@ __all__ = [
     "ScalarField2D",
     "MANUFACTURED",
     "manufactured",
-    "EdgeJet",
-    "restrict_to_edge",
-    "directional_edge_field",
+    "edge_jet",
     "pullback",
 ]
 
@@ -111,9 +110,9 @@ class ScalarField2D(_JetField):
     block_points = _BLOCK_POINTS
 
 
-def _jet_field(bind, max_order: int, kind=ScalarField2D):
-    """The field of ``kind`` whose order functions come from ``bind``."""
-    field = kind(None, max_order)
+def _jet_field(bind, max_order: int):
+    """The 2D field whose order functions come from ``bind``."""
+    field = ScalarField2D(None, max_order)
     field._bind = bind
     return field
 
@@ -202,7 +201,7 @@ def manufactured(name: str) -> ScalarField2D:
         ) from None
 
 
-# -- edge restrictions ---------------------------------------------------------
+# -- edge jets -----------------------------------------------------------------
 
 
 def _along(axis: int, tangential: int, normal: int) -> tuple[int, int]:
@@ -210,76 +209,20 @@ def _along(axis: int, tangential: int, normal: int) -> tuple[int, int]:
     return (tangential, normal) if axis == 0 else (normal, tangential)
 
 
-class EdgeJet:
+def edge_jet(u: ScalarField2D, axis: int, t, top: int):
     """One jet of ``u`` on both sides along ``axis`` (sides 1 and 3 along
     xi1, sides 4 and 2 along xi2) at the edge parameters ``t``: tangential
-    orders up to ``top`` and normal orders up to 1.  Each (x1, x2) order is
-    evaluated once, at every point of both sides, when it is first read, and
-    kept while the jet lives; `side` reads the orders of one side at some of
-    the points."""
-
-    def __init__(self, u: ScalarField2D, axis: int, t, top: int):
-        self.axis, self.top = axis, top
-        t = np.sort(np.asarray(t, dtype=float))
-        self.t = t[np.append(True, t[1:] != t[:-1])]  # as np.unique, no numpy.ma
-        ends = np.array([0.0, 1.0])
-        points = (self.t[:, None], ends[None, :]) if axis == 0 else \
-            (ends[:, None], self.t[None, :])
-        jet = u.jet(*points, *_along(axis, top, 1))
-        shape = _along(axis, self.t.size, 2)  # a field's value may broadcast
-        self._order = functools.cache(lambda m, n: np.broadcast_to(jet(m, n), shape))
-
-    def side(self, j: int, t):
-        """``(m, n) -> d1^m d2^n u`` at the points ``t`` of side ``j``, each
-        one of the jet's points."""
-        at = np.searchsorted(self.t, t)
-        if np.any(self.t.take(at, mode="clip") != t):
-            raise ValueError("edge points outside the points of the edge jet")
-        key = (at, side_end(j)) if self.axis == 0 else (side_end(j), at)
-        return lambda m, n: self._order(m, n)[key]
-
-
-def _check_side(edges: EdgeJet, j: int):
-    """A ValueError for a bad side, or one that does not run along the axis
-    of ``edges``."""
-    side_end(j)
-    if EDGE_AXIS[j] != edges.axis:
-        raise ValueError(f"side {j} does not run along axis {edges.axis}")
-
-
-def restrict_to_edge(edges: EdgeJet, j: int) -> ScalarField1D:
-    """Trace on side ``j``, in the side's intrinsic parameter, of the field
-    of ``edges``, at the jet's points; order d reads tangential order d."""
-    _check_side(edges, j)
-
-    def bind(t, top):
-        jet = edges.side(j, t)
-        return lambda d: jet(*_along(edges.axis, d, 0))
-
-    return _jet_field(bind, edges.top, ScalarField1D)
-
-
-def directional_edge_field(edges: EdgeJet, j: int, alpha, beta) -> ScalarField1D:
-    """The crossing-direction derivative (n_j + beta t_j) . grad(u) / alpha
-    along side ``j`` of the field of ``edges``, at the jet's points; order d
-    reads tangential orders up to d + 1 and normal order 1 up to d.
-
-    ``alpha`` and ``beta`` are linear functions a0 + a1 x of the edge
-    parameter (`gluing.LinearFunction`); alpha must be positive on [0, 1].
-    """
-    _require_positive_alpha(alpha)
-    _check_side(edges, j)
-
-    def bind(t, top):
-        return _crossing_orders(edges.side(j, t), j, t, alpha, beta)
-
-    return _jet_field(bind, min(edges.top - 1, 2), ScalarField1D)
-
-
-def _require_positive_alpha(alpha):
-    """A ValueError unless the linear ``alpha`` is positive on [0, 1]."""
-    if alpha(0.0) <= 0.0 or alpha(1.0) <= 0.0:
-        raise ValueError("alpha must be strictly positive on [0, 1]")
+    orders up to ``top`` and normal orders up to 1.  Returns ``(m, n) ->
+    d1^m d2^n u`` as a (2, len(t)) array whose row e is the side at end e
+    (`side_end`); each order is evaluated once, at every point of both
+    sides, when it is first read, and kept while the jet lives."""
+    t, ends = np.asarray(t, dtype=float), np.array([0.0, 1.0])
+    if axis == 0:
+        jet = u.jet(t[:, None], ends[None, :], top, 1)
+        # a field's value may broadcast
+        return functools.cache(lambda m, n: np.broadcast_to(jet(m, n), (t.size, 2)).T)
+    jet = u.jet(ends[:, None], t[None, :], 1, top)
+    return functools.cache(lambda m, n: np.broadcast_to(jet(m, n), (2, t.size)))
 
 
 def _crossing_orders(jet, j: int, t, alpha, beta):
@@ -288,8 +231,11 @@ def _crossing_orders(jet, j: int, t, alpha, beta):
     d2^n u`` there up to order d + 1 along the side and 1 across; the one
     form of the crossing derivative in the package.  n_j and t_j are signed
     unit vectors across and along the side (`NORMALS`, `TANGENTS`), so each
-    of their products with grad(u) reads one order of the jet."""
-    _require_positive_alpha(alpha)
+    of their products with grad(u) reads one order of the jet.  ``alpha``
+    and ``beta`` are linear functions a0 + a1 x of the edge parameter
+    (`gluing.LinearFunction`); alpha must be positive on [0, 1]."""
+    if alpha(0.0) <= 0.0 or alpha(1.0) <= 0.0:
+        raise ValueError("alpha must be strictly positive on [0, 1]")
     axis = EDGE_AXIS[j]
     s_n, s_t = NORMALS[j][1 - axis], TANGENTS[j][axis]
     a, da = alpha(t), alpha.a1

@@ -727,11 +727,16 @@ def _patch_to_json(patch: Patch) -> dict:
 
 
 def load_geometry(path) -> MultiPatch:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The multi-patch of a geometry JSON file; a `GeometryError` naming the
+    path where it cannot be read (a directory, a file that is not UTF-8) or
+    is not JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GeometryError(f"{path}: invalid JSON ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise GeometryError(f"{path}: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GeometryError(f"{path}: cannot read geometry ({exc})") from exc
     return multipatch_from_json(data)
 
 

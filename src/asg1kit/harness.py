@@ -252,6 +252,17 @@ def _cmd_study(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """The value of a tolerance option: a number, neither NaN nor negative."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _add_common(parser, projecting=True):
     parser.add_argument("--geometry", required=True,
                         help="built-in name or geometry JSON path")
@@ -263,7 +274,7 @@ def _add_common(parser, projecting=True):
                             help="smoothness (default p-2 per degree)")
     parser.add_argument("--n", type=int, default=8,
                         help="elements per direction (default 8)")
-    parser.add_argument("--tol", type=float, default=1e-10,
+    parser.add_argument("--tol", type=_tolerance, default=1e-10,
                         help="gluing certification tolerance")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     if projecting:
@@ -296,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp)
         sp.add_argument("--p", type=int, default=4, help="spline degree")
-        sp.add_argument("--value-tol", type=float, default=1e-10)
-        sp.add_argument("--derivative-tol", type=float, default=1e-9)
-        sp.add_argument("--vertex-tol", type=float, default=1e-8)
+        sp.add_argument("--value-tol", type=_tolerance, default=1e-10)
+        sp.add_argument("--derivative-tol", type=_tolerance, default=1e-9)
+        sp.add_argument("--vertex-tol", type=_tolerance, default=1e-8)
         sp.set_defaults(func=_cmd_project)
 
     sp = sub.add_parser("convergence", help="dyadic h-refinement study (CSV)")

@@ -219,25 +219,21 @@ def constrained_l2_matrix(space, nq):
 
 
 # -- per-side edge data ------------------------------------------------------------
-# The edge fields and edge projectors one side at a time, each jet of the
-# edge field binding its own jet of the 2D field at its own points: the form
-# that `asg1kit.asg1` replaces by one `EdgeJet` per edge axis.
+# The edge fields and edge projectors one side at a time, each call of an edge
+# field taking its own jet of the 2D field at its own points: the form that
+# `asg1kit.asg1` replaces by one `edge_jet` per edge axis, read by index arrays.
 
 
 def restrict_to_edge(u, j):
     """The trace of ``u`` on side ``j`` in the side's intrinsic parameter, at
-    any points; its jet up to ``top`` is one jet of ``u`` along the side."""
-    from asg1kit.fields import ScalarField1D, _along, _jet_field
+    any points; order d is one call of ``u`` along the side."""
+    from asg1kit.fields import ScalarField1D, _along
     from asg1kit.geometry import EDGE_AXIS, edge_coords, side_end
 
     side_end(j)
     axis = EDGE_AXIS[j]
-
-    def bind(t, top):
-        jet = u.jet(*edge_coords(j, t), *_along(axis, top, 0))
-        return lambda d: jet(*_along(axis, d, 0))
-
-    return _jet_field(bind, u.max_order, ScalarField1D)
+    return ScalarField1D(lambda t, d: u(*edge_coords(j, t), *_along(axis, d, 0)),
+                         u.max_order)
 
 
 def crossing_direction(gluing, j):
@@ -260,20 +256,20 @@ def crossing_direction(gluing, j):
 
 def directional_edge_field(u, j, alpha, beta):
     """The crossing-direction derivative of ``u`` along side ``j``, at any
-    points; its jet up to ``top`` is one jet of ``u`` up to ``top + 1`` along
-    the side and 1 across."""
-    from asg1kit.fields import ScalarField1D, _along, _crossing_orders, _jet_field
+    points; order d is `_crossing_orders` of one jet of ``u`` up to d + 1
+    along the side and 1 across."""
+    from asg1kit.fields import ScalarField1D, _along, _crossing_orders
     from asg1kit.geometry import EDGE_AXIS, edge_coords
 
     if alpha(0.0) <= 0.0 or alpha(1.0) <= 0.0:
         raise ValueError("alpha must be strictly positive on [0, 1]")
     axis = EDGE_AXIS[j]
 
-    def bind(t, top):
-        jet = u.jet(*edge_coords(j, t), *_along(axis, top + 1, 1))
-        return _crossing_orders(jet, j, t, alpha, beta)
+    def ev(t, d):
+        jet = u.jet(*edge_coords(j, t), *_along(axis, d + 1, 1))
+        return _crossing_orders(jet, j, t, alpha, beta)(d)
 
-    return _jet_field(bind, 2, ScalarField1D)
+    return ScalarField1D(ev, 2)
 
 
 def edge_projector_P0(u, j, p, k, partition, nq=None):

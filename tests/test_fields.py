@@ -4,18 +4,26 @@ import sympy as sym
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from asg1kit.fields import (
     MANUFACTURED,
-    EdgeJet,
     ScalarField1D,
     ScalarField2D,
-    directional_edge_field,
+    _along,
+    _crossing_orders,
+    edge_jet,
     manufactured,
     pullback,
-    restrict_to_edge,
 )
-from asg1kit.geometry import EDGE_AXIS, BilinearMap, NurbsMap, SplineMap, builtin_geometry
-from asg1kit.gluing import LinearFunction
+from asg1kit.geometry import (
+    EDGE_AXIS,
+    BilinearMap,
+    NurbsMap,
+    SplineMap,
+    builtin_geometry,
+    side_end,
+)
+from asg1kit.gluing import EdgeGluing, LinearFunction
 from asg1kit.ritz1d import pi_cross_functionals, pi_star_functionals
 from asg1kit.splines import UniSpline, UniSplineSpace, uniform_partition
 
@@ -73,82 +81,86 @@ def test_symmetric_mixed_partials():
         assert np.max(np.abs(direct - swapped)) <= 1e-10
 
 
-# -- edge restriction -------------------------------------------------------------
+# -- edge jets and crossing derivatives ------------------------------------------
 
-def edge_jet(u, j, t, top=3):
-    """The `EdgeJet` of ``u`` along the axis of side ``j`` at the points ``t``."""
-    return EdgeJet(u, EDGE_AXIS[j], t, top)
+def edge_side(u, j, t, top=3):
+    """``(m, n) -> d1^m d2^n u`` at the points ``t`` of side ``j``: its row of
+    the `edge_jet` of ``u`` along the side's axis."""
+    jet = edge_jet(u, EDGE_AXIS[j], t, top)
+    return lambda m, n: jet(m, n)[side_end(j)]
+
+
+def edge_trace(u, j, t, d=0):
+    """The d-th tangential derivative of the trace of ``u`` on side ``j``."""
+    return edge_side(u, j, t)(*_along(EDGE_AXIS[j], d, 0))
+
+
+def crossing(u, j, t, alpha, beta):
+    """``d ->`` the crossing derivative of ``u`` on side ``j`` at ``t``."""
+    t = np.asarray(t, dtype=float)
+    return _crossing_orders(edge_side(u, j, t), j, t, alpha, beta)
 
 
 def test_restrict_to_edge_zero_on_side1():
     x, y = sym.symbols("x y")
     u = sympy_field(y, x, y)
     t = np.linspace(0, 1, 11)
-    tr = restrict_to_edge(edge_jet(u, 1, t), 1)
-    assert np.max(np.abs(tr(t))) == 0.0
+    assert np.max(np.abs(edge_trace(u, 1, t))) == 0.0
 
 
 def test_restrict_to_edge_derivative():
     x, y = sym.symbols("x y")
     u = sympy_field(x ** 2, x, y)
-    tr = restrict_to_edge(edge_jet(u, 1, [0.5]), 1)
-    assert tr(np.array(0.5), 1) == pytest.approx(1.0, abs=1e-13)
+    assert edge_trace(u, 1, [0.5], 1)[0] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_restrict_side3_second_derivative():
     x, y = sym.symbols("x y")
     u = sympy_field(sym.sin(x) * sym.cos(y), x, y)
     t = np.linspace(0, 1, 17)
-    tr = restrict_to_edge(edge_jet(u, 3, t), 3)
     want = -np.sin(t) * np.cos(1.0)
-    assert np.max(np.abs(tr(t, 2) - want)) <= 1e-12
+    assert np.max(np.abs(edge_trace(u, 3, t, 2) - want)) <= 1e-12
+    # the per-side oracle gives the same trace
+    assert np.max(np.abs(oracles.restrict_to_edge(u, 3)(t, 2) - want)) <= 1e-12
 
 
 def test_restrict_invalid_side():
     u = manufactured("sinsin")
     with pytest.raises(ValueError):
-        restrict_to_edge(edge_jet(u, 1, [0.5]), 5)
-    # a side along the other axis, and points the jet was not bound at
+        oracles.restrict_to_edge(u, 5)
+    # orders outside the edge jet's: normal order 2, tangential above top
+    jet = edge_jet(u, 0, [0.5], 2)
     with pytest.raises(ValueError):
-        restrict_to_edge(edge_jet(u, 1, [0.5]), 2)
+        jet(0, 2)
     with pytest.raises(ValueError):
-        restrict_to_edge(edge_jet(u, 1, [0.5]), 1)(np.array([0.25]))
+        jet(3, 0)
 
 
 def test_edge_restriction_commutes_with_tangential_derivative():
     u = manufactured("expxy")
     h = 1e-5
-    inner = np.linspace(0.1, 0.9, 21)
+    t = np.linspace(0.1, 0.9, 21)
     for j in (1, 2, 3, 4):
-        tr = restrict_to_edge(edge_jet(u, j, np.concatenate([inner, inner + h, inner - h])),
-                              j)
-        t = np.linspace(0, 1, 21)
-        fd = (tr(t + h) - tr(t - h)) / (2 * h) if np.all(t + h <= 1) else None
-        t = np.linspace(0.1, 0.9, 21)
-        fd = (tr(t + h) - tr(t - h)) / (2 * h)
-        assert np.max(np.abs(tr(t, 1) - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+        tr = edge_side(u, j, np.concatenate([t, t + h, t - h]))
+        values, d1 = (tr(*_along(EDGE_AXIS[j], d, 0)) for d in (0, 1))
+        fd = (values[21:42] - values[42:]) / (2 * h)
+        assert np.max(np.abs(d1[:21] - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
-
-# -- directional edge fields -------------------------------------------------------
 
 def test_directional_edge_field_boundary_case():
     # alpha = 1, beta = 0 on side 1: the field is n_1 . grad(u) = -d2 u.
     u = manufactured("sinsin")
     t = np.linspace(0, 1, 13)
-    g = directional_edge_field(edge_jet(u, 1, t), 1, LinearFunction(1.0, 0.0),
-                               LinearFunction(0.0, 0.0))
-    x = t
-    want = -np.pi * np.sin(np.pi * x) * np.cos(0.0)
-    assert np.max(np.abs(g(t) + want * 0 - (-u(x, np.zeros_like(x), 0, 1)))) <= 1e-13
+    g = crossing(u, 1, t, LinearFunction(1.0, 0.0), LinearFunction(0.0, 0.0))
+    assert np.max(np.abs(g(0) - (-u(t, np.zeros_like(t), 0, 1)))) <= 1e-13
 
 
 def test_directional_edge_field_constant_alpha():
     x, y = sym.symbols("x y")
     u = sympy_field(3 * y, x, y)  # d2 u = 3
     t = np.linspace(0, 1, 9)
-    g = directional_edge_field(edge_jet(u, 1, t), 1, LinearFunction(2.0, 0.0),
-                               LinearFunction(0.0, 0.0))
-    assert np.max(np.abs(g(t) - (-1.5))) <= 1e-13
+    g = crossing(u, 1, t, LinearFunction(2.0, 0.0), LinearFunction(0.0, 0.0))
+    assert np.max(np.abs(g(0) - (-1.5))) <= 1e-13
     # on the linear fields x and y the field is the two components of the
     # crossing direction d_j = (n_j + beta t_j) / alpha
     cases = [  # side, alpha, beta, edge parameter, d_j there
@@ -157,8 +169,7 @@ def test_directional_edge_field_constant_alpha():
         (1, LinearFunction(1, 1), LinearFunction(0, 1), 1.0, [-0.5, -0.5]),
     ]
     for j, alpha, beta, s, d in cases:
-        got = [directional_edge_field(edge_jet(sympy_field(v, x, y), j, [s]), j,
-                                      alpha, beta)(np.array([s]))[0] for v in (x, y)]
+        got = [crossing(sympy_field(v, x, y), j, [s], alpha, beta)(0)[0] for v in (x, y)]
         np.testing.assert_allclose(got, d, atol=1e-15)
 
 
@@ -175,18 +186,22 @@ def test_directional_edge_field_against_sympy():
 
     u = sympy_field(expr, x, y)
     t = np.linspace(0, 1, 33)
-    g = directional_edge_field(edge_jet(u, 1, t), 1, LinearFunction(1.0, 1.0),
-                               LinearFunction(0.0, 1.0))
+    alpha, beta = LinearFunction(1.0, 1.0), LinearFunction(0.0, 1.0)
+    g = crossing(u, 1, t, alpha, beta)
+    oracle = oracles.directional_edge_field(u, 1, alpha, beta)
     for d in range(3):
         want = np.asarray(refs[d](t), dtype=float) * np.ones_like(t)
-        assert np.max(np.abs(g(t, d) - want)) <= 1e-12, d
+        assert np.max(np.abs(g(d) - want)) <= 1e-12, d
+        assert np.max(np.abs(oracle(t, d) - want)) <= 1e-12, d
 
 
 def test_directional_edge_field_rejects_zero_alpha():
     u = manufactured("sinsin")
+    alpha, beta = LinearFunction(1.0, -1.0), LinearFunction(0.0, 0.0)
     with pytest.raises(ValueError):
-        directional_edge_field(edge_jet(u, 1, [0.5]), 1, LinearFunction(1.0, -1.0),
-                               LinearFunction(0.0, 0.0))
+        crossing(u, 1, [0.5], alpha, beta)
+    with pytest.raises(ValueError):
+        oracles.directional_edge_field(u, 1, alpha, beta)
 
 
 # -- pullback ---------------------------------------------------------------------
@@ -422,8 +437,7 @@ def test_jet_rejects_orders_outside_its_bounds():
     with pytest.raises(ValueError):
         u.jet(np.zeros(3), np.zeros(3), 9, 0)
     # fields of one variable: a jet field and an evaluator-only one
-    for f in (restrict_to_edge(edge_jet(u, 2, [0.0]), 2),
-              ScalarField1D(lambda x, d: np.exp(x), 2)):
+    for f in (oracles.restrict_to_edge(u, 2), ScalarField1D(lambda x, d: np.exp(x), 2)):
         for top in (-1, f.max_order + 1):
             with pytest.raises(ValueError):
                 f.jet(np.zeros(3), top)
@@ -538,48 +552,75 @@ def _count_spline_map_calls(monkeypatch):
     return calls
 
 
-def _crossing_field(edges, j):
-    return directional_edge_field(edges, j, LinearFunction(1.0, 0.5),
-                                  LinearFunction(0.2, -0.3))
-
-
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_directional_edge_field_takes_one_jet(monkeypatch, j):
+    # the crossing data of side j of every order come from one edge jet,
+    # which takes one map jet on a spline patch
     gmap = _geometry_maps()["spline"]
     calls = _count_spline_map_calls(monkeypatch)
     t = np.linspace(0.0, 1.0, 9)
-    g = _crossing_field(edge_jet(pullback(manufactured("expxy"), gmap), j, t), j)
+    g = crossing(pullback(manufactured("expxy"), gmap), j, t,
+                 LinearFunction(1.0, 0.5), LinearFunction(0.2, -0.3))
     for d in (2, 1, 0):
-        g(t, d)
+        g(d)
     assert calls == {"jet": 1, "derivative": 0, "point": 0}
 
 
-# functional builders and the edge fields they are applied to
+# (p, k) of the edge pass and the order sigma of the edge data checked
 _EDGE_APPLICATIONS = {
     # p = 4: the order-2 projection with bubble corrections; p = 6: order 3
-    "pi_star_p4": (lambda Z: pi_star_functionals(4, 1, Z), restrict_to_edge),
-    "pi_star_p6": (lambda Z: pi_star_functionals(6, 2, Z), restrict_to_edge),
+    "pi_star_p4": (4, 1, 0),
+    "pi_star_p6": (6, 2, 0),
     # p = 3: the Hermite-constrained L2 projection; p = 6: order-2 Ritz
-    "pi_cross_p3": (lambda Z: pi_cross_functionals(3, 1, Z), _crossing_field),
-    "pi_cross_p6": (lambda Z: pi_cross_functionals(6, 2, Z), _crossing_field),
+    "pi_cross_p3": (3, 1, 1),
+    "pi_cross_p6": (6, 2, 1),
 }
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 @pytest.mark.parametrize("case", sorted(_EDGE_APPLICATIONS))
 def test_edge_functionals_take_one_map_jet_per_application(monkeypatch, case, j):
-    functionals, edge_field = _EDGE_APPLICATIONS[case]
-    funcs = functionals(uniform_partition(8))
-    u = pullback(manufactured("sinsin"), _geometry_maps()["spline"])
+    # one edge pass on a spline patch takes one map jet per edge axis; a
+    # field given by an evaluator alone (as an outside wrapper rebuilds a
+    # pullback) is called once per (x1, x2) order the pass reads along each
+    # axis; and the data of side j under the case's functionals are the
+    # per-side field's, each order at its own points
+    from asg1kit import asg1
+    from test_asg1 import _record_edge_projections, _within_roundoff
+
+    p, k, sigma = _EDGE_APPLICATIONS[case]
+    Z = uniform_partition(8)
+    v = pullback(manufactured("sinsin"), _geometry_maps()["spline"])
+    glue = {i: EdgeGluing(LinearFunction(1.0, 0.5), LinearFunction(0.2, -0.3))
+            for i in (1, 2, 3, 4)}
     calls = _count_spline_map_calls(monkeypatch)
-    field = edge_field(edge_jet(u, j, funcs.points), j)
-    funcs.apply(field)
-    assert calls == {"jet": 1, "derivative": 0, "point": 0}
-    # each order's data are its one-order evaluations at its own points
-    data = funcs.data_vector(field)
-    orders, points = np.asarray(funcs.orders), np.asarray(funcs.points)
-    for d in set(funcs.orders):
-        assert np.array_equal(data[orders == d], field(points[orders == d], d)), d
+    seen = _record_edge_projections(monkeypatch)
+    asg1._edge_projections(v, (Z, Z), glue, p, k, None)
+    assert calls == {"jet": 2, "derivative": 0, "point": 0}
+    if sigma == 0:
+        f, c = seen["P0"][j - 1]
+        data = f.data_vector(oracles.restrict_to_edge(v, j))
+    else:
+        (f, c), = [(f, c) for i, f, c in seen["P1"] if i == j]
+        data = f.data_vector(oracles.directional_edge_field(v, j, glue[j].alpha,
+                                                             glue[j].beta))
+    assert _within_roundoff(f, c, data)
+
+    reads = []
+
+    def ev(x, y, a, b):
+        reads.append((0 if np.shape(y) == (1, 2) else 1, (a, b)))  # by its points
+        return v(x, y, a, b)
+
+    asg1._edge_projections(ScalarField2D(ev, v.max_order), (Z, Z), glue, p, k, None)
+    axis = EDGE_AXIS[j]
+    f0, f1 = pi_star_functionals(p, k, Z), pi_cross_functionals(p, k, Z)
+    want = {_along(axis, d, 0) for d in f0.orders} | {
+        od for m in range(max(f1.orders) + 1)
+        for od in (_along(axis, m, 1), _along(axis, m + 1, 0))}
+    orders = [ab for a, ab in reads if a == axis]
+    assert len(orders) == len(set(orders))
+    assert set(orders) == want
 
 
 @pytest.mark.parametrize("points", ["grid", "scattered"])

@@ -252,6 +252,36 @@ def test_malformed_geometry_json_exits_2(tmp_path, capsys, doc, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_geometry_path_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "geometry.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{\x00\x81")
+    assert main(["check-c1", "--geometry", str(path), "--p", "4"]) == 2
+    assert f"error: {path}: cannot read geometry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--tol", "--value-tol", "--derivative-tol",
+                                    "--vertex-tol"])
+@pytest.mark.parametrize("value", ["nan", "-1", "-0.5"])
+def test_nan_or_negative_tolerance_is_usage_error(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-c1", "--geometry", "two_patch_skew", "--p", "4", option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: expected a number >= 0, got '{value}'" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, reason="item 13: p-stable 1D solves")
+def test_check_c1_passes_at_p16(capsys):
+    # the relative value jump reads about 5e-10 against its bound 1e-10: the
+    # round-off of the 1D solves at p = 16
+    assert main(["check-c1", "--geometry", "three_patch_L", "--function", "poly4",
+                 "--p", "16", "--k", "1", "--n", "22"]) == 0
+
+
 def _quadratic_patch(knots):
     # a degree-2 spline patch over ``knots`` in both directions, its control
     # points the uniform grid of as many points as the knots imply
