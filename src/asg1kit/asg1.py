@@ -179,15 +179,15 @@ def _edge_projections(u: ScalarField2D, partitions, gluing: dict, p: int,
         at0, at1 = at[:len(f0.points)], at[len(f0.points):]
         jet = edge_jet(u, axis, t, max(max(f0.orders), max(f1.orders) + 1))
         trace = np.empty((2, len(f0.orders)))
-        for d, mask, _ in f0.by_order:
-            trace[:, mask] = jet(*_along(axis, d, 0))[:, at0[mask]]
+        for d, run in f0.runs:
+            trace[:, run] = jet(*_along(axis, d, 0))[:, at0[run]]
         for r, j in enumerate(sides):
             side = lambda m, n: jet(m, n)[r, at1]  # noqa: E731
             crossing = _crossing_orders(side, j, t[at1], gluing[j].alpha, gluing[j].beta)
             funcs[0, j], funcs[1, j] = f0, f1
             data[0, j], data[1, j] = trace[r], np.empty(len(f1.orders))
-            for d, mask, _ in f1.by_order:
-                data[1, j][mask] = crossing(d)[mask]
+            for d, run in f1.runs:
+                data[1, j][run] = crossing(d)[run]
     rows = {}
     for f in {id(f): f for f in funcs.values()}.values():
         keys = [key for key in funcs if funcs[key] is f]

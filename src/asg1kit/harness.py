@@ -87,6 +87,8 @@ class StudyConfig:
                 raise ConfigError(f"coarsest grid 1/{self.base_n}: {exc}") from None
         if self.nq is not None and self.nq < 1:
             raise ConfigError(f"nq must be a positive integer, got {self.nq}")
+        if not self.tol >= 0.0:  # the rule of the CLI's `_tolerance`
+            raise ConfigError(f"tol must be a number >= 0, got {self.tol!r}")
 
 
 @dataclass
@@ -174,8 +176,11 @@ def run_p_sweep(cfg: StudyConfig) -> StudyResult:
 
 def _write_output(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"{out}: cannot write output ({exc})") from exc
     else:
         sys.stdout.write(text)
 

@@ -12,8 +12,9 @@ derivatives up to r-1 are interpolated at 0, and for p >= 2r-1 also at 1.
 Every projector acts on a fixed data vector of point evaluations
 ``(order_m, point_m)`` of the input: the r endpoint derivatives at 0, the
 r-th derivative at the Gauss nodes, and the data of an optional endpoint
-correction, read by one call of the input per order at that order's points
-only.  It is stored
+correction.  Its orders come in runs of ascending order
+(`PointFunctionals.runs`), and the input is read by one call per run, at
+that run's points only.  It is stored
 in the factored form the recursion gives, never as a matrix: the
 element-local moment blocks W B of the base space S_{p-r,k-r,Z} (element e
 touches the p-r+1 base functions from e (p-k)), the inverse of the base
@@ -69,11 +70,12 @@ def default_quadrature_nodes(degree: int) -> int:
 class PointFunctionals:
     """A linear map from point-evaluation data of a function to coefficients.
 
-    ``apply(field)`` evaluates ``field(points[m], orders[m])`` and returns the
-    spline whose coefficients the factored map takes from those data: the
-    moments of the Gauss data against the base space ``base``, stored per
-    element as ``weighted[e, q, j]`` (the weight times base function
-    e (p-k) + j at node q of element e), the Gram solve by ``gram_inv``
+    ``apply(field)`` evaluates ``field(points[m], orders[m])``, one call per
+    run of equal orders (``runs``), and returns the spline whose
+    coefficients the factored map takes from those data: the moments of
+    the Gauss data against the base space ``base``, stored per element as
+    ``weighted[e, q, j]`` (the weight times base function e (p-k) + j at
+    node q of element e), the Gram solve by ``gram_inv``
     (L^-T L^-1 from the Cholesky factor G = L L^T), the integrations from
     ``base`` up to ``space`` that add the endpoint data, and ``correction``
     = (U, E), which adds U (d - E c) for the data d after the Gauss data.
@@ -98,49 +100,38 @@ class PointFunctionals:
         return self.r + self.base.dim
 
     @functools.cached_property
-    def by_order(self) -> tuple:
-        """``(d, mask, points)`` for each order d in ascending order: the
-        data entries of order d and their points."""
-        orders, points = np.asarray(self.orders), np.asarray(self.points)
-        return tuple((d, orders == d, points[orders == d])
-                     for d in sorted(set(self.orders)))
+    def runs(self) -> tuple:
+        """``(d, slice)`` for each run of data entries of equal order d; every
+        constructor lists its orders in runs of ascending order."""
+        o = self.orders
+        cuts = [0] + [m for m in range(1, len(o)) if o[m] != o[m - 1]] + [len(o)]
+        return tuple((o[a], slice(a, b)) for a, b in zip(cuts, cuts[1:]))
 
     def data_vector(self, field) -> np.ndarray:
         """The data ``field(points[m], orders[m])``: one call of ``field``
-        per order, at the points of that order only."""
-        data = np.empty(len(self.orders))
-        for d, mask, points in self.by_order:
-            data[mask] = field(points, d)
+        per run, at the points of that run only."""
+        data, points = np.empty(len(self.orders)), np.asarray(self.points)
+        for d, run in self.runs:
+            data[run] = field(points[run], d)
         return data
 
-    def add_moments(self, out: np.ndarray, data: np.ndarray, start: int = 0):
-        """Add to ``out`` (last axis ``n_moments``) the moments of the data
-        entries start, start+1, ... given along the last axis of ``data``
-        (1D or 2D, like ``out``): endpoint data as they are, Gauss data as
-        their products with the weighted base functions of their elements.
-        A run of Gauss data that starts or ends inside an element is padded
-        with zeros to whole elements."""
+    def add_moments(self, out: np.ndarray, data: np.ndarray):
+        """Add to ``out`` (last axis ``n_moments``) the moments of whole data
+        vectors without their correction data along the last axis of
+        ``data`` (1D or 2D, like ``out``): endpoint data as they are, Gauss
+        data as their products with the weighted base functions of their
+        elements."""
         if data.ndim == 1:
             out, data = out[None], data[None]
         r, (ne, nq, width) = self.r, self.weighted.shape
-        head = min(max(r - start, 0), data.shape[1])
-        out[:, start:start + head] += data[:, :head]
-        g, lo = data[:, head:], max(start - r, 0)
-        if not g.shape[1]:
-            return
-        e0, e1 = lo // nq, -(-(lo + g.shape[1]) // nq)
-        if g.shape[1] != (e1 - e0) * nq:
-            padded = np.zeros((len(g), (e1 - e0) * nq))
-            padded[:, lo - e0 * nq:lo - e0 * nq + g.shape[1]] = g
-            g = padded
-        # local[m, e, j] = sum_q g[m, e nq + q] weighted[e, q, j]
-        local = np.empty((len(g), e1 - e0, width))
-        np.matmul(g.reshape(len(g), e1 - e0, nq).transpose(1, 0, 2),
-                  self.weighted[e0:e1], out=local.transpose(1, 0, 2))
+        out[:, :r] += data[:, :r]
+        # local[m, e, j] = sum_q data[m, r + e nq + q] weighted[e, q, j]
+        local = np.empty((len(data), ne, width))
+        np.matmul(data[:, r:].reshape(len(data), ne, nq).transpose(1, 0, 2),
+                  self.weighted, out=local.transpose(1, 0, 2))
         step = self.base.degree - self.base.smoothness
-        first = r + e0 * step
         for j in range(width):
-            out[:, first + j:first + j + (e1 - e0) * step:step] += local[:, :, j]
+            out[:, r + j:r + j + ne * step:step] += local[:, :, j]
 
     def moments(self, data: np.ndarray) -> np.ndarray:
         """The moment vectors of whole data vectors along the last axis."""

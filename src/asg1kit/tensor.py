@@ -10,14 +10,16 @@ point-evaluation data in factored form (see :mod:`asg1kit.ritz1d`): moments
 against a base space, a Gram solve and integrations.  The tensor projection
 applies the factors of both directions to ``D``, the mixed derivative data
 of the input on the cartesian product of the two descriptor sets -- the
-nested application of the coefficient functionals of both directions.  ``D``
-is never formed whole: `data_matrix` yields it in slabs of rows, each a few
-field calls of at most the field's ``block_points`` points (2^15 unless the
-field is a pullback by a curved map, whose calls take 2^13: see
-`fields.pullback`), and each slab is contracted with the element-local
-moment blocks of one direction as it comes, O(p) products per data point;
-the other direction's moments, then the Gram solves and integrations of
-both, act on the dim1 x dim2 moments.
+nested application of the coefficient functionals of both directions.  The
+projection the construction uses never forms ``D`` whole: `data_matrix`
+yields it in slabs of rows, each a few field calls of at most the field's
+``block_points`` points (2^15 unless the field is a pullback by a curved
+map, whose calls take 2^13: see `fields.pullback`), per run of rows and
+of columns of one order (`PointFunctionals.runs`).  Each slab is
+contracted with the element-local xi2 moment blocks as it comes, O(p)
+products per data point; the xi1 moments act on the resulting N1 x dim2
+moments, and the Gram solves and integrations of both directions on the
+dim1 x dim2 moments.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import numpy as np
 from .fields import ScalarField2D
 from .geometry import EDGE_AXIS, NORMALS, side_end
 from .ritz1d import PointFunctionals, ritz_functionals
-from .splines import (UniSpline, UniSplineSpace, _difference_scale, tensor_bind_x2,
-                      tensor_jet)
+from .splines import UniSpline, UniSplineSpace, _difference_scale, tensor_jet
 
 __all__ = [
     "TensorSplineSpace",
@@ -76,14 +77,6 @@ class TensorSpline:
         out = tensor_jet((self.space.space1, self.space.space2),
                          self.coefficients, x1, x2, orders)
         return _with_zeros(out, orders, np.broadcast_shapes(np.shape(x1), np.shape(x2)))
-
-    def bind_x2(self, x2, orders):
-        """``x1 -> {(a, b): d1^a d2^b f}`` on the grid x1 (x) x2 for every
-        order in ``orders``; the x2 axis is contracted once here, and each
-        call contracts only the coefficient rows its x1 points touch."""
-        block = tensor_bind_x2((self.space.space1, self.space.space2),
-                               self.coefficients, x2, orders)
-        return lambda x1: _with_zeros(block(x1), orders, (np.size(x1), np.size(x2)))
 
     def __call__(self, x1, x2, a: int = 0, b: int = 0):
         out = self.jet(x1, x2, [(a, b)])[a, b]
@@ -142,17 +135,11 @@ def normal_derivative_trace(f: TensorSpline, j: int) -> UniSpline:
 _SLAB_ROWS = 128
 
 
-def _runs(orders):
-    """(order, slice) for each run of equal entries of ``orders``."""
-    cuts = [0] + [i for i in range(1, len(orders)) if orders[i] != orders[i - 1]]
-    return [(orders[a], slice(a, b)) for a, b in zip(cuts, cuts[1:] + [len(orders)])]
-
-
 def data_matrix(u: ScalarField2D, f1: PointFunctionals, f2: PointFunctionals):
     """The rows of the mixed derivative data D[a, b] = d1^{o1_a} d2^{o2_b}
     u(x_a, y_b), top to bottom, in slabs (arrays of whole rows).
 
-    Per run of rows of equal order, each run of columns of equal order is
+    Per run of rows (``f1.runs``), each run of columns (``f2.runs``) is
     evaluated in calls of ``u`` of at most ``u.block_points`` points (one
     row at least): a column run whose calls cover the row run is evaluated
     whole before the first slab, the others slab by slab.  A slab is a whole
@@ -161,8 +148,8 @@ def data_matrix(u: ScalarField2D, f1: PointFunctionals, f2: PointFunctionals):
     x = np.asarray(f1.points)
     y = np.asarray(f2.points)
     cols = [(db, ib, max(1, u.block_points // (ib.stop - ib.start)))
-            for db, ib in _runs(f2.orders)]
-    for da, ia in _runs(f1.orders):
+            for db, ib in f2.runs]
+    for da, ia in f1.runs:
         xa, n = x[ia, None], ia.stop - ia.start
         whole = [u(xa, y[None, ib], da, db) if rows >= n else None
                  for db, ib, rows in cols]
@@ -186,33 +173,31 @@ def tensor_project(space: TensorSplineSpace, u: ScalarField2D,
                    nq: int | None = None, order: str = "21") -> TensorSpline:
     """The tensor-product order-(2, 2) Ritz projection of ``u``.
 
-    ``order`` selects which direction's moments are taken first ("21": the
-    xi2 moments of each data row first, then the xi1 moments; "12": the
-    opposite); both orderings agree up to round-off, which is the commuting
-    property of the directional projectors.  Either way each slab of the
-    data is contracted with that direction's moment blocks as it comes,
-    into an array of one axis of data points and one of moments; then the
-    other direction's moments, the Gram solves and the integrations act on
-    the dim1 x dim2 moments (per axis, r endpoint data and the moments
-    against the base space).
+    ``order`` selects which direction's moments are taken first.  "21",
+    the one the construction uses, adds the xi2 moments of each slab of
+    the data in place into its rows of an (N1 x dim2) array as the slab
+    comes, then takes the xi1 moments; "12" forms the whole data and takes
+    its xi1 moments, then the xi2 moments, an independent computation of
+    the same map.  Both agree up to round-off, which is the commuting
+    property of the directional projectors.  The Gram solves and the
+    integrations then act on the dim1 x dim2 moments (per axis, r endpoint
+    data and the moments against the base space).
     """
     if order not in ("21", "12"):
         raise ValueError("order must be '21' or '12'")
     f1 = ritz_functionals(space.space1, 2, nq)
     f2 = ritz_functionals(space.space2, 2, nq)
-    # the moments along the axis taken first: rows of data points by xi2
-    # moments ("21"), or xi1 moments by columns of data points ("12")
-    acc = np.zeros((len(f1.points), f2.n_moments)) if order == "21" else \
-        np.zeros((f1.n_moments, len(f2.points)))
-    start = 0
-    for D in data_matrix(u, f1, f2):
-        if order == "21":
-            f2.add_moments(acc[start:start + len(D)], D)
-        else:
-            f1.add_moments(acc.T, D.T, start)
-        start += len(D)
     # Y^T, the (xi2, xi1) moments of the data
-    Yt = f1.moments(acc.T) if order == "21" else f2.moments(acc).T
+    if order == "12":
+        D = np.concatenate(list(data_matrix(u, f1, f2)))
+        Yt = f2.moments(f1.moments(D.T).T).T
+    else:
+        acc = np.zeros((len(f1.points), f2.n_moments))
+        start = 0
+        for D in data_matrix(u, f1, f2):
+            f2.add_moments(acc[start:start + len(D)], D)
+            start += len(D)
+        Yt = f1.moments(acc.T)
     return TensorSpline(space, f2.solve(f1.solve(Yt).T))
 
 

@@ -431,19 +431,20 @@ def full_grid_norms(patch, u, f, nq):
 def per_point_norms(patch, u, f, nq):
     """The error seminorms of `norms.physical_error_norms` by its chunks and
     blocks (`norms._block_layout`), each block taking f_h's six orders from
-    `TensorSpline.bind_x2` and the map's six orders, det G and the chain
+    `splines.tensor_bind_x2` and the map's six orders, det G and the chain
     rule per point (`norms._squared_errors`), whatever the map."""
     from asg1kit import norms
-    from asg1kit.splines import gauss_rule
+    from asg1kit.splines import gauss_rule, tensor_bind_x2
 
     x1, w1 = gauss_rule(patch.partitions[0], nq)
     x2, w2 = gauss_rule(patch.partitions[1], nq)
     orders = norms._JET
     cols, rows = norms._block_layout(patch, f.space.space1.dim, nq)
+    spaces = (f.space.space1, f.space.space2)
     sums = np.zeros(3)
     for lo in range(0, len(x2), cols):
         chunk = slice(lo, lo + cols)
-        fjet = f.bind_x2(x2[chunk], orders)
+        fjet = tensor_bind_x2(spaces, f.coefficients, x2[chunk], orders)
         gjet = patch.gmap.bind_x2(x2[chunk], orders)
         for start in range(0, len(x1), rows):
             block = slice(start, start + rows)

@@ -330,8 +330,8 @@ def _within_roundoff(funcs, got, data):
     shared-jet ones only by the round-off of evaluating the same chain-rule
     terms at other array shapes and of a 2D product for 1D ones."""
     dmax = np.empty(len(data))
-    for _, mask, _ in funcs.by_order:
-        dmax[mask] = np.max(np.abs(data[mask]))
+    for _, run in funcs.runs:
+        dmax[run] = np.max(np.abs(data[run]))
     bound = 1e3 * np.finfo(float).eps * (np.abs(funcs.matrix) @ dmax)
     return bool(np.all(np.abs(got - funcs.coefficients(data)) <= bound))
 

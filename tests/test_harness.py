@@ -274,6 +274,35 @@ def test_nan_or_negative_tolerance_is_usage_error(capsys, option, value):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_nan_or_negative_study_tol_is_config_error(tol):
+    cfg = StudyConfig("two_patch_skew", "sinsin", degree=4, smoothness=2,
+                      base_n=8, tol=tol, levels=1)
+    with pytest.raises(ConfigError, match="tol must be a number >= 0"):
+        run_convergence(cfg)
+
+
+# every command that writes its output, each on a small mesh
+WRITING_COMMANDS = {
+    "gluing": ["gluing", "--geometry", "two_patch_skew"],
+    "project": ["project", "--geometry", "unit_square", "--p", "4", "--n", "8"],
+    "check-c1": ["check-c1", "--geometry", "unit_square", "--p", "4", "--n", "8"],
+    "convergence": ["convergence", "--geometry", "unit_square", "--p", "3",
+                    "--n", "4", "--levels", "1"],
+    "p-sweep": ["p-sweep", "--geometry", "unit_square", "--p", "3", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+def test_unwritable_out_path_exits_2(tmp_path, capsys, command, kind):
+    out = tmp_path if kind == "directory" else tmp_path / "missing" / "x.out"
+    assert main(WRITING_COMMANDS[command] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {out}: cannot write output" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.xfail(strict=True, reason="item 13: p-stable 1D solves")
 def test_check_c1_passes_at_p16(capsys):
     # the relative value jump reads about 5e-10 against its bound 1e-10: the

@@ -16,7 +16,7 @@ from asg1kit.norms import (
 )
 from asg1kit import norms
 from asg1kit.splines import (UniSplineSpace, eval_operator, gauss_rule,
-                             greville_points, uniform_partition)
+                             greville_points, tensor_bind_x2, uniform_partition)
 from asg1kit.tensor import TensorSpline, TensorSplineSpace, tensor_project_Q
 
 import oracles
@@ -588,7 +588,7 @@ def test_chunk_binding_allocates_no_dense_x2_rows():
     orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     tracemalloc.start()
     try:
-        f.bind_x2(x2, orders)
+        tensor_bind_x2((S, S), f.coefficients, x2, orders)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -625,7 +625,8 @@ def test_chunked_norms_peak_below_whole_row_bindings():
     # the unstreamed sums: the whole x2 axis bound once, blocks of whole x1
     # elements of at most _BLOCK_POINTS points
     orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    fjet, gjet = f.bind_x2(x2, orders), patch.gmap.bind_x2(x2, orders)
+    fjet = tensor_bind_x2((S, S), f.coefficients, x2, orders)
+    gjet = patch.gmap.bind_x2(x2, orders)
     rows = nq * max(1, norms._BLOCK_POINTS // (nq * len(x2)))
     sums = sum(np.array(norms._squared_errors(
         gjet, patch.gmap.zeros, u, fjet(x1[i:i + rows]), x1[i:i + rows], x2,

@@ -6,6 +6,7 @@ from asg1kit.ritz1d import (
     bubble,
     bubble_breakpoints,
     constrained_l2_functionals,
+    pi_cross_functionals,
     pi_star_functionals,
     reflected_bubble_spline,
     ritz_functionals,
@@ -359,22 +360,47 @@ def test_factored_projectors_match_dense_matrices(p, mesh):
                                   kappa, u)
 
 
-def test_moments_of_split_data_add_up():
-    # data added in runs that start and end inside elements give the
-    # moments of the whole data; the moment blocks are >= 0 (Gauss weights
-    # times B-spline values), so moments(|d|) is |T| |d|, and an entry sums
-    # at most nq (p + 1) products, each run's in its own order
-    f = ritz_functionals(UniSplineSpace(4, 2, uniform_partition(8)), 2)
-    d = np.random.default_rng(7).standard_normal((3, len(f.points)))
-    whole = f.moments(d)
-    nq, width = f.weighted.shape[1:]
-    u = np.finfo(float).eps / 2
-    bound = 2 * nq * width * u / (1 - nq * width * u) * f.moments(np.abs(d))
-    for cuts in ([1, 2, 9, 20, 21, 40], [5, 13], [1]):
-        got = np.zeros_like(whole)
-        for a, b in zip([0] + cuts, cuts + [d.shape[1]]):
-            f.add_moments(got, d[:, a:b], a)
-        assert np.all(np.abs(got - whole) <= bound), cuts
+# one functionals object of each constructor and form, on 16 elements
+Z16 = uniform_partition(16)
+EVERY_KIND = {
+    **{f"ritz_r{r}": lambda r=r: ritz_functionals(UniSplineSpace(5, 3, Z16), r)
+       for r in range(4)},
+    "constrained_p3": lambda: constrained_l2_functionals(UniSplineSpace(3, 1, Z16)),
+    "pi_star_bubble_p3": lambda: pi_star_functionals(3, 1, Z16),
+    "pi_star_bubble_p4": lambda: pi_star_functionals(4, 2, Z16),
+    "pi_star_order3_p6": lambda: pi_star_functionals(6, 2, Z16),
+    "pi_cross_p3": lambda: pi_cross_functionals(3, 1, Z16),
+    "pi_cross_p4": lambda: pi_cross_functionals(4, 2, Z16),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVERY_KIND))
+def test_runs_tile_the_data_in_ascending_orders(kind):
+    f = EVERY_KIND[kind]()
+    runs = [run for _, run in f.runs]
+    assert [run.start for run in runs] == [0] + [run.stop for run in runs[:-1]]
+    assert runs[-1].stop == len(f.orders)
+    for d, run in f.runs:
+        assert run.start < run.stop and run.step is None
+        assert all(o == d for o in f.orders[run]), (d, run)
+    ds = [d for d, _ in f.runs]
+    assert all(a < b for a, b in zip(ds, ds[1:])), ds
+
+
+@pytest.mark.parametrize("kind", sorted(EVERY_KIND))
+def test_data_vector_calls_the_field_once_per_run(kind):
+    f = EVERY_KIND[kind]()
+    calls = []
+
+    def record(x, d):
+        calls.append((d, np.array(x)))
+        return 10.0 * x + d
+
+    data = f.data_vector(record)
+    assert [d for d, _ in calls] == [d for d, _ in f.runs]
+    for (d, x), (_, run) in zip(calls, f.runs):
+        assert np.array_equal(x, np.asarray(f.points)[run])
+        assert np.array_equal(data[run], 10.0 * x + d)
 
 
 def test_cold_ritz_build_peaks_below_one_dense_functional_matrix():

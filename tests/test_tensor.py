@@ -246,7 +246,8 @@ def test_tensor_project_reproduces_high_degree_polynomial():
 
 
 def test_commuting_identity():
-    # on 40 elements the Gauss rows of the data come in two slabs
+    # "21" adds the xi2 moments of the data slab by slab (on 40 elements the
+    # Gauss rows come in two slabs), "12" takes the moments of the whole data
     for p, k, n in ((3, 1, 5), (4, 2, 40)):
         V = tensor_space(p, k, n)
         u = manufactured("expxy")
@@ -323,7 +324,8 @@ def test_anisotropic_rate_l2():
 def test_tensor_project_matches_dense_matrices(p, order):
     # C against M1 D M2^T of the dense order-2 Ritz matrices (`oracles`) on
     # 48 uniform by 16 graded elements; from p = 5 the xi1 Gauss rows come
-    # in slabs that end inside elements.  The round-off bound of
+    # in several slabs ("21"), while "12" takes the moments of the whole
+    # data at once.  The round-off bound of
     # `test_ritz1d.test_factored_projectors_match_dense_matrices`, one term
     # per direction: 2 (gamma_N1 kappa(G1) + gamma_N2 kappa(G2))
     # max(|M1| |D| |M2|^T), with G the base Gram matrices
