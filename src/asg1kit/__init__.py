@@ -7,7 +7,7 @@ of a geometry, and measures physical Sobolev errors for convergence studies.
 """
 
 from .asg1 import check_conformity, global_project, patch_project
-from .fields import MANUFACTURED, ScalarField1D, ScalarField2D, manufactured, pullback
+from .fields import MANUFACTURED, ScalarField2D, manufactured, pullback
 from .geometry import (
     BUILTIN_GEOMETRIES,
     MultiPatch,

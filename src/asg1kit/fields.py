@@ -1,14 +1,15 @@
-"""Scalar fields of one and two variables, manufactured targets, pullbacks.
+"""Scalar fields of two variables, manufactured targets, pullbacks.
 
-Fields of both kinds share one jet protocol: ``ScalarField2D.jet(x, y, c, d)``
-returns ``(m, n) -> d1^m d2^n u`` at the points for m <= c, n <= d, and
-``ScalarField1D.jet(x, top)`` returns ``d -> f^(d)(x)`` for d <= top.  Work
-the orders share (the sines and cosines of ``sinsin``) is done once per jet;
-each order is built on request and not kept.  Where a separable order's
-factors are a column (N1, 1) and a row (1, N2), as at the mapped points of an
+`ScalarField2D` is the package's one field class: ``jet(x, y, c, d)``
+returns ``(m, n) -> d1^m d2^n u`` at the points for m <= c, n <= d, and a
+call ``u(x, y, a, b)`` is a one-order jet.  A field is given by an
+evaluator ``(x, y, a, b) -> value``, which a jet calls once per order asked
+for, or by a bind ``(x, y, c, d) -> order function``, which does the work
+the orders share once per jet (the sines and cosines of ``sinsin``); each
+order is built on request and not kept.  Where a separable order's factors
+are a column (N1, 1) and a row (1, N2), as at the mapped points of an
 axis-aligned patch, it is one contiguous column-by-row kernel (`_product`).
-A call is a one-order jet; a field given by an evaluator alone calls it once
-per order asked for.
+The univariate projectors (`ritz1d`) act on data vectors, not on fields.
 
 An `edge_jet` is one jet of u on the two sides along an edge axis at fixed
 edge parameters, each order evaluated once for both sides and kept while it
@@ -48,7 +49,6 @@ from .geometry import (EDGE_AXIS, NORMALS, TANGENTS, GeometryError, _affine_jet,
 from .splines import _BLOCK_POINTS
 
 __all__ = [
-    "ScalarField1D",
     "ScalarField2D",
     "MANUFACTURED",
     "manufactured",
@@ -57,64 +57,37 @@ __all__ = [
 ]
 
 
-class _JetField:
-    """The jet protocol of fields of ``arity`` variables: ``jet(*points,
-    *tops)`` returns ``(*orders) -> derivative`` at the points for orders up
-    to the tops, and a call ``f(*points, *orders)`` is a one-order jet (tops
-    and orders left out are 0).  A field given by an evaluator ``(*points,
-    *orders) -> value`` alone calls it once per order it is asked for."""
+class ScalarField2D:
+    """Scalar function of two variables with mixed partials up to
+    ``max_order`` in each variable, given by an ``evaluator`` ``(x, y, a, b)
+    -> value`` or by a ``bind`` ``(x, y, c, d) -> ((m, n) -> value)``, the
+    order function of a jet.  ``block_points`` is the most points a blocked
+    caller (`tensor.data_matrix`) evaluates in one call."""
 
-    def __init__(self, evaluator, max_order: int = 3):
-        self._eval = evaluator
+    def __init__(self, evaluator=None, max_order: int = 3, *, bind=None,
+                 block_points: int = _BLOCK_POINTS):
+        if bind is None:
+            def bind(x, y, c, d):
+                return functools.partial(evaluator, x, y)
+        self._bind = bind
         self.max_order = max_order
+        self.block_points = block_points
 
-    def _bind(self, *args):
-        """The order function at the points for orders up to the tops."""
-        return functools.partial(self._eval, *args[:self.arity])
+    def jet(self, x, y, c: int = 0, d: int = 0):
+        """``(m, n) -> d1^m d2^n u`` at the points for m <= c, n <= d."""
+        if min(c, d) < 0 or max(c, d) > self.max_order:
+            raise ValueError(f"derivative orders {(c, d)} outside 0..{self.max_order}")
+        order = self._bind(np.asarray(x, dtype=float), np.asarray(y, dtype=float), c, d)
 
-    def jet(self, *args):
-        args += (0,) * (2 * self.arity - len(args))
-        tops = args[self.arity:]
-        if min(tops) < 0 or max(tops) > self.max_order:
-            raise ValueError(f"derivative orders {tops} outside 0..{self.max_order}")
-        order = self._bind(*(np.asarray(z, dtype=float) for z in args[:self.arity]),
-                           *tops)
-
-        def partial(*orders):
-            if not all(0 <= m <= top for m, top in zip(orders, tops)):
-                raise ValueError(f"order {orders} outside the jet up to {tops}")
-            return order(*orders)
+        def partial(m, n):
+            if not (0 <= m <= c and 0 <= n <= d):
+                raise ValueError(f"order {(m, n)} outside the jet up to {(c, d)}")
+            return order(m, n)
 
         return partial
 
-    def __call__(self, *args):
-        orders = args[self.arity:] + (0,) * (2 * self.arity - len(args))
-        return self.jet(*args)(*orders)
-
-
-class ScalarField1D(_JetField):
-    """Scalar function on [0, 1] with derivatives up to ``max_order``:
-    ``jet(x, top)``, ``f(x, d)``, evaluator ``(x, d) -> value``."""
-
-    arity = 1
-
-
-class ScalarField2D(_JetField):
-    """Scalar function of two variables with mixed partials up to
-    ``max_order`` in each variable: ``jet(x, y, c, d)``, ``f(x, y, dx, dy)``,
-    evaluator ``(x, y, dx, dy) -> value``.  ``block_points`` is the most
-    points a blocked caller (`tensor.data_matrix`) evaluates in one call; a
-    pullback sets its own (`pullback`)."""
-
-    arity = 2
-    block_points = _BLOCK_POINTS
-
-
-def _jet_field(bind, max_order: int):
-    """The 2D field whose order functions come from ``bind``."""
-    field = ScalarField2D(None, max_order)
-    field._bind = bind
-    return field
+    def __call__(self, x, y, a: int = 0, b: int = 0):
+        return self.jet(x, y, a, b)(a, b)
 
 
 def _product(a, b):
@@ -141,7 +114,7 @@ def _sin_product():
 
         return order
 
-    return _jet_field(bind, max_order=8)
+    return ScalarField2D(max_order=8, bind=bind)
 
 
 def _poly2d(coeffs):
@@ -167,7 +140,7 @@ def _poly2d(coeffs):
 
         return order
 
-    return _jet_field(bind, max_order=8)
+    return ScalarField2D(max_order=8, bind=bind)
 
 
 def _exp_xy():
@@ -175,7 +148,7 @@ def _exp_xy():
         value = np.exp(x + 2.0 * y)
         return lambda m, n: 2.0 ** n * value
 
-    return _jet_field(bind, max_order=8)
+    return ScalarField2D(max_order=8, bind=bind)
 
 
 # (x^2 + y^2)^2 = x^4 + 2 x^2 y^2 + y^4
@@ -356,9 +329,8 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
     jets (`_map_jets`) depends on whether the map is affine.
     """
     zeros = frozenset(getattr(gmap, "zeros", ()))
-    field = _jet_field(_bind(u, _map_jets(gmap, zeros), zeros), max_order=3)
-    field.block_points = block_points(gmap, _CURVED_CALL_POINTS)
-    return field
+    return ScalarField2D(max_order=3, bind=_bind(u, _map_jets(gmap, zeros), zeros),
+                         block_points=block_points(gmap, _CURVED_CALL_POINTS))
 
 
 def _map_jets(gmap, zeros):

@@ -26,10 +26,10 @@ component has the broadcast shape of the axes it depends on: (N1, 1),
 (1, N2), (1, 1) or (N1, N2).  On a bilinear map d1 G depends on x2 at most,
 d2 G on x1 at most and d12 G on neither; on an axis-aligned patch x depends
 on x1 alone and y on x2 alone.  Components that depend on both axes take one
-folded contraction per group; grid jets share the binding of a recent row
-(`_bound_x2`).  Any other broadcast pair of points is evaluated point by
-point, every component at the full shape.  ``derivative``
-and ``point`` give single orders stacked as (..., 2) arrays.
+folded contraction per group; grid jets share the binding of a recent row,
+memoised per map (`_bound_x2`).  Any other broadcast pair of points is
+evaluated point by point, every component at the full shape.
+``derivative`` and ``point`` give single orders stacked as (..., 2) arrays.
 """
 
 from __future__ import annotations
@@ -197,10 +197,12 @@ class _TensorProductMap:
         full = {ab: tuple(v[..., c] for c in range(k)) for ab, v in full.items()}
         return self._from_homogeneous(full, orders)
 
-    @functools.lru_cache(maxsize=8)
-    def _bound_x2(self, x2: bytes, orders: tuple):
-        """`bind_x2` of the row with bytes ``x2``; a data matrix's blocks share it."""
-        return self.bind_x2(np.frombuffer(x2), orders)
+    @functools.cached_property
+    def _bound_x2(self):
+        """``(x2 bytes, orders) ->`` `bind_x2` of that row, the map's own memo
+        of its eight most recent rows; a data matrix's blocks share them."""
+        return functools.lru_cache(maxsize=8)(
+            lambda x2, orders: self.bind_x2(np.frombuffer(x2), orders))
 
     def bind_x2(self, x2, orders):
         """``x1 -> jet(x1, x2, orders=orders)`` on the grid x1 (x) x2, x1 a
@@ -283,14 +285,24 @@ class BilinearMap(_TensorProductMap):
         return self._one_order(x1, x2, c, d)
 
 
+def _continuous(*spaces) -> tuple:
+    """``spaces`` if each is continuous, which needs degree >= 1, else a
+    GeometryError: a map over S_(p,-1) is torn apart at its breakpoints."""
+    for axis, space in enumerate(spaces):
+        if space.smoothness < 0:
+            raise GeometryError(
+                f"the space of axis {axis} must be continuous with degree >= 1, "
+                f"got S_({space.degree},{space.smoothness})")
+    return spaces
+
+
 class SplineMap(_TensorProductMap):
     """Tensor-product spline patch with a control-point grid."""
 
     kind = "spline"
 
     def __init__(self, space1: UniSplineSpace, space2: UniSplineSpace, control):
-        self.space1 = space1
-        self.space2 = space2
+        self.space1, self.space2 = _continuous(space1, space2)
         self.control = np.asarray(control, dtype=float)
         if self.control.shape != (space1.dim, space2.dim, 2):
             raise GeometryError(
@@ -318,8 +330,7 @@ class NurbsMap(_TensorProductMap):
     zeros = frozenset()
 
     def __init__(self, space1, space2, control, weights):
-        self.space1 = space1
-        self.space2 = space2
+        self.space1, self.space2 = _continuous(space1, space2)
         self.control = np.asarray(control, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
         if self.control.shape != (space1.dim, space2.dim, 2):
@@ -602,7 +613,8 @@ def physical_mesh_size(mp: MultiPatch) -> float:
 # Schema:
 # {"patches": [{"kind": "bilinear"|"spline"|"nurbs",
 #               "degree": [p1, p2]?,              (spline kinds)
-#               "knots": [[...], [...]]?,          (open knot vectors)
+#               "knots": [[...], [...]]?,          (open knot vectors; degree >= 1 and
+#                                                  interior multiplicity <= degree)
 #               "control_points": [[x, y], ...],   (row-major, xi2 fastest)
 #               "weights": [...]?,                 (nurbs only)
 #               "partitions": [[...], [...]]}],
@@ -659,8 +671,9 @@ def _space_from_knots(degree: int, knots, where: str) -> UniSplineSpace:
     if len(interior_mult) > 1:
         raise GeometryError(f"{where}: non-uniform interior knot multiplicity")
     mult = interior_mult.pop() if interior_mult else 1
-    if mult > degree + 1:
-        raise GeometryError(f"{where}: interior knot multiplicity {mult} > degree + 1")
+    if mult > degree:  # multiplicity p + 1 tears the map apart there
+        raise GeometryError(f"{where}: interior knot multiplicity {mult} > degree {degree}: "
+                            "the map is discontinuous there")
     if mults[0] != degree + 1 or mults[-1] != degree + 1:
         raise GeometryError(f"{where}: knot vector must be open")
     return UniSplineSpace(degree, degree - mult, Partition(tuple(float(z) for z in breaks)))
@@ -685,6 +698,8 @@ def _patch_from_json(entry: dict, idx: int) -> Patch:
         gmap = BilinearMap(cps.reshape(2, 2, 2))
     elif kind in ("spline", "nurbs"):
         degree = _integers(entry, "degree", where)
+        if min(degree) < 1:
+            raise GeometryError(f"{where}.degree: expected degrees >= 1, got {list(degree)}")
         knots = _list(_require(entry, "knots", where), f"{where}.knots", 2)
         s1 = _space_from_knots(degree[0], knots[0], f"{where}.knots[0]")
         s2 = _space_from_knots(degree[1], knots[1], f"{where}.knots[1]")

@@ -71,6 +71,9 @@ class StudyConfig:
         return self.smoothness if self.smoothness is not None else p - 2
 
     def validate(self):
+        if self.function not in MANUFACTURED:
+            raise ConfigError(f"unknown manufactured function '{self.function}'; "
+                              f"available: {sorted(MANUFACTURED)}")
         if self.levels < 1:
             raise ConfigError("need at least one refinement level")
         if self.base_n < 1:
@@ -335,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GeometryError, QuadratureError, KeyError) as exc:
+    except (ConfigError, GeometryError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

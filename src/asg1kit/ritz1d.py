@@ -9,12 +9,12 @@ This makes the defining properties structural: the r-th derivative of the
 projection is the L2 projection of the r-th derivative (H^r-orthogonality),
 derivatives up to r-1 are interpolated at 0, and for p >= 2r-1 also at 1.
 
-Every projector acts on a fixed data vector of point evaluations
-``(order_m, point_m)`` of the input: the r endpoint derivatives at 0, the
+Every projector is a map of data vectors, the point evaluations
+``(order_m, point_m)`` of a function: the r endpoint derivatives at 0, the
 r-th derivative at the Gauss nodes, and the data of an optional endpoint
 correction.  Its orders come in runs of ascending order
-(`PointFunctionals.runs`), and the input is read by one call per run, at
-that run's points only.  It is stored
+(`PointFunctionals.runs`), by which a caller reads its function, one call
+per run (`tensor.data_matrix`, `asg1._edge_projections`).  It is stored
 in the factored form the recursion gives, never as a matrix: the
 element-local moment blocks W B of the base space S_{p-r,k-r,Z} (element e
 touches the p-r+1 base functions from e (p-k)), the inverse of the base
@@ -70,12 +70,12 @@ def default_quadrature_nodes(degree: int) -> int:
 class PointFunctionals:
     """A linear map from point-evaluation data of a function to coefficients.
 
-    ``apply(field)`` evaluates ``field(points[m], orders[m])``, one call per
-    run of equal orders (``runs``), and returns the spline whose
-    coefficients the factored map takes from those data: the moments of
-    the Gauss data against the base space ``base``, stored per element as
-    ``weighted[e, q, j]`` (the weight times base function e (p-k) + j at
-    node q of element e), the Gram solve by ``gram_inv``
+    Entry m of a data vector is the derivative of order ``orders[m]`` at
+    ``points[m]``, listed in runs of equal orders (``runs``).  `coefficients`
+    maps whole data vectors to coefficients in ``space`` in factored form:
+    the moments of the Gauss data against the base space ``base``, stored
+    per element as ``weighted[e, q, j]`` (the weight times base function
+    e (p-k) + j at node q of element e), the Gram solve by ``gram_inv``
     (L^-T L^-1 from the Cholesky factor G = L L^T), the integrations from
     ``base`` up to ``space`` that add the endpoint data, and ``correction``
     = (U, E), which adds U (d - E c) for the data d after the Gauss data.
@@ -106,14 +106,6 @@ class PointFunctionals:
         o = self.orders
         cuts = [0] + [m for m in range(1, len(o)) if o[m] != o[m - 1]] + [len(o)]
         return tuple((o[a], slice(a, b)) for a, b in zip(cuts, cuts[1:]))
-
-    def data_vector(self, field) -> np.ndarray:
-        """The data ``field(points[m], orders[m])``: one call of ``field``
-        per run, at the points of that run only."""
-        data, points = np.empty(len(self.orders)), np.asarray(self.points)
-        for d, run in self.runs:
-            data[run] = field(points[run], d)
-        return data
 
     def add_moments(self, out: np.ndarray, data: np.ndarray):
         """Add to ``out`` (last axis ``n_moments``) the moments of whole data
@@ -159,9 +151,6 @@ class PointFunctionals:
             U, E = self.correction
             c += (data[..., n:] - c @ E.T) @ U.T
         return c
-
-    def apply(self, field) -> UniSpline:
-        return UniSpline(self.space, self.coefficients(self.data_vector(field)))
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:

@@ -219,21 +219,37 @@ def constrained_l2_matrix(space, nq):
 
 
 # -- per-side edge data ------------------------------------------------------------
-# The edge fields and edge projectors one side at a time, each call of an edge
-# field taking its own jet of the 2D field at its own points: the form that
-# `asg1kit.asg1` replaces by one `edge_jet` per edge axis, read by index arrays.
+# The edge data and edge projectors one side at a time, as functions
+# ``(t, d) -> values`` of the side's parameter, each call taking its own jet
+# of the 2D field at its own points: the form that `asg1kit.asg1` replaces by
+# one `edge_jet` per edge axis, read by index arrays.
+
+
+def data_vector(funcs, fn):
+    """The data of the 1D functionals ``funcs`` of the function ``fn(x, d)``:
+    one call per run of equal orders, at the points of that run only."""
+    data, points = np.empty(len(funcs.orders)), np.asarray(funcs.points)
+    for d, run in funcs.runs:
+        data[run] = fn(points[run], d)
+    return data
+
+
+def project(funcs, fn):
+    """The spline that the 1D functionals ``funcs`` take from ``fn(x, d)``."""
+    from asg1kit.splines import UniSpline
+
+    return UniSpline(funcs.space, funcs.coefficients(data_vector(funcs, fn)))
 
 
 def restrict_to_edge(u, j):
-    """The trace of ``u`` on side ``j`` in the side's intrinsic parameter, at
-    any points; order d is one call of ``u`` along the side."""
-    from asg1kit.fields import ScalarField1D, _along
+    """The trace of ``u`` on side ``j`` in the side's intrinsic parameter,
+    ``(t, d) -> values``; order d is one call of ``u`` along the side."""
+    from asg1kit.fields import _along
     from asg1kit.geometry import EDGE_AXIS, edge_coords, side_end
 
     side_end(j)
     axis = EDGE_AXIS[j]
-    return ScalarField1D(lambda t, d: u(*edge_coords(j, t), *_along(axis, d, 0)),
-                         u.max_order)
+    return lambda t, d=0: u(*edge_coords(j, t), *_along(axis, d, 0))
 
 
 def crossing_direction(gluing, j):
@@ -255,37 +271,40 @@ def crossing_direction(gluing, j):
 
 
 def directional_edge_field(u, j, alpha, beta):
-    """The crossing-direction derivative of ``u`` along side ``j``, at any
-    points; order d is `_crossing_orders` of one jet of ``u`` up to d + 1
-    along the side and 1 across."""
-    from asg1kit.fields import ScalarField1D, _along, _crossing_orders
+    """The crossing-direction derivative of ``u`` along side ``j``, ``(t, d)
+    -> values`` for d <= 2; order d is `_crossing_orders` of one jet of
+    ``u`` up to d + 1 along the side and 1 across."""
+    from asg1kit.fields import _along, _crossing_orders
     from asg1kit.geometry import EDGE_AXIS, edge_coords
 
     if alpha(0.0) <= 0.0 or alpha(1.0) <= 0.0:
         raise ValueError("alpha must be strictly positive on [0, 1]")
     axis = EDGE_AXIS[j]
 
-    def ev(t, d):
+    def ev(t, d=0):
+        if not 0 <= d <= 2:
+            raise ValueError(f"crossing derivative order {d} outside 0..2")
+        t = np.asarray(t, dtype=float)
         jet = u.jet(*edge_coords(j, t), *_along(axis, d + 1, 1))
         return _crossing_orders(jet, j, t, alpha, beta)(d)
 
-    return ScalarField1D(ev, 2)
+    return ev
 
 
 def edge_projector_P0(u, j, p, k, partition, nq=None):
-    """P0 of side ``j`` from the data of the per-side trace field."""
+    """P0 of side ``j`` from the data of the per-side trace."""
     from asg1kit.ritz1d import pi_star_functionals
 
-    return pi_star_functionals(p, k, partition, nq).apply(restrict_to_edge(u, j))
+    return project(pi_star_functionals(p, k, partition, nq), restrict_to_edge(u, j))
 
 
 def edge_projector_P1(u, j, gluing, p, k, partition, P0, nq=None):
-    """P1 of side ``j`` from the data of the per-side crossing field."""
+    """P1 of side ``j`` from the data of the per-side crossing derivative."""
     from asg1kit import asg1
     from asg1kit.ritz1d import pi_cross_functionals
 
     f = pi_cross_functionals(p, k, partition, nq)
-    data = f.data_vector(directional_edge_field(u, j, gluing.alpha, gluing.beta))
+    data = data_vector(f, directional_edge_field(u, j, gluing.alpha, gluing.beta))
     return asg1.edge_projector_P1(f, f.coefficients(data), j, gluing, P0)
 
 

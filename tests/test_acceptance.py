@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from asg1kit.asg1 import check_conformity, extend, global_project, patch_project
-from asg1kit.fields import ScalarField1D, ScalarField2D, manufactured, pullback
+from asg1kit.fields import ScalarField2D, manufactured, pullback
 from asg1kit.geometry import (
     BUILTIN_GEOMETRIES,
     NORMALS,
@@ -55,10 +55,8 @@ def _report(num, label, ok, detail=""):
 
 
 def _analytic_1d():
-    return ScalarField1D(
-        lambda x, d: 1.7 ** d * np.sin(1.7 * x + d * np.pi / 2) + (x if d == 0
-        else 1.0 if d == 1 else 0.0), max_order=4
-    )
+    return lambda x, d=0: 1.7 ** d * np.sin(1.7 * x + d * np.pi / 2) + (
+        x if d == 0 else 1.0 if d == 1 else 0.0)
 
 
 def test_criterion_1_univariate_projector_contract():
@@ -75,9 +73,7 @@ def test_criterion_1_univariate_projector_contract():
                     S = UniSplineSpace(p, k, Z)
                     rng = np.random.default_rng(p * 100 + k * 10 + r)
                     f = UniSpline(S, rng.standard_normal(S.dim))
-                    proj = ritz_project(
-                        S, r, ScalarField1D(lambda x, d: f(x, d), max_order=3)
-                    )
+                    proj = ritz_project(S, r, f)
                     rep = np.max(np.abs(proj.coefficients - f.coefficients))
                     if rep > 1e-12:
                         ok = False
@@ -180,7 +176,7 @@ def test_criterion_3_tensor_projector_identities():
                     return n[1] * u(ex, ey, d, 1)
                 return n[0] * u(ex, ey, 1, d)
 
-            nd = ritz_project(side, 2, ScalarField1D(ndu, max_order=3))
+            nd = ritz_project(side, 2, ndu)
             if np.max(np.abs(normal_derivative_trace(Q, j)(t50) - nd(t50))) > 1e-10:
                 ok = False
                 details.append(f"edge normal p={p} j={j}")
@@ -217,11 +213,11 @@ def test_criterion_4_patch_projector_interpolation():
             if np.max(np.abs(ndv - P1(t50))) > 1e-10:
                 ok = False
                 details.append(f"normal interpolation patch {i} side {j}")
-            from oracles import directional_edge_field
+            from oracles import directional_edge_field, project
 
             g1 = directional_edge_field(uhat, j, glue[i, j].alpha,
                                         glue[i, j].beta)
-            w = pi_cross_functionals(p, k, Zj).apply(g1)
+            w = project(pi_cross_functionals(p, k, Zj), g1)
             dvec = crossing_direction(glue[i, j], j)(t50)
             dval = dvec[:, 0] * f(x, y, 1, 0) + dvec[:, 1] * f(x, y, 0, 1)
             if np.max(np.abs(dval - w(t50))) > 1e-9:

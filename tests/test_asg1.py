@@ -24,6 +24,7 @@ from asg1kit.splines import (
     uniform_partition,
 )
 from asg1kit.tensor import TensorSpline, TensorSplineSpace, as_field, tensor_project_Q
+import oracles
 from oracles import crossing_direction, directional_edge_field, restrict_to_edge
 
 
@@ -216,16 +217,15 @@ def test_p0_interpolates_trace_endpoints():
 
 def test_p1_boundary_case_is_normal_ritz_projection():
     # alpha = 1, beta = 0: P1 equals the order-2 projection of n . grad u
-    from asg1kit.fields import ScalarField1D
-
     u = generic_field()
     Z = uniform_partition(N)
     _, P1 = edge_projections(u, 1, EdgeGluing(), Z)
     n = NORMALS[1]
-    ndu = ScalarField1D(
-        lambda x, d: n[1] * u(x, np.zeros_like(x), d, 1), max_order=3
-    )
-    direct = ritz_functionals(UniSplineSpace(P - 1, K, Z), 2).apply(ndu)
+
+    def ndu(x, d):
+        return n[1] * u(x, np.zeros_like(x), d, 1)
+
+    direct = oracles.project(ritz_functionals(UniSplineSpace(P - 1, K, Z), 2), ndu)
     x = T50
     assert np.max(np.abs(P1(x) - direct(x))) <= 1e-12
 
@@ -356,9 +356,9 @@ def test_shared_edge_jets_match_the_per_side_oracle(monkeypatch, name, p, k):
             Z = patch.side_partition(j)
             assert f0 is pi_star_functionals(p, k, Z, None)
             assert f1 is pi_cross_functionals(p, k, Z, None)
-            d0 = f0.data_vector(restrict_to_edge(uhat, j))
-            d1 = f1.data_vector(directional_edge_field(uhat, j, glue[i, j].alpha,
-                                                       glue[i, j].beta))
+            d0 = oracles.data_vector(f0, restrict_to_edge(uhat, j))
+            d1 = oracles.data_vector(f1, directional_edge_field(
+                uhat, j, glue[i, j].alpha, glue[i, j].beta))
             assert _within_roundoff(f0, c0, d0), (i, j, "P0")
             assert _within_roundoff(f1, c1, d1), (i, j, "P1")
 
@@ -456,9 +456,8 @@ def test_patch_crossing_derivative_interpolation(skew_projection):
     for i, (patch, uhat, proj) in enumerate(projections):
         for j in (1, 2, 3, 4):
             g1 = directional_edge_field(uhat, j, glue[i, j].alpha, glue[i, j].beta)
-            want = ritz_functionals(
-                UniSplineSpace(P - 1, K, patch.side_partition(j)), 2
-            ).apply(g1)
+            want = oracles.project(ritz_functionals(
+                UniSplineSpace(P - 1, K, patch.side_partition(j)), 2), g1)
             x, y = edge_coords(j, T50)
             dvec = crossing_direction(glue[i, j], j)(T50)
             f = proj.spline
@@ -515,29 +514,28 @@ def test_patch_no_interference_of_corrections(skew_projection):
 def test_patch_trace_spaces(skew_projection):
     # traces lie in S_{p,k+1} and crossing-derivative traces in S_{p-1,k}:
     # the L2 projection onto those spaces leaves them unchanged
-    from asg1kit.fields import ScalarField1D
-
     mp, glue, projections = skew_projection
     for i, (patch, uhat, proj) in enumerate(projections):
         f = proj.spline
         for j in (1, 2, 3, 4):
             Zj = patch.side_partition(j)
-            tr_field = ScalarField1D(
-                lambda xx, d=0, jj=j: f(*edge_coords(jj, xx)), max_order=0
-            )
-            fit = ritz_functionals(UniSplineSpace(P, K + 1, Zj), 0).apply(tr_field)
-            assert np.max(np.abs(fit(T50) - tr_field(T50))) <= 1e-9
+
+            def trace(xx, d=0, jj=j):  # the L2 projection reads values only
+                return f(*edge_coords(jj, xx))
+
+            fit = oracles.project(ritz_functionals(UniSplineSpace(P, K + 1, Zj), 0),
+                                  trace)
+            assert np.max(np.abs(fit(T50) - trace(T50))) <= 1e-9
 
             dvec = crossing_direction(glue[i, j], j)
-            d_field = ScalarField1D(
-                lambda xx, d=0, jj=j: (
-                    dvec(xx)[..., 0] * f(*edge_coords(jj, xx), 1, 0)
-                    + dvec(xx)[..., 1] * f(*edge_coords(jj, xx), 0, 1)
-                ),
-                max_order=0,
-            )
-            dfit = ritz_functionals(UniSplineSpace(P - 1, K, Zj), 0).apply(d_field)
-            assert np.max(np.abs(dfit(T50) - d_field(T50))) <= 1e-9
+
+            def crossing(xx, d=0, jj=j):
+                return (dvec(xx)[..., 0] * f(*edge_coords(jj, xx), 1, 0)
+                        + dvec(xx)[..., 1] * f(*edge_coords(jj, xx), 0, 1))
+
+            dfit = oracles.project(ritz_functionals(UniSplineSpace(P - 1, K, Zj), 0),
+                                   crossing)
+            assert np.max(np.abs(dfit(T50) - crossing(T50))) <= 1e-9
 
 
 # -- global projector -----------------------------------------------------------------
@@ -612,8 +610,6 @@ def test_boundary_vanishing_trace_preserved():
     import sympy as sym
 
     x, y = sym.symbols("x y")
-    import oracles
-
     u = oracles.sympy_field2d(x * sym.sin(sym.pi * y), x, y)
     mp = builtin_geometry("three_patch_L", N)
     gp = global_project(mp, recover_all(mp), u, P, K)
@@ -629,7 +625,6 @@ def test_boundary_vanishing_trace_preserved():
 def test_boundary_vanishing_gradient_preserved():
     # u = x^2 sin(pi y) has vanishing gradient on the edge x = 0
     import sympy as sym
-    import oracles
 
     x, y = sym.symbols("x y")
     u = oracles.sympy_field2d(x ** 2 * sym.sin(sym.pi * y), x, y)
@@ -716,7 +711,7 @@ def test_conformity_single_patch_has_no_interfaces():
 
 def _conformity_layouts():
     from perfbench.workloads import curved_two_patch, nurbs_square
-    from test_integration import valence4_square
+    from test_integration import valence3_triangle, valence4_square
 
     from asg1kit.geometry import BUILTIN_GEOMETRIES
 
@@ -725,7 +720,7 @@ def _conformity_layouts():
     for seed in (0, 1):
         layouts[f"nurbs_square{seed}"] = lambda seed=seed: nurbs_square(8, seed)
         layouts[f"curved_two_patch{seed}"] = lambda seed=seed: curved_two_patch(8, seed)
-    layouts.update(valence4=valence4_square,
+    layouts.update(valence4=valence4_square, valence3=valence3_triangle,
                    reversed=lambda: reversed_near_degenerate(8))
     return layouts
 
@@ -740,8 +735,6 @@ def test_conformity_pass_equals_per_side_oracle(name, field):
     # and gives the same report, float for float (json.dumps writes each
     # float's shortest round trip, so -0.0, nan and every last bit count)
     import json
-
-    import oracles
 
     mp = CONFORMITY_LAYOUTS[name]()
     gp = global_project(mp, recover_all(mp), manufactured(field), 4, 2)

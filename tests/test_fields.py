@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import oracles
 from asg1kit.fields import (
     MANUFACTURED,
-    ScalarField1D,
     ScalarField2D,
     _along,
     _crossing_orders,
@@ -25,7 +24,7 @@ from asg1kit.geometry import (
 )
 from asg1kit.gluing import EdgeGluing, LinearFunction
 from asg1kit.ritz1d import pi_cross_functionals, pi_star_functionals
-from asg1kit.splines import UniSpline, UniSplineSpace, uniform_partition
+from asg1kit.splines import UniSplineSpace, uniform_partition
 
 
 def sympy_field(expr, x, y, max_order=6):
@@ -436,34 +435,19 @@ def test_jet_rejects_orders_outside_its_bounds():
         jet(0, 2)
     with pytest.raises(ValueError):
         u.jet(np.zeros(3), np.zeros(3), 9, 0)
-    # fields of one variable: a jet field and an evaluator-only one
-    for f in (oracles.restrict_to_edge(u, 2), ScalarField1D(lambda x, d: np.exp(x), 2)):
-        for top in (-1, f.max_order + 1):
-            with pytest.raises(ValueError):
-                f.jet(np.zeros(3), top)
-        with pytest.raises(ValueError):
-            f.jet(np.zeros(3), 1)(2)
-        with pytest.raises(ValueError):
-            f(np.zeros(3), f.max_order + 1)
 
 
 def test_evaluator_only_1d_field_is_called_once_per_order_asked_for():
+    # the data of the 1D functionals read a function (x, d) -> values once
+    # per order, at the points of that order only
     calls = []
 
     def ev(x, d):
         calls.append((d, x.size))
         return np.exp(x)
 
-    f = ScalarField1D(ev, max_order=3)
-    jet = f.jet(np.linspace(0.0, 1.0, 5), 3)
-    assert calls == []
-    jet(2)
-    jet(0)
-    assert calls == [(2, 5), (0, 5)]
-    calls.clear()
     funcs = pi_star_functionals(4, 1, uniform_partition(6))
-    funcs.data_vector(f)
-    # one call per order, at the points of that order only
+    oracles.data_vector(funcs, ev)
     orders = np.asarray(funcs.orders)
     assert calls == [(d, int(np.sum(orders == d))) for d in (0, 1, 2)]
 
@@ -599,11 +583,11 @@ def test_edge_functionals_take_one_map_jet_per_application(monkeypatch, case, j)
     assert calls == {"jet": 2, "derivative": 0, "point": 0}
     if sigma == 0:
         f, c = seen["P0"][j - 1]
-        data = f.data_vector(oracles.restrict_to_edge(v, j))
+        data = oracles.data_vector(f, oracles.restrict_to_edge(v, j))
     else:
         (f, c), = [(f, c) for i, f, c in seen["P1"] if i == j]
-        data = f.data_vector(oracles.directional_edge_field(v, j, glue[j].alpha,
-                                                             glue[j].beta))
+        data = oracles.data_vector(f, oracles.directional_edge_field(
+            v, j, glue[j].alpha, glue[j].beta))
     assert _within_roundoff(f, c, data)
 
     reads = []

@@ -275,6 +275,41 @@ def test_nurbs_weights_validated():
         NurbsMap(S, S, ctrl, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("degree, smoothness", [(1, -1), (0, -1), (3, -1)])
+def test_spline_maps_must_be_continuous(degree, smoothness):
+    # over S_(p,-1) a map is torn apart at its breakpoints (interior knot
+    # multiplicity p + 1); degree 0 has no other smoothness
+    torn = UniSplineSpace(degree, smoothness, uniform_partition(2))
+    S = UniSplineSpace(1, 0, uniform_partition(1))
+    for spaces in ((torn, S), (S, torn)):
+        shape = (spaces[0].dim, spaces[1].dim)
+        with pytest.raises(GeometryError, match="must be continuous with degree >= 1"):
+            SplineMap(*spaces, np.zeros(shape + (2,)))
+        with pytest.raises(GeometryError, match="must be continuous with degree >= 1"):
+            NurbsMap(*spaces, np.zeros(shape + (2,)), np.ones(shape))
+
+
+def test_grid_binding_memo_belongs_to_its_map():
+    # each map keeps its own eight most recent rows and is freed with its
+    # multi-patch, memo and all
+    import gc
+    import weakref
+
+    mp = builtin_geometry("two_patch_skew", 8)
+    gmap = mp.patches[1].gmap
+    rows = [np.linspace(0.0, 1.0, 5 + m)[None, :] for m in range(9)]
+    for row in rows:
+        gmap.jet(np.zeros((3, 1)), row, 1, 1)
+    other = identity_map()
+    other.jet(np.zeros((3, 1)), rows[0], 1, 1)
+    assert gmap._bound_x2.cache_info().currsize == 8
+    assert other._bound_x2.cache_info().currsize == 1
+    ref = weakref.ref(gmap)
+    del mp, gmap
+    gc.collect()
+    assert ref() is None
+
+
 # -- topology and conformity -----------------------------------------------------
 
 def test_builtin_two_patch_square_topology():

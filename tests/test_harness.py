@@ -124,6 +124,24 @@ def test_unknown_function_exit_code():
     assert exc.value.code == 2
 
 
+def test_unknown_study_function_is_config_error():
+    with pytest.raises(ConfigError, match="unknown manufactured function 'nope'"):
+        run_convergence(StudyConfig("two_patch_skew", "nope"))
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    # exit 2 is for the user's input; a KeyError from inside the package
+    # is a fault and keeps its traceback
+    from asg1kit import harness
+
+    def broken(*args):
+        raise KeyError((1, 0))
+
+    monkeypatch.setattr(harness, "recover_all", broken)
+    with pytest.raises(KeyError):
+        main(["gluing", "--geometry", "two_patch_skew"])
+
+
 def test_unknown_flag_usage_error():
     # gluing projects nothing, so it has no quadrature order or force option
     for args in (["convergence", "--geometry", "unit_square", "--frobnicate"],
@@ -240,11 +258,21 @@ SPLINE = {"kind": "spline", "degree": [1, 1], "knots": [[0, 0, 1, 1], [0, 0, 1, 
      "patches[0].control_points"),
     ({"patches": [{**BILINEAR, "control_points": [[0, 0], [0, 1], [1, 0], [1]]}]},
      "patches[0].control_points"),
+    # interior multiplicity p + 1: the map jumps at xi1 = 0.5
+    ({"patches": [{**SPLINE, "knots": [[0, 0, .5, .5, 1, 1], [0, 0, 1, 1]],
+                   "control_points": [[0, 0], [0, 1], [.5, 0], [.5, 1],
+                                      [.6, 0], [.6, 1], [1, 0], [1, 1]],
+                   "partitions": [[0, .5, 1], [0, 1]]}]},
+     "patches[0].knots[0]"),
+    ({"patches": [{**SPLINE, "degree": [0, 1], "knots": [[0, 1], [0, 0, 1, 1]],
+                   "control_points": [[0, 0], [0, 1]]}]},
+     "patches[0].degree"),
 ], ids=["knot-multiplicity-above-p+1", "one-breakpoint", "nurbs-weight-count",
         "nurbs-weight-not-positive", "interface-side-one-entry", "interface-side-string",
         "interface-reversed-string", "interfaces-not-a-list", "scalar-degree",
         "empty-knots", "patches-not-a-list", "patch-not-an-object",
-        "non-numeric-control-points", "ragged-control-points"])
+        "non-numeric-control-points", "ragged-control-points", "torn-map",
+        "degree-zero"])
 def test_malformed_geometry_json_exits_2(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -136,6 +136,24 @@ def valence4_square(c=(0.55, 0.45), n=8):
     )
 
 
+def valence3_triangle(n=8):
+    """The triangle A = (0, 0), B = (2, 0), C = (1, 1.6) split at its
+    centroid M through the edge midpoints into three bilinear patches around
+    one interior vertex of valence 3."""
+    Z = uniform_partition(n)
+    A, B, C = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 1.6)])
+    M, ab, bc, ca = (A + B + C) / 3.0, (A + B) / 2.0, (B + C) / 2.0, (C + A) / 2.0
+
+    def patch(c00, c10, c01, c11):
+        return Patch(BilinearMap(np.array([[c00, c01], [c10, c11]], float)), (Z, Z))
+
+    return MultiPatch(
+        [patch(A, ab, ca, M), patch(ab, B, M, bc), patch(ca, M, C, bc)],
+        [Interface((0, 2), (1, 4)), Interface((0, 3), (2, 1)),
+         Interface((1, 3), (2, 2))],
+    )
+
+
 def check_valence4(mp, p, k, field):
     """Certified positive alphas and the conformity tolerances of the
     project and check-c1 CLI; the gluing data and the report."""
@@ -168,6 +186,14 @@ def test_valence4_linear_gluing_conformity(p, n, field):
             assert abs(a1 - a0) >= 0.05, side
     # the interior vertex is one cluster of four corners
     assert sorted(len(v.members) for v in rep.vertices)[-2:] == [2, 4]
+
+
+@pytest.mark.parametrize("field", ["expxy", "poly4"])
+@pytest.mark.parametrize("p,k", [(4, 1), (4, 2), (6, 4)])
+def test_valence3_conformity(p, k, field):
+    _, rep = check_valence4(valence3_triangle(8), p, k, field)
+    # the interior vertex is one cluster of three corners
+    assert sorted(len(v.members) for v in rep.vertices)[-2:] == [2, 3]
 
 
 # near-degenerate centres (c ~ (0.75, 0.74), min det 0.0055) reach vertex

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from asg1kit.fields import ScalarField1D
 from asg1kit.ritz1d import (
     bubble,
     bubble_breakpoints,
@@ -24,33 +23,29 @@ from asg1kit.splines import (
 import oracles
 
 
-def ritz_project(space, r, field, nq=None):
-    """The order-r Ritz projection of a 1D field."""
-    return ritz_functionals(space, r, nq).apply(field)
+def ritz_project(space, r, fn, nq=None):
+    """The order-r Ritz projection of a function ``fn(x, d)``."""
+    return oracles.project(ritz_functionals(space, r, nq), fn)
 
 
-def l2_project(space, field):
-    return ritz_project(space, 0, field)
+def l2_project(space, fn):
+    return ritz_project(space, 0, fn)
 
 
-def pi_star(p, k, partition, field):
-    """The endpoint projection of a 1D field onto S_{p,k+1}."""
-    return pi_star_functionals(p, k, partition).apply(field)
-
-
-def spline_field(f, max_order=3):
-    return ScalarField1D(lambda x, d=0: f(x, d), max_order=max_order)
+def pi_star(p, k, partition, fn):
+    """The endpoint projection of a function ``fn(x, d)`` onto S_{p,k+1}."""
+    return oracles.project(pi_star_functionals(p, k, partition), fn)
 
 
 def sin_field(freq=1.0):
-    def ev(x, d):
+    def ev(x, d=0):
         return freq ** d * np.sin(freq * x + d * np.pi / 2)
 
-    return ScalarField1D(ev, max_order=4)
+    return ev
 
 
 def exp_field():
-    return ScalarField1D(lambda x, d: np.exp(x), max_order=4)
+    return lambda x, d=0: np.exp(x)
 
 
 # -- L2 projection -----------------------------------------------------------------
@@ -59,13 +54,13 @@ def test_l2_project_reproduces_spline():
     S = UniSplineSpace(3, 1, uniform_partition(4))
     rng = np.random.default_rng(0)
     f = UniSpline(S, rng.standard_normal(S.dim))
-    g = l2_project(S, spline_field(f))
+    g = l2_project(S, f)
     assert np.max(np.abs(g.coefficients - f.coefficients)) <= 1e-12
 
 
 def test_l2_project_zero():
     S = UniSplineSpace(2, 0, uniform_partition(3))
-    g = l2_project(S, ScalarField1D(lambda x, d: np.zeros_like(x)))
+    g = l2_project(S, lambda x, d: np.zeros_like(x))
     assert np.max(np.abs(g.coefficients)) == 0.0
 
 
@@ -73,14 +68,14 @@ def test_l2_project_line_fit_oracle():
     # L2 fit of x^2 onto {1, x}: solving the 2x2 normal equations by hand
     # gives -1/6 + x.
     S = UniSplineSpace(1, 0, uniform_partition(1))
-    g = l2_project(S, ScalarField1D(lambda x, d: x ** 2, max_order=0))
+    g = l2_project(S, lambda x, d: x ** 2)
     x = np.linspace(0, 1, 11)
     assert np.max(np.abs(g(x) - (-1.0 / 6.0 + x))) <= 1e-12
 
 
 def test_l2_orthogonality_of_residual():
     S = UniSplineSpace(1, 0, uniform_partition(1))
-    g = l2_project(S, ScalarField1D(lambda x, d: x ** 2, max_order=0))
+    g = l2_project(S, lambda x, d: x ** 2)
     xq, wq = np.polynomial.legendre.leggauss(10)
     x = 0.5 * (xq + 1)
     w = 0.5 * wq
@@ -97,7 +92,7 @@ def test_ritz_reproduces_splines(p, k, r):
     S = UniSplineSpace(p, k, uniform_partition(5))
     rng = np.random.default_rng(p * 10 + r)
     f = UniSpline(S, rng.standard_normal(S.dim))
-    g = ritz_project(S, r, spline_field(f))
+    g = ritz_project(S, r, f)
     assert np.max(np.abs(g.coefficients - f.coefficients)) <= 1e-12
 
 
@@ -143,7 +138,7 @@ def test_ritz_h2_orthogonality():
 def test_ritz_idempotent():
     S = UniSplineSpace(4, 2, uniform_partition(4))
     g = ritz_project(S, 2, exp_field())
-    h = ritz_project(S, 2, spline_field(g))
+    h = ritz_project(S, 2, g)
     assert np.max(np.abs(h.coefficients - g.coefficients)) <= 1e-12
 
 
@@ -165,7 +160,7 @@ def test_ritz_kink_insensitivity():
     S = UniSplineSpace(4, 1, Z)
     rng = np.random.default_rng(3)
     f = UniSpline(S, rng.standard_normal(S.dim))
-    g = ritz_project(S, 2, spline_field(f))
+    g = ritz_project(S, 2, f)
     assert np.max(np.abs(g.coefficients - f.coefficients)) <= 1e-12
 
 
@@ -242,8 +237,8 @@ def test_pi_star_reproduces_target_space(p, k):
     funcs = pi_star_functionals(p, k, Z)
     for seed in sorted({p + k, *range(10)}):
         f = UniSpline(S, np.random.default_rng(seed).standard_normal(S.dim))
-        d = funcs.data_vector(spline_field(f))
-        g = pi_star(p, k, Z, spline_field(f))
+        d = oracles.data_vector(funcs, f)
+        g = pi_star(p, k, Z, f)
         bound = d.size * np.finfo(float).eps * (np.abs(funcs.matrix) @ np.abs(d))
         assert np.all(np.abs(g.coefficients - f.coefficients) <= bound), seed
 
@@ -258,9 +253,9 @@ def test_pi_star_endpoint_contract_low_p():
 
 def test_pi_star_endpoint_contract_high_p():
     Z = uniform_partition(8)
-    u = ScalarField1D(
-        lambda x, d: 2.0 ** d * np.cos(2 * x + d * np.pi / 2), max_order=4
-    )
+    def u(x, d):
+        return 2.0 ** d * np.cos(2 * x + d * np.pi / 2)
+
     g = pi_star(6, 2, Z, u)
     for s in (0, 1, 2):
         assert abs(g(0.0, s) - u(np.array(0.0), s)) <= 1e-10
@@ -317,15 +312,15 @@ def _gram(space, nq):
     return B.T @ (w[:, None] * B)
 
 
-def _assert_matches_dense(funcs, M, kappa, field):
-    data = funcs.data_vector(field)
+def _assert_matches_dense(funcs, M, kappa, fn):
+    data = oracles.data_vector(funcs, fn)
     rand = np.random.default_rng(len(data)).standard_normal(len(data))
     spread = 1.0
     if funcs.correction is not None:
         U, E = funcs.correction
         spread += np.max(np.abs(U) @ np.abs(E).sum(axis=1))
     N, u = len(data), np.finfo(float).eps / 2
-    for d, got in ((data, funcs.apply(field).coefficients),
+    for d, got in ((data, oracles.project(funcs, fn).coefficients),
                    (rand, funcs.coefficients(rand))):
         bound = 2 * N * u / (1 - N * u) * kappa * spread * np.max(np.abs(M) @ np.abs(d))
         assert np.max(np.abs(got - M @ d)) <= bound
@@ -335,8 +330,9 @@ def _assert_matches_dense(funcs, M, kappa, field):
 @pytest.mark.parametrize("p", range(3, 9))
 def test_factored_projectors_match_dense_matrices(p, mesh):
     Z = uniform_partition(16) if mesh == "uniform" else GRADED
-    u = ScalarField1D(lambda x, d: 3.0 ** d * np.sin(3.0 * x + 1.0 + d * np.pi / 2),
-                      max_order=p)
+    def u(x, d):
+        return 3.0 ** d * np.sin(3.0 * x + 1.0 + d * np.pi / 2)
+
     for k in sorted({1, p - 2}):
         S = UniSplineSpace(p, k, Z)
         for r in range(k + 2):
@@ -396,7 +392,7 @@ def test_data_vector_calls_the_field_once_per_run(kind):
         calls.append((d, np.array(x)))
         return 10.0 * x + d
 
-    data = f.data_vector(record)
+    data = oracles.data_vector(f, record)
     assert [d for d, _ in calls] == [d for d, _ in f.runs]
     for (d, x), (_, run) in zip(calls, f.runs):
         assert np.array_equal(x, np.asarray(f.points)[run])

@@ -272,7 +272,6 @@ def test_corner_interpolation():
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_edge_commuting(j):
-    from asg1kit.fields import ScalarField1D
     from oracles import restrict_to_edge
     from asg1kit.geometry import NORMALS, edge_coords
 
@@ -295,7 +294,7 @@ def test_edge_commuting(j):
             return n[1] * u(ex, ey, d, 1)
         return n[0] * u(ex, ey, 1, d)
 
-    ndproj = ritz_project(side_space, 2, ScalarField1D(ndu, max_order=3))
+    ndproj = ritz_project(side_space, 2, ndu)
     assert np.max(np.abs(normal_derivative_trace(Q, j)(t) - ndproj(t))) <= 1e-10
 
 
@@ -409,8 +408,7 @@ def test_data_matrix_row_blocks_match_full_grid_data(kind):
         calls.append(((a, b), x.size, np.broadcast_shapes(x.shape, y.shape)))
         return u(x, y, a, b)
 
-    field = ScalarField2D(recorded, max_order=u.max_order)
-    field.block_points = points
+    field = ScalarField2D(recorded, max_order=u.max_order, block_points=points)
     slabs = list(data_matrix(field, f, f))
     assert np.array_equal(np.concatenate(slabs), _full_grid_data(u, f, f))
     for ab, rows, shape in calls:
@@ -431,7 +429,7 @@ def test_data_matrix_binds_each_geometry_row_once():
     # the row blocks of one order pair share a binding of the map's x2 row;
     # the memo of bindings keeps the eight most recent ones
     from asg1kit.fields import pullback
-    from asg1kit.geometry import _TensorProductMap, builtin_geometry
+    from asg1kit.geometry import builtin_geometry
     from asg1kit.ritz1d import ritz_functionals
     from asg1kit.splines import Partition
 
@@ -464,7 +462,7 @@ def test_data_matrix_binds_each_geometry_row_once():
     for row in rows:
         gmap.jet(np.zeros((3, 1)), row[None, :], 1, 1)
     assert len(binds) == 20
-    info = _TensorProductMap._bound_x2.cache_info()
+    info = gmap._bound_x2.cache_info()
     assert info.maxsize == 8 and info.currsize <= 8
     gmap.jet(np.zeros((3, 1)), rows[0][None, :], 1, 1)  # evicted: bound again
     gmap.jet(np.zeros((3, 1)), rows[-1][None, :], 1, 1)  # kept
