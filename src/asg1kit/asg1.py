@@ -39,7 +39,7 @@ from .geometry import (
     Patch,
     edge_coords,
     edge_parameter_map,
-    jacobian_det,
+    map_jets,
     side_end,
 )
 from .gluing import EdgeGluing, GluingData
@@ -429,9 +429,8 @@ def check_conformity(gp: GlobalProjection) -> ConformityReport:
     data = {}
     for i in sorted({i for members in shared for i, _, _ in members}):
         gmap, fc = mp.patches[i].gmap, at_corners[i]
-        g = gmap.jet(*corners, orders=_C2_ORDERS)
-        grad, hess = inverse_chain_rule(g, gmap.zeros, jacobian_det(g, gmap.zeros),
-                                        fc[1:3], fc[3:])
+        jet, det = map_jets(gmap)(*corners, _C2_ORDERS)
+        grad, hess = inverse_chain_rule(jet, gmap.zeros, det, fc[1:3], fc[3:])
         data.update(zip(((i, ell) for ell in CORNERS),
                         np.array([fc[0], *grad, *hess], dtype=float).T))
     for members in shared:

@@ -17,35 +17,32 @@ lives, as an array with a row per side; the edge pass (`asg1`) reads its
 data from it by index arrays, the crossing derivative through
 `_crossing_orders`, the one form of it in the package.
 
-``pullback`` composes a physical field with a geometry map by the chain
-rule (term lists cached per derivative order) in one order loop; what is
-decided once per map is where a call's map jet comes from.  On an affine map
-(`geometry._affine_jet`: a bilinear parallelogram, such as every built-in
-patch but the right one of ``two_patch_skew``) it is G(0, 0) + J xi, each
-coordinate at the broadcast shape of the axes it depends on (a column and a
-row on an axis-aligned patch), with the numbers of J as its orders (1, 0)
-and (0, 1), and det G is formed once per map, so a pullback call takes no
-geometry jet and det G <= 0 is one comparison.  On any other map it is one
-geometry jet (see `geometry`), which supplies the mapped points, the
-Jacobian determinant and every chain-rule factor, each at the broadcast
-shape of the axes it depends on.  Either way a call takes one jet of the
-physical field at the mapped points.  Terms with a factor that is
-identically zero for the map (absent from its jet, or in ``gmap.zeros``)
-are dropped once per order, jet orders and zeros, with the orders of u only
-they read; terms are summed by their order of u, so one order array of u is
-alive at a time, and a pullback value has the broadcast shape of its points.
+``pullback`` composes a physical field with a geometry map by the chain rule
+(term lists cached per derivative order) in one order loop.  Its map jets
+come from `geometry.map_jets`, the package's one source of G, its orders and
+a checked det G > 0: on an affine map (a bilinear parallelogram, such as
+every built-in patch but the right one of ``two_patch_skew``) G(0, 0) + J xi
+with the numbers of J, so a pullback call takes no geometry jet; on any
+other map one geometry jet, which supplies the mapped points and every
+chain-rule factor, each at the broadcast shape of the axes it depends on.
+Either way a call takes one jet of the physical field at the mapped points.
+Terms with a factor that is identically zero for the map (absent from its
+jet, or in ``gmap.zeros``) are dropped once per order, jet orders and zeros,
+with the orders of u only they read; terms are summed by their order of u,
+so one order array of u is alive at a time, and a pullback value has the
+broadcast shape of its points.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections import defaultdict
 
 import numpy as np
 
-from .geometry import (EDGE_AXIS, NORMALS, TANGENTS, GeometryError, _affine_jet,
-                       _fold, block_points, jacobian_det)
+from .geometry import EDGE_AXIS, NORMALS, TANGENTS, _fold, block_points, map_jets
 from .splines import _BLOCK_POINTS
 
 __all__ = [
@@ -311,13 +308,6 @@ def _kept_terms(a: int, b: int, present: frozenset, zeros: frozenset):
 _CURVED_CALL_POINTS = 1 << 13
 
 
-def _folded(det) -> GeometryError:
-    return GeometryError(
-        "geometry map has non-positive Jacobian determinant "
-        f"(min {np.min(det):.3e}) at an evaluation point"
-    )
-
-
 def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
     """The parametric field u o G with exact mixed partials.
 
@@ -325,53 +315,24 @@ def pullback(u: ScalarField2D, gmap) -> ScalarField2D:
     parameter square.  Requires the Jacobian determinant of ``G`` to be
     positive wherever evaluated (2-regularity); a `GeometryError` is raised
     otherwise.  Its ``block_points`` are `geometry.block_points` of the map.
-    Every map runs one order loop (`_bind`); only the source of its map
-    jets (`_map_jets`) depends on whether the map is affine.
+    Every map runs one order loop (`_bind`) on the map jets of
+    `geometry.map_jets`, the only part that depends on whether the map is
+    affine.
     """
     zeros = frozenset(getattr(gmap, "zeros", ()))
-    return ScalarField2D(max_order=3, bind=_bind(u, _map_jets(gmap, zeros), zeros),
+    return ScalarField2D(max_order=3, bind=_bind(u, map_jets(gmap), zeros),
                          block_points=block_points(gmap, _CURVED_CALL_POINTS))
 
 
-def _map_jets(gmap, zeros):
-    """The map jets of a pullback: ``(x1, x2, c, d) ->`` a jet of G up to
-    (max(c, 1), max(d, 1)) at the points, or a `GeometryError` where det G
-    <= 0 there.  On an affine G (`_affine_jet`) the jet is G(0, 0) + J xi,
-    each coordinate at the broadcast shape of the axes it depends on, with
-    J's numbers, and det G is formed once; on any other map it is one
-    geometry jet, whose det G is formed per call."""
-    affine = _affine_jet(gmap)
-    if affine is None:
-        def map_jet(x1, x2, c, d):
-            jet = gmap.jet(x1, x2, max(c, 1), max(d, 1))
-            det = jacobian_det(jet, zeros)
-            if np.any(det <= 0.0):
-                raise _folded(det)
-            return jet
-
-        return map_jet
-    det = jacobian_det(affine, zeros)
-    corner = [v[0] for v in gmap.corner_points()]  # G(0, 0)
-    jacobian = (affine[1, 0], affine[0, 1])
-    # coordinate i: its corner value plus a term per axis it depends on
-    axes = [[(k, v[i]) for k, v in enumerate(jacobian) if v[i] != 0.0] for i in (0, 1)]
-
-    def affine_jet(x1, x2, c, d):
-        if det <= 0.0:
-            raise _folded(det)
-        points = [functools.reduce(operator.add, [(x1, x2)[k] * v for k, v in terms],
-                                   corner[i]) for i, terms in enumerate(axes)]
-        return {(0, 0): points, **affine}
-
-    return affine_jet
-
-
-def _bind(u: ScalarField2D, map_jets, zeros):
-    """The order functions of u o G from one map jet per call (``map_jets``)
-    and the chain-rule terms that are not zero for the map (`_kept_terms`)."""
+def _bind(u: ScalarField2D, jets, zeros):
+    """The order functions of u o G from one map jet per call (``jets``, of
+    `geometry.map_jets`) and the chain-rule terms that are not zero for the
+    map (`_kept_terms`)."""
 
     def bind(x1, x2, c, d):
-        jet = map_jets(x1, x2, c, d)
+        # every factor order of (a, b) <= (c, d), and J for det G
+        jet, _ = jets(x1, x2, list(itertools.product(range(max(c, 1) + 1),
+                                                     range(max(d, 1) + 1))))
         # an order (a, b) <= (c, d) reads orders m + n <= c + d of u
         top = min(c + d, u.max_order)
         ujet = u.jet(*jet[0, 0], top, top)

@@ -30,6 +30,9 @@ folded contraction per group; grid jets share the binding of a recent row,
 memoised per map (`_bound_x2`).  Any other broadcast pair of points is
 evaluated point by point, every component at the full shape.
 ``derivative`` and ``point`` give single orders stacked as (..., 2) arrays.
+`map_jets` is the package's one source of G, its orders and det G > 0 for
+the chain rule (`fields.pullback`, the `norms` blocks, the corner data of
+`asg1.check_conformity`), and of its one fold error.
 """
 
 from __future__ import annotations
@@ -438,8 +441,8 @@ def check_2regular(gmap):
 
 def _affine_jet(gmap):
     """The orders (1, 0) and (0, 1) of G, one number per component, where G
-    is affine, else None: the one affine test of the package (`norms`,
-    `fields.pullback`).  G is affine when both orders are constant in both
+    is affine, else None: the one affine test of the package (`map_jets`,
+    `norms`).  G is affine when both orders are constant in both
     components and no order of total degree 2 is nonzero (`_dependence`); a
     rational map's dependence describes its homogeneous coefficients, so it
     never counts, and neither does a map without a dependence table."""
@@ -451,6 +454,52 @@ def _affine_jet(gmap):
             v != 0.0 for ab in second for _, _, v in deps.get(ab, ())):
         return None
     return {ab: tuple(v for _, _, v in deps[ab]) for ab in first}
+
+
+def map_jets(gmap):
+    """``(x1, x2, orders) -> (jet, det)``: a jet of G at the points and det G
+    there, or a `GeometryError` (`_positive`) where det G <= 0.  On an affine
+    G (`_affine_jet`) the jet is G(0, 0) + J xi, each coordinate at the
+    broadcast shape of the axes it depends on, with J's numbers as its orders
+    (1, 0) and (0, 1) and no higher order, whatever ``orders`` asks; det G is
+    formed once per map.  On any other map it is one `jet` of ``orders``,
+    whose det G is formed per call."""
+    zeros = frozenset(getattr(gmap, "zeros", ()))
+    affine = _affine_jet(gmap)
+    if affine is None:
+        def jets(x1, x2, orders):
+            jet = gmap.jet(x1, x2, orders=orders)
+            return jet, _positive(jacobian_det(jet, zeros), x1, x2)
+
+        return jets
+    det = jacobian_det(affine, zeros)
+    corner = [v[0] for v in gmap.corner_points()]  # G(0, 0)
+    jacobian = (affine[1, 0], affine[0, 1])
+    # coordinate i: its corner value plus a term per axis it depends on
+    axes = [[(k, v[i]) for k, v in enumerate(jacobian) if v[i] != 0.0] for i in (0, 1)]
+
+    def affine_jets(x1, x2, orders):
+        if det <= 0.0:  # a number of the map
+            _positive(det, x1, x2)
+        points = [functools.reduce(operator.add, [(x1, x2)[k] * v for k, v in terms],
+                                   corner[i]) for i, terms in enumerate(axes)]
+        return {(0, 0): points, **affine}, det
+
+    return affine_jets
+
+
+def _positive(det, x1, x2):
+    """``det``, or the one fold error where it is <= 0 at a point, naming its
+    least value and a parameter point where it is taken."""
+    if np.any(det <= 0.0):
+        least, x1, x2 = np.broadcast_arrays(det, x1, x2)
+        if least.size:  # else no point is evaluated
+            i = np.nanargmin(least)
+            raise GeometryError(
+                f"non-positive Jacobian determinant {least.flat[i]:.3e} at parameter "
+                f"point ({x1.flat[i]:.6f}, {x2.flat[i]:.6f}), the least at the points "
+                "evaluated")
+    return det
 
 
 def block_points(gmap, curved: int) -> int:
@@ -518,6 +567,8 @@ class MultiPatch:
     # -- topology ------------------------------------------------------------
 
     def _validate_topology(self):
+        if not self.patches:
+            raise GeometryError("patches: a geometry needs at least one patch")
         seen = set()
         for iface in self.interfaces:
             for pi, side in (iface.left, iface.right):

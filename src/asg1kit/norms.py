@@ -13,35 +13,37 @@ blocks of whole x1 elements (`_block_layout`), each block at most
 second orders depend on one axis at most (every bilinear map, affine or
 not), ``_CURVED_BLOCK_POINTS`` (2^14) on curved spline and NURBS maps, whose
 per-point blocks keep more arrays of their points.  The x2 axis of the
-approximation (`splines.tensor_bind_x2_products`) and of the geometry is
-contracted once per chunk; a chunk is as wide as keeps each bound order of
-the approximation within ``_CHUNK_BLOCKS`` blocks of 2^15 points, so coarse
-meshes bind the whole axis at once and the bindings of fine ones do not
-grow with the mesh, and one chunk's bindings are released before the next
-binds.  The x1 rows of each block (orders 0..2) are sliced from one band of
-the whole x1 axis per order (`splines.band_blocks`), made once per patch,
-and serve every chunk; dense over the columns a block spans, they take
-about 6 (p - k)^2 n^2 bytes on a chunked n x n mesh, three quarters of the
-approximation's coefficient array.  Each block forms one GEMM per order of
-the approximation.  The weights stay separable: no weight grid is built.
+approximation (`splines.tensor_bind_x2_products`) is contracted once per
+chunk; a chunk is as wide as keeps each bound order of the approximation
+within ``_CHUNK_BLOCKS`` blocks of 2^15 points, so coarse meshes bind the
+whole axis at once and the bindings of fine ones do not grow with the mesh,
+and one chunk's bindings are released before the next binds.  The x1 rows
+of each block (orders 0..2) are sliced from one band of the whole x1 axis
+per order (`splines.band_blocks`), made once per patch, and serve every
+chunk; dense over the columns a block spans, they take about 6 (p - k)^2
+n^2 bytes on a chunked n x n mesh, three quarters of the approximation's
+coefficient array.  Each block forms one GEMM per order of the
+approximation.  The weights stay separable: no weight grid is built.  Every
+block takes G, its orders and a checked det G > 0 from `geometry.map_jets`,
+as the pullbacks and the conformity check's corner data do.
 
 An affine map (a bilinear parallelogram: every built-in patch but the right
-one of ``two_patch_skew``; the test is `geometry._affine_jet`, which
-`fields.pullback` shares) has constant first orders and zero second ones,
-so det G and J^{-1} are numbers of the patch and hess G drops out.  det G
-<= 0 is one comparison, det joins the x2 weights once, and the chain rule's
-coefficients (`_chain_forms`) are formed once, so a block evaluates the map
-only at its points (order (0, 0)) and the target there,
-and forms the physical derivatives of each order t from the parametric
-ones, in place where no other derivative reads them (on an axis-aligned
-patch each is its parametric order, scaled unless the scale is 1), before
-it forms those of order t + 1.  The results are those of the per-point path
-bit for bit: it folds a constant det into the x2 weights and forms the same
-coefficients.
+one of ``two_patch_skew``; the test is `geometry._affine_jet`) has constant
+first orders and zero second ones, so det G and J^{-1} are numbers of the
+patch and hess G drops out.  A block takes its points as G(0, 0) + J xi,
+with no map binding, det joins its x2 weights, and the chain rule's
+coefficients (`_chain_forms`) are formed once, so a block evaluates the
+target at its points and forms the physical derivatives of each order t
+from the parametric ones, in place where no other derivative reads them (on
+an axis-aligned patch each is its parametric order, scaled unless the scale
+is 1), before it forms those of order t + 1.  The results are those of the
+per-point path bit for bit: it folds a constant det into the x2 weights and
+forms the same coefficients.
 
 Other maps (bilinear non-parallelograms, spline and NURBS patches) take the
 per-point path (`_squared_errors`): per block one geometry jet of the six
-orders and one target jet.  Jet components keep the broadcast shapes of the
+orders (the x2 binding of a chunk is the map's memo, `geometry`) and one
+target jet.  Jet components keep the broadcast shapes of the
 axes they depend on (see `geometry`), and so do the mapped points, det G,
 1/det and the entries of J^{-1} and of their products; only the integrands
 that meet the approximation span the block's grid.  det G is folded into
@@ -64,8 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField2D
-from .geometry import (GeometryError, Patch, _add, _affine_jet, _fold, _mul,
-                       block_points, jacobian_det, jet_component)
+from .geometry import (Patch, _add, _affine_jet, _fold, _mul, block_points,
+                       jet_component, map_jets)
 from .ritz1d import default_quadrature_nodes
 from .splines import _BLOCK_POINTS, band_blocks, gauss_rule, tensor_bind_x2_products
 from .tensor import TensorSpline
@@ -218,16 +220,7 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
     spaces = (f_h.space.space1, f_h.space.space2)
     gmap = patch.gmap
     cols, rows = _block_layout(patch, spaces[0].dim, nq)
-    affine = _affine_jet(gmap)
-    if affine is not None:
-        # det G and the chain rule's coefficients are numbers of the patch;
-        # det joins the x2 weights, where the per-point path folds a constant
-        det = jacobian_det(affine, gmap.zeros)
-        if det <= 0.0:
-            raise _folded(det, x1[0], x2[0])
-        w2 = w2 * det
-        terms = [_terms(forms) for forms in _chain_forms(
-            functools.partial(jet_component, affine, gmap.zeros), det)]
+    jets, affine, terms = map_jets(gmap), _affine_jet(gmap) is not None, None
     # each block with the x1 rows of f_h's orders 0..2, sliced from one band
     # of the whole axis per order and made once for every chunk
     blocks = list(zip((slice(i, i + rows) for i in range(0, len(x1), rows)),
@@ -235,20 +228,24 @@ def physical_error_norms(patch: Patch, u: ScalarField2D, f_h: TensorSpline,
     sums = np.zeros(3)
     for lo in range(0, len(x2), cols):
         chunk = slice(lo, lo + cols)
-        # f_h's x2 orders 0..2, contracted once each, and the map's
+        # f_h's x2 orders 0..2, contracted once each
         product = tensor_bind_x2_products(spaces, f_h.coefficients, x2[chunk], range(3))
-        gjet = gmap.bind_x2(x2[chunk], _JET if affine is None else [(0, 0)])
         for block, x1_rows in blocks:
             def fjet(ab, x1_rows=x1_rows):  # f_h's order ab, an array the block owns
                 return product(ab[1], x1_rows[ab[0]])
 
-            if affine is None:
-                sums += _squared_errors(gjet, gmap.zeros, u, {ab: fjet(ab) for ab in _JET},
-                                        x1[block], x2[chunk], w1[block], w2[chunk])
+            jet, det = jets(x1[block, None], x2[None, chunk], _JET)
+            if affine:
+                if terms is None:  # J^-1 and det G are numbers of the patch
+                    terms = [_terms(forms) for forms in _chain_forms(
+                        functools.partial(jet_component, jet, gmap.zeros), det)]
+                # det joins the x2 weights, where the per-point path folds a constant
+                sums += _affine_squared_errors(terms, u, fjet, jet[0, 0], w1[block],
+                                               w2[chunk] * det)
             else:
-                sums += _affine_squared_errors(terms, u, fjet, gjet(x1[block])[0, 0],
-                                               w1[block], w2[chunk])
-        del product, gjet  # so that two chunks' bindings are never alive at once
+                sums += _squared_errors(jet, det, gmap.zeros, u, {ab: fjet(ab) for ab in _JET},
+                                        w1[block], w2[chunk])
+        del product  # so that two chunks' bindings of f_h are never alive at once
     return ErrorTable({t: float(v) for t, v in enumerate(np.sqrt(sums))})
 
 
@@ -267,18 +264,12 @@ def _block_layout(patch: Patch, dim1: int, nq: int) -> tuple[int, int]:
     return cols, nq * max(1, points // (nq * cols))
 
 
-def _folded(det, x, y) -> GeometryError:
-    return GeometryError(
-        f"non-positive Jacobian determinant {det:.3e} at quadrature "
-        f"point ({x:.6f}, {y:.6f})"
-    )
-
-
 def _weighted_sum(w1, w2, det):
     """``E -> sum_ij w1[i] w2[j] det[i, j] E[i, j]`` for E on the grid.
     ``det`` has the broadcast shape of the axes it depends on and is folded
     into the weights of those axes once: where it depends on one axis or
     none, each sum is one GEMV over E."""
+    det = np.atleast_2d(det)  # a number on an affine map
     if det.shape[0] == 1:
         w2 = w2 * det[0]
     elif det.shape[1] == 1:
@@ -315,19 +306,12 @@ def _affine_squared_errors(terms, u: ScalarField2D, fjet, points, w1, w2) -> tup
     return l2, h1, _hessian_sum(hess, ujet, weighted_sum)
 
 
-def _squared_errors(g_bound, zeros, u: ScalarField2D, fjet, x1, x2, w1, w2) -> tuple:
-    """The sums of w1 w2 det |d^t error|^2 for t = 0, 1, 2 on the tensor grid
-    x1 (x) x2 with weights w1 (x) w2; ``g_bound`` is the geometry with x2
-    bound, ``zeros`` its exact-zero components and ``fjet`` the six orders
-    of f_h on the grid, arrays the block owns."""
-    # one geometry jet of the six orders on the grid; absent orders are zero
-    jet = g_bound(x1)
-    det = jacobian_det(jet, zeros)
-    if np.any(det <= 0.0):
-        # det has the shape of the axes it depends on; locate on the grid
-        det = np.broadcast_to(det, (len(x1), len(x2)))
-        i, j = np.unravel_index(np.argmin(det), det.shape)
-        raise _folded(det[i, j], x1[i], x2[j])
+def _squared_errors(jet, det, zeros, u: ScalarField2D, fjet, w1, w2) -> tuple:
+    """The sums of w1 w2 det |d^t error|^2 for t = 0, 1, 2 on a tensor grid
+    with weights w1 (x) w2; ``jet`` is the map's jet of the six orders there
+    and ``det`` its det G (`geometry.map_jets`), ``zeros`` its exact-zero
+    components and ``fjet`` the six orders of f_h on the grid, arrays the
+    block owns."""
     weighted_sum = _weighted_sum(w1, w2, det)
     ujet = u.jet(*jet[0, 0], 2, 2)
 

@@ -20,8 +20,10 @@ element-local moment blocks W B of the base space S_{p-r,k-r,Z} (element e
 touches the p-r+1 base functions from e (p-k)), the inverse of the base
 Gram matrix from its Cholesky factor, and r integrations
 (`splines.integrate`), each followed by adding an endpoint datum times the
-constant, whose coefficients are all ones.  A projector that interpolates
-more endpoint data adds a low-rank correction c + U (d - E c).  The tensor
+constant, whose coefficients are all ones.  A discontinuous base (every
+base of a k = 1 construction) is solved element by element from QR factors
+instead (`_l2_factors`).  A projector that interpolates more endpoint data
+adds a low-rank correction c + U (d - E c).  The tensor
 projector applies the same factors along each axis of its data (see
 :mod:`asg1kit.tensor`); `PointFunctionals.coefficients` maps a stack of data
 vectors, e.g. those of the sides of a patch, in one call.
@@ -79,6 +81,8 @@ class PointFunctionals:
     (L^-T L^-1 from the Cholesky factor G = L L^T), the integrations from
     ``base`` up to ``space`` that add the endpoint data, and ``correction``
     = (U, E), which adds U (d - E c) for the data d after the Gauss data.
+    On a discontinuous ``base`` ``weighted`` holds the element blocks of
+    the L2 projection itself, so moments are coefficients: no ``gram_inv``.
     """
 
     space: UniSplineSpace
@@ -86,7 +90,7 @@ class PointFunctionals:
     points: tuple[float, ...]
     base: UniSplineSpace
     weighted: np.ndarray
-    gram_inv: np.ndarray
+    gram_inv: np.ndarray | None
     correction: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -133,10 +137,11 @@ class PointFunctionals:
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """The coefficients in ``space`` of moment vectors along the last axis
-        of ``y``: the Gram solve in the base space, then r integrations, the
-        m-th adding endpoint datum r-1-m."""
+        of ``y``: the Gram solve in the base space (none where ``gram_inv``
+        is None), then r integrations, the m-th adding endpoint datum
+        r-1-m."""
         r, sp = self.r, self.base
-        c = y[..., r:] @ self.gram_inv.T
+        c = y[..., r:] if self.gram_inv is None else y[..., r:] @ self.gram_inv.T
         for m in range(r):
             c = integrate(sp, c, axis=-1)
             c += y[..., r - 1 - m, None]
@@ -164,7 +169,9 @@ def _l2_factors(space: UniSplineSpace, nq: int):
     """The moment blocks W B of ``space`` at ``nq`` Gauss nodes per element,
     (elements, nq, p+1), and the inverse of its Gram matrix G, L^-T L^-1
     from the Cholesky factor G = L L^T assembled from those blocks without a
-    dense basis matrix.
+    dense basis matrix.  On a discontinuous space, whose G is block-diagonal
+    with a condition near 2^p, they are sqrt(W) Q R^-T from the QR factors
+    sqrt(W) B = Q R of each element's rows, and None: round-off near sqrt(cond G).
 
     Every element's nodes share a band start, e (p-k), because the interior
     multiplicity of the knots is uniform."""
@@ -173,6 +180,14 @@ def _l2_factors(space: UniSplineSpace, nq: int):
     step = space.degree - space.smoothness
     _, (_, rows) = _band_at(space, x, 0)
     rows = rows.reshape(ne, nq, width)
+    if space.smoothness < 0:
+        root = np.sqrt(w).reshape(ne, nq, 1)
+        Q, R = np.linalg.qr(root * rows)
+        # |R_ii| are G's Cholesky pivots (none for some columns when nq < p+1)
+        # and the squared column norms of R its diagonal, which holds max|G|
+        pivots = np.abs(np.diagonal(R, axis1=1, axis2=2)) if nq >= width else np.zeros(1)
+        _check_pivots(space, nq, pivots, np.square(R).sum(axis=1).max())
+        return root * np.linalg.solve(R, Q.transpose(0, 2, 1)).transpose(0, 2, 1), None
     weighted = w.reshape(ne, nq, 1) * rows
     local = np.matmul(weighted.transpose(0, 2, 1), rows)
     G = np.zeros((space.dim, space.dim))
@@ -182,15 +197,7 @@ def _l2_factors(space: UniSplineSpace, nq: int):
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         L = np.zeros_like(G)
-    # a singular G can factor with round-off pivots; the bound 1e2 n eps
-    # max|G| on the squared pivots is 30 times the largest of those seen and
-    # 1e6 times below the least of a Gram matrix of enough nodes (on meshes
-    # graded down to 1e-4)
-    if np.diag(L).min() ** 2 <= 100 * len(G) * np.finfo(float).eps * G.max():
-        raise QuadratureError(
-            f"nq={nq} Gauss nodes per element are too few: the Gram matrix of "
-            f"S_({space.degree},{space.smoothness}) is not positive definite"
-        )
+    _check_pivots(space, nq, np.diag(L), G.max())
     del G  # freed before the inverse: the build stays below one dense B
     # L^-1 row by row: row i of L has its p+1 band entries only, so it takes
     # the p rows of L^-1 above it (an LU inverse of L took 5 times longer)
@@ -201,6 +208,19 @@ def _l2_factors(space: UniSplineSpace, nq: int):
         inv_chol[i, i] = 1.0
         inv_chol[i, :i + 1] /= L[i, i]
     return weighted, inv_chol.T @ inv_chol
+
+
+def _check_pivots(space: UniSplineSpace, nq: int, pivots, top):
+    """A QuadratureError unless G's Cholesky ``pivots`` pass against max|G|."""
+    # a singular G can factor with round-off pivots; the bound 1e2 n eps
+    # max|G| on the squared pivots is 30 times the largest of those seen and
+    # 1e6 times below the least of a Gram matrix of enough nodes (on meshes
+    # graded down to 1e-4)
+    if pivots.min() ** 2 <= 100 * space.dim * np.finfo(float).eps * top:
+        raise QuadratureError(
+            f"nq={nq} Gauss nodes per element are too few: the Gram matrix of "
+            f"S_({space.degree},{space.smoothness}) is not positive definite"
+        )
 
 
 @functools.lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ import numpy as np
 from .fields import ScalarField2D
 from .geometry import EDGE_AXIS, NORMALS, side_end
 from .ritz1d import PointFunctionals, ritz_functionals
-from .splines import UniSpline, UniSplineSpace, _difference_scale, tensor_jet
+from .splines import UniSpline, UniSplineSpace, differentiate, tensor_jet
 
 __all__ = [
     "TensorSplineSpace",
@@ -115,15 +115,13 @@ def trace(f: TensorSpline, j: int) -> UniSpline:
 
 def normal_derivative_trace(f: TensorSpline, j: int) -> UniSpline:
     """(n_j . grad f) restricted to side ``j``, in the side's tangential space:
-    the trace of the difference along the normal axis, times the sign of n_j
-    (`NORMALS`); only the two coefficient rows next to the side are
-    differenced."""
-    end = side_end(j)
+    the side's row of the derivative along the normal axis
+    (`splines.differentiate`), times the sign of n_j (`NORMALS`)."""
+    end = side_end(j)  # first: a ValueError for a bad side
     axis = 1 - EDGE_AXIS[j]
-    rows = np.take(f.coefficients, [-2, -1] if end else [0, 1], axis=axis)
     space = (f.space.space1, f.space.space2)[axis]
-    dc = np.diff(rows, axis=axis) * _difference_scale(space, 0)[-end]
-    return UniSpline(f.space.side_space(j), NORMALS[j][axis] * dc.reshape(-1))
+    dc = np.take(differentiate(space, f.coefficients, axis), -end, axis=axis)
+    return UniSpline(f.space.side_space(j), NORMALS[j][axis] * dc)
 
 
 # -- tensor projector -----------------------------------------------------------------

@@ -450,9 +450,11 @@ def full_grid_norms(patch, u, f, nq):
 def per_point_norms(patch, u, f, nq):
     """The error seminorms of `norms.physical_error_norms` by its chunks and
     blocks (`norms._block_layout`), each block taking f_h's six orders from
-    `splines.tensor_bind_x2` and the map's six orders, det G and the chain
-    rule per point (`norms._squared_errors`), whatever the map."""
+    `splines.tensor_bind_x2`, the map jet and det G from
+    `geometry.map_jets` and the chain rule per point
+    (`norms._squared_errors`), whatever the map."""
     from asg1kit import norms
+    from asg1kit.geometry import map_jets
     from asg1kit.splines import gauss_rule, tensor_bind_x2
 
     x1, w1 = gauss_rule(patch.partitions[0], nq)
@@ -464,9 +466,9 @@ def per_point_norms(patch, u, f, nq):
     for lo in range(0, len(x2), cols):
         chunk = slice(lo, lo + cols)
         fjet = tensor_bind_x2(spaces, f.coefficients, x2[chunk], orders)
-        gjet = patch.gmap.bind_x2(x2[chunk], orders)
         for start in range(0, len(x1), rows):
             block = slice(start, start + rows)
-            sums += norms._squared_errors(gjet, patch.gmap.zeros, u, fjet(x1[block]),
-                                          x1[block], x2[chunk], w1[block], w2[chunk])
+            jet, det = map_jets(patch.gmap)(x1[block, None], x2[None, chunk], orders)
+            sums += norms._squared_errors(jet, det, patch.gmap.zeros, u, fjet(x1[block]),
+                                          w1[block], w2[chunk])
     return [float(v) for v in np.sqrt(sums)]

@@ -746,14 +746,16 @@ def test_check_conformity_evaluates_each_patch_once(monkeypatch):
     # per patch one scattered projection jet (every side sample and corner)
     # and one grid jet (the scales), no map jet for the corner locations
     # (the corner coefficients give them) and, with a boundary side, one
-    # pullback bind; one map jet of the C2 orders and one chain rule per
-    # patch with a corner that another patch shares (all three of
-    # three_patch_L, none on the single NURBS patch); the domain diameter is
-    # measured once per multi-patch, when it is built
+    # pullback bind; one map jet of the C2 orders (`geometry.map_jets`) and
+    # one chain rule per patch with a corner that another patch shares (all
+    # three of three_patch_L, none on the single NURBS patch, both curved
+    # patches of curved_two_patch), a geometry jet on the curved patches
+    # alone; the domain diameter is measured once per multi-patch, when it
+    # is built
     from collections import Counter
 
     from asg1kit import asg1, fields
-    from asg1kit.geometry import MultiPatch, _TensorProductMap
+    from asg1kit.geometry import MultiPatch, _TensorProductMap, map_jets
 
     calls, measured, binding = Counter(), Counter(), []
 
@@ -774,7 +776,8 @@ def test_check_conformity_evaluates_each_patch_once(monkeypatch):
     measure = MultiPatch._measure_diameter
     monkeypatch.setattr(MultiPatch, "_measure_diameter",
                         lambda mp: measured.update([id(mp)]) or measure(mp))
-    sharing = {"three_patch_L": 3, "nurbs_square0": 0}
+    sharing = {"three_patch_L": 3, "nurbs_square0": 0, "curved_two_patch0": 2}
+    curved = {"three_patch_L": 0, "nurbs_square0": 0, "curved_two_patch0": 2}
     layouts = {name: CONFORMITY_LAYOUTS[name]() for name in sharing}
     projections = {name: global_project(mp, recover_all(mp), manufactured("sinsin"), 4, 2)
                    for name, mp in layouts.items()}
@@ -799,6 +802,12 @@ def test_check_conformity_evaluates_each_patch_once(monkeypatch):
     counted(_TensorProductMap, "jet", map_jet)
     counted(asg1, "inverse_chain_rule", lambda *args: "chain rule")
     monkeypatch.setattr(asg1, "pullback", counted_pullback)
+
+    def counted_map_jets(gmap):
+        jets = map_jets(gmap)
+        return lambda *args: calls.update(["C2 map jets"]) or jets(*args)
+
+    monkeypatch.setattr(asg1, "map_jets", counted_map_jets)
     for name, mp in layouts.items():
         calls.clear()
         check_conformity(projections[name])
@@ -807,11 +816,13 @@ def test_check_conformity_evaluates_each_patch_once(monkeypatch):
         assert calls["scattered jet"] <= patches
         assert calls["grid jet"] <= patches
         assert calls["corner map jet"] == 0
-        assert calls["C2 map jet"] == calls["chain rule"] == sharing[name]
+        assert calls["C2 map jets"] == calls["chain rule"] == sharing[name]
+        assert calls["C2 map jet"] == curved[name]
         assert calls["pullback bind"] <= len(with_boundary)
         assert calls["pullback map jet"] <= calls["pullback bind"]
-        assert set(calls) <= {"scattered jet", "grid jet", "corner map jet", "C2 map jet",
-                              "chain rule", "pullback bind", "pullback map jet"}
+        assert set(calls) <= {"scattered jet", "grid jet", "corner map jet", "C2 map jets",
+                              "C2 map jet", "chain rule", "pullback bind",
+                              "pullback map jet"}
         assert measured[id(mp)] == 1
     assert max(measured.values()) == 1
 
@@ -875,15 +886,15 @@ def test_affine_patch_projects_without_a_map_jet(monkeypatch):
 def test_affine_pullback_forms_det_once(monkeypatch, name, affine):
     # det G of an affine patch is one number, formed once per pullback and
     # compared at every evaluation; the skew patch forms it from each map jet
-    from asg1kit import fields
+    from asg1kit import geometry
     from asg1kit.geometry import _affine_jet
 
     mp = builtin_geometry(name, 8)
     patch, glue = mp.patches[1], recover_all(mp).for_patch(1)
     assert (_affine_jet(patch.gmap) is not None) == affine
     dets, evaluations = [], []
-    det = fields.jacobian_det
-    monkeypatch.setattr(fields, "jacobian_det", lambda *a: dets.append(1) or det(*a))
+    det = geometry.jacobian_det
+    monkeypatch.setattr(geometry, "jacobian_det", lambda *a: dets.append(1) or det(*a))
     u = pullback(manufactured("sinsin"), patch.gmap)
     bind = u._bind
     u._bind = lambda *a: evaluations.append(1) or bind(*a)
@@ -899,12 +910,13 @@ def test_affine_pullback_forms_det_once(monkeypatch, name, affine):
 @pytest.mark.parametrize("name", sorted(BUILTIN_GEOMETRIES))
 def test_affine_pullbacks_keep_every_bit_of_the_generic_path(monkeypatch, name):
     # global_project's coefficients and check_conformity's report with every
-    # field, then again with every pullback on the generic path (a map jet
-    # and the chain rule term by term), by sha1
+    # field, then again with every map jet of `geometry.map_jets` on the
+    # generic path (a geometry jet: the pullbacks' chain rule term by term,
+    # and the corner data), by sha1
     import hashlib
     import json
 
-    from asg1kit import fields
+    from asg1kit import geometry
 
     mp = builtin_geometry(name, 8)
     glue = recover_all(mp)
@@ -920,5 +932,5 @@ def test_affine_pullbacks_keep_every_bit_of_the_generic_path(monkeypatch, name):
         return out
 
     affine = digests()
-    monkeypatch.setattr(fields, "_affine_jet", lambda gmap: None)
+    monkeypatch.setattr(geometry, "_affine_jet", lambda gmap: None)
     assert digests() == affine

@@ -321,9 +321,9 @@ def test_pullback_takes_one_jet_per_evaluation(monkeypatch):
     ctrl[2, 2] += (0.03, -0.02)
     calls = {"jet": 0, "derivative": 0, "point": 0}
     for name in calls:
-        def counted(self, *args, _name=name, _fn=getattr(SplineMap, name)):
+        def counted(self, *args, _name=name, _fn=getattr(SplineMap, name), **kwargs):
             calls[_name] += 1
-            return _fn(self, *args)
+            return _fn(self, *args, **kwargs)
         monkeypatch.setattr(SplineMap, name, counted)
     v = pullback(manufactured("expxy"), SplineMap(S, S, ctrl))
     x = np.linspace(0.1, 0.9, 4)
@@ -529,9 +529,9 @@ def test_evaluator_only_field_gives_the_same_jet(name):
 def _count_spline_map_calls(monkeypatch):
     calls = {"jet": 0, "derivative": 0, "point": 0}
     for name in calls:
-        def counted(self, *args, _name=name, _fn=getattr(SplineMap, name)):
+        def counted(self, *args, _name=name, _fn=getattr(SplineMap, name), **kwargs):
             calls[_name] += 1
-            return _fn(self, *args)
+            return _fn(self, *args, **kwargs)
         monkeypatch.setattr(SplineMap, name, counted)
     return calls
 

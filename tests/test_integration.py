@@ -338,6 +338,36 @@ def test_error_bound_constant_is_stable():
         assert seq[1] <= seq[0] * 1.05 and seq[2] <= seq[1] * 1.05, (t, seq)
 
 
+@pytest.mark.parametrize("p", range(4, 17))
+def test_poly4_is_reproduced_at_k1_up_to_p16(p):
+    # poly4 (degree 4) lies in every space here, so its errors are round-off
+    # alone.  Every base space of a k = 1 projector is discontinuous and is
+    # solved element by element from QR factors, whose error grows like
+    # sqrt(cond G) of the element Gram matrix G, not like cond G (about 2^p).
+    # The bound, fixed before measuring: the H^t error is at most 100 eps
+    # sqrt(cond G) max|d^t u| n^t, with G that of the tensor projector's
+    # base S_(p-2,-1) at its default nodes and max|d^t u| over the patch
+    # corners (where it lies for this u on the L)
+    from asg1kit.ritz1d import default_quadrature_nodes
+    from asg1kit.splines import eval_operator, gauss_rule
+
+    n, u = 22, manufactured("poly4")  # h <= 3 / (4p) up to p = 16
+    mp = builtin_geometry("three_patch_L", n)
+    gp = global_project(mp, recover_all(mp), u, p, 1)
+    errors = combine_tables([physical_error_norms(patch, u, q.spline)
+                             for patch, q in zip(mp.patches, gp.patches)]).seminorms
+    base = UniSplineSpace(p - 2, -1, uniform_partition(1))
+    x, w = gauss_rule(base.partition, default_quadrature_nodes(p))
+    B = eval_operator(base, x, 0)
+    cond = np.linalg.cond(B.T @ (w[:, None] * B))
+    corners = [np.concatenate(c) for c in zip(*(patch.gmap.corner_points()
+                                                for patch in mp.patches))]
+    for t in range(3):
+        top = max(np.max(np.abs(u(*corners, a, t - a))) for a in range(t + 1))
+        bound = 100 * np.finfo(float).eps * np.sqrt(cond) * top * n ** t
+        assert errors[t] <= bound, (t, errors[t], bound)
+
+
 @pytest.mark.parametrize("p,k", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3), (6, 4)])
 def test_patch_identities_across_degrees(p, k):
     # condensed interpolation checks on the skewed patch with nontrivial beta

@@ -7,7 +7,7 @@ import sympy as sym
 from asg1kit.fields import ScalarField2D, manufactured, pullback
 from asg1kit.geometry import (BUILTIN_GEOMETRIES, BilinearMap, GeometryError, Patch,
                               SplineMap, _affine_jet, block_points, builtin_geometry,
-                              jacobian_det)
+                              jacobian_det, map_jets)
 from asg1kit.norms import (
     ErrorTable,
     combine_tables,
@@ -48,26 +48,37 @@ def test_exact_spline_gives_zero_norms():
     assert all(v <= 1e-12 for v in table.norms.values())
 
 
-@pytest.mark.parametrize("corners", [
-    # twisted: the determinant changes sign inside and depends on both axes
-    [[[0, 0], [1.2, 0.1]], [[1, 0], [0.2, 1.0]]],
-    # mirrored: an affine map, so the determinant is one constant, -1
-    [[[1, 0], [1, 1]], [[0, 0], [0, 1]]],
-])
-def test_folded_norms_name_a_quadrature_point_of_non_positive_determinant(corners):
-    patch = Patch(BilinearMap(np.array(corners, float)), (uniform_partition(2),) * 2)
-    S = UniSplineSpace(3, 1, uniform_partition(2))
-    zero = TensorSpline(TensorSplineSpace(S, S), np.zeros((S.dim, S.dim)))
+_FOLDED = {
+    # the determinant changes sign inside and depends on both axes
+    "twisted": [[[0, 0], [1.2, 0.1]], [[1, 0], [0.2, 1.0]]],
+    # an affine map, so the determinant is one constant, -1
+    "mirrored": [[[1, 0], [1, 1]], [[0, 0], [0, 1]]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FOLDED))
+@pytest.mark.parametrize("caller", ["pullback", "norms"])
+def test_fold_errors_name_a_parameter_point(caller, kind):
+    # the pullback and the norm blocks take their map jets from
+    # geometry.map_jets, whose one fold error names the least det G of the
+    # points it evaluates and a parameter point where it is taken
+    patch = Patch(BilinearMap(np.array(_FOLDED[kind], float)), (uniform_partition(2),) * 2)
     nq = 4
-    with pytest.raises(GeometryError, match="non-positive Jacobian") as info:
-        physical_error_norms(patch, manufactured("sinsin"), zero, nq=nq)
-    number = r"(-?\d+\.\d+(?:e[-+]\d+)?)"
-    found = re.search(rf"determinant {number} at quadrature point \({number}, {number}\)",
-                      str(info.value))
-    det, x, y = (float(v) for v in found.groups())
-    # the named point is a node of the rule and the minimum of det over them
     x1, _ = gauss_rule(patch.partitions[0], nq)
     x2, _ = gauss_rule(patch.partitions[1], nq)
+    u = manufactured("sinsin")
+    with pytest.raises(GeometryError, match="non-positive Jacobian") as info:
+        if caller == "pullback":
+            pullback(u, patch.gmap)(x1[:, None], x2[None, :], 1, 1)
+        else:
+            S = UniSplineSpace(3, 1, uniform_partition(2))
+            zero = TensorSpline(TensorSplineSpace(S, S), np.zeros((S.dim, S.dim)))
+            physical_error_norms(patch, u, zero, nq=nq)  # one block of these nodes
+    number = r"(-?\d+\.\d+(?:e[-+]\d+)?)"
+    found = re.search(rf"determinant {number} at parameter point \({number}, {number}\)",
+                      str(info.value))
+    det, x, y = (float(v) for v in found.groups())
+    # the named point is a node of the grid and the minimum of det over it
     i, j = np.argmin(np.abs(x1 - x)), np.argmin(np.abs(x2 - y))
     assert abs(x1[i] - x) <= 1e-6 and abs(x2[j] - y) <= 1e-6
     grid = det_on(patch.gmap, *np.meshgrid(x1, x2, indexing="ij"))
@@ -359,9 +370,10 @@ def test_affine_norms_over_several_chunks_match_full_grid_quadrature(kind):
     ("skew", False), ("trapezoid", False), ("spline", False), ("nurbs", False)])
 def test_affine_blocks_take_no_map_jet_of_order_one_or_chain_rule(kind, affine,
                                                                   monkeypatch):
-    # an affine block evaluates the map at its points alone: J^-1 and det G
-    # are constants of the patch; every other block takes a jet of the six
-    # orders and runs the per-point chain rule
+    # an affine block takes no map binding at all: its points are G(0, 0) +
+    # J xi, J^-1 and det G constants of the patch (geometry.map_jets);
+    # every other block takes a jet of the six orders and runs the
+    # per-point chain rule
     if kind in _AFFINE:
         gmap = BilinearMap(_AFFINE[kind])
     elif kind in BUILTIN_GEOMETRIES:
@@ -374,33 +386,71 @@ def test_affine_blocks_take_no_map_jet_of_order_one_or_chain_rule(kind, affine,
     S = UniSplineSpace(4, 2, Z)
     rng = np.random.default_rng(15)
     f = TensorSpline(TensorSplineSpace(S, S), rng.standard_normal((S.dim, S.dim)))
-    jets, rules = [], []
-    bind, rule = gmap.bind_x2, norms._chain_rule
+    jets, binds, rules, blocks = [], [], [], []
+    jet, bind, rule = gmap.jet, gmap.bind_x2, norms._chain_rule
+    squared, affine_squared = norms._squared_errors, norms._affine_squared_errors
 
-    def counting_bind(x2, orders):
-        block = bind(x2, orders)
+    def counting_jet(*args, **kwargs):
+        jets.append(tuple(kwargs["orders"]))
+        return jet(*args, **kwargs)
 
-        def jet(x1):
-            jets.append(tuple(orders))
-            return block(x1)
-
-        return jet
+    def counting_bind(*args):
+        binds.append(args)
+        return bind(*args)
 
     def counting_rule(*args):
         rules.append(args)
         return rule(*args)
 
+    monkeypatch.setattr(gmap, "jet", counting_jet)
     monkeypatch.setattr(gmap, "bind_x2", counting_bind)
     monkeypatch.setattr(norms, "_chain_rule", counting_rule)
+    monkeypatch.setattr(norms, "_squared_errors",
+                        lambda *a: blocks.append(a) or squared(*a))
+    monkeypatch.setattr(norms, "_affine_squared_errors",
+                        lambda *a: blocks.append(a) or affine_squared(*a))
     physical_error_norms(patch, manufactured("sinsin"), f)
-    assert len(jets) > 1  # several blocks
+    assert len(blocks) > 1  # several blocks
     if affine:
-        assert all(orders == ((0, 0),) for orders in jets)
-        assert not rules
+        assert not jets and not binds and not rules
     else:
         assert all(set(orders) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
                    for orders in jets)
-        assert len(rules) == len(jets)
+        assert len(rules) == len(jets) == len(blocks)
+        assert len(binds) <= 1  # one chunk, bound once in the map's memo
+
+
+def test_affine_data_and_norms_see_the_same_mapped_points():
+    # on an affine patch the pullback's data calls (tensor.data_matrix) and
+    # the norm blocks take their points from one source, G(0, 0) + J xi
+    # (geometry.map_jets), so a recording target sees the same bits at the
+    # same parameter points.  On two_patch_square's right patch, x = 1 + xi1,
+    # the map's contraction (1 - xi1) 1 + xi1 2 is an ulp off at some nodes
+    from asg1kit.ritz1d import default_quadrature_nodes, ritz_functionals
+    from asg1kit.tensor import data_matrix
+
+    patch = builtin_geometry("two_patch_square", 8).patches[1]
+    seen, where = {"data": set(), "norms": set()}, []
+
+    def recorded(x, y, a, b):
+        X, Y = np.broadcast_arrays(x, y)
+        seen[where[-1]].update(zip(X.ravel().tolist(), Y.ravel().tolist()))
+        return manufactured("sinsin")(x, y, a, b)
+
+    u = ScalarField2D(recorded, max_order=8)
+    p, k = 4, 2
+    nq = default_quadrature_nodes(p) + 2  # the norms' default rule
+    S = UniSplineSpace(p, k, patch.partitions[0])
+    f = ritz_functionals(S, 2, nq)  # its Gauss data at the norms' nodes
+    where.append("data")
+    for _ in data_matrix(pullback(u, patch.gmap), f, f):
+        pass
+    where.append("norms")
+    zero = TensorSpline(TensorSplineSpace(S, S), np.zeros((S.dim, S.dim)))
+    physical_error_norms(patch, u, zero, nq=nq)
+    x1, _ = gauss_rule(patch.partitions[0], nq)
+    assert len(seen["norms"]) == len(x1) ** 2
+    assert seen["norms"] <= seen["data"]
 
 
 @pytest.mark.parametrize("kind", ["axis_aligned", "sheared", "rotated", "three_patch_L",
@@ -432,9 +482,11 @@ def test_norms_equal_the_per_point_loop_bit_for_bit(kind):
 @pytest.mark.parametrize("kind", ["three_patch_L", "spline", "nurbs"])
 def test_norms_write_into_no_target_or_geometry_jet(kind, monkeypatch):
     # caches share the arrays of target and geometry jets (a map's bound
-    # rows, the sines of sinsin): made read-only, any write into them raises
+    # rows, the sines of sinsin): made read-only, as is every array of the
+    # map jets (geometry.map_jets), any write into them raises
     def frozen(v):
-        v.flags.writeable = False
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
         return v
 
     if kind == "three_patch_L":
@@ -442,20 +494,17 @@ def test_norms_write_into_no_target_or_geometry_jet(kind, monkeypatch):
     else:
         Z = uniform_partition(16)
         patch = Patch(_det_shape_maps()[kind][0], (Z, Z))
-    gmap = patch.gmap
-    bind = gmap.bind_x2
+    def frozen_map_jets(gmap):
+        jets = map_jets(gmap)
 
-    def frozen_bind(x2, orders):
-        block = bind(x2, orders)
-
-        def jet(x1):
-            out = block(x1)
-            for comps in out.values():
+        def frozen_jets(*args):
+            jet, det = jets(*args)
+            for comps in jet.values():
                 for v in comps:
                     frozen(v)
-            return out
+            return jet, frozen(det)
 
-        return jet
+        return frozen_jets
 
     S = UniSplineSpace(4, 2, patch.partitions[0])
     T = UniSplineSpace(4, 2, patch.partitions[1])
@@ -463,7 +512,7 @@ def test_norms_write_into_no_target_or_geometry_jet(kind, monkeypatch):
     f = TensorSpline(TensorSplineSpace(S, T), rng.standard_normal((S.dim, T.dim)))
     sinsin = manufactured("sinsin")
     want = physical_error_norms(patch, sinsin, f)
-    monkeypatch.setattr(gmap, "bind_x2", frozen_bind)
+    monkeypatch.setattr(norms, "map_jets", frozen_map_jets)
     u = ScalarField2D(lambda x, y, a, b: frozen(sinsin(x, y, a, b)), max_order=8)
     got = physical_error_norms(patch, u, f)
     assert got.seminorms == want.seminorms
@@ -626,11 +675,11 @@ def test_chunked_norms_peak_below_whole_row_bindings():
     # elements of at most _BLOCK_POINTS points
     orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     fjet = tensor_bind_x2((S, S), f.coefficients, x2, orders)
-    gjet = patch.gmap.bind_x2(x2, orders)
+    jets = map_jets(patch.gmap)
     rows = nq * max(1, norms._BLOCK_POINTS // (nq * len(x2)))
     sums = sum(np.array(norms._squared_errors(
-        gjet, patch.gmap.zeros, u, fjet(x1[i:i + rows]), x1[i:i + rows], x2,
-        w1[i:i + rows], w2))
+        *jets(x1[i:i + rows, None], x2[None, :], orders), patch.gmap.zeros, u,
+        fjet(x1[i:i + rows]), w1[i:i + rows], w2))
         for i in range(0, len(x1), rows))
     want = np.sqrt(sums)
     # On the identity patch (area 1) every chain-rule factor is an exact 1,
